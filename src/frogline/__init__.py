@@ -11,7 +11,7 @@ from .graph import (GraphDescriptor, build_graph, neighbors, parse_descriptor,
                     resolve_origin, tree_meet, tree_nav)
 from .leaf_walk import LeafWalkReport, run_killed_leaf_walk
 from .randomness import (FrogInit, WalkStore, generate_steps, init_config,
-                         substream, walk_step)
+                         step_uniforms, substream, walk_keys)
 from .spectral_bd import (BirthDeathChain, Pmf, SpectralDecomposition,
                           check_logconcave, geometric_convolution_law,
                           half_e2_t0, hitting_eigenvalues, hitting_pmf_dp,
@@ -39,7 +39,8 @@ __all__ = [
     "mixing_crossing_time", "mixing_deviation", "mixing_profile", "neighbors",
     "parse_descriptor", "range_stats", "resolve_origin", "return_sum_envelope",
     "run_activation", "run_killed_leaf_walk", "run_spec_trials",
-    "select_spread_set", "stationary_levels", "substream", "susceptibility",
-    "sweep", "total_variation", "transition_powers", "tree_meet", "tree_nav",
-    "trial_seed", "validate", "walk_step", "write_table",
+    "select_spread_set", "stationary_levels", "step_uniforms", "substream",
+    "susceptibility", "sweep", "total_variation", "transition_powers",
+    "tree_meet", "tree_nav", "trial_seed", "validate", "walk_keys",
+    "write_table",
 ]

@@ -20,8 +20,8 @@ from .frog_sim import NEVER, cover_time, covered_under, range_stats, \
     run_activation, susceptibility
 from .graph import COMPLETE, CYCLE, TREE, GraphDescriptor, build_graph
 from .leaf_walk import run_killed_leaf_walk
-from .randomness import WalkStore, generate_steps, init_config, substream, \
-    walk_step
+from .randomness import WalkStore, generate_steps, init_config, \
+    step_uniforms, walk_keys
 from .spectral_bd import check_logconcave, geometric_convolution_law, half_e2_t0, \
     hitting_eigenvalues, hitting_pmf_dp, Pmf, total_variation
 from .tree_analytics import (apply_transition, expected_hit, gambler_ruin,
@@ -557,11 +557,11 @@ FAST_CHECKS = [
 
 # ------------------------------------------------------------- full checks
 
-def walk_range_size(g, start, t, gen, exclusive=True):
-    steps = generate_steps(g, start, t, gen)
-    if exclusive:
-        return len(np.unique(steps))
-    return len(np.unique(np.concatenate(([start], steps))))
+def exclusive_range_sizes(g, start, t, keys):
+    """|{X_1, .., X_t}| of each keyed walk from `start` (start excluded)."""
+    steps = np.sort(generate_steps(g, np.full(len(keys), start), keys, 0, t),
+                    axis=1)
+    return 1 + np.count_nonzero(np.diff(steps, axis=1), axis=1)
 
 
 def submultiplicativity_gap(d, n, t_prime, s, ell, trials, seed):
@@ -574,16 +574,13 @@ def submultiplicativity_gap(d, n, t_prime, s, ell, trials, seed):
     reps = [int(g.level_starts[l]) for l in range(n + 1)]
     p_hat = 0.0
     for i, v in enumerate(reps):
-        gen = substream(seed, 100 + i)
-        hits = sum(walk_range_size(g, v, t_prime, gen) <= ell
-                   for _ in range(trials))
-        p = hits / trials
+        sizes = exclusive_range_sizes(g, v, t_prime,
+                                      walk_keys(seed, trials, 100 + i))
+        p = float(np.mean(sizes <= ell))
         p_hat = max(p_hat, p + 3 * sqrt(max(p * (1 - p), 1.0 / trials) / trials))
     x = g.vertex_count - 1  # a leaf: smallest ranges, hardest case
-    gen = substream(seed, 200)
-    hits = sum(walk_range_size(g, x, s * t_prime, gen) <= ell
-               for _ in range(trials))
-    q = hits / trials
+    sizes = exclusive_range_sizes(g, x, s * t_prime, walk_keys(seed, trials, 200))
+    q = float(np.mean(sizes <= ell))
     q_low = q - 3 * sqrt(max(q * (1 - q), 1.0 / trials) / trials)
     return q_low, min(p_hat, 1.0) ** s
 
@@ -597,16 +594,16 @@ def check_submultiplicativity():
 def range_hit_ratios(d, n, ks, trials, seed):
     """median |R_t cap leaves| / g(t) for t = 2^k, g(t) = t/log_d(dt)."""
     g = build_graph(GraphDescriptor(TREE, d=d, n=n))
-    leaves = set(int(v) for v in g.leaves())
     out = []
     for k in ks:
         t = 2 ** k
-        counts = []
-        for trial in range(trials):
-            gen = substream(seed, 300 + k * 1000 + trial)
-            steps = generate_steps(g, 0, t, gen)
-            visited = np.unique(np.concatenate(([0], steps)))
-            counts.append(sum(1 for v in visited if int(v) in leaves))
+        keys = walk_keys(seed, trials, 300 + k * 1000)
+        starts = np.zeros(trials, dtype=np.int64)
+        # the start (the root) is no leaf, so the steps alone give R_t's leaves
+        steps = np.sort(generate_steps(g, starts, keys, 0, t), axis=1)
+        first = np.ones(steps.shape, dtype=bool)
+        first[:, 1:] = steps[:, 1:] != steps[:, :-1]
+        counts = np.count_nonzero(first & (steps >= g.first_leaf), axis=1)
         g_t = t / (log(d * t) / log(d))
         out.append(float(np.median(counts)) / g_t)
     return out
@@ -678,10 +675,10 @@ def walkstep_chisquare():
              (build_graph(GraphDescriptor(COMPLETE, n=5)), 0)]    # degree 4
     pvals = []
     for g, v in cases:
-        gen = substream(909, v)
-        nbrs = g.neighbors(v)
-        draws = [walk_step(g, v, gen) for _ in range(100_000)]
-        counts = [draws.count(u) for u in nbrs]
+        # 100k steps of one keyed walk's uniforms, all taken from v
+        u = step_uniforms(walk_keys(909, 1, v), 0, 100_000)[0]
+        draws = g.step_array(np.full(u.shape, v), u)
+        counts = [np.count_nonzero(draws == w) for w in g.neighbors(v)]
         pvals.append(float(chisquare(counts).pvalue))
     return pvals
 

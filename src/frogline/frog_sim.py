@@ -16,12 +16,17 @@ import numpy as np
 
 from .errors import BudgetExceededError, NumericalConsistencyError, ParameterError
 from .graph import COMPLETE, TREE
+from .randomness import generate_steps, walk_keys
 
 # activation-time sentinel for "never woken"
 NEVER = np.iinfo(np.int64).max
 
 DEFAULT_STEP_CAP = 10 ** 9
 DEFAULT_TAU_CEILING = 2 ** 31
+
+# positions generated per block of covered_under: a round holds one block
+# plus O(1) words per walk, whatever tau is
+SCAN_BLOCK_CELLS = 2 ** 18
 
 
 @dataclass
@@ -77,7 +82,10 @@ def covered_under(g, init, walks, tau):
     """Coverage flag only, by reachability over first-tau walk ranges.
 
     Order-free and equivalent to run_activation(...).covered: whether a
-    vertex ever wakes does not depend on when its wakers arrive.
+    vertex ever wakes does not depend on when its wakers arrive. The pass
+    goes by rounds: round r walks, in lockstep, every particle at the
+    vertices round r - 1 woke, in blocks of about SCAN_BLOCK_CELLS
+    positions. Returns (covered, particle-steps generated).
     """
     V = g.vertex_count
     visited = np.zeros(V, dtype=bool)
@@ -86,21 +94,26 @@ def covered_under(g, init, walks, tau):
     steps = 0
     if tau <= 0 or count == V:
         return count == V, steps
-    stack = [init.origin]
-    while stack:
-        v = stack.pop()
-        for pid in init.pids_at(v):
-            w = walks.prefix(pid, tau)[1:]
-            steps += tau
-            fresh = w[~visited[w]]
+    frontier = [init.origin]
+    while len(frontier):
+        pos, keys = init.walks_at(frontier)
+        if not len(pos):
+            break  # nobody lives on the last vertices woken
+        woken = []
+        block = max(1, SCAN_BLOCK_CELLS // len(pos))
+        for done in range(0, tau, block):
+            path = walks.advance(pos, keys, done, min(block, tau - done))
+            steps += path.size
+            fresh = np.unique(path[~visited[path]])
             if fresh.size:
-                for u in np.unique(fresh):
-                    visited[u] = True
-                    count += 1
-                    stack.append(int(u))
+                visited[fresh] = True
+                count += fresh.size
                 if count == V:
                     return True, steps
-    return count == V, steps
+                woken.append(fresh)
+            pos = path[:, -1]
+        frontier = np.concatenate(woken) if woken else []
+    return False, steps
 
 
 def initial_tau_bracket(g, lam):
@@ -152,24 +165,21 @@ def susceptibility(g, init, walks, tau_ceiling=DEFAULT_TAU_CEILING):
 
 
 def cover_time(g, init, walks, step_cap=DEFAULT_STEP_CAP):
-    """Synchronous tau-infinity simulation; returns max activation time."""
+    """Synchronous tau-infinity simulation; returns max activation time.
+
+    Each time step advances every awake particle by one batched step;
+    particles woken at new vertices join the batch with step count 0.
+    """
     if step_cap <= 0:
         raise ParameterError("step_cap must be > 0, got %r" % (step_cap,))
     V = g.vertex_count
     visited = np.zeros(V, dtype=bool)
     visited[init.origin] = True
     count = 1
-    active_pid = []
-    active_wake = []
-
-    def wake(v, t):
-        for pid in init.pids_at(v):
-            active_pid.append(pid)
-            active_wake.append(t)
-
-    wake(init.origin, 0)
     if count == V:
         return 0
+    pos, keys = init.walks_at([init.origin])
+    age = np.zeros(len(pos), dtype=np.int64)  # steps taken by each particle
     t = 0
     while True:
         t += 1
@@ -177,32 +187,32 @@ def cover_time(g, init, walks, step_cap=DEFAULT_STEP_CAP):
             raise BudgetExceededError(
                 "cover time exceeded step cap %d" % step_cap,
                 fraction_covered=count / V)
-        newly = []
-        for i in range(len(active_pid)):
-            v = walks.position(active_pid[i], t - active_wake[i])
-            if not visited[v]:
-                visited[v] = True
-                count += 1
-                newly.append(v)
-        for v in newly:
-            wake(v, t)
-        if count == V:
-            return t
+        pos = walks.advance(pos, keys, age, 1)[:, 0]
+        age += 1
+        fresh = np.unique(pos[~visited[pos]])
+        if fresh.size:
+            visited[fresh] = True
+            count += fresh.size
+            if count == V:
+                return t
+            new_pos, new_keys = init.walks_at(fresh)
+            pos = np.concatenate((pos, new_pos.astype(pos.dtype)))
+            keys = np.concatenate((keys, new_keys))
+            age = np.concatenate((age, np.zeros(len(new_pos), dtype=np.int64)))
 
 
 def range_stats(g, start, t, target, trials, seed):
     """i.i.d. samples of |R_t ∩ target| and the terminal vertex."""
-    from .randomness import generate_steps, substream
     g.check_vertex(start)
     if t < 0:
         raise ParameterError("t must be >= 0, got %r" % (t,))
     in_target = np.zeros(g.vertex_count, dtype=bool)
     target = np.asarray(list(target), dtype=np.int64)
     in_target[target] = True
+    paths = generate_steps(g, np.full(trials, start), walk_keys(seed, trials),
+                           0, t)
     out = []
-    for trial in range(trials):
-        gen = substream(seed, trial)
-        steps = generate_steps(g, start, t, gen)
+    for steps in paths:
         traj = np.concatenate(([start], steps))
         visited = np.unique(traj)
         out.append(RangeSample(

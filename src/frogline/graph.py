@@ -89,6 +89,9 @@ class GraphHandle:
         self.descriptor = descriptor
         self.vertex_count = descriptor.vertex_count
         self.family = descriptor.family
+        # dtype of vertex ids in walk paths: half the bytes of int64 whenever
+        # every id fits
+        self.index_dtype = np.int32 if self.vertex_count < 2 ** 31 else np.int64
 
     def check_vertex(self, v):
         if not 0 <= v < self.vertex_count:
@@ -110,8 +113,12 @@ class GraphHandle:
         """Vectorized degree lookup."""
         raise NotImplementedError
 
-    def step_array(self, vs, rng):
-        """One uniform-neighbor step for every vertex in `vs` (vectorized)."""
+    def step_array(self, vs, u):
+        """One uniform-neighbor step for every vertex in `vs` (vectorized).
+
+        `u` holds uniforms in [0, 1), broadcast against `vs`; neighbor
+        floor(u * degree) is taken, in a fixed per-vertex order.
+        """
         raise NotImplementedError
 
     def label(self):
@@ -213,15 +220,14 @@ class TreeGraph(GraphHandle):
         deg[vs >= self.first_leaf] = 1
         return deg
 
-    def step_array(self, vs, rng):
-        vs = np.asarray(vs, dtype=np.int64)
-        deg = self.degrees_array(vs)
-        r = rng.integers(0, deg)
-        # r == 0 means "go to parent" for non-root vertices, child r-1 otherwise;
-        # the root has no parent slot, so r indexes children directly
-        parent = (vs - 1) // self.d
-        child = np.where(vs == 0, vs * self.d + 1 + r, vs * self.d + r)
-        return np.where((vs != 0) & (r == 0), parent, child)
+    def step_array(self, vs, u):
+        vs = np.asarray(vs)
+        is_root = vs == 0
+        deg = np.where(vs >= self.first_leaf, 1, self.d + 1 - is_root)
+        # r == 0 means "go to parent" for non-root vertices, child r otherwise;
+        # the root has no parent slot, so its draw is shifted up by one
+        r = (u * deg).astype(vs.dtype) + is_root
+        return np.where(r == 0, (vs - 1) // self.d, self.d * vs + r)
 
 
 class CompleteGraph(GraphHandle):
@@ -246,10 +252,10 @@ class CompleteGraph(GraphHandle):
         vs = np.asarray(vs, dtype=np.int64)
         return np.full(vs.shape, self.vertex_count - 1, dtype=np.int64)
 
-    def step_array(self, vs, rng):
+    def step_array(self, vs, u):
         vs = np.asarray(vs, dtype=np.int64)
-        # shift by 1 + Uniform[0, n-1) mod n: uniform over the other n-1 vertices
-        r = rng.integers(1, self.vertex_count, size=vs.shape)
+        # shift by 1 + Uniform{0..n-2} mod n: uniform over the other n-1 vertices
+        r = 1 + (u * (self.vertex_count - 1)).astype(np.int64)
         return (vs + r) % self.vertex_count
 
 
@@ -277,9 +283,9 @@ class CycleGraph(GraphHandle):
         vs = np.asarray(vs, dtype=np.int64)
         return np.full(vs.shape, 2, dtype=np.int64)
 
-    def step_array(self, vs, rng):
+    def step_array(self, vs, u):
         vs = np.asarray(vs, dtype=np.int64)
-        r = rng.integers(0, 2, size=vs.shape)
+        r = (u * 2).astype(np.int64)
         return (vs + 2 * r - 1) % self.vertex_count
 
 

@@ -1,14 +1,29 @@
 """Seeded randomness: Poisson configurations with a superposition coupling,
-and per-particle walk streams.
+and keyed, counter-based random walks.
+
+Two kinds of stream come from one 64-bit seed:
+
+- Philox substreams (a `SeedSequence` spawn key per purpose) drive the
+  Poisson configuration, the auxiliary `substream` Generators and the
+  killed leaf walk.
+- Keyed walks drive the frog particles and the range samples. A walk is
+  one 64-bit key, and the uniform behind its step k is a SplitMix64-style
+  hash of (key, k): a counter-based generator in the sense of Salmon et
+  al., "Parallel random numbers: as easy as 1, 2, 3" (SC'11). A walk's
+  next position is a pure function of its key, its step count and its
+  current vertex, so `generate_steps` advances any batch of walks in
+  lockstep as numpy vectors, and a walk's path does not depend on which
+  walks share its batch or on how its steps are split into blocks.
 
 The coupling works like this: every vertex carries the arrival marks of a
 unit-rate Poisson process on [0, lambda_max], sampled once per (seed,
 lambda_max). The particles present at density lambda are exactly the marks
 with position <= lambda, plus the planted particle at the origin. For
 lambda <= lambda' the lambda-particles are a sub-multiset of the
-lambda'-particles, and each particle keeps the same walk stream (keyed by
-(vertex, mark rank), not by lambda), so susceptibility and cover time are
-pointwise monotone in lambda on shared seeds.
+lambda'-particles, and each particle keeps the same walk key (hashed from
+(seed, vertex, mark rank), or (seed, origin) for the planted particle,
+never from lambda), so susceptibility and cover time are pointwise
+monotone in lambda on shared seeds.
 
 Asking for lambda > lambda_max raises instead of resampling; a silent
 resample would break the coupling.
@@ -19,13 +34,18 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ParameterError
-from .graph import COMPLETE, CYCLE, TREE
+from .graph import TREE
 
-# spawn-key namespaces; distinct first components keep stream families disjoint
+# namespaces: distinct first key components keep stream families disjoint
 _NS_CONFIG = 0
 _NS_MARK_WALK = 1
 _NS_PLANT_WALK = 2
 _NS_AUX = 3
+_NS_AUX_WALK = 4
+
+_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
+_MIX2 = np.uint64(0x94D049BB133111EB)
 
 
 def _generator(seed, spawn_key):
@@ -34,8 +54,50 @@ def _generator(seed, spawn_key):
 
 
 def substream(seed, *key):
-    """Independent Generator for an auxiliary purpose (trials, range samples...)."""
+    """Independent Generator for an auxiliary purpose."""
     return _generator(seed, (_NS_AUX,) + tuple(int(k) for k in key))
+
+
+def _mix(z):
+    """SplitMix64 finalizer, in place on a uint64 array (a bijection)."""
+    z ^= z >> np.uint64(30)
+    z *= _MIX1
+    z ^= z >> np.uint64(27)
+    z *= _MIX2
+    z ^= z >> np.uint64(31)
+    return z
+
+
+def _walk_keys(seed, *words):
+    """uint64 keys hashed from (seed, *words); the words broadcast."""
+    seed = int(seed)
+    if seed < 0:
+        raise ParameterError("seed must be >= 0, got %r" % (seed,))
+    limbs = [seed & 0xFFFFFFFFFFFFFFFF]
+    while seed >> 64:
+        seed >>= 64
+        limbs.append(seed & 0xFFFFFFFFFFFFFFFF)
+    h = np.zeros(1, dtype=np.uint64)
+    for w in limbs + list(words):
+        h = _mix((h ^ np.asarray(w, dtype=np.uint64)) + _GAMMA)
+    return h
+
+
+def walk_keys(seed, count, *key):
+    """Keys of `count` independent walks for an auxiliary purpose `key`."""
+    return _walk_keys(seed, _NS_AUX_WALK, *(int(k) for k in key),
+                      np.arange(count, dtype=np.uint64))
+
+
+def step_uniforms(keys, offsets, nsteps):
+    """Uniforms in [0, 1) behind steps offsets+1 .. offsets+nsteps of each
+    keyed walk, as rows of a (len(keys), nsteps) array."""
+    k = (np.asarray(offsets, dtype=np.uint64).reshape(1, -1)
+         + np.arange(1, nsteps + 1, dtype=np.uint64).reshape(-1, 1))
+    z = _mix(k * _GAMMA + np.asarray(keys, dtype=np.uint64))
+    z >>= np.uint64(11)
+    # computed step-major, so a lockstep loop reads contiguous rows of .T
+    return (z.astype(np.float64) * 2.0 ** -53).T
 
 
 @dataclass
@@ -78,19 +140,38 @@ class FrogInit:
             return self.origin
         return int(self.marks_vertex[pid])
 
-    def walk_spawn_key(self, pid):
-        # keyed by (vertex, rank within the vertex's sorted marks): a particle
-        # keeps its walk across different lambda views of the same seed
-        if pid == self.planted_pid:
-            return (_NS_PLANT_WALK, int(self.origin))
-        v = int(self.marks_vertex[pid])
-        rank = pid - int(self.marks_indptr[v])
-        return (_NS_MARK_WALK, v, rank)
+    def particle_keys(self, pids):
+        """Walk keys of particles `pids`, hashed from (vertex, rank within
+        the vertex's sorted marks): a particle keeps its walk across
+        different lambda views of the same seed."""
+        pids = np.asarray(pids, dtype=np.int64)
+        planted = pids == self.planted_pid
+        marks = pids[~planted]
+        v = self.marks_vertex[marks]
+        keys = np.empty(pids.shape, dtype=np.uint64)
+        keys[~planted] = _walk_keys(self.seed, _NS_MARK_WALK, v,
+                                    marks - self.marks_indptr[v])
+        if planted.any():
+            keys[planted] = _walk_keys(self.seed, _NS_PLANT_WALK, self.origin)
+        return keys
+
+    def walks_at(self, vs):
+        """(start vertices, walk keys) of every particle living at the
+        distinct vertices `vs` under the current lambda."""
+        vs = np.asarray(vs, dtype=np.int64)
+        counts = self.mark_counts[vs]
+        # vertex j contributes pids indptr[v_j] .. indptr[v_j] + counts[j] - 1
+        first = self.marks_indptr[vs] - np.cumsum(counts) + counts
+        pids = np.repeat(first, counts) + np.arange(counts.sum())
+        starts = np.repeat(vs, counts)
+        if np.any(vs == self.origin):
+            pids = np.append(pids, self.planted_pid)
+            starts = np.append(starts, self.origin)
+        return starts, self.particle_keys(pids)
 
     def at_lambda(self, lam):
         """Re-view the same realization at a different density <= lam_max."""
-        if lam < 0:
-            raise ParameterError("lambda must be >= 0, got %r" % (lam,))
+        _check_lambda("lambda", lam)
         if lam > self.lam_max:
             raise ParameterError(
                 "lambda %r exceeds lambda_max %r; resampling would break the "
@@ -105,12 +186,17 @@ class FrogInit:
                         self.marks_vertex, self.marks_indptr)
 
 
+def _check_lambda(name, lam):
+    if not (np.isfinite(lam) and lam >= 0):
+        raise ParameterError("%s must be finite and >= 0, got %r" % (name, lam))
+
+
 def init_config(g, lam, origin, seed, lam_max=None):
     """Sample the Poisson configuration: Pois(lam) per vertex plus the plant."""
-    if lam < 0:
-        raise ParameterError("lambda must be >= 0, got %r" % (lam,))
+    _check_lambda("lambda", lam)
     if lam_max is None:
         lam_max = lam
+    _check_lambda("lambda_max", lam_max)
     if lam > lam_max:
         raise ParameterError("lambda %r exceeds lambda_max %r" % (lam, lam_max))
     g.check_vertex(origin)
@@ -133,101 +219,68 @@ def init_config(g, lam, origin, seed, lam_max=None):
     return init.at_lambda(lam)
 
 
-def walk_step(g, v, stream):
-    """One uniform step from v; deterministic given the stream state."""
-    nbrs = g.neighbors(v)
-    return nbrs[stream.integers(0, len(nbrs))]
+def generate_steps(g, starts, keys, offsets, nsteps):
+    """Positions after steps offsets+1 .. offsets+nsteps of a batch of keyed
+    walks, as rows of a (len(starts), nsteps) array of `g.index_dtype`.
 
-
-def generate_steps(g, start, nsteps, gen):
-    """`nsteps` SRW steps from `start` (start itself excluded).
-
-    Consumes exactly `nsteps` variates from `gen`, so extending a walk in
-    blocks of any size yields the same trajectory.
+    Walk i stands at starts[i] after offsets[i] steps (`offsets` may be one
+    number for all). Every keyed walk is generated here, in lockstep, so a
+    walk's path is the same whichever walks share its batch and however its
+    steps are split into calls.
     """
-    if nsteps <= 0:
-        return np.empty(0, dtype=np.int64)
-    V = g.vertex_count
-    if g.family == COMPLETE:
-        r = gen.integers(1, V, size=nsteps)
-        return (start + np.cumsum(r)) % V
-    if g.family == CYCLE:
-        r = gen.integers(0, 2, size=nsteps)
-        return (start + np.cumsum(2 * r - 1)) % V
-    # tree: degree depends on position, so step sequentially; one uniform
-    # double per step keeps consumption chunk-invariant
-    us = gen.random(nsteps)
-    out = np.empty(nsteps, dtype=np.int64)
-    d = g.d
-    first_leaf = g.first_leaf
-    v = int(start)
-    for i in range(nsteps):
-        if v == 0:
-            v = 1 + int(us[i] * d)
-        elif v >= first_leaf:
-            v = (v - 1) // d
-        else:
-            r = int(us[i] * (d + 1))
-            v = (v - 1) // d if r == 0 else d * v + r
-        out[i] = v
-    return out
-
-
-class _Walk:
-    __slots__ = ("buf", "used", "gen")
-
-    def __init__(self, start, gen):
-        self.buf = np.empty(64, dtype=np.int64)
-        self.buf[0] = start
-        self.used = 1  # entries filled, start included
-        self.gen = gen
+    starts = np.asarray(starts, dtype=g.index_dtype)
+    u = step_uniforms(keys, offsets, nsteps)
+    if g.family == TREE:
+        # the degree depends on the position: one lockstep step per row of u.T
+        out = np.empty((nsteps, len(starts)), dtype=g.index_dtype)
+        v = starts
+        for j, uj in enumerate(u.T):
+            v = out[j] = g.step_array(v, uj)
+        return out.T
+    # complete graphs and cycles are circulant: a step from v lands on v + s
+    # (mod V) with a shift s = step_array(0, u) independent of v, so a path
+    # is a cumulative sum of shifts
+    path = np.cumsum(g.step_array(0, u), axis=1)
+    path += starts.reshape(-1, 1)
+    path %= g.vertex_count
+    return path.astype(g.index_dtype)
 
 
 class WalkStore:
-    """Lazily extended per-particle trajectories, one substream each.
+    """The particles' keyed walks of one configuration, read per particle.
 
     prefix(pid, t) returns positions 0..t of particle pid's walk (index 0 is
-    the start vertex). Already-generated steps never change when a walk is
-    extended.
+    its start vertex); position(pid, t) is entry t of it. Both read a
+    per-particle cache of positions in `g.index_dtype` that `advance`
+    extends to at least twice its length, so a step-by-step reader costs
+    O(log t) generator calls per particle. The engines call `advance`
+    directly for whole batches. `steps_generated` counts every step
+    generated through `advance`.
     """
 
     def __init__(self, g, init):
         self.g = g
         self.init = init
-        self._walks = {}
+        self._paths = {}
         self.steps_generated = 0
 
-    def _walk(self, pid):
-        w = self._walks.get(pid)
-        if w is None:
-            gen = _generator(self.init.seed, self.init.walk_spawn_key(pid))
-            w = _Walk(self.init.start_vertex(pid), gen)
-            self._walks[pid] = w
-        return w
-
-    def ensure(self, pid, nsteps):
-        w = self._walk(pid)
-        need = nsteps + 1
-        if w.used >= need:
-            return w
-        if len(w.buf) < need:
-            cap = len(w.buf)
-            while cap < need:
-                cap *= 2
-            buf = np.empty(cap, dtype=np.int64)
-            buf[:w.used] = w.buf[:w.used]
-            w.buf = buf
-        k = need - w.used
-        block = generate_steps(self.g, int(w.buf[w.used - 1]), k, w.gen)
-        w.buf[w.used:need] = block
-        w.used = need
-        self.steps_generated += k
-        return w
+    def advance(self, starts, keys, offsets, nsteps):
+        """generate_steps on this store's graph, counted in steps_generated."""
+        block = generate_steps(self.g, starts, keys, offsets, nsteps)
+        self.steps_generated += block.size
+        return block
 
     def prefix(self, pid, nsteps):
-        w = self.ensure(pid, nsteps)
-        return w.buf[:nsteps + 1]
+        path = self._paths.get(pid)
+        if path is None or len(path) <= nsteps:
+            if path is None:
+                path = np.array([self.init.start_vertex(pid)],
+                                dtype=self.g.index_dtype)
+            have = len(path) - 1
+            more = self.advance(path[-1:], self.init.particle_keys([pid]),
+                                have, max(nsteps, 2 * have) - have)
+            path = self._paths[pid] = np.concatenate((path, more[0]))
+        return path[:nsteps + 1]
 
     def position(self, pid, step):
-        w = self.ensure(pid, step)
-        return int(w.buf[step])
+        return int(self.prefix(pid, step)[step])

@@ -106,6 +106,10 @@ def test_parameter_error_exit_2(capsys):
                 "--lambda", "1.0")[0] == 2
     assert _run(capsys, "simulate", "--graph", "tree:d=2,n=3",
                 "--lambda", "3.0", "--lambda-max", "2.0")[0] == 2
+    assert _run(capsys, "simulate", "--graph", "tree:d=2,n=2",
+                "--lambda", "nan")[0] == 2
+    assert _run(capsys, "simulate", "--graph", "tree:d=2,n=2",
+                "--lambda", "inf")[0] == 2
     assert _run(capsys, "analytic", "--quantity", "pi",
                 "--graph", "cycle:n=5")[0] == 2
     assert _run(capsys, "sweep", "--graph", "tree:d=2,n=3",

@@ -88,6 +88,18 @@ def test_cover_time_floor_and_budget():
         init = init_config(g, 2.0, 0, seed)
         ct = cover_time(g, init, WalkStore(g, init))
         assert ct >= g.n  # the deepest leaf is n steps away
+    # the synchronous loop's CT is exactly the event-driven last wake-up
+    for text in ("tree:d=2,n=3", "tree:d=3,n=2", "cycle:n=9",
+                 "complete:n=8"):
+        g = build_graph(parse_descriptor(text))
+        for lam in (0.0, 1.0, 2.0):
+            for seed in range(5):
+                init = init_config(g, lam, 0, seed)
+                walks = WalkStore(g, init)
+                ct = cover_time(g, init, walks)
+                rep = run_activation(g, init, walks, ct)
+                assert rep.covered and rep.max_at == ct, (text, lam, seed)
+    g = build_graph(parse_descriptor("tree:d=2,n=4"))
     init = init_config(g, 0.5, 0, 1)
     with pytest.raises(BudgetExceededError) as err:
         cover_time(g, init, WalkStore(g, init), step_cap=2)

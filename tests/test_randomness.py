@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from frogline import (ParameterError, WalkStore, build_graph, generate_steps,
-                      init_config, parse_descriptor, substream, walk_step)
+                      init_config, parse_descriptor, step_uniforms, substream,
+                      walk_keys)
 
 
 def _tree(d=2, n=4):
@@ -29,14 +30,32 @@ def test_seed_changes_everything():
 
 
 def test_prefix_extension_never_rewrites():
-    g = _tree()
-    init = init_config(g, 1.0, 0, 9)
-    w1 = WalkStore(g, init)
-    full = w1.prefix(init.planted_pid, 257).copy()
-    w2 = WalkStore(g, init)
-    # request in awkward chunks; values must agree step for step
-    for cut in (1, 2, 3, 5, 64, 65, 200, 257):
-        assert np.array_equal(w2.prefix(init.planted_pid, cut), full[:cut + 1])
+    for text in ("tree:d=2,n=4", "cycle:n=7", "complete:n=6"):
+        g = build_graph(parse_descriptor(text))
+        init = init_config(g, 1.0, 0, 9)
+        w1 = WalkStore(g, init)
+        full = w1.prefix(init.planted_pid, 257).copy()
+        w2 = WalkStore(g, init)
+        # request in awkward chunks; values must agree step for step
+        for cut in (1, 2, 3, 5, 64, 65, 200, 257):
+            assert np.array_equal(w2.prefix(init.planted_pid, cut),
+                                  full[:cut + 1])
+        # every particle's walk, generated alone, equals its row in one batch
+        # of all particles, and its rows in that batch cut into awkward chunks
+        starts, keys = init.walks_at(np.arange(g.vertex_count))
+        batch = generate_steps(g, starts, keys, 0, 257)
+        chunks, pos, done = [], starts, 0
+        for cut in (1, 2, 5, 57, 192):
+            chunks.append(generate_steps(g, pos, keys, done, cut))
+            pos, done = chunks[-1][:, -1], done + cut
+        assert done == 257
+        assert np.array_equal(np.concatenate(chunks, axis=1), batch)
+        row = {int(k): i for i, k in enumerate(keys)}
+        for pid in range(init.particle_count()):
+            alone = WalkStore(g, init).prefix(pid, 257)
+            i = row[int(init.particle_keys([pid])[0])]
+            assert starts[i] == alone[0]
+            assert np.array_equal(batch[i], alone[1:])
 
 
 def test_walks_are_valid_paths():
@@ -99,16 +118,15 @@ def test_poisson_counts_match_moments():
 
 def test_walk_step_matches_neighbor_set():
     g = _tree(3, 2)
-    gen = substream(11, 0)
     for v in (0, 1, 5):
-        seen = {walk_step(g, v, gen) for _ in range(200)}
+        u = step_uniforms(walk_keys(11, 1, v), 0, 200)[0]
+        seen = set(g.step_array(np.full(u.shape, v), u).tolist())
         assert seen == set(g.neighbors(v))
 
 
 def test_generate_steps_uniform_marginals():
     g = build_graph(parse_descriptor("cycle:n=9"))
-    gen = substream(13, 1)
-    steps = generate_steps(g, 0, 2000, gen)
+    steps = generate_steps(g, [0], walk_keys(13, 1), 0, 2000)[0]
     # one step from 0 goes to 1 or 8; over the path, increments are +-1
     diffs = (np.diff(np.concatenate(([0], steps))) + 9) % 9
     assert set(np.unique(diffs)) == {1, 8}
