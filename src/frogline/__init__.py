@@ -5,8 +5,7 @@ from .errors import (BudgetExceededError, FamilyError,
 from .experiments import (ExperimentSpec, estimate, run_spec_trials, sweep,
                           trial_seed, validate, write_table)
 from .frog_sim import (NEVER, ActivationReport, RangeSample, cover_time,
-                       covered_under, range_stats, run_activation,
-                       susceptibility)
+                       range_stats, run_activation, susceptibility)
 from .graph import (GraphDescriptor, build_graph, neighbors, parse_descriptor,
                     resolve_origin, tree_meet, tree_nav)
 from .leaf_walk import LeafWalkReport, run_killed_leaf_walk
@@ -32,7 +31,7 @@ __all__ = [
     "LeafWalkReport", "LevelChain", "LowerBoundQuantities", "NEVER",
     "NumericalConsistencyError", "ParameterError", "Pmf", "RangeSample",
     "SpectralDecomposition", "WalkStore", "build_graph", "check_logconcave",
-    "cover_time", "covered_under", "estimate", "expected_hit", "gambler_ruin",
+    "cover_time", "estimate", "expected_hit", "gambler_ruin",
     "generate_steps", "geometric_convolution_law", "half_e2_t0",
     "hitting_eigenvalues", "hitting_pmf_dp", "init_config", "kappa_sequence",
     "leaf_to_root_closed_form", "level_chain", "lower_bound_quantities",

@@ -20,7 +20,8 @@ def _common_flags(p):
     p.add_argument("--out", default="-", help="output path, '-' for stdout")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--budget-steps", type=int, default=DEFAULT_STEP_CAP,
-                   help="step cap for cover-time runs")
+                   help="cap on the clock of susceptibility and cover-time "
+                        "runs")
 
 
 def _float_list(text):
@@ -111,17 +112,26 @@ def _require_graph(args):
 
 
 def _parse_chain(text):
+    usage = "--chain wants dary:d=<int>,n=<int>, got %r" % (text,)
     if text is None:
         raise ParameterError("--chain is required for bd-law (dary:d=,n=)")
     family, _, rest = text.partition(":")
     if family != "dary":
         raise ParameterError("unknown chain family %r" % (family,))
-    kv = dict(part.split("=") for part in rest.split(","))
-    return level_chain(int(kv["d"]), int(kv["n"]))
+    try:
+        kv = {k: int(v)
+              for k, v in (part.split("=") for part in rest.split(","))}
+    except ValueError:
+        raise ParameterError(usage) from None
+    if set(kv) != {"d", "n"}:
+        raise ParameterError(usage)
+    return level_chain(kv["d"], kv["n"])
 
 
 def _cmd_analytic(args):
     q = args.quantity
+    if args.t is not None and any(t < 0 for t in args.t):
+        raise ParameterError("--t wants times >= 0, got %r" % (args.t,))
     rows = []
     if q == "pi":
         g = _require_graph(args)

@@ -13,8 +13,8 @@ class BudgetExceededError(RuntimeError):
     """A step/size budget ran out before the computation finished.
 
     Carries whatever partial progress is meaningful for the caller:
-    ``fraction_covered`` for coverage runs, ``bracket`` for the susceptibility
-    search, ``attained`` for threshold scans.
+    ``fraction_covered`` and ``bracket`` = (lowest possible value, None) for
+    susceptibility and cover-time runs, ``attained`` for threshold scans.
     """
 
     def __init__(self, message, fraction_covered=None, bracket=None, attained=None):

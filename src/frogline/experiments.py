@@ -21,8 +21,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import BudgetExceededError, ParameterError
-from .frog_sim import (DEFAULT_STEP_CAP, DEFAULT_TAU_CEILING, cover_time,
-                       susceptibility)
+from .frog_sim import DEFAULT_STEP_CAP, cover_time, susceptibility
 from .graph import TREE, build_graph, parse_descriptor, resolve_origin
 from .leaf_walk import run_killed_leaf_walk
 from .randomness import WalkStore, init_config
@@ -45,8 +44,7 @@ class ExperimentSpec:
     origin: Optional[str] = None     # None -> per-metric default
     s: Optional[int] = None          # leafwalk restart parameter
     lam_max: Optional[float] = None  # None -> max of the lambda grid
-    step_cap: int = DEFAULT_STEP_CAP
-    tau_ceiling: int = DEFAULT_TAU_CEILING
+    step_cap: int = DEFAULT_STEP_CAP  # clock cap of both simulation metrics
     jobs: int = 1
 
 
@@ -113,8 +111,7 @@ def _default_origin(g, metric):
 
 
 def run_trial(graph, metric, lam, lam_max, origin_spec, seed, trial,
-              step_cap=DEFAULT_STEP_CAP, tau_ceiling=DEFAULT_TAU_CEILING,
-              s=None):
+              step_cap=DEFAULT_STEP_CAP, s=None):
     """One simulation trial; budget overruns come back as value=None."""
     g = build_graph(parse_descriptor(graph))
     if origin_spec is None:
@@ -133,7 +130,7 @@ def run_trial(graph, metric, lam, lam_max, origin_spec, seed, trial,
             init = init_config(g, lam, origin, seed, lam_max=lam_max)
             walks = WalkStore(g, init)
             if metric == "susceptibility":
-                value = susceptibility(g, init, walks, tau_ceiling=tau_ceiling)
+                value = susceptibility(g, init, walks, step_cap=step_cap)
             else:
                 value = cover_time(g, init, walks, step_cap=step_cap)
             steps = walks.steps_generated
@@ -157,7 +154,7 @@ def _cell_tasks(spec, graph, lam):
         seed = trial_seed(spec.seed_base, graph, spec.origin, spec.metric,
                           trial)
         tasks.append((graph, spec.metric, lam, lam_max, spec.origin, seed,
-                      trial, spec.step_cap, spec.tau_ceiling, spec.s))
+                      trial, spec.step_cap, spec.s))
     return tasks
 
 
@@ -256,8 +253,12 @@ def write_table(rows, columns, out, fmt):
     if out in (None, "-"):
         print(text, end="")
     else:
-        with open(out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ParameterError("cannot write --out %r: %s"
+                                 % (out, exc.strerror)) from None
     return text
 
 

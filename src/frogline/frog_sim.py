@@ -9,23 +9,21 @@ particles (tau = infinity).
 
 import heapq
 from dataclasses import dataclass
-from math import ceil, log
 from typing import Optional
 
 import numpy as np
 
-from .errors import BudgetExceededError, NumericalConsistencyError, ParameterError
-from .graph import COMPLETE, TREE
+from .errors import BudgetExceededError, ParameterError
 from .randomness import generate_steps, walk_keys
 
 # activation-time sentinel for "never woken"
 NEVER = np.iinfo(np.int64).max
 
+# cap on the clock of susceptibility and cover time
 DEFAULT_STEP_CAP = 10 ** 9
-DEFAULT_TAU_CEILING = 2 ** 31
 
-# positions generated per block of covered_under: a round holds one block
-# plus O(1) words per walk, whatever tau is
+# positions generated per replay block: catching woken particles up to the
+# clock holds one block plus O(1) words per walk, whatever the clock is
 SCAN_BLOCK_CELLS = 2 ** 18
 
 
@@ -78,97 +76,19 @@ def run_activation(g, init, walks, tau):
     return ActivationReport(at=at, covered=covered, max_at=max_at, steps=steps)
 
 
-def covered_under(g, init, walks, tau):
-    """Coverage flag only, by reachability over first-tau walk ranges.
+def _wake_clock(g, init, walks, step_cap, replay):
+    """First clock t at which every vertex is awake.
 
-    Order-free and equivalent to run_activation(...).covered: whether a
-    vertex ever wakes does not depend on when its wakers arrive. The pass
-    goes by rounds: round r walks, in lockstep, every particle at the
-    vertices round r - 1 woke, in blocks of about SCAN_BLOCK_CELLS
-    positions. Returns (covered, particle-steps generated).
-    """
-    V = g.vertex_count
-    visited = np.zeros(V, dtype=bool)
-    visited[init.origin] = True
-    count = 1
-    steps = 0
-    if tau <= 0 or count == V:
-        return count == V, steps
-    frontier = [init.origin]
-    while len(frontier):
-        pos, keys = init.walks_at(frontier)
-        if not len(pos):
-            break  # nobody lives on the last vertices woken
-        woken = []
-        block = max(1, SCAN_BLOCK_CELLS // len(pos))
-        for done in range(0, tau, block):
-            path = walks.advance(pos, keys, done, min(block, tau - done))
-            steps += path.size
-            fresh = np.unique(path[~visited[path]])
-            if fresh.size:
-                visited[fresh] = True
-                count += fresh.size
-                if count == V:
-                    return True, steps
-                woken.append(fresh)
-            pos = path[:, -1]
-        frontier = np.concatenate(woken) if woken else []
-    return False, steps
-
-
-def initial_tau_bracket(g, lam):
-    """Starting upper bracket for the susceptibility search (then doubled)."""
-    V = g.vertex_count
-    denom = max(lam, 1.0)
-    if g.family == TREE:
-        return ceil(8 * g.n * log(g.n * V) / denom)
-    if g.family == COMPLETE:
-        return ceil(8 * log(V) / denom)
-    return ceil(8 * V * log(V + 1) / denom)
-
-
-def susceptibility(g, init, walks, tau_ceiling=DEFAULT_TAU_CEILING):
-    """Minimal lifetime covering the graph, by binary search on shared walks."""
-    V = g.vertex_count
-    if V == 1:
-        return 0
-    evals = {}
-
-    def covered(tau):
-        if tau not in evals:
-            evals[tau] = covered_under(g, init, walks, tau)[0]
-        return evals[tau]
-
-    hi = max(initial_tau_bracket(g, init.lam), g.eccentricity(init.origin), 1)
-    while not covered(hi):
-        if 2 * hi > tau_ceiling:
-            raise BudgetExceededError(
-                "susceptibility bracket exceeded tau ceiling %d" % tau_ceiling,
-                bracket=(hi, 2 * hi))
-        hi *= 2
-    lo = 1
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if covered(mid):
-            hi = mid
-        else:
-            lo = mid + 1
-    # audit: coverage must be nondecreasing in tau over everything evaluated
-    seen_covered = False
-    for tau in sorted(evals):
-        if evals[tau]:
-            seen_covered = True
-        elif seen_covered:
-            raise NumericalConsistencyError(
-                "coverage not monotone in tau; walk prefixes are not nested")
-    return lo
-
-
-def cover_time(g, init, walks, step_cap=DEFAULT_STEP_CAP):
-    """Synchronous tau-infinity simulation; returns max activation time.
-
-    Each time step advances every awake particle by one batched step;
-    particles woken at new vertices join the batch with step count 0.
+    One synchronous clock over the awake particles' (pos, keys, age)
+    vectors: at each tick every awake particle takes one step, and the
+    vertices it lands on for the first time wake. `replay` says where a
+    woken vertex's particles start. Without it (cover time) they take step
+    1 on the next tick. With it (susceptibility) every awake particle has
+    walked steps 1..t at clock t, so the woken particles first replay steps
+    1..t, in blocks of about SCAN_BLOCK_CELLS positions, and what they reach
+    wakes at the same t. The awake set at clock t is then the set that
+    lifetime t covers (reachability over first-visit steps <= t), so the
+    first t that covers everything is the susceptibility.
     """
     if step_cap <= 0:
         raise ParameterError("step_cap must be > 0, got %r" % (step_cap,))
@@ -185,20 +105,51 @@ def cover_time(g, init, walks, step_cap=DEFAULT_STEP_CAP):
         t += 1
         if t > step_cap:
             raise BudgetExceededError(
-                "cover time exceeded step cap %d" % step_cap,
-                fraction_covered=count / V)
+                "clock exceeded step cap %d" % step_cap,
+                fraction_covered=count / V, bracket=(step_cap + 1, None))
         pos = walks.advance(pos, keys, age, 1)[:, 0]
         age += 1
         fresh = np.unique(pos[~visited[pos]])
-        if fresh.size:
+        while fresh.size:
             visited[fresh] = True
             count += fresh.size
             if count == V:
                 return t
             new_pos, new_keys = init.walks_at(fresh)
+            woken = [fresh[:0]]  # what the replay wakes; never an empty list
+            if replay and len(new_pos):
+                block = max(1, SCAN_BLOCK_CELLS // len(new_pos))
+                for done in range(0, t, block):
+                    path = walks.advance(new_pos, new_keys, done,
+                                         min(block, t - done))
+                    hit = np.unique(path[~visited[path]])
+                    visited[hit] = True
+                    woken.append(hit)
+                    new_pos = path[:, -1]
+            fresh = np.concatenate(woken)
             pos = np.concatenate((pos, new_pos.astype(pos.dtype)))
             keys = np.concatenate((keys, new_keys))
-            age = np.concatenate((age, np.zeros(len(new_pos), dtype=np.int64)))
+            age = np.concatenate(
+                (age, np.full(len(new_pos), t if replay else 0,
+                              dtype=np.int64)))
+
+
+def susceptibility(g, init, walks, step_cap=DEFAULT_STEP_CAP):
+    """Minimal lifetime tau under which every vertex wakes.
+
+    Raises BudgetExceededError, with bracket (step_cap + 1, None), when the
+    graph is not covered by lifetime step_cap.
+    """
+    return _wake_clock(g, init, walks, step_cap, replay=True)
+
+
+def cover_time(g, init, walks, step_cap=DEFAULT_STEP_CAP):
+    """Time of the last wake-up with immortal particles (tau = infinity).
+
+    Raises BudgetExceededError, with bracket (step_cap + 1, None), when the
+    graph is not covered by time step_cap.
+    """
+    return _wake_clock(g, init, walks, step_cap, replay=False)
 
 
 def range_stats(g, start, t, target, trials, seed):

@@ -106,9 +106,6 @@ class GraphHandle:
     def distance(self, u, v):
         raise NotImplementedError
 
-    def eccentricity(self, v):
-        raise NotImplementedError
-
     def degrees_array(self, vs):
         """Vectorized degree lookup."""
         raise NotImplementedError
@@ -204,11 +201,6 @@ class TreeGraph(GraphHandle):
         m = self.meet(u, v)
         return self.level(u) + self.level(v) - 2 * self.level(m)
 
-    def eccentricity(self, v):
-        # farthest vertex is a deepest leaf outside v's subtree (root: any leaf)
-        lv = self.level(v)
-        return self.n if lv == 0 else self.n + lv
-
     def levels_array(self, vs):
         vs = np.asarray(vs, dtype=np.int64)
         return np.searchsorted(self.level_starts, vs, side="right").astype(np.int64) - 1
@@ -244,10 +236,6 @@ class CompleteGraph(GraphHandle):
         self.check_vertex(v)
         return 0 if u == v else 1
 
-    def eccentricity(self, v):
-        self.check_vertex(v)
-        return 1
-
     def degrees_array(self, vs):
         vs = np.asarray(vs, dtype=np.int64)
         return np.full(vs.shape, self.vertex_count - 1, dtype=np.int64)
@@ -274,10 +262,6 @@ class CycleGraph(GraphHandle):
         self.check_vertex(v)
         k = abs(u - v)
         return min(k, self.vertex_count - k)
-
-    def eccentricity(self, v):
-        self.check_vertex(v)
-        return self.vertex_count // 2
 
     def degrees_array(self, vs):
         vs = np.asarray(vs, dtype=np.int64)

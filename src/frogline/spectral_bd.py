@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from math import log
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .errors import NumericalConsistencyError, ParameterError
 
@@ -75,6 +74,8 @@ class Pmf:
 
 def hitting_eigenvalues(chain):
     """Eigenvalues of I - K^2 restricted to the killed chain's even class."""
+    # imported here: scipy.linalg is most of the package's import time
+    from scipy.linalg import eigh_tridiagonal
     n, up, down = _validate_chain(chain)
     top = n if n % 2 == 0 else n - 1
     states = np.arange(2, top + 1, 2, dtype=np.int64)

@@ -2,7 +2,8 @@
 
 Everything here takes a deliberately different route from the library code:
 BFS instead of arithmetic on indices, matrix powers instead of incremental
-DPs, scipy shortest paths instead of the event-driven engine.
+DPs, scipy shortest paths instead of the event-driven engine, and a
+bisection over coverage flags instead of the rising clock.
 """
 
 import numpy as np
@@ -59,6 +60,42 @@ def activation_times(g, init, ell, tau):
     finite = np.isfinite(dist)
     out[finite] = np.round(dist[finite]).astype(np.int64)
     return out
+
+
+def covered_under(g, init, walks, tau):
+    """Whether lifetime tau wakes every vertex, by reachability over
+    first-tau walk ranges: whether a vertex ever wakes does not depend on
+    when its wakers arrive, so round r walks all tau steps of the particles
+    at the vertices round r - 1 woke."""
+    visited = np.zeros(g.vertex_count, dtype=bool)
+    visited[init.origin] = True
+    frontier = [init.origin]
+    while tau > 0 and len(frontier):
+        pos, keys = init.walks_at(frontier)
+        if not len(pos):
+            break  # nobody lives on the last vertices woken
+        path = walks.advance(pos, keys, 0, tau)
+        frontier = np.unique(path[~visited[path]])
+        visited[frontier] = True
+    return bool(visited.all())
+
+
+def bisected_susceptibility(g, init, walks):
+    """Smallest tau with covered_under(tau): doubling, then bisection.
+    Coverage is monotone in tau because walk prefixes are nested."""
+    if g.vertex_count == 1:
+        return 0
+    hi = 1
+    while not covered_under(g, init, walks, hi):
+        hi *= 2
+    lo = hi // 2 + 1  # hi // 2 was not covered (or is 0)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if covered_under(g, init, walks, mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
 
 
 def absorbing_t0_pmf(chain, t_max):

@@ -101,7 +101,7 @@ def test_out_file(tmp_path, capsys):
     assert path.read_text().startswith("trial,seed,graph")
 
 
-def test_parameter_error_exit_2(capsys):
+def test_parameter_error_exit_2(capsys, tmp_path):
     assert _run(capsys, "simulate", "--graph", "torus:n=3",
                 "--lambda", "1.0")[0] == 2
     assert _run(capsys, "simulate", "--graph", "tree:d=2,n=3",
@@ -114,13 +114,28 @@ def test_parameter_error_exit_2(capsys):
                 "--graph", "cycle:n=5")[0] == 2
     assert _run(capsys, "sweep", "--graph", "tree:d=2,n=3",
                 "--lambda", "1.0", "--metric", "leafwalk")[0] == 2
+    # rejected with a one-line message, before any work where possible
+    for argv, says in [
+            (["analytic", "--quantity", "bd-law", "--chain", "dary:d=x,n=3"],
+             "dary:d=<int>,n=<int>"),
+            (["analytic", "--quantity", "bd-law", "--chain", "dary:d=2"],
+             "dary:d=<int>,n=<int>"),
+            (["analytic", "--quantity", "kappa", "--graph", "cycle:n=9",
+              "--t", "-3"], "--t"),
+            (["sweep", "--graph", "tree:d=2,n=2", "--lambda", "1",
+              "--out", str(tmp_path / "missing" / "x.csv")], "--out")]:
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert says in err and err.count("\n") == 1, (argv, err)
 
 
 def test_budget_exceeded_exit_3(capsys):
-    code, _ = _run(capsys, "simulate", "--graph", "tree:d=2,n=5",
-                   "--lambda", "0.5", "--mode", "cover",
-                   "--budget-steps", "2")
-    assert code == 3
+    # --budget-steps caps the clock of both simulation metrics
+    for mode in ("cover", "susceptibility"):
+        code, _ = _run(capsys, "simulate", "--graph", "tree:d=2,n=5",
+                       "--lambda", "0.5", "--mode", mode,
+                       "--budget-steps", "2")
+        assert code == 3, mode
 
 
 def test_budget_failures_in_sweep_are_rows_not_exit(capsys):

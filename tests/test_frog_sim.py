@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 from frogline import (NEVER, BudgetExceededError, WalkStore, build_graph,
-                      cover_time, covered_under, init_config,
-                      parse_descriptor, range_stats, run_activation,
-                      susceptibility)
+                      cover_time, init_config, parse_descriptor, range_stats,
+                      run_activation, susceptibility)
 
-from oracles import activation_times, bfs_distances, first_visit_table
+from oracles import (activation_times, bfs_distances, bisected_susceptibility,
+                     covered_under, first_visit_table)
 
 SMALL = ["tree:d=2,n=2", "tree:d=2,n=3", "cycle:n=5", "cycle:n=9",
          "complete:n=4", "complete:n=8"]
@@ -47,7 +47,7 @@ def test_covered_flag_matches_at_vector():
         for tau in (1, 4, 16):
             rep = run_activation(g, init, walks, tau)
             assert rep.covered == bool(np.all(rep.at < NEVER))
-            cov, _ = covered_under(g, init, walks, tau)
+            cov = covered_under(g, init, walks, tau)
             assert cov == rep.covered
 
 
@@ -57,10 +57,10 @@ def test_susceptibility_is_minimal():
         init = init_config(g, 1.0, 0, seed)
         tau = susceptibility(g, init, WalkStore(g, init))
         walks = WalkStore(g, init)
-        assert covered_under(g, init, walks, tau)[0]
+        assert covered_under(g, init, walks, tau)
         assert tau >= 1
         if tau > 1:
-            assert not covered_under(g, init, walks, tau - 1)[0]
+            assert not covered_under(g, init, walks, tau - 1)
 
 
 def test_susceptibility_lambda_zero_is_walk_cover_time():
@@ -74,12 +74,45 @@ def test_susceptibility_lambda_zero_is_walk_cover_time():
         assert len(np.unique(w[:-1])) == g.vertex_count - 1
 
 
+@pytest.mark.parametrize("text", ["tree:d=2,n=2", "tree:d=2,n=3",
+                                  "tree:d=2,n=4", "tree:d=2,n=5",
+                                  "tree:d=2,n=6", "tree:d=3,n=3", "cycle:n=7",
+                                  "cycle:n=20", "complete:n=5",
+                                  "complete:n=40"])
+@pytest.mark.parametrize("lam", [0.0, 0.5, 1.0, 2.0])
+def test_susceptibility_matches_bisection_oracle(text, lam):
+    g = build_graph(parse_descriptor(text))
+    for seed in range(5):
+        init = init_config(g, lam, 0, seed)
+        walks = WalkStore(g, init)
+        assert susceptibility(g, init, walks) == \
+            bisected_susceptibility(g, init, walks), (text, lam, seed)
+
+
 def test_susceptibility_ceiling_budget():
     g = build_graph(parse_descriptor("tree:d=2,n=5"))
     init = init_config(g, 0.01, 0, 3)
     with pytest.raises(BudgetExceededError) as err:
-        susceptibility(g, init, WalkStore(g, init), tau_ceiling=4)
-    assert err.value.bracket is not None
+        susceptibility(g, init, WalkStore(g, init), step_cap=4)
+    assert err.value.bracket == (5, None)
+
+
+@pytest.mark.parametrize("text", ["tree:d=2,n=4", "cycle:n=9",
+                                  "complete:n=8"])
+def test_susceptibility_step_cap_is_the_clock(text):
+    g = build_graph(parse_descriptor(text))
+    for lam in (0.5, 1.0):
+        for seed in range(3):
+            init = init_config(g, lam, 0, seed)
+            s = susceptibility(g, init, WalkStore(g, init))
+            assert susceptibility(g, init, WalkStore(g, init),
+                                  step_cap=s) == s
+            if s == 1:
+                continue  # step_cap must be > 0
+            with pytest.raises(BudgetExceededError) as err:
+                susceptibility(g, init, WalkStore(g, init), step_cap=s - 1)
+            assert 0 < err.value.fraction_covered < 1
+            assert err.value.bracket == (s, None)
 
 
 def test_cover_time_floor_and_budget():

@@ -67,14 +67,6 @@ def test_tree_distance_matches_bfs():
             assert np.array_equal(ref, got)
 
 
-def test_eccentricity_matches_bfs():
-    for text in ("tree:d=2,n=3", "tree:d=3,n=2", "cycle:n=9", "cycle:n=8",
-                 "complete:n=6"):
-        g = build_graph(parse_descriptor(text))
-        for v in range(g.vertex_count):
-            assert g.eccentricity(v) == bfs_distances(g, v).max()
-
-
 def test_cycle_distance_wraps():
     g = build_graph(GraphDescriptor(CYCLE, n=10))
     assert g.distance(0, 5) == 5
