@@ -4,10 +4,10 @@ from .errors import (BudgetExceededError, FamilyError,
                      NumericalConsistencyError, ParameterError)
 from .experiments import (ExperimentSpec, estimate, run_spec_trials, sweep,
                           trial_seed, validate, write_table)
-from .frog_sim import (NEVER, ActivationReport, RangeSample, cover_time,
-                       range_stats, run_activation, susceptibility)
-from .graph import (GraphDescriptor, build_graph, neighbors, parse_descriptor,
-                    resolve_origin, tree_meet, tree_nav)
+from .frog_sim import (NEVER, ActivationReport, cover_time, run_activation,
+                       susceptibility)
+from .graph import (GraphDescriptor, build_graph, parse_descriptor,
+                    resolve_origin)
 from .leaf_walk import LeafWalkReport, run_killed_leaf_walk
 from .randomness import (FrogInit, WalkStore, generate_steps, init_config,
                          step_uniforms, substream, walk_keys)
@@ -29,17 +29,16 @@ __all__ = [
     "ActivationReport", "BirthDeathChain", "BudgetExceededError",
     "ExperimentSpec", "FamilyError", "FrogInit", "GraphDescriptor",
     "LeafWalkReport", "LevelChain", "LowerBoundQuantities", "NEVER",
-    "NumericalConsistencyError", "ParameterError", "Pmf", "RangeSample",
+    "NumericalConsistencyError", "ParameterError", "Pmf",
     "SpectralDecomposition", "WalkStore", "build_graph", "check_logconcave",
     "cover_time", "estimate", "expected_hit", "gambler_ruin",
     "generate_steps", "geometric_convolution_law", "half_e2_t0",
     "hitting_eigenvalues", "hitting_pmf_dp", "init_config", "kappa_sequence",
     "leaf_to_root_closed_form", "level_chain", "lower_bound_quantities",
-    "mixing_crossing_time", "mixing_deviation", "mixing_profile", "neighbors",
-    "parse_descriptor", "range_stats", "resolve_origin", "return_sum_envelope",
+    "mixing_crossing_time", "mixing_deviation", "mixing_profile",
+    "parse_descriptor", "resolve_origin", "return_sum_envelope",
     "run_activation", "run_killed_leaf_walk", "run_spec_trials",
     "select_spread_set", "stationary_levels", "step_uniforms", "substream",
     "susceptibility", "sweep", "total_variation", "transition_powers",
-    "tree_meet", "tree_nav", "trial_seed", "validate", "walk_keys",
-    "write_table",
+    "trial_seed", "validate", "walk_keys", "write_table",
 ]

@@ -16,8 +16,7 @@ import numpy as np
 
 from . import bands
 from .errors import ParameterError
-from .frog_sim import NEVER, cover_time, range_stats, run_activation, \
-    susceptibility
+from .frog_sim import NEVER, cover_time, run_activation, susceptibility
 from .graph import COMPLETE, CYCLE, TREE, GraphDescriptor, build_graph
 from .leaf_walk import run_killed_leaf_walk
 from .randomness import WalkStore, generate_steps, init_config, \
@@ -86,27 +85,30 @@ def expected_hit_solve(chain):
     return float(h[-1])
 
 
-def min_visit_times(g, init, walks, tau, x):
-    """l_tau(x, .): first time <= tau that any particle based at x visits y."""
+def first_visit_table(g, init, walks, tau_max):
+    """ell[x, y]: first step <= tau_max at which a particle based at x
+    stands on y; 0 on the diagonal, NEVER where no such particle arrives."""
     V = g.vertex_count
-    out = np.full(V, NEVER, dtype=np.int64)
-    out[x] = 0
-    for pid in init.pids_at(x):
-        w = walks.prefix(pid, tau)
-        for j in range(1, tau + 1):
-            y = int(w[j])
-            if j < out[y]:
-                out[y] = j
-    return out
+    ell = np.full((V, V), NEVER, dtype=np.int64)
+    steps = np.arange(1, tau_max + 1, dtype=np.int64)
+    for x in range(V):
+        starts, keys = init.walks_at([x])
+        path = walks.advance(starts, keys, 0, tau_max)
+        np.minimum.at(ell[x], path, np.broadcast_to(steps, path.shape))
+        ell[x, x] = 0
+    return ell
 
 
-def activation_oracle(g, init, walks, tau):
-    """Activation times as shortest paths over l_tau edge weights.
+def activation_oracle(g, init, ell, tau):
+    """Activation times for lifetime tau as shortest paths from the origin,
+    by Dijkstra over the first-visit table: x wakes y after ell[x, y] steps
+    when 1 <= ell[x, y] <= tau.
 
-    Uses the same realized walks as the event-driven engine, so agreement
-    must be exact, not just in distribution.
+    Uses the same realized walks as the wake clock, so agreement must be
+    exact, not just in distribution.
     """
     V = g.vertex_count
+    usable = (ell >= 1) & (ell <= tau)
     dist = np.full(V, NEVER, dtype=np.int64)
     dist[init.origin] = 0
     heap = [(0, init.origin)]
@@ -116,14 +118,11 @@ def activation_oracle(g, init, walks, tau):
         if done[x]:
             continue
         done[x] = True
-        ell = min_visit_times(g, init, walks, tau, x)
-        for y in range(V):
-            if ell[y] == NEVER or done[y]:
-                continue
-            cand = t + int(ell[y])
+        for y in np.flatnonzero(usable[x] & ~done):
+            cand = t + int(ell[x, y])
             if cand < dist[y]:
                 dist[y] = cand
-                heapq.heappush(heap, (cand, y))
+                heapq.heappush(heap, (cand, int(y)))
     return dist
 
 
@@ -463,9 +462,10 @@ def check_activation_oracle(cases=None, taus=(0, 1, 3, 9), seeds=range(3),
                 init = init_config(g, lam, 0, seed)
                 walks = WalkStore(g, init)
                 s = susceptibility(g, init, walks)
+                ell = first_visit_table(g, init, walks, max(taus))
                 for tau in taus:
                     report = run_activation(g, init, walks, tau)
-                    oracle = activation_oracle(g, init, walks, tau)
+                    oracle = activation_oracle(g, init, ell, tau)
                     if not np.array_equal(report.at, oracle):
                         bad.append("%s lam=%s seed=%d tau=%d" %
                                    (g.label(), lam, seed, tau))

@@ -217,7 +217,7 @@ def main(argv=None):
     except BudgetExceededError as exc:
         print("budget exceeded: %s" % exc, file=sys.stderr)
         return 3
-    except (ParameterError, IndexError, KeyError) as exc:
+    except ParameterError as exc:
         print("parameter error: %s" % exc, file=sys.stderr)
         return 2
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FamilyError, ParameterError
+from .errors import ParameterError
 
 TREE = "tree"
 COMPLETE = "complete"
@@ -38,6 +38,9 @@ class GraphDescriptor:
                 raise ParameterError("cycle needs n >= 3, got n=%r" % (self.n,))
         else:
             raise ParameterError("unknown graph family %r" % (self.family,))
+        if self.vertex_count >= 2 ** 63:
+            raise ParameterError("%s has more vertices than int64 ids cover"
+                                 % (self.label(),))
 
     @property
     def vertex_count(self):
@@ -273,23 +276,6 @@ class CycleGraph(GraphHandle):
         return (vs + 2 * r - 1) % self.vertex_count
 
 
-def tree_nav(g, v):
-    """Parent/children/level/coheight/leaf-flag bundle for tree vertices."""
-    if g.family != TREE:
-        raise FamilyError("tree_nav needs a tree, got %s" % g.family)
-    return g.nav(v)
-
-
-def tree_meet(g, x, y):
-    if g.family != TREE:
-        raise FamilyError("tree_meet needs a tree, got %s" % g.family)
-    return g.meet(x, y)
-
-
-def neighbors(g, v):
-    return g.neighbors(v)
-
-
 def resolve_origin(g, spec):
     """Map a CLI origin spec (index, 'root', or 'leaf') to a vertex id."""
     if spec == "root":
@@ -302,5 +288,6 @@ def resolve_origin(g, spec):
         v = int(spec)
     except (TypeError, ValueError) as exc:
         raise ParameterError("bad origin %r" % (spec,)) from exc
-    g.check_vertex(v)
+    if not 0 <= v < g.vertex_count:
+        raise ParameterError("origin %d outside [0, %d)" % (v, g.vertex_count))
     return v

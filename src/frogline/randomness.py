@@ -23,7 +23,9 @@ lambda <= lambda' the lambda-particles are a sub-multiset of the
 lambda'-particles, and each particle keeps the same walk key (hashed from
 (seed, vertex, mark rank), or (seed, origin) for the planted particle,
 never from lambda), so susceptibility and cover time are pointwise
-monotone in lambda on shared seeds.
+monotone in lambda on shared seeds. The keys are hashed once per
+configuration, for every mark up to lambda_max, and every lambda view
+shares them.
 
 Asking for lambda > lambda_max raises instead of resampling; a silent
 resample would break the coupling.
@@ -119,6 +121,8 @@ class FrogInit:
     marks_flat: np.ndarray = field(repr=False)
     marks_vertex: np.ndarray = field(repr=False)
     marks_indptr: np.ndarray = field(repr=False)
+    # walk key of every particle id: the marks', then the planted particle's
+    pid_keys: np.ndarray = field(repr=False)
 
     @property
     def planted_pid(self):
@@ -144,16 +148,7 @@ class FrogInit:
         """Walk keys of particles `pids`, hashed from (vertex, rank within
         the vertex's sorted marks): a particle keeps its walk across
         different lambda views of the same seed."""
-        pids = np.asarray(pids, dtype=np.int64)
-        planted = pids == self.planted_pid
-        marks = pids[~planted]
-        v = self.marks_vertex[marks]
-        keys = np.empty(pids.shape, dtype=np.uint64)
-        keys[~planted] = _walk_keys(self.seed, _NS_MARK_WALK, v,
-                                    marks - self.marks_indptr[v])
-        if planted.any():
-            keys[planted] = _walk_keys(self.seed, _NS_PLANT_WALK, self.origin)
-        return keys
+        return self.pid_keys[np.asarray(pids, dtype=np.int64)]
 
     def walks_at(self, vs):
         """(start vertices, walk keys) of every particle living at the
@@ -161,10 +156,10 @@ class FrogInit:
         vs = np.asarray(vs, dtype=np.int64)
         counts = self.mark_counts[vs]
         # vertex j contributes pids indptr[v_j] .. indptr[v_j] + counts[j] - 1
-        first = self.marks_indptr[vs] - np.cumsum(counts) + counts
-        pids = np.repeat(first, counts) + np.arange(counts.sum())
-        starts = np.repeat(vs, counts)
-        if np.any(vs == self.origin):
+        first = self.marks_indptr[vs] - counts.cumsum() + counts
+        pids = first.repeat(counts) + np.arange(counts.sum())
+        starts = vs.repeat(counts)
+        if (vs == self.origin).any():
             pids = np.append(pids, self.planted_pid)
             starts = np.append(starts, self.origin)
         return starts, self.particle_keys(pids)
@@ -183,7 +178,7 @@ class FrogInit:
         counts[self.origin] += 1
         return FrogInit(self.g, lam, self.lam_max, self.origin, self.seed,
                         counts, mark_counts, self.marks_flat,
-                        self.marks_vertex, self.marks_indptr)
+                        self.marks_vertex, self.marks_indptr, self.pid_keys)
 
 
 def _check_lambda(name, lam):
@@ -211,11 +206,15 @@ def init_config(g, lam, origin, seed, lam_max=None):
     marks_vertex = vertex  # already vertex-sorted; lexsort only reorders within
     indptr = np.zeros(V + 1, dtype=np.int64)
     np.cumsum(per_vertex, out=indptr[1:])
+    rank = np.arange(total, dtype=np.int64) - indptr[marks_vertex]
     init = FrogInit(g, lam_max, lam_max, origin, seed,
                     counts=np.zeros(V, dtype=np.int64),
                     mark_counts=per_vertex,
                     marks_flat=marks_flat, marks_vertex=marks_vertex,
-                    marks_indptr=indptr)
+                    marks_indptr=indptr,
+                    pid_keys=np.append(
+                        _walk_keys(seed, _NS_MARK_WALK, marks_vertex, rank),
+                        _walk_keys(seed, _NS_PLANT_WALK, origin)))
     return init.at_lambda(lam)
 
 
@@ -247,21 +246,18 @@ def generate_steps(g, starts, keys, offsets, nsteps):
 
 
 class WalkStore:
-    """The particles' keyed walks of one configuration, read per particle.
+    """The particles' keyed walks of one configuration.
 
-    prefix(pid, t) returns positions 0..t of particle pid's walk (index 0 is
-    its start vertex); position(pid, t) is entry t of it. Both read a
-    per-particle cache of positions in `g.index_dtype` that `advance`
-    extends to at least twice its length, so a step-by-step reader costs
-    O(log t) generator calls per particle. The engines call `advance`
-    directly for whole batches. `steps_generated` counts every step
-    generated through `advance`.
+    A walk is a pure function of its key and step count, so nothing is
+    cached: the engines call `advance` for whole batches, and prefix(pid, t)
+    regenerates positions 0..t of particle pid's walk (index 0 is its start
+    vertex). `steps_generated` counts every step generated through
+    `advance`.
     """
 
     def __init__(self, g, init):
         self.g = g
         self.init = init
-        self._paths = {}
         self.steps_generated = 0
 
     def advance(self, starts, keys, offsets, nsteps):
@@ -271,16 +267,7 @@ class WalkStore:
         return block
 
     def prefix(self, pid, nsteps):
-        path = self._paths.get(pid)
-        if path is None or len(path) <= nsteps:
-            if path is None:
-                path = np.array([self.init.start_vertex(pid)],
-                                dtype=self.g.index_dtype)
-            have = len(path) - 1
-            more = self.advance(path[-1:], self.init.particle_keys([pid]),
-                                have, max(nsteps, 2 * have) - have)
-            path = self._paths[pid] = np.concatenate((path, more[0]))
-        return path[:nsteps + 1]
-
-    def position(self, pid, step):
-        return int(self.prefix(pid, step)[step])
+        start = self.init.start_vertex(pid)
+        steps = self.advance([start], self.init.particle_keys([pid]), 0,
+                             nsteps)[0]
+        return np.concatenate(([start], steps)).astype(self.g.index_dtype)

@@ -200,8 +200,8 @@ def hitting_within(g, a, t_max):
 def lower_bound_quantities(g, lam, delta, t_max, targets=None):
     """kappa_t, the threshold time, mu_a(t), Green sums, and m_A."""
     _check_dense(g)
-    if lam < 0:
-        raise ParameterError("lambda must be >= 0")
+    if not (np.isfinite(lam) and lam >= 0):
+        raise ParameterError("lambda must be finite and >= 0, got %r" % (lam,))
     if not 0 <= delta < 1:
         raise ParameterError("delta must be in [0, 1)")
     if targets is None:

@@ -2,14 +2,12 @@
 
 Everything here takes a deliberately different route from the library code:
 BFS instead of arithmetic on indices, matrix powers instead of incremental
-DPs, scipy shortest paths instead of the event-driven engine, and a
-bisection over coverage flags instead of the rising clock.
+DPs, and a bisection over coverage flags instead of the wake clock. The
+activation-time oracle (Dijkstra over the first-visit table) lives in
+`frogline.checks`, since `frogline validate` runs it too.
 """
 
 import numpy as np
-from scipy.sparse.csgraph import dijkstra
-
-from frogline import NEVER
 
 
 def bfs_distances(g, src):
@@ -35,31 +33,6 @@ def dense_transition(g):
         for u in nbrs:
             P[v, u] += 1.0 / len(nbrs)
     return P
-
-
-def first_visit_table(g, init, walks, tau_max):
-    """ell[x, y]: first step index <= tau_max at which a particle based at x
-    stands on y; 0 on the diagonal, NEVER where no particle ever arrives."""
-    V = g.vertex_count
-    ell = np.full((V, V), NEVER, dtype=np.int64)
-    ts = np.arange(1, tau_max + 1, dtype=np.int64)
-    for x in range(V):
-        for pid in init.pids_at(x):
-            w = walks.prefix(pid, tau_max)[1:]
-            np.minimum.at(ell[x], w, ts)
-        ell[x, x] = 0
-    return ell
-
-
-def activation_times(g, init, ell, tau):
-    """Activation vector for lifetime tau via scipy shortest paths over the
-    first-visit table (entries above tau are unusable edges)."""
-    W = np.where((ell >= 1) & (ell <= tau), ell, 0).astype(float)
-    dist = dijkstra(W, directed=True, indices=init.origin, unweighted=False)
-    out = np.full(g.vertex_count, NEVER, dtype=np.int64)
-    finite = np.isfinite(dist)
-    out[finite] = np.round(dist[finite]).astype(np.int64)
-    return out
 
 
 def covered_under(g, init, walks, tau):

@@ -18,13 +18,12 @@ from frogline import (WalkStore, bands, build_graph, expected_hit,
                       parse_descriptor, run_activation, select_spread_set,
                       stationary_levels, susceptibility, total_variation,
                       transition_powers)
-from frogline.checks import (chain_matrix, check_logconcave, complete_graph_ratio,
+from frogline.checks import (activation_oracle, chain_matrix, check_logconcave,
+                             complete_graph_ratio, first_visit_table,
                              half_e2_t0, leafwalk_cell, return_sum_envelope,
                              ruin_probability_dp, susceptibility_pair,
                              tree_ratio_medians)
 from frogline.randomness import init_config as _init
-
-from oracles import activation_times, first_visit_table
 
 
 def _report(num, label, detail):
@@ -88,7 +87,7 @@ def test_03_activation_equals_shortest_paths():
                 ell = first_visit_table(g, init, walks, 40)
                 for tau in range(41):
                     got = run_activation(g, init, walks, tau)
-                    want = activation_times(g, init, ell, tau)
+                    want = activation_oracle(g, init, ell, tau)
                     assert np.array_equal(got.at, want), \
                         (text, lam, seed, tau)
                     checked += 1
@@ -116,6 +115,28 @@ def test_05_tree_scaling_band():
     took = time.perf_counter() - t0
     assert took < 600
     _report(5, "tree scaling", "medians %s, spread x%.2f, %.1fs" %
+            (["%.3f" % m for m in meds], spread, took))
+
+
+def test_05b_deep_tree_scaling_band():
+    """Criterion 05 at depths 12-16 (up to 131k vertices), same band."""
+    t0 = time.perf_counter()
+    ns, seed = (12, 14, 16), 37
+    meds = tree_ratio_medians(ns, trials=5, seed=seed)
+    assert all(np.isfinite(m) and m > 0 for m in meds)
+    spread = max(meds) / min(meds)
+    assert spread < 3.0
+    # the first trial at each depth: lifetime S covers, S - 1 does not
+    for n in ns:
+        g = build_graph(parse_descriptor("tree:d=2,n=%d" % n))
+        init = _init(g, 1.0, 0, seed + 1000 * n)  # tree_ratio_medians' trial 0
+        walks = WalkStore(g, init)
+        s = susceptibility(g, init, walks)
+        assert run_activation(g, init, walks, s).covered, n
+        assert not run_activation(g, init, walks, s - 1).covered, n
+    took = time.perf_counter() - t0
+    assert took < 600
+    _report(5, "deep tree scaling", "medians %s, spread x%.2f, %.1fs" %
             (["%.3f" % m for m in meds], spread, took))
 
 

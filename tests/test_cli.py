@@ -1,8 +1,11 @@
 import csv
 import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from frogline import level_chain, stationary_levels
 from frogline.cli import main
@@ -123,7 +126,17 @@ def test_parameter_error_exit_2(capsys, tmp_path):
             (["analytic", "--quantity", "kappa", "--graph", "cycle:n=9",
               "--t", "-3"], "--t"),
             (["sweep", "--graph", "tree:d=2,n=2", "--lambda", "1",
-              "--out", str(tmp_path / "missing" / "x.csv")], "--out")]:
+              "--out", str(tmp_path / "missing" / "x.csv")], "--out"),
+            (["simulate", "--graph", "tree:d=2,n=2", "--origin", "99"],
+             "origin 99"),
+            (["simulate", "--graph", "tree:d=2,n=2", "--origin", "-1"],
+             "origin -1"),
+            (["analytic", "--quantity", "threshold", "--graph",
+              "tree:d=2,n=3", "--lambda", "nan"], "lambda"),
+            (["analytic", "--quantity", "mu", "--graph", "cycle:n=5", "--t",
+              "3", "--lambda", "inf"], "lambda"),
+            (["analytic", "--quantity", "q", "--graph", "tree:d=2,n=2000"],
+             "int64")]:
         assert main(argv) == 2, argv
         err = capsys.readouterr().err
         assert says in err and err.count("\n") == 1, (argv, err)
@@ -159,3 +172,82 @@ def test_unknown_choice_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["analytic", "--quantity", "entropy"])
     assert exc.value.code == 2
+
+
+# ------------------------------------------------------------ CLI fuzzing
+# Small sizes only: every valid graph has at most 121 vertices and every
+# analytic table at most a few MB, and --jobs stays 1 (no process pool).
+# Options are passed as --flag=value, so argparse also hands negative and
+# infinite values to the program instead of rejecting them as flags.
+
+_SIM_GRAPHS = st.one_of(
+    st.builds("tree:d={},n={}".format, st.integers(2, 3), st.integers(1, 4)),
+    st.builds("complete:n={}".format, st.integers(2, 30)),
+    st.builds("cycle:n={}".format, st.integers(3, 30)),
+    st.sampled_from(["tree:d=1,n=2", "tree:d=2", "tree:d=x,n=2",
+                     "tree:d=2,n=0", "tree:d=2,n=2000", "cycle:n=2",
+                     "complete:n=1", "torus:n=3", "", "cycle:n=5,d=2"]))
+# trees with at most 27 leaves: Green sums are |leaves|^2 (t + 1) floats
+_ANALYTIC_GRAPHS = _SIM_GRAPHS.filter(lambda text: text != "tree:d=3,n=4")
+_LAMBDAS = st.one_of(
+    st.sampled_from(["0", "0.5", "1", "2.5", "1e-3"]),
+    st.sampled_from(["nan", "inf", "-inf", "-1", "abc"]))
+_ORIGINS = st.sampled_from(["root", "leaf", "0", "1", "-1", "99", "x", "2.5"])
+_TRIALS = st.integers(-1, 3).map(str)
+_S = st.integers(-2, 40).map(str)
+
+
+def _opt(flag, strategy):
+    return st.one_of(st.just([]), strategy.map(lambda v: [flag + "=" + v]))
+
+
+_COMMON = st.tuples(
+    _opt("--seed", st.integers(-3, 2 ** 64 + 3).map(str)),
+    _opt("--budget-steps", st.sampled_from(["1", "2", "0", "-5", "100000"])),
+    _opt("--format", st.sampled_from(["csv", "json"]))).map(
+        lambda ps: ["--jobs=1"] + sum(ps, []))
+
+
+def _argv(*parts):
+    return st.tuples(*parts, _COMMON).map(lambda ps: sum(ps, []))
+
+
+_SIMULATE = _argv(
+    st.just(["simulate"]), _SIM_GRAPHS.map(lambda g: ["--graph=" + g]),
+    _opt("--lambda", _LAMBDAS), _opt("--lambda-max", _LAMBDAS),
+    _opt("--origin", _ORIGINS),
+    _opt("--mode", st.sampled_from(["susceptibility", "cover", "leafwalk"])),
+    _opt("--trials", _TRIALS), _opt("--s", _S))
+_SWEEP = _argv(
+    st.just(["sweep"]),
+    st.lists(_SIM_GRAPHS, min_size=1, max_size=2).map(
+        lambda gs: ["--graph=" + g for g in gs]),
+    st.lists(_LAMBDAS, max_size=3).map(lambda ls: ["--lambda=" + ",".join(ls)]),
+    _opt("--metric", st.sampled_from(["susceptibility", "cover",
+                                      "leafwalk"])),
+    _opt("--origin", _ORIGINS), _opt("--trials", _TRIALS), _opt("--s", _S))
+_ANALYTIC = _argv(
+    st.sampled_from(["pi", "q", "hit", "kappa", "threshold", "mu", "mixing",
+                     "bd-law"]).map(lambda q: ["analytic", "--quantity=" + q]),
+    _opt("--graph", _ANALYTIC_GRAPHS),
+    _opt("--chain", st.one_of(
+        st.builds("dary:d={},n={}".format, st.integers(1, 3),
+                  st.integers(0, 4)),
+        st.sampled_from(["dary:d=x,n=3", "dary:d=2", "tree:d=2,n=2", ""]))),
+    _opt("--t", st.lists(st.integers(-300, 300).map(str), max_size=3).map(
+        ",".join)),
+    _opt("--lambda", _LAMBDAS),
+    _opt("--delta", st.sampled_from(["0", "0.5", "1", "-0.1", "nan"])))
+
+
+@given(st.one_of(_SIMULATE, _SWEEP, _ANALYTIC))
+@settings(max_examples=200, deadline=None)
+def test_cli_fuzz_exit_codes(argv):
+    """Any small argument vector ends in exit 0, 2 or 3, never a traceback."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects the vector
+            code = exc.code
+    assert code in (0, 2, 3), (argv, code, err.getvalue())

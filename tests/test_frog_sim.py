@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 from frogline import (NEVER, BudgetExceededError, WalkStore, build_graph,
-                      cover_time, init_config, parse_descriptor, range_stats,
+                      cover_time, init_config, parse_descriptor,
                       run_activation, susceptibility)
+from frogline.checks import activation_oracle, first_visit_table
 
-from oracles import (activation_times, bfs_distances, bisected_susceptibility,
-                     covered_under, first_visit_table)
+from oracles import bfs_distances, bisected_susceptibility, covered_under
 
 SMALL = ["tree:d=2,n=2", "tree:d=2,n=3", "cycle:n=5", "cycle:n=9",
          "complete:n=4", "complete:n=8"]
@@ -22,7 +22,7 @@ def test_activation_matches_shortest_paths(text, lam):
         ell = first_visit_table(g, init, walks, 24)
         for tau in (0, 1, 2, 5, 11, 24):
             got = run_activation(g, init, walks, tau)
-            want = activation_times(g, init, ell, tau)
+            want = activation_oracle(g, init, ell, tau)
             assert np.array_equal(got.at, want), \
                 "%s lam=%s seed=%d tau=%d" % (text, lam, seed, tau)
 
@@ -121,7 +121,7 @@ def test_cover_time_floor_and_budget():
         init = init_config(g, 2.0, 0, seed)
         ct = cover_time(g, init, WalkStore(g, init))
         assert ct >= g.n  # the deepest leaf is n steps away
-    # the synchronous loop's CT is exactly the event-driven last wake-up
+    # CT is exactly the last activation time under lifetime CT
     for text in ("tree:d=2,n=3", "tree:d=3,n=2", "cycle:n=9",
                  "complete:n=8"):
         g = build_graph(parse_descriptor(text))
@@ -143,38 +143,3 @@ def test_cover_time_single_edge():
     g = build_graph(parse_descriptor("complete:n=2"))
     init = init_config(g, 0.0, 0, 11)
     assert cover_time(g, init, WalkStore(g, init)) == 1
-
-
-def test_range_stats_contract():
-    g = build_graph(parse_descriptor("tree:d=2,n=5"))
-    samples = range_stats(g, 0, 64, list(map(int, g.leaves())), 20, seed=3)
-    assert len(samples) == 20
-    for s in samples:
-        assert s.start == 0
-        assert s.t == 64
-        assert 1 <= len(s.visited) <= 65  # range includes the start
-        assert 0 in s.visited
-        assert 0 <= s.hits_in_target <= len(s.visited)
-        assert 0 <= s.terminal < g.vertex_count
-    # determinism
-    again = range_stats(g, 0, 64, list(map(int, g.leaves())), 20, seed=3)
-    assert [len(s.visited) for s in samples] == \
-        [len(s.visited) for s in again]
-
-
-def test_range_stats_t_zero():
-    g = build_graph(parse_descriptor("cycle:n=9"))
-    in_target = range_stats(g, 5, 0, [5], 3, seed=1)
-    assert all(s.hits_in_target == 1 for s in in_target)
-    assert all(s.terminal == 5 for s in in_target)
-    off_target = range_stats(g, 4, 0, [5], 3, seed=1)
-    assert all(s.hits_in_target == 0 for s in off_target)
-
-
-def test_range_monotone_in_t():
-    g = build_graph(parse_descriptor("cycle:n=30"))
-    a = range_stats(g, 0, 16, [5], 10, seed=2)
-    b = range_stats(g, 0, 64, [5], 10, seed=2)
-    for sa, sb in zip(a, b):
-        assert len(sa.visited) <= len(sb.visited)
-        assert set(sa.visited) <= set(sb.visited)

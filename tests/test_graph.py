@@ -3,9 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from frogline import (FamilyError, GraphDescriptor, ParameterError,
-                      build_graph, neighbors, parse_descriptor,
-                      resolve_origin, tree_meet, tree_nav)
+from frogline import (GraphDescriptor, ParameterError, build_graph,
+                      parse_descriptor, resolve_origin)
 from frogline.graph import COMPLETE, CYCLE, TREE
 
 from oracles import bfs_distances
@@ -82,7 +81,7 @@ def test_meet_is_deepest_common_ancestor():
     assert g.meet(a, b) == g.parent(a)
     assert g.meet(a, a) == a
     assert g.meet(a, 0) == 0
-    assert tree_meet(g, int(leaves[0]), int(leaves[-1])) == 0
+    assert g.meet(int(leaves[0]), int(leaves[-1])) == 0
 
 
 @given(st.integers(2, 4), st.integers(1, 4), st.data())
@@ -103,20 +102,18 @@ def test_meet_properties(d, n, data):
 
 def test_nav_dict():
     g = build_graph(GraphDescriptor(TREE, d=2, n=2))
-    nav = tree_nav(g, 1)
+    nav = g.nav(1)
     assert nav["parent"] == 0
     assert list(nav["children"]) == [3, 4]
     assert nav["level"] == 1
-    with pytest.raises(FamilyError):
-        tree_nav(build_graph(GraphDescriptor(CYCLE, n=5)), 1)
 
 
 def test_neighbors_symmetry():
     for text in ("tree:d=2,n=3", "cycle:n=6", "complete:n=5"):
         g = build_graph(parse_descriptor(text))
         for v in range(g.vertex_count):
-            for u in neighbors(g, v):
-                assert v in neighbors(g, u)
+            for u in g.neighbors(v):
+                assert v in g.neighbors(u)
 
 
 def test_check_vertex_raises():
@@ -137,7 +134,9 @@ def test_resolve_origin():
     assert resolve_origin(gc, "root") == 0
     with pytest.raises(ParameterError):
         resolve_origin(gc, "leaf")
-    with pytest.raises(IndexError):
+    with pytest.raises(ParameterError):
         resolve_origin(gt, "7")  # out of range
+    with pytest.raises(ParameterError):
+        resolve_origin(gt, "-1")
     with pytest.raises(ParameterError):
         resolve_origin(gt, "center")
