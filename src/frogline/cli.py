@@ -1,11 +1,14 @@
 """frogline command line: simulate | sweep | analytic | validate.
 
 Exit codes: 0 success, 1 check failure, 2 parameter error, 3 budget
-exceeded. CSV is the canonical output format; --format json mirrors it.
+exceeded, 4 internal error (a fault in frogline: the traceback and a line
+starting `internal error:` go to stderr). CSV is the canonical output
+format; --format json mirrors it.
 """
 
 import argparse
 import sys
+import traceback
 
 from . import experiments, spectral_bd, tree_analytics
 from .errors import BudgetExceededError, ParameterError
@@ -189,9 +192,7 @@ def _cmd_analytic(args):
         spec = spectral_bd.hitting_eigenvalues(chain)
         pmf = spectral_bd.geometric_convolution_law(
             spec, "odd" if chain.n % 2 else "even")
-        out_rows = [{"t": pmf.offset + i, "mass": repr(float(m))}
-                    for i, m in enumerate(pmf.masses) if m > 0]
-        experiments.write_table(out_rows, ["t", "mass"], args.out, args.format)
+        experiments.write_law(pmf, args.out, args.format)
         return 0
     experiments.write_table(rows, ["quantity", "key", "value"], args.out,
                             args.format)
@@ -220,6 +221,11 @@ def main(argv=None):
     except ParameterError as exc:
         print("parameter error: %s" % exc, file=sys.stderr)
         return 2
+    except Exception as exc:
+        traceback.print_exc()
+        print("internal error: %s: %s" % (type(exc).__name__, exc),
+              file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -8,10 +8,12 @@ coordinates feed the hash, and the mapping is checked for collisions when
 a spec is validated.
 """
 
+import contextlib
 import csv
 import hashlib
 import io
 import json
+import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -250,16 +252,52 @@ def write_table(rows, columns, out, fmt):
         writer.writeheader()
         writer.writerows(rows)
         text = buf.getvalue()
-    if out in (None, "-"):
-        print(text, end="")
-    else:
-        try:
-            with open(out, "w") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise ParameterError("cannot write --out %r: %s"
-                                 % (out, exc.strerror)) from None
+    with _output(out) as write:
+        write(text)
     return text
+
+
+# rows per write of a law table: the text of one chunk is a few MB at most
+LAW_CHUNK_ROWS = 2 ** 16
+
+
+def write_law(pmf, out, fmt):
+    """Write the positive masses of `pmf` as the table that write_table
+    would make of the rows {"t": t, "mass": repr(mass)}, byte for byte, a
+    chunk of rows at a time instead of one dict per row."""
+    masses = np.asarray(pmf.masses, dtype=np.float64)
+    idx = np.flatnonzero(masses > 0)
+    if fmt == "json":
+        row = '  {\n    "t": %d,\n    "mass": "%r"\n  }'
+        head, sep, tail = "[\n", ",\n", "\n]\n"
+    else:
+        row = "%d,%r\n"
+        head, sep, tail = "t,mass\n", "", ""
+    with _output(out) as write:
+        if fmt == "json" and not len(idx):
+            write("[]\n")
+            return
+        write(head)
+        for lo in range(0, len(idx), LAW_CHUNK_ROWS):
+            chunk = idx[lo:lo + LAW_CHUNK_ROWS]
+            write((sep if lo else "") + sep.join(
+                row % pair for pair in zip((chunk + pmf.offset).tolist(),
+                                           masses[chunk].tolist())))
+        write(tail)
+
+
+@contextlib.contextmanager
+def _output(out):
+    """The write function of `out`: stdout for None or '-', else the file."""
+    if out in (None, "-"):
+        yield sys.stdout.write
+        return
+    try:
+        with open(out, "w") as fh:
+            yield fh.write
+    except OSError as exc:
+        raise ParameterError("cannot write --out %r: %s"
+                             % (out, exc.strerror)) from None
 
 
 def validate(suite, include=None):

@@ -224,6 +224,28 @@ class TreeGraph(GraphHandle):
         r = (u * deg).astype(vs.dtype) + is_root
         return np.where(r == 0, (vs - 1) // self.d, self.d * vs + r)
 
+    def step_rows(self, starts, us):
+        """step_array for a few walks in plain Python, one walk at a time.
+
+        Walk i starts at starts[i] and takes one step per uniform in us[i];
+        the positions come back as one flat list, row after row. The same
+        IEEE products pick the same neighbors as step_array, so the two
+        agree bit for bit.
+        """
+        d, first_leaf = self.d, self.first_leaf
+        path = []
+        for v, row in zip(starts, us):
+            for u in row:
+                if v == 0:
+                    v = int(u * d) + 1
+                elif v >= first_leaf:
+                    v = (v - 1) // d
+                else:
+                    r = int(u * (d + 1))
+                    v = (v - 1) // d if r == 0 else d * v + r
+                path.append(v)
+        return path
+
 
 class CompleteGraph(GraphHandle):
     def degree(self, v):

@@ -11,9 +11,10 @@ Two kinds of stream come from one 64-bit seed:
   hash of (key, k): a counter-based generator in the sense of Salmon et
   al., "Parallel random numbers: as easy as 1, 2, 3" (SC'11). A walk's
   next position is a pure function of its key, its step count and its
-  current vertex, so `generate_steps` advances any batch of walks in
-  lockstep as numpy vectors, and a walk's path does not depend on which
-  walks share its batch or on how its steps are split into blocks.
+  current vertex, so `generate_steps` can advance any batch of walks in
+  lockstep as numpy vectors, or a few walks one at a time, and a walk's
+  path does not depend on which walks share its batch or on how its steps
+  are split into blocks.
 
 The coupling works like this: every vertex carries the arrival marks of a
 unit-rate Poisson process on [0, lambda_max], sampled once per (seed,
@@ -35,7 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import BudgetExceededError, ParameterError
 from .graph import TREE
 
 # namespaces: distinct first key components keep stream families disjoint
@@ -44,6 +45,21 @@ _NS_MARK_WALK = 1
 _NS_PLANT_WALK = 2
 _NS_AUX = 3
 _NS_AUX_WALK = 4
+
+# tree batches of at most this many walks are stepped one walk at a time in
+# plain Python (TreeGraph.step_rows), larger ones by one numpy call per step.
+# On a 2-core VM (python 3.11, numpy 2.4) a numpy step costs 15-22 us
+# whatever the batch size and a scalar step 0.3-0.45 us, and the two paths
+# cost the same at 40-60 walks
+SCALAR_STEP_WALKS = 48
+
+# peak bytes init_config takes per vertex and per expected mark, rounded up
+# from trees of depth 16 and 18 (36-50 B per vertex at lambda 0, 70 B per
+# mark at lambda 8); a configuration estimated above CONFIG_BYTE_LIMIT is
+# refused before anything is allocated
+CONFIG_BYTES_PER_VERTEX = 48
+CONFIG_BYTES_PER_MARK = 72
+CONFIG_BYTE_LIMIT = 2 ** 32
 
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -186,8 +202,19 @@ def _check_lambda(name, lam):
         raise ParameterError("%s must be finite and >= 0, got %r" % (name, lam))
 
 
+def config_bytes(vertex_count, lam_max):
+    """Estimated peak bytes of a configuration with lam_max * vertex_count
+    expected marks."""
+    return vertex_count * (CONFIG_BYTES_PER_VERTEX
+                           + CONFIG_BYTES_PER_MARK * lam_max)
+
+
 def init_config(g, lam, origin, seed, lam_max=None):
-    """Sample the Poisson configuration: Pois(lam) per vertex plus the plant."""
+    """Sample the Poisson configuration: Pois(lam) per vertex plus the plant.
+
+    Raises BudgetExceededError, before any allocation, when the
+    configuration would take more than CONFIG_BYTE_LIMIT bytes.
+    """
     _check_lambda("lambda", lam)
     if lam_max is None:
         lam_max = lam
@@ -196,6 +223,12 @@ def init_config(g, lam, origin, seed, lam_max=None):
         raise ParameterError("lambda %r exceeds lambda_max %r" % (lam, lam_max))
     g.check_vertex(origin)
     V = g.vertex_count
+    need = config_bytes(V, lam_max)
+    if need > CONFIG_BYTE_LIMIT:
+        raise BudgetExceededError(
+            "a configuration on %s at lambda_max %r needs about %.3g bytes, "
+            "over the limit of %d" % (g.label(), lam_max, need,
+                                      CONFIG_BYTE_LIMIT))
     rng = _generator(seed, (_NS_CONFIG,))
     per_vertex = rng.poisson(lam_max, size=V).astype(np.int64)
     total = int(per_vertex.sum())
@@ -223,12 +256,18 @@ def generate_steps(g, starts, keys, offsets, nsteps):
     walks, as rows of a (len(starts), nsteps) array of `g.index_dtype`.
 
     Walk i stands at starts[i] after offsets[i] steps (`offsets` may be one
-    number for all). Every keyed walk is generated here, in lockstep, so a
-    walk's path is the same whichever walks share its batch and however its
-    steps are split into calls.
+    number for all). Every keyed walk is generated here, so a walk's path is
+    the same whichever walks share its batch and however its steps are split
+    into calls. Tree batches of at most SCALAR_STEP_WALKS walks are stepped
+    walk by walk in plain Python, larger ones in lockstep; both take the same
+    uniforms and the same products, so the path does not depend on which.
     """
     starts = np.asarray(starts, dtype=g.index_dtype)
     u = step_uniforms(keys, offsets, nsteps)
+    if g.family == TREE and len(starts) <= SCALAR_STEP_WALKS:
+        # too few walks to pay for a numpy call per step
+        path = g.step_rows(starts.tolist(), u.tolist())
+        return np.array(path, dtype=g.index_dtype).reshape(len(starts), nsteps)
     if g.family == TREE:
         # the degree depends on the position: one lockstep step per row of u.T
         out = np.empty((nsteps, len(starts)), dtype=g.index_dtype)

@@ -7,7 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from frogline import level_chain, stationary_levels
+import numpy as np
+
+from frogline import (Pmf, geometric_convolution_law, hitting_eigenvalues,
+                      level_chain, stationary_levels, write_table)
+from frogline import cli, experiments
 from frogline.cli import main
 
 
@@ -86,6 +90,28 @@ def test_analytic_bd_law_mass(capsys):
     assert total == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("chunk", [7, experiments.LAW_CHUNK_ROWS])
+def test_bd_law_table_is_write_table_of_rows(capsys, monkeypatch, fmt, chunk):
+    # the law is written in chunks, not as one dict per row; the bytes must
+    # be those of write_table on the rows
+    monkeypatch.setattr(experiments, "LAW_CHUNK_ROWS", chunk)
+    for d, n in ((2, 6), (3, 3)):
+        code, out = _run(capsys, "analytic", "--quantity", "bd-law",
+                         "--chain", "dary:d=%d,n=%d" % (d, n), "--format", fmt)
+        assert code == 0
+        pmf = geometric_convolution_law(
+            hitting_eigenvalues(level_chain(d, n)),
+            "odd" if n % 2 else "even")
+        rows = [{"t": pmf.offset + i, "mass": repr(float(m))}
+                for i, m in enumerate(pmf.masses) if m > 0]
+        assert out == write_table(rows, ["t", "mass"], "-", fmt)
+        capsys.readouterr()
+    empty = Pmf(offset=3, masses=np.zeros(4))
+    experiments.write_law(empty, "-", fmt)
+    assert capsys.readouterr().out == write_table([], ["t", "mass"], "-", fmt)
+
+
 def test_json_format_mirrors_csv(capsys):
     code, out = _run(capsys, "analytic", "--graph", "tree:d=2,n=2",
                      "--quantity", "q", "--format", "json")
@@ -149,6 +175,21 @@ def test_budget_exceeded_exit_3(capsys):
                        "--lambda", "0.5", "--mode", mode,
                        "--budget-steps", "2")
         assert code == 3, mode
+    # the configuration alone would need 2^41 Poisson draws
+    code, _ = _run(capsys, "simulate", "--graph", "tree:d=2,n=40")
+    assert code == 3
+
+
+def test_internal_error_exit_4(capsys, monkeypatch):
+    def crash(args):
+        raise ZeroDivisionError("boom")
+
+    monkeypatch.setattr(cli, "_cmd_validate", crash)
+    code = main(["validate"])
+    err = capsys.readouterr().err
+    assert code == 4
+    assert "Traceback" in err and "ZeroDivisionError" in err
+    assert err.splitlines()[-1] == "internal error: ZeroDivisionError: boom"
 
 
 def test_budget_failures_in_sweep_are_rows_not_exit(capsys):

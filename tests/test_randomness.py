@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from frogline import (ParameterError, WalkStore, build_graph, generate_steps,
-                      init_config, parse_descriptor, step_uniforms, substream,
+from frogline import (BudgetExceededError, ParameterError, WalkStore,
+                      build_graph, generate_steps, init_config,
+                      parse_descriptor, randomness, step_uniforms, substream,
                       walk_keys)
 
 
@@ -30,9 +31,12 @@ def test_seed_changes_everything():
 
 
 def test_prefix_extension_never_rewrites():
-    for text in ("tree:d=2,n=4", "cycle:n=7", "complete:n=6"):
+    # tree:d=3,n=4 at lambda 2 has about 240 particles, so its batch of all
+    # particles is stepped in lockstep and each walk alone one at a time
+    for text, lam in (("tree:d=2,n=4", 1.0), ("tree:d=3,n=4", 2.0),
+                      ("cycle:n=7", 1.0), ("complete:n=6", 1.0)):
         g = build_graph(parse_descriptor(text))
-        init = init_config(g, 1.0, 0, 9)
+        init = init_config(g, lam, 0, 9)
         w1 = WalkStore(g, init)
         full = w1.prefix(init.planted_pid, 257).copy()
         w2 = WalkStore(g, init)
@@ -56,6 +60,43 @@ def test_prefix_extension_never_rewrites():
             i = row[int(init.particle_keys([pid])[0])]
             assert starts[i] == alone[0]
             assert np.array_equal(batch[i], alone[1:])
+
+
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_scalar_and_lockstep_tree_steps_agree(monkeypatch, d):
+    g = _tree(d, 4)
+    rng = np.random.default_rng(d)
+    leaf = g.vertex_count - 1
+    for walks in (1, 7, 60):
+        starts = rng.integers(0, g.vertex_count, walks)
+        starts[0], starts[-1] = 0, leaf
+        keys = walk_keys(d, walks, 21)
+        offsets = rng.integers(0, 10 ** 9, walks)
+        for nsteps in (0, 1, 257):
+            blocks = []
+            for threshold in (0, 10 ** 9):
+                monkeypatch.setattr(randomness, "SCALAR_STEP_WALKS",
+                                    threshold)
+                blocks.append(generate_steps(g, starts, keys, offsets,
+                                             nsteps))
+            lockstep, scalar = blocks
+            assert scalar.shape == (walks, nsteps)
+            assert scalar.dtype == lockstep.dtype == g.index_dtype
+            assert np.array_equal(scalar, lockstep)
+
+
+def test_init_config_size_guard():
+    # refused before anything is allocated: 2^41 vertices would be 100 TB
+    huge = build_graph(parse_descriptor("tree:d=2,n=40"))
+    for lam in (0.0, 1.0):
+        with pytest.raises(BudgetExceededError):
+            init_config(huge, lam, 0, 1)
+    with pytest.raises(BudgetExceededError):
+        init_config(_tree(2, 22), 1.0, 0, 1, lam_max=8.0)
+    # depth 20 at lambda 8 (about 1.3 GB) stays allowed
+    deep = build_graph(parse_descriptor("tree:d=2,n=20"))
+    assert (randomness.config_bytes(deep.vertex_count, 8.0)
+            <= randomness.CONFIG_BYTE_LIMIT)
 
 
 def test_walks_are_valid_paths():
