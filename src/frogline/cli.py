@@ -93,7 +93,7 @@ def _cmd_simulate(args):
                             experiments.SIMULATE_COLUMNS, args.out,
                             args.format)
     if args.trials == 1 and results[0].value is None:
-        raise BudgetExceededError("the only trial exceeded its budget")
+        raise BudgetExceededError(results[0].budget_reason)
     return 0
 
 

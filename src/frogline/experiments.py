@@ -76,6 +76,7 @@ class TrialResult:
     value: Optional[int]   # None when the budget ran out
     steps: int
     wall_ms: float
+    budget_reason: Optional[str] = None  # why the budget ran out
 
 
 def trial_seed(seed_base, graph, origin, metric, trial):
@@ -114,13 +115,15 @@ def _default_origin(g, metric):
 
 def run_trial(graph, metric, lam, lam_max, origin_spec, seed, trial,
               step_cap=DEFAULT_STEP_CAP, s=None):
-    """One simulation trial; budget overruns come back as value=None."""
+    """One simulation trial; budget overruns come back as value=None, with
+    the error's message (and the fraction covered, for a clock overrun) in
+    budget_reason."""
     g = build_graph(parse_descriptor(graph))
     if origin_spec is None:
         origin_spec = _default_origin(g, metric)
     origin = resolve_origin(g, origin_spec)
     start = time.perf_counter()
-    value = None
+    value = reason = None
     steps = 0
     try:
         if metric == "leafwalk":
@@ -136,12 +139,14 @@ def run_trial(graph, metric, lam, lam_max, origin_spec, seed, trial,
             else:
                 value = cover_time(g, init, walks, step_cap=step_cap)
             steps = walks.steps_generated
-    except BudgetExceededError:
-        value = None
+    except BudgetExceededError as exc:
+        reason = str(exc)
+        if exc.fraction_covered is not None:
+            reason += " (fraction covered %.4g)" % exc.fraction_covered
     wall_ms = (time.perf_counter() - start) * 1000.0
     return TrialResult(trial=trial, seed=seed, graph=graph, lam=lam,
                        origin=origin_spec, metric=metric, value=value,
-                       steps=steps, wall_ms=wall_ms)
+                       steps=steps, wall_ms=wall_ms, budget_reason=reason)
 
 
 def _trial_task(args):

@@ -290,8 +290,10 @@ class WalkStore:
     A walk is a pure function of its key and step count, so nothing is
     cached: the engines call `advance` for whole batches, and prefix(pid, t)
     regenerates positions 0..t of particle pid's walk (index 0 is its start
-    vertex). `steps_generated` counts every step generated through
-    `advance`.
+    vertex). `steps_generated` counts the steps the particles take: every
+    step generated through `advance`, and every step the susceptibility
+    clock reads from its pre-walked prefix (frog_sim._Prefix), whose
+    look-ahead is not counted.
     """
 
     def __init__(self, g, init):

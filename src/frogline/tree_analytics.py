@@ -19,8 +19,13 @@ import numpy as np
 
 from .errors import BudgetExceededError, FamilyError, ParameterError
 from .graph import COMPLETE, CYCLE, TREE
+from .randomness import CONFIG_BYTE_LIMIT
 
-DENSE_LIMIT = 50_000
+# float64 arrays live at the peak of each computation, rounded up from
+# tracemalloc peaks on trees of depth 6-12: a transition power holds about 5
+# length-V vectors, a mixing profile 3.0-4.1 V x V matrices
+TRANSITION_VECTORS = 6
+MIXING_MATRICES = 4
 
 
 @dataclass
@@ -132,16 +137,24 @@ def apply_transition_T(g, y):
     return _neighbor_sum(g, z)
 
 
-def _check_dense(g):
-    if g.vertex_count > DENSE_LIMIT:
+def _check_bytes(what, g, floats):
+    """Refuse, before allocating, work estimated at more than
+    CONFIG_BYTE_LIMIT bytes (`floats` float64 values)."""
+    need = 8 * floats
+    if need > CONFIG_BYTE_LIMIT:
         raise BudgetExceededError(
-            "graph has %d vertices, dense limit is %d" %
-            (g.vertex_count, DENSE_LIMIT))
+            "%s on %s needs about %.3g bytes, over the limit of %d"
+            % (what, g.label(), need, CONFIG_BYTE_LIMIT))
+
+
+def _check_mixing(g):
+    _check_bytes("a mixing profile", g,
+                 MIXING_MATRICES * g.vertex_count ** 2)
 
 
 def transition_powers(g, v, t_max):
     """Exact return probabilities p^i(v,v), i = 0..t_max."""
-    _check_dense(g)
+    _check_bytes("transition powers", g, TRANSITION_VECTORS * g.vertex_count)
     g.check_vertex(v)
     y = np.zeros(g.vertex_count)
     y[v] = 1.0
@@ -199,11 +212,16 @@ def hitting_within(g, a, t_max):
 
 def lower_bound_quantities(g, lam, delta, t_max, targets=None):
     """kappa_t, the threshold time, mu_a(t), Green sums, and m_A."""
-    _check_dense(g)
     if not (np.isfinite(lam) and lam >= 0):
         raise ParameterError("lambda must be finite and >= 0, got %r" % (lam,))
     if not 0 <= delta < 1:
         raise ParameterError("delta must be in [0, 1)")
+    # the Green array and one hitting table; by default the targets are the
+    # d^n leaves of a tree and every vertex of the other graphs
+    m = len(targets) if targets is not None else (
+        g.d ** g.n if g.family == TREE else g.vertex_count)
+    _check_bytes("the lower-bound quantities", g,
+                 (t_max + 1) * (m * m + g.vertex_count))
     if targets is None:
         targets = g.leaves() if g.family == TREE else np.arange(g.vertex_count)
     targets = np.asarray(sorted(int(a) for a in targets), dtype=np.int64)
@@ -279,7 +297,7 @@ def select_spread_set(A, t, s, green):
 
 def mixing_matrix(g, t):
     """Full p^t(u, v) matrix by t applications of the transition operator."""
-    _check_dense(g)
+    _check_mixing(g)
     m = np.eye(g.vertex_count)
     for _ in range(t):
         m = apply_transition(g, m)
@@ -313,7 +331,7 @@ def mixing_profile(g, ts):
     ts = sorted(set(int(t) for t in ts))
     if any(t < 0 for t in ts):
         raise ParameterError("mixing times must be >= 0")
-    _check_dense(g)
+    _check_mixing(g)
     m = np.eye(g.vertex_count)
     cur = 0
     out = []
@@ -328,7 +346,7 @@ def mixing_profile(g, ts):
 def mixing_crossing_time(g, level=None):
     """First even t where the deviation drops to 1/e."""
     target = 1 / np.e if level is None else level
-    _check_dense(g)
+    _check_mixing(g)
     m = np.eye(g.vertex_count)
     t = 0
     # even times only: odd-time deviation mixes parity classes differently

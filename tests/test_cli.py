@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -176,8 +177,37 @@ def test_budget_exceeded_exit_3(capsys):
                        "--budget-steps", "2")
         assert code == 3, mode
     # the configuration alone would need 2^41 Poisson draws
-    code, _ = _run(capsys, "simulate", "--graph", "tree:d=2,n=40")
+    code = main(["simulate", "--graph", "tree:d=2,n=40"])
+    err = capsys.readouterr().err
     assert code == 3
+    assert "needs about 2.64e+14 bytes" in err, err
+    # a clock overrun names the cap and the fraction it covered
+    code = main(["simulate", "--graph", "tree:d=2,n=6", "--budget-steps", "3"])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "clock exceeded step cap 3 (fraction covered 0." in err, err
+
+
+def test_analytic_byte_bounds(capsys):
+    # refused before any allocation: V x V mixing matrices at depth 14
+    # (about 34 GB) and a 4096^2 x 257 Green array at depth 12 (34.5 GB)
+    for argv in (["--quantity", "mixing", "--graph", "tree:d=2,n=14"],
+                 ["--quantity", "threshold", "--graph", "tree:d=2,n=12",
+                  "--t", "256"],
+                 ["--quantity", "kappa", "--graph", "tree:d=2,n=40"]):
+        tracemalloc.start()
+        try:
+            code = main(["analytic"] + argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        err = capsys.readouterr().err
+        assert code == 3, argv
+        assert "needs about" in err and peak < 2 ** 22, (argv, err, peak)
+    # return sums need only vectors
+    code, out = _run(capsys, "analytic", "--quantity", "kappa",
+                     "--graph", "tree:d=2,n=16", "--t", "4")
+    assert code == 0 and _rows(out)[0]["key"] == "4"
 
 
 def test_internal_error_exit_4(capsys, monkeypatch):

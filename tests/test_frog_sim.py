@@ -4,6 +4,7 @@ import pytest
 from frogline import (NEVER, BudgetExceededError, WalkStore, build_graph,
                       cover_time, init_config, parse_descriptor,
                       run_activation, susceptibility)
+from frogline import frog_sim
 from frogline.checks import activation_oracle, first_visit_table
 
 from oracles import bfs_distances, bisected_susceptibility, covered_under
@@ -143,3 +144,42 @@ def test_cover_time_single_edge():
     g = build_graph(parse_descriptor("complete:n=2"))
     init = init_config(g, 0.0, 0, 11)
     assert cover_time(g, init, WalkStore(g, init)) == 1
+
+
+def _susceptibility_run(g, init, step_cap):
+    walks = WalkStore(g, init)
+    try:
+        return ("S", susceptibility(g, init, walks, step_cap=step_cap),
+                walks.steps_generated)
+    except BudgetExceededError as err:
+        return ("budget", err.fraction_covered, err.bracket,
+                walks.steps_generated)
+
+
+@pytest.mark.parametrize("text", ["tree:d=2,n=3", "tree:d=2,n=5",
+                                  "tree:d=3,n=3"])
+@pytest.mark.parametrize("lam", [0.0, 0.5, 1.0, 2.0])
+def test_susceptibility_across_the_prefix_boundary(text, lam, monkeypatch):
+    # at the default PREFIX_CELLS these graphs finish inside the prefix;
+    # smaller settings make the clock step the awake set and generate the
+    # replay tails past h = 1 and past h a few steps below S
+    g = build_graph(parse_descriptor(text))
+    for seed in range(3):
+        init = init_config(g, lam, 0, seed, lam_max=2.0)
+        s = bisected_susceptibility(g, init, WalkStore(g, init))
+        n = init.particle_count()
+        caps = (s, s - 1) if s > 1 else (s,)
+        runs = []
+        for cells in (n, n * max(1, s - 3), frog_sim.PREFIX_CELLS):
+            monkeypatch.setattr(frog_sim, "PREFIX_CELLS", cells)
+            runs.append([_susceptibility_run(g, init, cap) for cap in caps])
+            monkeypatch.undo()
+        first, *rest = runs
+        assert first[0][:2] == ("S", s), (text, lam, seed)
+        # at most S steps per particle: the look-ahead is not counted
+        assert first[0][2] <= s * n
+        if s > 1:
+            assert first[1][0] == "budget" and first[1][2] == (s, None)
+            assert 0 < first[1][1] < 1
+        for other in rest:
+            assert other == first, (text, lam, seed, runs)
