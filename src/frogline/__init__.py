@@ -15,20 +15,20 @@ from .spectral_bd import (BirthDeathChain, Pmf, SpectralDecomposition,
                           check_logconcave, geometric_convolution_law,
                           half_e2_t0, hitting_eigenvalues, hitting_pmf_dp,
                           total_variation)
-from .tree_analytics import (LevelChain, LowerBoundQuantities, expected_hit,
-                             gambler_ruin, kappa_sequence,
-                             leaf_to_root_closed_form, level_chain,
-                             lower_bound_quantities, mixing_crossing_time,
-                             mixing_deviation, mixing_profile,
-                             return_sum_envelope, select_spread_set,
-                             stationary_levels, transition_powers)
+from .tree_analytics import (LowerBoundQuantities, expected_hit, gambler_ruin,
+                             kappa_sequence, leaf_to_root_closed_form,
+                             level_chain, lower_bound_quantities,
+                             mixing_crossing_time, mixing_deviation,
+                             mixing_profile, return_sum_envelope,
+                             select_spread_set, stationary_levels,
+                             transition_powers)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "ActivationReport", "BirthDeathChain", "BudgetExceededError",
     "ExperimentSpec", "FamilyError", "FrogInit", "GraphDescriptor",
-    "LeafWalkReport", "LevelChain", "LowerBoundQuantities", "NEVER",
+    "LeafWalkReport", "LowerBoundQuantities", "NEVER",
     "NumericalConsistencyError", "ParameterError", "Pmf",
     "SpectralDecomposition", "WalkStore", "build_graph", "check_logconcave",
     "cover_time", "estimate", "expected_hit", "gambler_ruin",

@@ -27,9 +27,9 @@ from .tree_analytics import (apply_transition, expected_hit, gambler_ruin,
                              kappa_sequence, leaf_to_root_closed_form,
                              level_chain, lower_bound_quantities,
                              mixing_crossing_time, mixing_deviation,
-                             mixing_matrix, return_sum_envelope,
-                             select_spread_set, stationary_levels,
-                             transition_powers)
+                             mixing_matrix, mixing_profile,
+                             return_sum_envelope, select_spread_set,
+                             stationary_levels, transition_powers)
 
 
 @dataclass
@@ -92,8 +92,8 @@ def first_visit_table(g, init, walks, tau_max):
     ell = np.full((V, V), NEVER, dtype=np.int64)
     steps = np.arange(1, tau_max + 1, dtype=np.int64)
     for x in range(V):
-        starts, keys = init.walks_at([x])
-        path = walks.advance(starts, keys, 0, tau_max)
+        cols = init.columns([x])
+        path = walks.advance(init.home[cols], init.keys[cols], 0, tau_max)
         np.minimum.at(ell[x], path, np.broadcast_to(steps, path.shape))
         ell[x, x] = 0
     return ell
@@ -331,7 +331,7 @@ def check_spread_set():
     # complete(3), t=1, s=4: all pairwise Green sums 1/2 >= 1/4, so one survivor
     g = build_graph(GraphDescriptor(COMPLETE, n=3))
     lbq = lower_bound_quantities(g, 1.0, 0.0, 1)
-    B = select_spread_set(list(lbq.targets), 1, 4, lbq.green)
+    B = select_spread_set(list(lbq.targets), 1, 4, lbq.green[:, :, 1])
     if len(B) < 1 or len(B) * (1 + 4 * 1 * 1) < 3:
         bad.append("complete(3) size bound")
     if len(B) != 1:
@@ -340,7 +340,7 @@ def check_spread_set():
     gt = build_graph(GraphDescriptor(TREE, d=2, n=4))
     lbq = lower_bound_quantities(gt, 1.0, 0.0, 8)
     A = list(lbq.targets)
-    B = select_spread_set(A, 8, 2, lbq.green)
+    B = select_spread_set(A, 8, 2, lbq.green[:, :, 8])
     idx = {a: i for i, a in enumerate(A)}
     cut = 1.0 / (2 * 8)
     for x in B:
@@ -359,22 +359,10 @@ def check_mixing_profile():
     expect = (g.vertex_count - 1) / 1.0 - 1.0  # |E|/min deg - 1 (leaf degree 1)
     if abs(dev0 - expect) > 1e-12 or dev0 <= 0:
         bad.append("t=0 deviation %.3f != %.3f" % (dev0, expect))
-    evens = [mixing_deviation(g, t, m=m)
-             for t, m in _matrix_powers(g, range(0, 25, 2))]
+    evens = [dev for _, dev in mixing_profile(g, range(0, 25, 2))]
     if any(evens[i + 1] > evens[i] + 1e-12 for i in range(len(evens) - 1)):
         bad.append("even-t deviation not nonincreasing")
     return _result("mixing_profile", not bad, ";".join(bad) or "ok")
-
-
-def _matrix_powers(g, ts):
-    ts = sorted(set(int(t) for t in ts))
-    m = np.eye(g.vertex_count)
-    cur = 0
-    for t in ts:
-        for _ in range(t - cur):
-            m = apply_transition(g, m)
-        cur = t
-        yield t, m
 
 
 def mixing_crossing_ratio(d, n):
@@ -493,15 +481,14 @@ def check_reproducibility():
     if not np.array_equal(a.counts, b.counts):
         bad.append("counts differ across replays")
     wa, wb = WalkStore(g, a), WalkStore(g, b)
-    for pid in a.pids_at(0) + a.pids_at(3):
-        if not np.array_equal(wa.prefix(pid, 50), wb.prefix(pid, 50)):
-            bad.append("walk %d differs" % pid)
+    for i in a.columns([0, 3]):
+        if not np.array_equal(wa.prefix(i, 50), wb.prefix(i, 50)):
+            bad.append("walk %d differs" % i)
     # extending never rewrites: generate in two block patterns
     wc = WalkStore(g, a)
-    pid = a.planted_pid
-    first = wa.prefix(pid, 80).copy()
+    first = wa.prefix(a.planted, 80).copy()
     for step in (3, 17, 48, 80):
-        part = wc.prefix(pid, step)
+        part = wc.prefix(a.planted, step)
         if not np.array_equal(part, first[:step + 1]):
             bad.append("prefix changed at %d" % step)
     return _result("reproducibility", not bad, ";".join(bad) or "ok")
@@ -719,7 +706,7 @@ def check_lambda0_collapse():
         walks = WalkStore(g, init)
         tau = susceptibility(g, init, walks)
         # oracle: first t with |{X_0..X_t}| = |V| along the planted walk
-        w = walks.prefix(init.planted_pid, tau + 8)
+        w = walks.prefix(init.planted, tau + 8)
         seen = set()
         first_cover = None
         for t, v in enumerate(w):

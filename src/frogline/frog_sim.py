@@ -55,6 +55,14 @@ def _cap_error(step_cap, count, V):
         fraction_covered=count / V, bracket=(step_cap + 1, None))
 
 
+def _wake_on(path, at, t):
+    """Wake, at tick t, the still sleeping vertices that `path` visits;
+    returns them."""
+    hit = np.unique(path[at[path] == NEVER])
+    at[hit] = t
+    return hit
+
+
 def _wake_clock(g, init, walks, step_cap, tau=None):
     """Per-vertex wake tick, NEVER where a vertex never wakes.
 
@@ -71,7 +79,8 @@ def _wake_clock(g, init, walks, step_cap, tau=None):
     at = np.full(V, NEVER, dtype=np.int64)
     at[init.origin] = 0
     count = 1
-    pos, keys = init.walks_at([init.origin])
+    cols = init.columns([init.origin])
+    pos, keys = init.home[cols], init.keys[cols]
     age = np.zeros(len(pos), dtype=np.int64)  # steps taken by each particle
     t = 0
     while count < V:
@@ -85,30 +94,20 @@ def _wake_clock(g, init, walks, step_cap, tau=None):
             raise _cap_error(step_cap, count, V)
         pos = walks.advance(pos, keys, age, 1)[:, 0]
         age += 1
-        fresh = np.unique(pos[at[pos] == NEVER])
+        fresh = _wake_on(pos, at, t)
         if fresh.size:
-            at[fresh] = t
             count += fresh.size
-            new_pos, new_keys = init.walks_at(fresh)
-            pos = np.concatenate((pos, new_pos.astype(pos.dtype)))
-            keys = np.concatenate((keys, new_keys))
-            age = np.concatenate((age, np.zeros(len(new_pos), dtype=np.int64)))
+            cols = init.columns(fresh)
+            pos = np.concatenate((pos, init.home[cols]))
+            keys = np.concatenate((keys, init.keys[cols]))
+            age = np.concatenate((age, np.zeros(len(cols), dtype=np.int64)))
     return at
-
-
-def _wake_on(path, at, t):
-    """Wake, at tick t, the still sleeping vertices that `path` visits;
-    returns them."""
-    hit = np.unique(path[at[path] == NEVER])
-    at[hit] = t
-    return hit
 
 
 class _Prefix:
     """Steps 1..h of every particle of a configuration, walked in lockstep
     into a step-major block: row j - 1 holds every particle's position
-    after step j. Column c is particle c of init.walks_at(all vertices):
-    the marks in vertex order, then the planted particle.
+    after step j, column i is particle i of the table `init`.
 
     h starts at PREFIX_START and doubles each time the clock passes it, up
     to hmax = PREFIX_CELLS // (particle count) (and the step cap). The
@@ -118,12 +117,8 @@ class _Prefix:
     """
 
     def __init__(self, g, init, walks, step_cap):
-        self.g, self.walks = g, walks
-        home, self.keys = init.walks_at(np.arange(g.vertex_count))
-        self.home = home.astype(g.index_dtype)
-        self.mark_counts = init.mark_counts
-        self.first = np.cumsum(self.mark_counts) - self.mark_counts
-        n = len(self.keys)
+        self.g, self.init, self.walks = g, init, walks
+        n = init.particle_count()
         # complete graphs and cycles get no prefix: generate_steps already
         # replays their batches with one cumulative sum per block, and a
         # prefix there measured slower
@@ -134,12 +129,6 @@ class _Prefix:
     def h(self):
         return len(self.block)
 
-    def columns(self, vs):
-        """Columns of the mark particles living at the distinct vertices vs."""
-        counts = self.mark_counts[vs]
-        first = self.first[vs] - counts.cumsum() + counts
-        return first.repeat(counts) + np.arange(counts.sum())
-
     def row(self, t, cols):
         """Positions after step t <= hmax of particles `cols`, counted as
         steps taken; the block grows when t passes h."""
@@ -148,16 +137,20 @@ class _Prefix:
         self.walks.steps_generated += len(cols)
         return self.block[t - 1, cols]
 
+    def after(self, t, cols):
+        """Positions after step t <= h of particles `cols`, not counted."""
+        return self.block[t - 1, cols] if t else self.init.home[cols]
+
     def _grow(self):
-        h, n = self.h, len(self.keys)
+        h, n = self.h, self.block.shape[1]
         new_h = min(max(2 * h, PREFIX_START), self.hmax)
         block = np.empty((new_h, n), dtype=self.block.dtype)
         block[:h] = self.block
         rows = max(1, SCAN_BLOCK_CELLS // n)
         for lo in range(h, new_h, rows):
             hi = min(lo + rows, new_h)
-            start = block[lo - 1] if lo else self.home
-            block[lo:hi] = generate_steps(self.g, start, self.keys, lo,
+            start = block[lo - 1] if lo else self.init.home
+            block[lo:hi] = generate_steps(self.g, start, self.init.keys, lo,
                                           hi - lo).T
         self.block = block
 
@@ -165,7 +158,7 @@ class _Prefix:
         """Walk particles `cols` through steps 1..t and wake, at tick t, what
         they reach: steps 1..min(t, h) are read from the block, the rest
         generated. Returns the woken vertices and the particles' positions
-        and keys after step t."""
+        after step t."""
         woken = []
         h = min(t, self.h)
         span = max(1, SCAN_BLOCK_CELLS // len(cols))
@@ -173,13 +166,13 @@ class _Prefix:
             woken.append(_wake_on(self.block[lo:min(lo + span, h), cols],
                                   at, t))
         self.walks.steps_generated += h * len(cols)
-        pos = self.block[h - 1, cols] if h else self.home[cols]
-        keys = self.keys[cols]
+        pos = self.after(h, cols)
+        keys = self.init.keys[cols]
         for done in range(h, t, span):
             path = self.walks.advance(pos, keys, done, min(span, t - done))
             woken.append(_wake_on(path, at, t))
             pos = path[:, -1]
-        return np.concatenate(woken), pos, keys
+        return np.concatenate(woken), pos
 
 
 def run_activation(g, init, walks, tau):
@@ -202,9 +195,9 @@ def susceptibility(g, init, walks, step_cap=DEFAULT_STEP_CAP):
     1..t, so the particles of a vertex woken at t first replay steps 1..t,
     and what they reach wakes at the same t. The awake set at clock t is
     then the set that lifetime t covers (reachability over first-visit
-    steps <= t), so the last wake tick is the susceptibility. Ticks up to
-    the prefix width h read the awake particles' positions from the
-    pre-walked block (_Prefix); past it the clock steps them itself.
+    steps <= t), so the last wake tick is the susceptibility. A tick
+    t <= hmax reads the awake particles' positions from row t of the
+    pre-walked block (_Prefix); a later tick steps them itself.
     `walks.steps_generated` counts the steps the particles take, not the
     block's look-ahead.
 
@@ -217,45 +210,41 @@ def susceptibility(g, init, walks, step_cap=DEFAULT_STEP_CAP):
     at[init.origin] = 0
     count = 1
     prefix = _Prefix(g, init, walks, step_cap)
-
-    def wake(pos, t):
-        # wake what `pos` reaches, then what the woken particles' replays
-        # reach; returns (columns, positions, keys) of each woken batch
-        nonlocal count
-        fresh = np.unique(pos[at[pos] == NEVER])
-        woken = []
-        while fresh.size:
-            at[fresh] = t
-            count += fresh.size
-            if count == V:
-                break
-            cols = prefix.columns(fresh)
-            if not len(cols):
-                break
-            fresh, new_pos, new_keys = prefix.replay(cols, t, at)
-            woken.append((cols, new_pos, new_keys))
-        return woken
-
-    # the awake particles: the origin's marks and the planted particle
-    cols = np.append(prefix.columns([init.origin]), len(prefix.keys) - 1)
+    # the awake particles, the origin's to begin with: their columns while
+    # the ticks read the prefix, then their positions and keys
+    cols = init.columns([init.origin])
     t = 0
-    while count < V and t < prefix.hmax:
-        t += 1
-        woken = wake(prefix.row(t, cols), t)
-        if woken:
-            cols = np.concatenate([cols] + [c for c, _, _ in woken])
-    pos = prefix.block[t - 1, cols] if t else prefix.home[cols]
-    keys = prefix.keys[cols]
     while count < V:
         t += 1
         if t > step_cap:
             raise _cap_error(step_cap, count, V)
-        pos = walks.advance(pos, keys, t - 1, 1)[:, 0]
-        woken = wake(pos, t)
-        if woken:
-            _, new_pos, new_keys = zip(*woken)
-            pos = np.concatenate((pos,) + new_pos)
-            keys = np.concatenate((keys,) + new_keys)
+        if t <= prefix.hmax:
+            pos = prefix.row(t, cols)
+        else:
+            if cols is not None:  # the first tick past the prefix
+                pos, keys = prefix.after(t - 1, cols), init.keys[cols]
+                cols = None
+            pos = walks.advance(pos, keys, t - 1, 1)[:, 0]
+        # wake what the tick reaches, then what the woken particles' replays
+        # reach; the woken batches join the awake set once, after the tick
+        fresh = _wake_on(pos, at, t)
+        woken = []
+        while fresh.size:
+            count += fresh.size
+            new = init.columns(fresh)
+            if count == V or not len(new):
+                break
+            fresh, new_pos = prefix.replay(new, t, at)
+            woken.append((new, new_pos))
+        if not woken:
+            continue
+        woken_cols, woken_pos = zip(*woken)
+        if cols is not None:
+            cols = np.concatenate((cols,) + woken_cols)
+        else:
+            pos = np.concatenate((pos,) + woken_pos)
+            keys = np.concatenate((keys,
+                                   init.keys[np.concatenate(woken_cols)]))
     return int(at.max())
 
 

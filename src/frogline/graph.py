@@ -106,9 +106,6 @@ class GraphHandle:
     def neighbors(self, v):
         raise NotImplementedError
 
-    def distance(self, u, v):
-        raise NotImplementedError
-
     def degrees_array(self, vs):
         """Vectorized degree lookup."""
         raise NotImplementedError
@@ -162,15 +159,6 @@ class TreeGraph(GraphHandle):
     def leaves(self):
         return np.arange(self.first_leaf, self.vertex_count, dtype=np.int64)
 
-    def nav(self, v):
-        return {
-            "parent": self.parent(v),
-            "children": self.children(v),
-            "level": self.level(v),
-            "coheight": self.coheight(v),
-            "is_leaf": self.is_leaf(v),
-        }
-
     def degree(self, v):
         self.check_vertex(v)
         if v == 0:
@@ -199,10 +187,6 @@ class TreeGraph(GraphHandle):
             x = (x - 1) // self.d
             y = (y - 1) // self.d
         return x
-
-    def distance(self, u, v):
-        m = self.meet(u, v)
-        return self.level(u) + self.level(v) - 2 * self.level(m)
 
     def levels_array(self, vs):
         vs = np.asarray(vs, dtype=np.int64)
@@ -256,11 +240,6 @@ class CompleteGraph(GraphHandle):
         self.check_vertex(v)
         return [u for u in range(self.vertex_count) if u != v]
 
-    def distance(self, u, v):
-        self.check_vertex(u)
-        self.check_vertex(v)
-        return 0 if u == v else 1
-
     def degrees_array(self, vs):
         vs = np.asarray(vs, dtype=np.int64)
         return np.full(vs.shape, self.vertex_count - 1, dtype=np.int64)
@@ -281,12 +260,6 @@ class CycleGraph(GraphHandle):
         self.check_vertex(v)
         n = self.vertex_count
         return sorted({(v - 1) % n, (v + 1) % n})
-
-    def distance(self, u, v):
-        self.check_vertex(u)
-        self.check_vertex(v)
-        k = abs(u - v)
-        return min(k, self.vertex_count - k)
 
     def degrees_array(self, vs):
         vs = np.asarray(vs, dtype=np.int64)

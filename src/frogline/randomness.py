@@ -25,8 +25,8 @@ lambda'-particles, and each particle keeps the same walk key (hashed from
 (seed, vertex, mark rank), or (seed, origin) for the planted particle,
 never from lambda), so susceptibility and cover time are pointwise
 monotone in lambda on shared seeds. The keys are hashed once per
-configuration, for every mark up to lambda_max, and every lambda view
-shares them.
+configuration, for every mark up to lambda_max, into the lambda_max
+particle table, and every lambda view (`FrogInit`) is that table filtered.
 
 Asking for lambda > lambda_max raises instead of resampling; a silent
 resample would break the coupling.
@@ -120,65 +120,40 @@ def step_uniforms(keys, offsets, nsteps):
 
 @dataclass
 class FrogInit:
-    """One realized initial configuration at density `lam`.
+    """One realized configuration at density `lam`, as a particle table.
 
-    counts[v] includes the planted particle at the origin. The mark arrays
-    describe the full coupling measure up to lam_max and are shared by any
-    re-view at a smaller lambda.
+    Particles are numbered vertex by vertex: the particles at vertex v are
+    first[v] .. first[v] + counts[v] - 1, and particle i starts at home[i]
+    with walk key keys[i]. The planted particle is the last particle at the
+    origin. Every lambda view of one configuration filters the same lam_max
+    table, kept in `coupling`.
     """
 
     g: object
     lam: float
     lam_max: float
     origin: int
-    seed: int
     counts: np.ndarray
-    mark_counts: np.ndarray
-    marks_flat: np.ndarray = field(repr=False)
-    marks_vertex: np.ndarray = field(repr=False)
-    marks_indptr: np.ndarray = field(repr=False)
-    # walk key of every particle id: the marks', then the planted particle's
-    pid_keys: np.ndarray = field(repr=False)
+    first: np.ndarray = field(repr=False)
+    home: np.ndarray = field(repr=False)
+    keys: np.ndarray = field(repr=False)
+    # (home, keys, mark position) of every particle of the lam_max view; the
+    # planted particle's position is 0, so every view keeps it
+    coupling: tuple = field(repr=False)
 
     @property
-    def planted_pid(self):
-        return len(self.marks_flat)
+    def planted(self):
+        return int(self.first[self.origin] + self.counts[self.origin] - 1)
 
     def particle_count(self):
-        return int(self.counts.sum())
+        return len(self.keys)
 
-    def pids_at(self, v):
-        """Particle ids living at vertex v under the current lambda."""
-        base = int(self.marks_indptr[v])
-        out = list(range(base, base + int(self.mark_counts[v])))
-        if v == self.origin:
-            out.append(self.planted_pid)
-        return out
-
-    def start_vertex(self, pid):
-        if pid == self.planted_pid:
-            return self.origin
-        return int(self.marks_vertex[pid])
-
-    def particle_keys(self, pids):
-        """Walk keys of particles `pids`, hashed from (vertex, rank within
-        the vertex's sorted marks): a particle keeps its walk across
-        different lambda views of the same seed."""
-        return self.pid_keys[np.asarray(pids, dtype=np.int64)]
-
-    def walks_at(self, vs):
-        """(start vertices, walk keys) of every particle living at the
-        distinct vertices `vs` under the current lambda."""
-        vs = np.asarray(vs, dtype=np.int64)
-        counts = self.mark_counts[vs]
-        # vertex j contributes pids indptr[v_j] .. indptr[v_j] + counts[j] - 1
-        first = self.marks_indptr[vs] - counts.cumsum() + counts
-        pids = first.repeat(counts) + np.arange(counts.sum())
-        starts = vs.repeat(counts)
-        if (vs == self.origin).any():
-            pids = np.append(pids, self.planted_pid)
-            starts = np.append(starts, self.origin)
-        return starts, self.particle_keys(pids)
+    def columns(self, vs):
+        """Particles living at the distinct vertices `vs`, vertex by vertex."""
+        counts = self.counts[vs]
+        # vertex j contributes first[v_j] .. first[v_j] + counts[j] - 1
+        first = self.first[vs] - counts.cumsum() + counts
+        return first.repeat(counts) + np.arange(counts.sum())
 
     def at_lambda(self, lam):
         """Re-view the same realization at a different density <= lam_max."""
@@ -187,14 +162,18 @@ class FrogInit:
             raise ParameterError(
                 "lambda %r exceeds lambda_max %r; resampling would break the "
                 "coupling" % (lam, self.lam_max))
-        mark_counts = np.bincount(
-            self.marks_vertex[self.marks_flat <= lam],
-            minlength=self.g.vertex_count).astype(np.int64)
-        counts = mark_counts.copy()
-        counts[self.origin] += 1
-        return FrogInit(self.g, lam, self.lam_max, self.origin, self.seed,
-                        counts, mark_counts, self.marks_flat,
-                        self.marks_vertex, self.marks_indptr, self.pid_keys)
+        return _view(self.g, lam, self.lam_max, self.origin, self.coupling)
+
+
+def _view(g, lam, lam_max, origin, coupling):
+    """The table of the particles of `coupling` whose marks are <= lam."""
+    home, keys, marks = coupling
+    keep = marks <= lam
+    if not keep.all():  # a view keeping everything shares the arrays
+        home, keys = home[keep], keys[keep]
+    counts = np.bincount(home, minlength=g.vertex_count)
+    return FrogInit(g, lam, lam_max, origin, counts, counts.cumsum() - counts,
+                    home, keys, coupling)
 
 
 def _check_lambda(name, lam):
@@ -222,33 +201,33 @@ def init_config(g, lam, origin, seed, lam_max=None):
     if lam > lam_max:
         raise ParameterError("lambda %r exceeds lambda_max %r" % (lam, lam_max))
     g.check_vertex(origin)
-    V = g.vertex_count
-    need = config_bytes(V, lam_max)
+    need = config_bytes(g.vertex_count, lam_max)
     if need > CONFIG_BYTE_LIMIT:
         raise BudgetExceededError(
             "a configuration on %s at lambda_max %r needs about %.3g bytes, "
             "over the limit of %d" % (g.label(), lam_max, need,
                                       CONFIG_BYTE_LIMIT))
+    return _view(g, lam, lam_max, origin, _coupling(g, origin, seed, lam_max))
+
+
+def _coupling(g, origin, seed, lam_max):
+    """The lam_max particle table as (home, keys, mark positions); its
+    sampling temporaries are freed on return, before any view is taken."""
     rng = _generator(seed, (_NS_CONFIG,))
-    per_vertex = rng.poisson(lam_max, size=V).astype(np.int64)
+    per_vertex = rng.poisson(lam_max, size=g.vertex_count).astype(np.int64)
     total = int(per_vertex.sum())
     positions = rng.random(total) * lam_max
-    vertex = np.repeat(np.arange(V, dtype=np.int64), per_vertex)
-    order = np.lexsort((positions, vertex))
-    marks_flat = positions[order]
-    marks_vertex = vertex  # already vertex-sorted; lexsort only reorders within
-    indptr = np.zeros(V + 1, dtype=np.int64)
-    np.cumsum(per_vertex, out=indptr[1:])
-    rank = np.arange(total, dtype=np.int64) - indptr[marks_vertex]
-    init = FrogInit(g, lam_max, lam_max, origin, seed,
-                    counts=np.zeros(V, dtype=np.int64),
-                    mark_counts=per_vertex,
-                    marks_flat=marks_flat, marks_vertex=marks_vertex,
-                    marks_indptr=indptr,
-                    pid_keys=np.append(
-                        _walk_keys(seed, _NS_MARK_WALK, marks_vertex, rank),
-                        _walk_keys(seed, _NS_PLANT_WALK, origin)))
-    return init.at_lambda(lam)
+    vertex = np.repeat(np.arange(g.vertex_count, dtype=np.int64), per_vertex)
+    # vertex is already sorted; lexsort only orders the marks within a vertex
+    marks = positions[np.lexsort((positions, vertex))]
+    first = np.cumsum(per_vertex) - per_vertex
+    # a mark's key is hashed from (vertex, rank among the vertex's marks)
+    keys = _walk_keys(seed, _NS_MARK_WALK, vertex,
+                      np.arange(total, dtype=np.int64) - first[vertex])
+    plant = int(first[origin] + per_vertex[origin])
+    return (np.insert(vertex.astype(g.index_dtype), plant, origin),
+            np.insert(keys, plant, _walk_keys(seed, _NS_PLANT_WALK, origin)),
+            np.insert(marks, plant, 0.0))
 
 
 def generate_steps(g, starts, keys, offsets, nsteps):
@@ -288,12 +267,12 @@ class WalkStore:
     """The particles' keyed walks of one configuration.
 
     A walk is a pure function of its key and step count, so nothing is
-    cached: the engines call `advance` for whole batches, and prefix(pid, t)
-    regenerates positions 0..t of particle pid's walk (index 0 is its start
-    vertex). `steps_generated` counts the steps the particles take: every
-    step generated through `advance`, and every step the susceptibility
-    clock reads from its pre-walked prefix (frog_sim._Prefix), whose
-    look-ahead is not counted.
+    cached: the engines call `advance` for whole batches, and prefix(i, t)
+    regenerates positions 0..t of particle i's walk (index 0 is its home).
+    `steps_generated` counts the steps the particles take: every step
+    generated through `advance`, and every step the susceptibility clock
+    reads from its pre-walked prefix (frog_sim._Prefix), whose look-ahead is
+    not counted.
     """
 
     def __init__(self, g, init):
@@ -307,8 +286,7 @@ class WalkStore:
         self.steps_generated += block.size
         return block
 
-    def prefix(self, pid, nsteps):
-        start = self.init.start_vertex(pid)
-        steps = self.advance([start], self.init.particle_keys([pid]), 0,
-                             nsteps)[0]
-        return np.concatenate(([start], steps)).astype(self.g.index_dtype)
+    def prefix(self, i, nsteps):
+        home = self.init.home[i:i + 1]
+        steps = self.advance(home, self.init.keys[i:i + 1], 0, nsteps)[0]
+        return np.concatenate((home, steps))

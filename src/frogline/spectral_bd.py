@@ -34,6 +34,15 @@ class BirthDeathChain:
     down: np.ndarray
 
 
+def reversible_weights(chain):
+    """Unnormalized reversible measure: w_0 = 1, w_{i+1} = w_i up_i / down_{i+1}."""
+    n = chain.n
+    w = np.ones(n + 1)
+    for i in range(n):
+        w[i + 1] = w[i] * chain.up[i] / chain.down[i + 1]
+    return w
+
+
 def _validate_chain(chain):
     n = chain.n
     up = np.asarray(chain.up, dtype=float)
@@ -208,11 +217,9 @@ def half_e2_t0(chain):
 
     Equals E_2[T_0]/2; the smallest eigenvalue obeys 1/gamma_1 >= this.
     """
-    n, up, down = _validate_chain(chain)
+    n, _, down = _validate_chain(chain)
     if n < 2:
         raise ParameterError("needs n >= 2")
-    w = np.ones(n + 1)
-    for i in range(n):
-        w[i + 1] = w[i] * up[i] / down[i + 1]
+    w = reversible_weights(chain)
     evens = np.arange(2, n + 1, 2)
     return float(w[evens].sum() / (w[2] * down[2] * down[1]))

@@ -20,6 +20,7 @@ import numpy as np
 from .errors import BudgetExceededError, FamilyError, ParameterError
 from .graph import COMPLETE, CYCLE, TREE
 from .randomness import CONFIG_BYTE_LIMIT
+from .spectral_bd import BirthDeathChain, reversible_weights
 
 # float64 arrays live at the peak of each computation, rounded up from
 # tracemalloc peaks on trees of depth 6-12: a transition power holds about 5
@@ -28,21 +29,8 @@ TRANSITION_VECTORS = 6
 MIXING_MATRICES = 4
 
 
-@dataclass
-class LevelChain:
-    """Birth-death projection of tree SRW onto depth levels {0..n}.
-
-    up[i] = Q(i, i+1) for 0 <= i < n; down[i] = Q(i, i-1) for 0 < i <= n;
-    the unused slots (up[n], down[0]) are zero. No holding anywhere.
-    """
-
-    d: int
-    n: int
-    up: np.ndarray
-    down: np.ndarray
-
-
 def level_chain(d, n):
+    """Birth-death projection of tree SRW onto depth levels {0..n}."""
     if d < 2 or n < 1:
         raise ParameterError("level chain needs d >= 2, n >= 1")
     up = np.zeros(n + 1)
@@ -51,16 +39,7 @@ def level_chain(d, n):
     down[n] = 1.0
     up[1:n] = d / (d + 1)
     down[1:n] = 1 / (d + 1)
-    return LevelChain(d=d, n=n, up=up, down=down)
-
-
-def reversible_weights(chain):
-    """Unnormalized reversible measure: w_0 = 1, w_{i+1} = w_i up_i / down_{i+1}."""
-    n = chain.n
-    w = np.ones(n + 1)
-    for i in range(n):
-        w[i + 1] = w[i] * chain.up[i] / chain.down[i + 1]
-    return w
+    return BirthDeathChain(n=n, up=up, down=down)
 
 
 def stationary_levels(chain):
@@ -265,14 +244,12 @@ def lower_bound_quantities(g, lam, delta, t_max, targets=None):
 def select_spread_set(A, t, s, green):
     """Greedy deletion: keep a target, drop everything Green-close to it.
 
-    green is e_{a,b}(t) for the pairs of A, either a 2D matrix aligned with
-    A's order or the 3D cumulative array from lower_bound_quantities.
+    green is the matrix e_{a,b}(t) for the pairs of A, aligned with A's
+    order (lower_bound_quantities(...).green[:, :, t]).
     Guarantees |B| >= |A| / (1 + s t^2) and pairwise e_{a,b}(t) < 1/(st).
     """
     A = list(A)
     green = np.asarray(green)
-    if green.ndim == 3:
-        green = green[:, :, t]
     if green.shape != (len(A), len(A)):
         raise ParameterError("green matrix shape %r does not match |A|=%d" %
                              (green.shape, len(A)))

@@ -44,10 +44,10 @@ def covered_under(g, init, walks, tau):
     visited[init.origin] = True
     frontier = [init.origin]
     while tau > 0 and len(frontier):
-        pos, keys = init.walks_at(frontier)
-        if not len(pos):
+        cols = init.columns(frontier)
+        if not len(cols):
             break  # nobody lives on the last vertices woken
-        path = walks.advance(pos, keys, 0, tau)
+        path = walks.advance(init.home[cols], init.keys[cols], 0, tau)
         frontier = np.unique(path[~visited[path]])
         visited[frontier] = True
     return bool(visited.all())

@@ -213,7 +213,7 @@ def test_09_lower_bound_toolkit():
         g = build_graph(parse_descriptor(text))
         q = lower_bound_quantities(g, 1.0, 0.0, t)
         A = list(q.targets)
-        B = select_spread_set(A, t, s, q.green)
+        B = select_spread_set(A, t, s, q.green[:, :, t])
         assert len(B) * (1 + s * t * t) >= len(A)
         idx = {a: i for i, a in enumerate(A)}
         for x in B:

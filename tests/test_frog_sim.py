@@ -70,7 +70,7 @@ def test_susceptibility_lambda_zero_is_walk_cover_time():
         init = init_config(g, 0.0, 0, seed)
         walks = WalkStore(g, init)
         tau = susceptibility(g, init, walks)
-        w = walks.prefix(init.planted_pid, tau)
+        w = walks.prefix(init.planted, tau)
         assert len(np.unique(w)) == g.vertex_count
         assert len(np.unique(w[:-1])) == g.vertex_count - 1
 
@@ -183,3 +183,72 @@ def test_susceptibility_across_the_prefix_boundary(text, lam, monkeypatch):
             assert 0 < first[1][1] < 1
         for other in rest:
             assert other == first, (text, lam, seed, runs)
+
+
+# (graph, lambda, origin, seed, S, its steps_simulated, CT, its
+# steps_simulated) at lambda_max 2. The oracles above read the same particle
+# table as the engines, so a table that gave a particle the wrong home or
+# key would pass them; these values were recorded before the table was one
+# structure, and pin the realized numbers themselves.
+PINNED = [
+    ('tree:d=2,n=5', 0.5, 0, 0, 38, 1330, 65, 1320),
+    ('tree:d=2,n=5', 0.5, 0, 1, 78, 2340, 101, 2117),
+    ('tree:d=2,n=5', 0.5, 62, 0, 38, 1330, 74, 1849),
+    ('tree:d=2,n=5', 0.5, 62, 1, 78, 2340, 82, 1922),
+    ('tree:d=2,n=5', 1.0, 0, 0, 13, 988, 25, 1033),
+    ('tree:d=2,n=5', 1.0, 0, 1, 22, 1298, 43, 1701),
+    ('tree:d=2,n=5', 1.0, 62, 0, 13, 988, 26, 878),
+    ('tree:d=2,n=5', 1.0, 62, 1, 22, 1298, 38, 1374),
+    ('tree:d=2,n=5', 2.0, 0, 0, 8, 1080, 13, 757),
+    ('tree:d=2,n=5', 2.0, 0, 1, 9, 1080, 21, 1852),
+    ('tree:d=2,n=5', 2.0, 62, 0, 8, 1080, 22, 1172),
+    ('tree:d=2,n=5', 2.0, 62, 1, 9, 1080, 20, 1219),
+    ('tree:d=2,n=8', 0.5, 0, 0, 116, 30972, 182, 28390),
+    ('tree:d=2,n=8', 0.5, 0, 1, 85, 22440, 120, 20569),
+    ('tree:d=2,n=8', 0.5, 510, 0, 116, 30972, 274, 38232),
+    ('tree:d=2,n=8', 0.5, 510, 1, 80, 21120, 148, 22207),
+    ('tree:d=2,n=8', 1.0, 0, 0, 33, 17358, 56, 16818),
+    ('tree:d=2,n=8', 1.0, 0, 1, 34, 17578, 64, 21077),
+    ('tree:d=2,n=8', 1.0, 510, 0, 33, 17358, 86, 23410),
+    ('tree:d=2,n=8', 1.0, 510, 1, 34, 17578, 88, 22339),
+    ('tree:d=2,n=8', 2.0, 0, 0, 12, 12468, 32, 19321),
+    ('tree:d=2,n=8', 2.0, 0, 1, 23, 24311, 44, 32300),
+    ('tree:d=2,n=8', 2.0, 510, 0, 12, 12468, 44, 23183),
+    ('tree:d=2,n=8', 2.0, 510, 1, 23, 24311, 48, 28922),
+    ('cycle:n=9', 0.5, 0, 0, 5, 35, 6, 25),
+    ('cycle:n=9', 0.5, 0, 1, 5, 25, 12, 29),
+    ('cycle:n=9', 0.5, 8, 0, 5, 35, 7, 38),
+    ('cycle:n=9', 0.5, 8, 1, 3, 15, 8, 26),
+    ('cycle:n=9', 1.0, 0, 0, 5, 40, 6, 26),
+    ('cycle:n=9', 1.0, 0, 1, 5, 40, 11, 46),
+    ('cycle:n=9', 1.0, 8, 0, 5, 40, 7, 39),
+    ('cycle:n=9', 1.0, 8, 1, 3, 21, 5, 19),
+    ('cycle:n=9', 2.0, 0, 0, 2, 28, 5, 37),
+    ('cycle:n=9', 2.0, 0, 1, 2, 30, 4, 37),
+    ('cycle:n=9', 2.0, 8, 0, 2, 30, 4, 34),
+    ('cycle:n=9', 2.0, 8, 1, 2, 40, 4, 32),
+    ('complete:n=100', 0.5, 0, 0, 8, 416, 22, 448),
+    ('complete:n=100', 0.5, 0, 1, 13, 624, 19, 509),
+    ('complete:n=100', 0.5, 99, 0, 8, 416, 19, 414),
+    ('complete:n=100', 0.5, 99, 1, 13, 624, 19, 424),
+    ('complete:n=100', 1.0, 0, 0, 6, 612, 12, 390),
+    ('complete:n=100', 1.0, 0, 1, 5, 510, 11, 545),
+    ('complete:n=100', 1.0, 99, 0, 6, 612, 15, 766),
+    ('complete:n=100', 1.0, 99, 1, 5, 510, 12, 526),
+    ('complete:n=100', 2.0, 0, 0, 3, 633, 7, 583),
+    ('complete:n=100', 2.0, 0, 1, 3, 582, 7, 594),
+    ('complete:n=100', 2.0, 99, 0, 3, 633, 7, 657),
+    ('complete:n=100', 2.0, 99, 1, 3, 582, 6, 528),
+]
+
+
+@pytest.mark.parametrize("row", PINNED, ids=lambda r: "%s-%s-%d-%d" % r[:4])
+def test_pinned_values(row):
+    text, lam, origin, seed = row[:4]
+    g = build_graph(parse_descriptor(text))
+    init = init_config(g, lam, origin, seed, lam_max=2.0)
+    got = []
+    for engine in (susceptibility, cover_time):
+        walks = WalkStore(g, init)
+        got += [engine(g, init, walks), walks.steps_generated]
+    assert tuple(got) == row[4:]

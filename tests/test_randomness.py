@@ -16,10 +16,11 @@ def test_replay_bit_identical():
     a = init_config(g, 1.5, 0, 1234)
     b = init_config(g, 1.5, 0, 1234)
     assert np.array_equal(a.counts, b.counts)
-    assert np.array_equal(a.marks_flat, b.marks_flat)
+    for x, y in zip(a.coupling, b.coupling):
+        assert np.array_equal(x, y)
     wa, wb = WalkStore(g, a), WalkStore(g, b)
-    for pid in range(a.particle_count()):
-        assert np.array_equal(wa.prefix(pid, 64), wb.prefix(pid, 64))
+    for i in range(a.particle_count()):
+        assert np.array_equal(wa.prefix(i, 64), wb.prefix(i, 64))
 
 
 def test_seed_changes_everything():
@@ -27,7 +28,8 @@ def test_seed_changes_everything():
     a = init_config(g, 1.5, 0, 1)
     b = init_config(g, 1.5, 0, 2)
     assert not np.array_equal(a.counts, b.counts) or \
-        not np.array_equal(a.marks_flat, b.marks_flat)
+        not np.array_equal(a.coupling[2], b.coupling[2])
+    assert not np.intersect1d(a.keys, b.keys).size
 
 
 def test_prefix_extension_never_rewrites():
@@ -38,15 +40,15 @@ def test_prefix_extension_never_rewrites():
         g = build_graph(parse_descriptor(text))
         init = init_config(g, lam, 0, 9)
         w1 = WalkStore(g, init)
-        full = w1.prefix(init.planted_pid, 257).copy()
+        full = w1.prefix(init.planted, 257).copy()
         w2 = WalkStore(g, init)
         # request in awkward chunks; values must agree step for step
         for cut in (1, 2, 3, 5, 64, 65, 200, 257):
-            assert np.array_equal(w2.prefix(init.planted_pid, cut),
+            assert np.array_equal(w2.prefix(init.planted, cut),
                                   full[:cut + 1])
         # every particle's walk, generated alone, equals its row in one batch
         # of all particles, and its rows in that batch cut into awkward chunks
-        starts, keys = init.walks_at(np.arange(g.vertex_count))
+        starts, keys = init.home, init.keys
         batch = generate_steps(g, starts, keys, 0, 257)
         chunks, pos, done = [], starts, 0
         for cut in (1, 2, 5, 57, 192):
@@ -54,10 +56,8 @@ def test_prefix_extension_never_rewrites():
             pos, done = chunks[-1][:, -1], done + cut
         assert done == 257
         assert np.array_equal(np.concatenate(chunks, axis=1), batch)
-        row = {int(k): i for i, k in enumerate(keys)}
-        for pid in range(init.particle_count()):
-            alone = WalkStore(g, init).prefix(pid, 257)
-            i = row[int(init.particle_keys([pid])[0])]
+        for i in range(init.particle_count()):
+            alone = WalkStore(g, init).prefix(i, 257)
             assert starts[i] == alone[0]
             assert np.array_equal(batch[i], alone[1:])
 
@@ -104,9 +104,9 @@ def test_walks_are_valid_paths():
         g = build_graph(parse_descriptor(text))
         init = init_config(g, 2.0, 0, 5)
         walks = WalkStore(g, init)
-        for pid in range(init.particle_count()):
-            w = walks.prefix(pid, 40)
-            assert w[0] == init.start_vertex(pid)
+        for i in range(init.particle_count()):
+            w = walks.prefix(i, 40)
+            assert w[0] == init.home[i]
             for t in range(40):
                 assert int(w[t + 1]) in g.neighbors(int(w[t]))
 
@@ -116,8 +116,8 @@ def test_lambda_zero_just_the_plant():
     init = init_config(g, 0.0, 3, 77)
     assert init.particle_count() == 1
     assert init.counts.sum() == 1
-    assert init.start_vertex(init.planted_pid) == 3
-    assert list(init.pids_at(3)) == [init.planted_pid]
+    assert init.home[init.planted] == 3
+    assert list(init.columns([3])) == [init.planted]
 
 
 def test_coupling_prefix_property():
@@ -127,13 +127,43 @@ def test_coupling_prefix_property():
     hi = base.at_lambda(2.5)
     assert np.all(lo.counts <= hi.counts)
     assert np.all(hi.counts <= base.counts)
-    # a particle kept at lower lambda keeps its walk, not just its count
-    wa, wb = WalkStore(g, lo), WalkStore(g, base)
-    for v in range(g.vertex_count):
-        for pid in lo.pids_at(v):
-            if pid == lo.planted_pid:
-                continue
-            assert np.array_equal(wa.prefix(pid, 32), wb.prefix(pid, 32))
+    # a particle kept at lower lambda keeps its walk, not just its count: at
+    # every vertex the lower view's marks are the first of the higher view's
+    for small, big in ((lo, hi), (hi, base)):
+        for v in range(g.vertex_count):
+            a, b = small.keys[small.columns([v])], big.keys[big.columns([v])]
+            if v == base.origin:
+                assert a[-1] == b[-1]  # the planted particle
+                a, b = a[:-1], b[:-1]
+            assert np.array_equal(a, b[:len(a)])
+
+
+@pytest.mark.parametrize("text", ["tree:d=2,n=5", "cycle:n=9",
+                                  "complete:n=100"])
+def test_particle_table_invariants(text):
+    g = build_graph(parse_descriptor(text))
+    V = g.vertex_count
+    for origin in (0, V - 1):
+        for seed in (0, 1):
+            base = init_config(g, 2.0, origin, seed)
+            for lam in (0.0, 0.5, 1.0, 2.0):
+                init = base.at_lambda(lam)
+                n = init.particle_count()
+                assert init.counts.sum() == n == len(init.home)
+                assert np.array_equal(init.first,
+                                      np.cumsum(init.counts) - init.counts)
+                assert np.array_equal(init.home,
+                                      np.repeat(np.arange(V), init.counts))
+                # the planted particle is last at the origin, with the
+                # plant key; every mark's key is hashed from (vertex, rank)
+                assert init.planted == init.columns([origin])[-1]
+                assert init.keys[init.planted] == randomness._walk_keys(
+                    seed, randomness._NS_PLANT_WALK, origin)[0]
+                mark = np.arange(n) != init.planted
+                rank = np.arange(n) - init.first[init.home]
+                assert np.array_equal(init.keys[mark], randomness._walk_keys(
+                    seed, randomness._NS_MARK_WALK, init.home[mark],
+                    rank[mark]))
 
 
 def test_lambda_above_max_rejected():

@@ -166,7 +166,7 @@ def test_green_matrix_and_spread_set_bounds():
     assert A == [int(v) for v in g.leaves()]
     idx = {a: i for i, a in enumerate(A)}
     t, s = 8, 2
-    B = select_spread_set(A, t, s, q.green)
+    B = select_spread_set(A, t, s, q.green[:, :, t])
     assert set(B) <= set(A)
     assert len(B) * (1 + s * t * t) >= len(A)
     for x in B:
@@ -178,7 +178,7 @@ def test_green_matrix_and_spread_set_bounds():
 def test_spread_set_single_survivor():
     g = build_graph(parse_descriptor("complete:n=3"))
     q = lower_bound_quantities(g, 1.0, 0.0, 1)
-    assert select_spread_set(list(q.targets), 1, 4, q.green) == [0]
+    assert select_spread_set(list(q.targets), 1, 4, q.green[:, :, 1]) == [0]
 
 
 def test_m_A_is_min_diagonal_green():
