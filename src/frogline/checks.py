@@ -64,17 +64,6 @@ def ruin_probability_dp(d, n, i):
     return float(sol[i - 1])
 
 
-def stationary_solve(chain):
-    """Left eigenvector of Q for eigenvalue 1, by linear solve."""
-    Q = chain_matrix(chain)
-    n = Q.shape[0]
-    A = np.vstack([Q.T - np.eye(n), np.ones(n)])
-    b = np.zeros(n + 1)
-    b[-1] = 1.0
-    sol, *_ = np.linalg.lstsq(A, b, rcond=None)
-    return sol
-
-
 def expected_hit_solve(chain):
     """E_n[T_0] by first-step analysis linear solve."""
     Q = chain_matrix(chain)

@@ -24,7 +24,7 @@ def _common_flags(p):
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--budget-steps", type=int, default=DEFAULT_STEP_CAP,
                    help="cap on the clock of susceptibility and cover-time "
-                        "runs")
+                        "runs, and on the steps of a leaf walk")
 
 
 def _float_list(text):

@@ -1,11 +1,10 @@
 """Sweep orchestration: grids, per-trial seeds, estimates, validation suites.
 
-Per-trial seeds are seed_base XOR blake2b(cell key, trial index). The key
-deliberately excludes lambda: trials with the same index share one
-realization across the lambda grid, which is what makes the superposition
-coupling (and the pointwise monotonicity checks) work. All other cell
-coordinates feed the hash, and the mapping is checked for collisions when
-a spec is validated.
+A trial is the unit of work: it samples one configuration at lambda_max and
+runs each lambda cell of the grid on a view of it, so a trial's cells are
+coupled as `randomness` describes. Per-trial seeds are seed_base XOR
+blake2b(graph, origin, metric, trial index), checked for collisions when a
+spec is validated.
 """
 
 import contextlib
@@ -16,7 +15,7 @@ import json
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import ceil, sqrt
 from typing import Optional
 
@@ -73,14 +72,14 @@ class TrialResult:
     lam: Optional[float]
     origin: str
     metric: str
-    value: Optional[int]   # None when the budget ran out
-    steps: int
-    wall_ms: float
+    value: Optional[int] = None   # None when the budget ran out
+    steps: int = 0
+    wall_ms: float = 0.0
     budget_reason: Optional[str] = None  # why the budget ran out
 
 
 def trial_seed(seed_base, graph, origin, metric, trial):
-    """64-bit per-trial seed; lambda excluded so the coupling can share it."""
+    """64-bit seed of one trial, shared by all of its lambda cells."""
     key = "graph=%s|origin=%s|metric=%s|trial=%d" % (graph, origin, metric, trial)
     h = hashlib.blake2b(key.encode(), digest_size=8).digest()
     return (seed_base ^ int.from_bytes(h, "little")) & (2 ** 64 - 1)
@@ -95,90 +94,91 @@ def validate_spec(spec):
         raise ParameterError("unknown metric %r" % (spec.metric,))
     if spec.metric == "leafwalk" and spec.s is None:
         raise ParameterError("leafwalk needs --s")
+    # checked before any sampling: a refused configuration checks no cell
+    bad = [lam for lam in spec.lambdas if not (np.isfinite(lam) and lam >= 0)]
+    if bad and spec.metric != "leafwalk":
+        raise ParameterError("lambda must be finite and >= 0, got %r" % bad[0])
     seen = {}
     for graph in spec.graphs:
         for trial in range(spec.trials):
             key = (graph, spec.origin, spec.metric, trial)
-            seed = trial_seed(spec.seed_base, graph, spec.origin, spec.metric,
-                              trial)
+            seed = trial_seed(spec.seed_base, *key)
             if seed in seen and seen[seed] != key:
                 raise ParameterError(
                     "seed collision between %r and %r" % (seen[seed], key))
             seen[seed] = key
 
 
-def _default_origin(g, metric):
-    if metric == "leafwalk":
-        return "leaf"
-    return "root"
-
-
-def run_trial(graph, metric, lam, lam_max, origin_spec, seed, trial,
-              step_cap=DEFAULT_STEP_CAP, s=None):
-    """One simulation trial; budget overruns come back as value=None, with
-    the error's message (and the fraction covered, for a clock overrun) in
-    budget_reason."""
-    g = build_graph(parse_descriptor(graph))
-    if origin_spec is None:
-        origin_spec = _default_origin(g, metric)
-    origin = resolve_origin(g, origin_spec)
-    start = time.perf_counter()
+def run_trial(spec, cell, g, origin, config, start=None):
+    """One cell of a trial: `cell`, a TrialResult with no outcome yet, filled
+    in by a leaf walk from `origin` or on the view at cell.lam of `config`,
+    the trial's lambda_max configuration. Budget overruns come back as
+    value=None, with the error's message (and the fraction covered, when
+    known) in budget_reason. wall_ms counts from `start` (default: now)."""
+    start = time.perf_counter() if start is None else start
     value = reason = None
     steps = 0
     try:
-        if metric == "leafwalk":
+        if spec.metric == "leafwalk":
             if g.family != TREE:
                 raise ParameterError("leafwalk needs a tree graph")
-            report = run_killed_leaf_walk(g.d, g.n, s, seed, start=origin)
-            value, steps = report.tau_cov, report.tau_cov
+            value = steps = run_killed_leaf_walk(g.d, g.n, spec.s, cell.seed,
+                                                 origin, spec.step_cap).tau_cov
         else:
-            init = init_config(g, lam, origin, seed, lam_max=lam_max)
+            init = config.at_lambda(cell.lam)
             walks = WalkStore(g, init)
-            if metric == "susceptibility":
-                value = susceptibility(g, init, walks, step_cap=step_cap)
-            else:
-                value = cover_time(g, init, walks, step_cap=step_cap)
+            engine = cover_time if spec.metric == "cover" else susceptibility
+            value = engine(g, init, walks, step_cap=spec.step_cap)
             steps = walks.steps_generated
     except BudgetExceededError as exc:
         reason = str(exc)
         if exc.fraction_covered is not None:
             reason += " (fraction covered %.4g)" % exc.fraction_covered
-    wall_ms = (time.perf_counter() - start) * 1000.0
-    return TrialResult(trial=trial, seed=seed, graph=graph, lam=lam,
-                       origin=origin_spec, metric=metric, value=value,
-                       steps=steps, wall_ms=wall_ms, budget_reason=reason)
+    return replace(cell, value=value, steps=steps, budget_reason=reason,
+                   wall_ms=(time.perf_counter() - start) * 1000.0)
 
 
-def _trial_task(args):
-    return run_trial(*args)
-
-
-def _cell_tasks(spec, graph, lam):
-    lam_max = spec.lam_max if spec.lam_max is not None else (
-        max(spec.lambdas) if spec.lambdas else None)
-    tasks = []
-    for trial in range(spec.trials):
-        seed = trial_seed(spec.seed_base, graph, spec.origin, spec.metric,
-                          trial)
-        tasks.append((graph, spec.metric, lam, lam_max, spec.origin, seed,
-                      trial, spec.step_cap, spec.s))
-    return tasks
+def _trial_task(task):
+    """The cells of one (spec, graph, trial index) task, in the order of the
+    lambda grid. The graph, the origin and the lambda_max configuration are
+    built once, and every cell runs on its view of that configuration; the
+    sampling counts in the first cell's wall_ms. A configuration that the
+    byte guard refuses fails every cell, with the reason."""
+    spec, graph, trial = task
+    g = build_graph(parse_descriptor(graph))
+    origin_spec = spec.origin if spec.origin is not None else (
+        "leaf" if spec.metric == "leafwalk" else "root")
+    origin = resolve_origin(g, origin_spec)
+    seed = trial_seed(spec.seed_base, graph, spec.origin, spec.metric, trial)
+    cell = TrialResult(trial=trial, seed=seed, graph=graph, lam=None,
+                       origin=origin_spec, metric=spec.metric)
+    start = time.perf_counter()
+    if spec.metric == "leafwalk":
+        return [run_trial(spec, cell, g, origin, None, start)]
+    lam_max = max(spec.lambdas) if spec.lam_max is None else spec.lam_max
+    try:
+        config = init_config(g, lam_max, origin, seed, lam_max=spec.lam_max)
+    except BudgetExceededError as exc:
+        return [replace(cell, lam=lam, budget_reason=str(exc))
+                for lam in spec.lambdas]
+    return [run_trial(spec, replace(cell, lam=lam), g, origin, config,
+                      None if i else start)
+            for i, lam in enumerate(spec.lambdas)]
 
 
 def run_spec_trials(spec):
-    """All trial results, cell by cell, deterministic order."""
+    """All trial results, cell by cell (graph, then lambda, then trial)."""
     validate_spec(spec)
-    lambdas = spec.lambdas if spec.metric != "leafwalk" else [None]
-    cells = [(graph, lam) for graph in spec.graphs for lam in lambdas]
-    tasks = []
-    for graph, lam in cells:
-        tasks.extend(_cell_tasks(spec, graph, lam))
+    tasks = [(spec, graph, trial) for graph in spec.graphs
+             for trial in range(spec.trials)]
     if spec.jobs > 1:
         with ProcessPoolExecutor(max_workers=spec.jobs) as pool:
-            results = list(pool.map(_trial_task, tasks))
+            trials = list(pool.map(_trial_task, tasks))
     else:
-        results = [_trial_task(t) for t in tasks]
-    return results
+        trials = [_trial_task(t) for t in tasks]
+    # a graph's trials are consecutive; zip regroups them cell by cell
+    return [r for lo in range(0, len(trials), spec.trials)
+            for cell in zip(*trials[lo:lo + spec.trials]) for r in cell]
 
 
 def estimate(samples):

@@ -5,15 +5,18 @@ On restart the walk teleports to a uniform leaf; otherwise it runs the
 embedded tree excursion (up to the parent, SRW until the next leaf visit),
 which realizes the next-leaf-visited kernel without storing a d^n x d^n
 matrix. The starting leaf counts as visited at time 0 and consumes no step.
+A walk that has not covered the leaves after `step_cap` steps raises
+BudgetExceededError with the fraction of leaves it visited.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import BudgetExceededError, ParameterError
+from .frog_sim import DEFAULT_STEP_CAP
 from .graph import GraphDescriptor, TREE, build_graph
-from .randomness import substream
+from .randomness import check_bytes, substream
 
 
 @dataclass
@@ -23,7 +26,7 @@ class LeafWalkReport:
     visits: np.ndarray    # per-leaf visit counts, >= 1 everywhere at the end
 
 
-def run_killed_leaf_walk(d, n, s, seed, start=None):
+def run_killed_leaf_walk(d, n, s, seed, start=None, step_cap=DEFAULT_STEP_CAP):
     """Cover the leaf set; restart probability 1/(2s) per step."""
     if s <= d:
         raise ParameterError("restart parameter must satisfy s > d")
@@ -34,6 +37,8 @@ def run_killed_leaf_walk(d, n, s, seed, start=None):
         start = first_leaf
     if not g.is_leaf(start):
         raise ParameterError("start %r is not a leaf" % (start,))
+    # a visited flag and an int64 visit count per leaf
+    check_bytes("a leaf walk on %s" % g.label(), 9 * nleaves)
 
     rng = substream(seed)
     p_restart = 1.0 / (2.0 * s)
@@ -46,6 +51,10 @@ def run_killed_leaf_walk(d, n, s, seed, start=None):
     t = 0
     restarts = 0
     while count < nleaves:
+        if t == step_cap:
+            raise BudgetExceededError(
+                "leaf walk exceeded step cap %d" % step_cap,
+                fraction_covered=count / nleaves, bracket=(step_cap + 1, None))
         t += 1
         if rng.random() < p_restart:
             restarts += 1

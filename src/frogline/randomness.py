@@ -61,6 +61,16 @@ CONFIG_BYTES_PER_VERTEX = 48
 CONFIG_BYTES_PER_MARK = 72
 CONFIG_BYTE_LIMIT = 2 ** 32
 
+
+def check_bytes(what, need):
+    """Refuse, before anything is allocated, `what` when it is estimated at
+    `need` bytes, more than CONFIG_BYTE_LIMIT. Every size guard calls this."""
+    if need > CONFIG_BYTE_LIMIT:
+        raise BudgetExceededError(
+            "%s needs about %.3g bytes, over the limit of %d"
+            % (what, need, CONFIG_BYTE_LIMIT))
+
+
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
@@ -194,19 +204,16 @@ def init_config(g, lam, origin, seed, lam_max=None):
     Raises BudgetExceededError, before any allocation, when the
     configuration would take more than CONFIG_BYTE_LIMIT bytes.
     """
-    _check_lambda("lambda", lam)
     if lam_max is None:
         lam_max = lam
-    _check_lambda("lambda_max", lam_max)
+    else:
+        _check_lambda("lambda_max", lam_max)
+    _check_lambda("lambda", lam)
     if lam > lam_max:
         raise ParameterError("lambda %r exceeds lambda_max %r" % (lam, lam_max))
     g.check_vertex(origin)
-    need = config_bytes(g.vertex_count, lam_max)
-    if need > CONFIG_BYTE_LIMIT:
-        raise BudgetExceededError(
-            "a configuration on %s at lambda_max %r needs about %.3g bytes, "
-            "over the limit of %d" % (g.label(), lam_max, need,
-                                      CONFIG_BYTE_LIMIT))
+    check_bytes("a configuration on %s at lambda_max %r" % (g.label(), lam_max),
+                config_bytes(g.vertex_count, lam_max))
     return _view(g, lam, lam_max, origin, _coupling(g, origin, seed, lam_max))
 
 

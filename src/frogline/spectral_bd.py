@@ -17,6 +17,7 @@ from math import log
 import numpy as np
 
 from .errors import NumericalConsistencyError, ParameterError
+from .randomness import check_bytes
 
 _TAIL = 1e-16  # per-factor geometric tail kept below this
 
@@ -112,10 +113,14 @@ def hitting_eigenvalues(chain):
     return SpectralDecomposition(gammas=np.sort(gammas))
 
 
-def _geometric_pmf(gamma):
+def _geometric_length(gamma):
+    """Length of the Geometric(gamma) pmf whose dropped tail is below _TAIL."""
     if gamma >= 1.0:
-        return np.array([1.0])
-    length = max(1, int(np.ceil(log(_TAIL) / np.log1p(-gamma))))
+        return 1
+    return max(1, int(np.ceil(log(_TAIL) / np.log1p(-gamma))))
+
+
+def _geometric_pmf(gamma, length):
     k = np.arange(length)
     return gamma * (1.0 - gamma) ** k
 
@@ -132,9 +137,14 @@ def geometric_convolution_law(spec, n_parity):
         odd = n_parity == "odd"
     else:
         odd = int(n_parity) % 2 == 1
+    lengths = [_geometric_length(gamma) for gamma in spec.gammas]
+    # tracemalloc peaks measured 24-25.3 B per unit of summed factor length
+    # (d=2 n=8..16, d=3 n=7 and 10): the longest factor dominates
+    check_bytes("a hitting-time law of %d geometric factors" % len(lengths),
+                32 * sum(lengths))
     conv = np.array([1.0])
-    for gamma in spec.gammas:
-        conv = np.convolve(conv, _geometric_pmf(gamma))
+    for gamma, length in zip(spec.gammas, lengths):
+        conv = np.convolve(conv, _geometric_pmf(gamma, length))
         # trim the far tail so iterated convolutions stay short
         tail = np.cumsum(conv[::-1])[::-1]
         keep = int(np.searchsorted(-tail, -1e-13))

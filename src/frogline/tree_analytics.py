@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import BudgetExceededError, FamilyError, ParameterError
 from .graph import COMPLETE, CYCLE, TREE
-from .randomness import CONFIG_BYTE_LIMIT
+from .randomness import check_bytes
 from .spectral_bd import BirthDeathChain, reversible_weights
 
 # float64 arrays live at the peak of each computation, rounded up from
@@ -116,24 +116,10 @@ def apply_transition_T(g, y):
     return _neighbor_sum(g, z)
 
 
-def _check_bytes(what, g, floats):
-    """Refuse, before allocating, work estimated at more than
-    CONFIG_BYTE_LIMIT bytes (`floats` float64 values)."""
-    need = 8 * floats
-    if need > CONFIG_BYTE_LIMIT:
-        raise BudgetExceededError(
-            "%s on %s needs about %.3g bytes, over the limit of %d"
-            % (what, g.label(), need, CONFIG_BYTE_LIMIT))
-
-
-def _check_mixing(g):
-    _check_bytes("a mixing profile", g,
-                 MIXING_MATRICES * g.vertex_count ** 2)
-
-
 def transition_powers(g, v, t_max):
     """Exact return probabilities p^i(v,v), i = 0..t_max."""
-    _check_bytes("transition powers", g, TRANSITION_VECTORS * g.vertex_count)
+    check_bytes("transition powers on %s" % g.label(),
+                8 * TRANSITION_VECTORS * g.vertex_count)
     g.check_vertex(v)
     y = np.zeros(g.vertex_count)
     y[v] = 1.0
@@ -199,8 +185,8 @@ def lower_bound_quantities(g, lam, delta, t_max, targets=None):
     # d^n leaves of a tree and every vertex of the other graphs
     m = len(targets) if targets is not None else (
         g.d ** g.n if g.family == TREE else g.vertex_count)
-    _check_bytes("the lower-bound quantities", g,
-                 (t_max + 1) * (m * m + g.vertex_count))
+    check_bytes("the lower-bound quantities on %s" % g.label(),
+                8 * (t_max + 1) * (m * m + g.vertex_count))
     if targets is None:
         targets = g.leaves() if g.family == TREE else np.arange(g.vertex_count)
     targets = np.asarray(sorted(int(a) for a in targets), dtype=np.int64)
@@ -274,7 +260,8 @@ def select_spread_set(A, t, s, green):
 
 def mixing_matrix(g, t):
     """Full p^t(u, v) matrix by t applications of the transition operator."""
-    _check_mixing(g)
+    check_bytes("a mixing profile on %s" % g.label(),
+                8 * MIXING_MATRICES * g.vertex_count ** 2)
     m = np.eye(g.vertex_count)
     for _ in range(t):
         m = apply_transition(g, m)
@@ -308,7 +295,8 @@ def mixing_profile(g, ts):
     ts = sorted(set(int(t) for t in ts))
     if any(t < 0 for t in ts):
         raise ParameterError("mixing times must be >= 0")
-    _check_mixing(g)
+    check_bytes("a mixing profile on %s" % g.label(),
+                8 * MIXING_MATRICES * g.vertex_count ** 2)
     m = np.eye(g.vertex_count)
     cur = 0
     out = []
@@ -323,7 +311,8 @@ def mixing_profile(g, ts):
 def mixing_crossing_time(g, level=None):
     """First even t where the deviation drops to 1/e."""
     target = 1 / np.e if level is None else level
-    _check_mixing(g)
+    check_bytes("a mixing profile on %s" % g.label(),
+                8 * MIXING_MATRICES * g.vertex_count ** 2)
     m = np.eye(g.vertex_count)
     t = 0
     # even times only: odd-time deviation mixes parity classes differently

@@ -9,6 +9,8 @@ activation-time oracle (Dijkstra over the first-visit table) lives in
 
 import numpy as np
 
+from frogline.checks import chain_matrix
+
 
 def bfs_distances(g, src):
     dist = np.full(g.vertex_count, -1, dtype=np.int64)
@@ -69,6 +71,18 @@ def bisected_susceptibility(g, init, walks):
         else:
             lo = mid + 1
     return lo
+
+
+def stationary_solve(chain):
+    """Left eigenvector of the level chain's matrix for eigenvalue 1, by a
+    least-squares solve with the normalization as an extra row."""
+    Q = chain_matrix(chain)
+    n = Q.shape[0]
+    A = np.vstack([Q.T - np.eye(n), np.ones(n)])
+    b = np.zeros(n + 1)
+    b[-1] = 1.0
+    sol, *_ = np.linalg.lstsq(A, b, rcond=None)
+    return sol
 
 
 def absorbing_t0_pmf(chain, t_max):

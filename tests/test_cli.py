@@ -186,6 +186,25 @@ def test_budget_exceeded_exit_3(capsys):
     err = capsys.readouterr().err
     assert code == 3
     assert "clock exceeded step cap 3 (fraction covered 0." in err, err
+    # a leaf walk on 2^40 leaves would need 9 bytes per leaf
+    tracemalloc.start()
+    try:
+        code = main(["simulate", "--mode", "leafwalk", "--graph",
+                     "tree:d=2,n=40", "--s", "3"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    err = capsys.readouterr().err
+    assert code == 3 and peak < 2 ** 22, (err, peak)
+    assert "a leaf walk on tree:d=2,n=40 needs about 9.9e+12 bytes" in err, err
+
+
+def test_budget_steps_caps_the_leaf_walk(capsys):
+    code = main(["simulate", "--mode", "leafwalk", "--graph", "tree:d=2,n=6",
+                 "--s", "40", "--budget-steps", "3"])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "leaf walk exceeded step cap 3 (fraction covered 0." in err, err
 
 
 def test_analytic_byte_bounds(capsys):
@@ -194,7 +213,9 @@ def test_analytic_byte_bounds(capsys):
     for argv in (["--quantity", "mixing", "--graph", "tree:d=2,n=14"],
                  ["--quantity", "threshold", "--graph", "tree:d=2,n=12",
                   "--t", "256"],
-                 ["--quantity", "kappa", "--graph", "tree:d=2,n=40"]):
+                 ["--quantity", "kappa", "--graph", "tree:d=2,n=40"],
+                 # 20 geometric factors, the longest 8.1e13 masses
+                 ["--quantity", "bd-law", "--chain", "dary:d=2,n=40"]):
         tracemalloc.start()
         try:
             code = main(["analytic"] + argv)

@@ -3,8 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from frogline import ExperimentSpec, ParameterError, estimate, sweep, \
-    trial_seed
+from frogline import (BudgetExceededError, ExperimentSpec, ParameterError,
+                      WalkStore, build_graph, cover_time, estimate,
+                      init_config, parse_descriptor, resolve_origin,
+                      susceptibility, sweep, trial_seed)
+from frogline import experiments
 from frogline.experiments import (SIMULATE_COLUMNS, SWEEP_COLUMNS,
                                   run_spec_trials, sweep_csv_rows,
                                   trial_csv_rows, validate_spec, write_table)
@@ -37,6 +40,83 @@ def test_lambda_cells_share_seeds():
         by_trial.setdefault(r.trial, set()).add(r.seed)
     # one seed per trial index, shared by every lambda cell
     assert all(len(seeds) == 1 for seeds in by_trial.values())
+
+
+def test_one_configuration_per_trial(monkeypatch):
+    calls = []
+
+    def counting(g, lam, origin, seed, lam_max=None):
+        calls.append((g.label(), seed))
+        return init_config(g, lam, origin, seed, lam_max=lam_max)
+
+    monkeypatch.setattr(experiments, "init_config", counting)
+    spec = _spec(graphs=["tree:d=2,n=4", "complete:n=20"],
+                 lambdas=[0.5, 1.0, 2.0], trials=3)
+    results = run_spec_trials(spec)
+    assert len(results) == 2 * 3 * 3
+    # one sample per (graph, trial), not one per lambda cell
+    assert sorted(calls) == sorted({(r.graph, r.seed) for r in results})
+
+
+def _per_cell_reference(spec):
+    """(graph, lambda, trial, seed, value, steps) of every cell, each cell
+    sampling its own configuration, cell by cell."""
+    lam_max = max(spec.lambdas) if spec.lam_max is None else spec.lam_max
+    engine = cover_time if spec.metric == "cover" else susceptibility
+    out = []
+    for graph in spec.graphs:
+        g = build_graph(parse_descriptor(graph))
+        origin = resolve_origin(g, spec.origin or "root")
+        for lam in spec.lambdas:
+            for trial in range(spec.trials):
+                seed = trial_seed(spec.seed_base, graph, spec.origin,
+                                  spec.metric, trial)
+                init = init_config(g, lam, origin, seed, lam_max=lam_max)
+                walks = WalkStore(g, init)
+                try:
+                    value = engine(g, init, walks, step_cap=spec.step_cap)
+                    steps = walks.steps_generated
+                except BudgetExceededError:
+                    value, steps = None, 0
+                out.append((graph, lam, trial, seed, value, steps))
+    return out
+
+
+@pytest.mark.parametrize("metric,jobs,lam_max,step_cap", [
+    ("susceptibility", 1, None, 10 ** 9),
+    ("cover", 2, 3.0, 10 ** 9),
+    ("susceptibility", 2, 2.5, 6),
+    ("cover", 1, None, 12),
+])
+def test_trial_cells_equal_per_cell_sampling(metric, jobs, lam_max, step_cap):
+    spec = _spec(graphs=["tree:d=2,n=5", "complete:n=40", "cycle:n=12"],
+                 lambdas=[0.5, 2.0, 1.0], metric=metric, trials=3, jobs=jobs,
+                 lam_max=lam_max, step_cap=step_cap, seed_base=5)
+    results = run_spec_trials(spec)
+    got = [(r.graph, r.lam, r.trial, r.seed, r.value, r.steps)
+           for r in results]
+    assert got == _per_cell_reference(spec)
+    failed = [r for r in results if r.value is None]
+    assert all("step cap %d" % step_cap in r.budget_reason for r in failed)
+    if step_cap < 100:  # the cap fails some cells and not others
+        assert 0 < len(failed) < len(results)
+
+
+def test_refused_configuration_fails_every_cell():
+    spec = _spec(graphs=["tree:d=2,n=40", "tree:d=2,n=3"],
+                 lambdas=[0.5, 1.0], trials=2)
+    results = run_spec_trials(spec)
+    big = [r for r in results if r.graph == "tree:d=2,n=40"]
+    assert [(r.lam, r.trial) for r in big] == [(0.5, 0), (0.5, 1),
+                                               (1.0, 0), (1.0, 1)]
+    assert all(r.value is None and "needs about" in r.budget_reason
+               for r in big)
+    assert all(r.value is not None for r in results if r not in big)
+
+
+def test_lambda_grid_checked_before_sampling():
+    with pytest.raises(ParameterError, match="got -1.0"):
+        run_spec_trials(_spec(graphs=["tree:d=2,n=40"], lambdas=[1.0, -1.0]))
 
 
 def test_coupled_sweep_is_pointwise_monotone():

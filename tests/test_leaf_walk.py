@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from frogline import ParameterError, run_killed_leaf_walk
+from frogline import BudgetExceededError, ParameterError, run_killed_leaf_walk
 
 
 def test_needs_s_above_degree():
@@ -52,3 +52,13 @@ def test_restart_rate():
 def test_start_override():
     rep = run_killed_leaf_walk(2, 3, 4, seed=1, start=9)
     assert rep.visits[9 - 7] >= 1  # first leaf of tree(2,3) is vertex 7
+
+
+def test_step_cap():
+    full = run_killed_leaf_walk(2, 4, 8, seed=42)
+    assert run_killed_leaf_walk(2, 4, 8, seed=42,
+                                step_cap=full.tau_cov).tau_cov == full.tau_cov
+    with pytest.raises(BudgetExceededError) as info:
+        run_killed_leaf_walk(2, 4, 8, seed=42, step_cap=full.tau_cov - 1)
+    assert info.value.bracket == (full.tau_cov, None)
+    assert 0 < info.value.fraction_covered < 1

@@ -1,0 +1,29 @@
+"""The benchmark's traced tiny pass still runs against the library.
+
+perfbench/ drives the CLI in-process and its tracer wraps `run_trial`,
+`init_config`, `generate_steps` and the engines; its checks call
+`WalkStore(g, init)`, `init_config(..., lam_max=)` and `run_activation`. A
+change to any of these that breaks the benchmark fails here instead of in a
+benchmark run. Nothing under perfbench/ is changed.
+"""
+
+import os
+
+import pytest
+
+PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "perfbench")
+
+
+@pytest.mark.parametrize("workload", ["tree-susceptibility",
+                                      "complete-susceptibility", "tree-cover"])
+def test_traced_tiny_pass(workload, monkeypatch):
+    monkeypatch.syspath_prepend(PERFBENCH)
+    import run
+    result, _, spans = run.measure(workload, seed=7, seconds=0.1, trace=1,
+                                   profile="tiny")
+    assert result["attempted"] > 0 and result["failed"] == 0, result
+    assert spans
+    metrics = result["metrics"]
+    assert metrics["randomness.steps_generated"]["value"] > 0
+    assert metrics["frog_sim.engine_s"]["value"] > 0

@@ -10,11 +10,11 @@ from frogline import (BudgetExceededError, FamilyError, ParameterError,
                       mixing_deviation, mixing_profile, parse_descriptor,
                       return_sum_envelope, select_spread_set,
                       stationary_levels, transition_powers)
-from frogline.checks import chain_matrix, ruin_probability_dp, stationary_solve
+from frogline.checks import chain_matrix, ruin_probability_dp
 from frogline.tree_analytics import apply_transition, apply_transition_T, \
     hitting_within
 
-from oracles import dense_transition
+from oracles import dense_transition, stationary_solve
 
 
 def test_level_chain_rates():
