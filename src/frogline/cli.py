@@ -19,7 +19,9 @@ from .tree_analytics import level_chain
 
 def _common_flags(p):
     p.add_argument("--seed", type=int, default=0, help="seed base (u64)")
-    p.add_argument("--jobs", type=int, default=1, help="parallel trials")
+    p.add_argument("--jobs", type=int, default=1,
+                   help="worker processes for simulate and sweep (>= 1; "
+                        "at most one per batch of trials)")
     p.add_argument("--out", default="-", help="output path, '-' for stdout")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--budget-steps", type=int, default=DEFAULT_STEP_CAP,

@@ -1,10 +1,11 @@
 """Sweep orchestration: grids, per-trial seeds, estimates, validation suites.
 
-A trial is the unit of work: it samples one configuration at lambda_max and
-runs each lambda cell of the grid on a view of it, so a trial's cells are
-coupled as `randomness` describes. Per-trial seeds are seed_base XOR
-blake2b(graph, origin, metric, trial index), checked for collisions when a
-spec is validated.
+A batch of trials of one graph is the unit of work. Each trial samples one
+configuration at lambda_max, and each lambda cell runs one clock on the
+stack of the batch's views of those configurations, so a trial's cells are
+coupled as `randomness` describes and its numbers do not depend on its
+batch. Per-trial seeds are seed_base XOR blake2b(graph, origin, metric,
+trial index), checked for collisions when a spec is validated.
 """
 
 import contextlib
@@ -14,7 +15,6 @@ import io
 import json
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from math import ceil, sqrt
 from typing import Optional
@@ -22,10 +22,10 @@ from typing import Optional
 import numpy as np
 
 from .errors import BudgetExceededError, ParameterError
-from .frog_sim import DEFAULT_STEP_CAP, cover_time, susceptibility
+from .frog_sim import DEFAULT_STEP_CAP, Outcome, cover_time, susceptibility
 from .graph import TREE, build_graph, parse_descriptor, resolve_origin
 from .leaf_walk import run_killed_leaf_walk
-from .randomness import WalkStore, init_config
+from .randomness import init_config, stack_views
 
 METRICS = ("susceptibility", "cover", "leafwalk")
 
@@ -33,6 +33,17 @@ SIMULATE_COLUMNS = ["trial", "seed", "graph", "lambda", "origin", "metric",
                     "value", "steps_simulated", "wall_ms"]
 SWEEP_COLUMNS = ["graph", "lambda", "origin", "metric", "trials", "failures",
                  "mean", "median", "q10", "q90", "se"]
+
+# a batch takes trials of one graph while the sum of V * (1 + lambda_max)
+# over them stays at most BATCH_TABLE_SIZE. Clock time per trial of 8
+# trials at lambda 1, run as stacks of K copies against one at a time
+# (2-core VM, python 3.11, numpy 2.4, minimum of 5 rounds), by the stack's
+# sum: S on K_n paid up to 32k (n=4000: 8.5 ms alone, 4.0 ms at K=4; n=8000:
+# 8.1 ms, 7.5 ms at K=2) and not beyond (n=4000 at K=8, 64k: 5.4 ms; n=16000
+# at K=2, 64k: 18.8 against 19.4 ms alone). CT on trees d=2 did the same
+# (n=11: 27.7 ms alone, 18.3 ms at 32k, 22.7 ms at 64k; n=12: 50.8 ms alone,
+# 34.7 ms at 32k, 45.8 ms at 64k)
+BATCH_TABLE_SIZE = 2 ** 15
 
 
 @dataclass
@@ -88,6 +99,8 @@ def trial_seed(seed_base, graph, origin, metric, trial):
 def validate_spec(spec):
     if spec.trials < 1:
         raise ParameterError("trials must be >= 1")
+    if spec.jobs < 1:
+        raise ParameterError("jobs must be >= 1, got %r" % (spec.jobs,))
     if not spec.graphs or (not spec.lambdas and spec.metric != "leafwalk"):
         raise ParameterError("grids must be non-empty")
     if spec.metric not in METRICS:
@@ -109,73 +122,121 @@ def validate_spec(spec):
             seen[seed] = key
 
 
-def run_trial(spec, cell, g, origin, config, start=None):
-    """One cell of a trial: `cell`, a TrialResult with no outcome yet, filled
-    in by a leaf walk from `origin` or on the view at cell.lam of `config`,
-    the trial's lambda_max configuration. Budget overruns come back as
-    value=None, with the error's message (and the fraction covered, when
-    known) in budget_reason. wall_ms counts from `start` (default: now)."""
-    start = time.perf_counter() if start is None else start
-    value = reason = None
-    steps = 0
+def run_trial(cell, outcome, wall_ms):
+    """One cell of a trial: `cell`, a TrialResult with no outcome yet,
+    filled in from `outcome`, its copy's Outcome of a batch clock or its
+    leaf walk's. Budget overruns come back as value=None, with the error's
+    message (and the fraction covered, when known) in budget_reason."""
+    exc = outcome.error
+    if exc is None:
+        return replace(cell, value=outcome.value, steps=outcome.steps,
+                       wall_ms=wall_ms)
+    reason = str(exc)
+    if exc.fraction_covered is not None:
+        reason += " (fraction covered %.4g)" % exc.fraction_covered
+    return replace(cell, budget_reason=reason, wall_ms=wall_ms)
+
+
+def _leaf_walk(spec, g, origin, seed):
+    if g.family != TREE:
+        raise ParameterError("leafwalk needs a tree graph")
     try:
-        if spec.metric == "leafwalk":
-            if g.family != TREE:
-                raise ParameterError("leafwalk needs a tree graph")
-            value = steps = run_killed_leaf_walk(g.d, g.n, spec.s, cell.seed,
-                                                 origin, spec.step_cap).tau_cov
-        else:
-            init = config.at_lambda(cell.lam)
-            walks = WalkStore(g, init)
-            engine = cover_time if spec.metric == "cover" else susceptibility
-            value = engine(g, init, walks, step_cap=spec.step_cap)
-            steps = walks.steps_generated
+        tau = run_killed_leaf_walk(g.d, g.n, spec.s, seed, origin,
+                                   spec.step_cap).tau_cov
     except BudgetExceededError as exc:
-        reason = str(exc)
-        if exc.fraction_covered is not None:
-            reason += " (fraction covered %.4g)" % exc.fraction_covered
-    return replace(cell, value=value, steps=steps, budget_reason=reason,
-                   wall_ms=(time.perf_counter() - start) * 1000.0)
+        return Outcome(None, 0, exc)
+    return Outcome(tau, tau)
 
 
-def _trial_task(task):
-    """The cells of one (spec, graph, trial index) task, in the order of the
-    lambda grid. The graph, the origin and the lambda_max configuration are
-    built once, and every cell runs on its view of that configuration; the
-    sampling counts in the first cell's wall_ms. A configuration that the
-    byte guard refuses fails every cell, with the reason."""
-    spec, graph, trial = task
+def _lam_max(spec):
+    return max(spec.lambdas) if spec.lam_max is None else spec.lam_max
+
+
+def _ms_since(start):
+    return (time.perf_counter() - start) * 1000.0
+
+
+def _batch_task(task):
+    """The cells of a (spec, graph, trial indices) task: one list per trial,
+    in the order of the lambda grid. The graph and the origin are built
+    once, each trial samples its lambda_max configuration once, and each
+    lambda cell runs one clock on the stack of the trials' views. A trial's
+    wall_ms counts its sampling (in its first cell) and an even share of
+    each clock it took part in. A configuration that the byte guard refuses
+    fails every cell of its trial, with the reason."""
+    spec, graph, trials = task
     g = build_graph(parse_descriptor(graph))
     origin_spec = spec.origin if spec.origin is not None else (
         "leaf" if spec.metric == "leafwalk" else "root")
     origin = resolve_origin(g, origin_spec)
-    seed = trial_seed(spec.seed_base, graph, spec.origin, spec.metric, trial)
-    cell = TrialResult(trial=trial, seed=seed, graph=graph, lam=None,
-                       origin=origin_spec, metric=spec.metric)
-    start = time.perf_counter()
+    cells = [TrialResult(trial=trial, seed=trial_seed(
+        spec.seed_base, graph, spec.origin, spec.metric, trial), graph=graph,
+        lam=None, origin=origin_spec, metric=spec.metric) for trial in trials]
     if spec.metric == "leafwalk":
-        return [run_trial(spec, cell, g, origin, None, start)]
-    lam_max = max(spec.lambdas) if spec.lam_max is None else spec.lam_max
-    try:
-        config = init_config(g, lam_max, origin, seed, lam_max=spec.lam_max)
-    except BudgetExceededError as exc:
-        return [replace(cell, lam=lam, budget_reason=str(exc))
-                for lam in spec.lambdas]
-    return [run_trial(spec, replace(cell, lam=lam), g, origin, config,
-                      None if i else start)
-            for i, lam in enumerate(spec.lambdas)]
+        rows = []
+        for cell in cells:
+            start = time.perf_counter()
+            outcome = _leaf_walk(spec, g, origin, cell.seed)
+            rows.append([run_trial(cell, outcome, _ms_since(start))])
+        return rows
+    configs, wall_ms = [], []
+    for cell in cells:
+        start = time.perf_counter()
+        try:
+            configs.append(init_config(g, _lam_max(spec), origin, cell.seed,
+                                       lam_max=spec.lam_max))
+        except BudgetExceededError as exc:
+            configs.append(exc)
+        wall_ms.append(_ms_since(start))
+    refused = [isinstance(c, BudgetExceededError) for c in configs]
+    live = [i for i, no in enumerate(refused) if not no]
+    engine = cover_time if spec.metric == "cover" else susceptibility
+    rows = [[] for _ in cells]
+    for lam in spec.lambdas:
+        for i, no in enumerate(refused):
+            if no:
+                rows[i].append(replace(cells[i], lam=lam,
+                                       budget_reason=str(configs[i])))
+        if not live:
+            continue
+        start = time.perf_counter()
+        stack = stack_views([configs[i].at_lambda(lam) for i in live])
+        outcomes = engine(g, stack, step_cap=spec.step_cap)
+        share = _ms_since(start) / len(live)
+        for i, outcome in zip(live, outcomes):
+            rows[i].append(run_trial(replace(cells[i], lam=lam), outcome,
+                                     wall_ms[i] + share))
+            wall_ms[i] = 0.0
+    return rows
+
+
+def _batches(spec, graph):
+    """The trial indices of `graph`, cut into batches in order: as many
+    trials as fit BATCH_TABLE_SIZE, at least one and at most
+    ceil(trials / jobs)."""
+    size = 1
+    if spec.metric != "leafwalk":
+        table = parse_descriptor(graph).vertex_count * (1 + _lam_max(spec))
+        if table > 0:  # a bad lambda_max fails when it is sampled
+            size = min(max(1, int(BATCH_TABLE_SIZE // table)),
+                       ceil(spec.trials / spec.jobs))
+    return [list(range(lo, min(lo + size, spec.trials)))
+            for lo in range(0, spec.trials, size)]
 
 
 def run_spec_trials(spec):
     """All trial results, cell by cell (graph, then lambda, then trial)."""
     validate_spec(spec)
-    tasks = [(spec, graph, trial) for graph in spec.graphs
-             for trial in range(spec.trials)]
-    if spec.jobs > 1:
-        with ProcessPoolExecutor(max_workers=spec.jobs) as pool:
-            trials = list(pool.map(_trial_task, tasks))
+    tasks = [(spec, graph, batch) for graph in spec.graphs
+             for batch in _batches(spec, graph)]
+    workers = min(spec.jobs, len(tasks))
+    if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            batches = list(pool.map(_batch_task, tasks))
     else:
-        trials = [_trial_task(t) for t in tasks]
+        batches = [_batch_task(task) for task in tasks]
+    trials = [rows for batch in batches for rows in batch]
     # a graph's trials are consecutive; zip regroups them cell by cell
     return [r for lo in range(0, len(trials), spec.trials)
             for cell in zip(*trials[lo:lo + spec.trials]) for r in cell]

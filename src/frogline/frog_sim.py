@@ -6,7 +6,12 @@ particle steps on it. Susceptibility is the smallest lifetime tau for which
 the whole graph wakes; cover time is the analogous quantity for immortal
 particles (tau = infinity). Activation times and cover time come from one
 wake clock, susceptibility from a replay clock that reads the first steps
-of every particle from a block walked ahead in lockstep.
+of every particle from a prefix walked ahead in lockstep.
+
+Both clocks run on a stack of configurations of one graph
+(randomness.FrogStack): K copies of the graph with disjoint vertex ids, so
+each tick's numpy calls serve K trials, while each copy's numbers stay
+those of its configuration alone. One configuration is the stack of one.
 """
 
 from dataclasses import dataclass
@@ -16,7 +21,7 @@ import numpy as np
 
 from .errors import BudgetExceededError, ParameterError
 from .graph import TREE
-from .randomness import generate_steps
+from .randomness import FrogStack, generate_steps, stack_views
 
 # activation-time sentinel for "never woken"
 NEVER = np.iinfo(np.int64).max
@@ -26,15 +31,15 @@ DEFAULT_STEP_CAP = 10 ** 9
 
 # positions generated per replay block: catching woken particles up to the
 # clock holds one block plus O(1) words per walk, whatever the clock is
-SCAN_BLOCK_CELLS = 2 ** 18
+SCAN_BLOCK_CELLS = 2 ** 16
 
-# cells of the susceptibility clock's pre-walked prefix (_Prefix): its width
-# is at most PREFIX_CELLS // (particle count), so the block holds at most
-# 16 MiB of int32 positions
+# cells of the susceptibility clock's pre-walked prefix (_Prefix): its depth
+# is at most PREFIX_CELLS // (particles in the stack), so it holds at most
+# 16 MiB of positions (int16 or int32)
 PREFIX_CELLS = 2 ** 22
 
-# first width of the prefix; it doubles each time the clock passes it
-PREFIX_START = 16
+# rows the prefix grows by, at least, each time the clock passes it
+PREFIX_ROWS = 16
 
 
 @dataclass
@@ -44,135 +49,293 @@ class ActivationReport:
     max_at: Optional[int]  # defined when covered
 
 
+@dataclass
+class Outcome:
+    """One copy's result of a clock run on a stack."""
+    value: Optional[int]  # S or CT; None when the copy is not covered
+    steps: int  # steps the copy's particles took
+    error: Optional[BudgetExceededError] = None  # set when the cap stopped it
+
+
 def _check_step_cap(step_cap):
     if step_cap <= 0:
         raise ParameterError("step_cap must be > 0, got %r" % (step_cap,))
 
 
-def _cap_error(step_cap, count, V):
-    return BudgetExceededError(
-        "clock exceeded step cap %d" % step_cap,
-        fraction_covered=count / V, bracket=(step_cap + 1, None))
+class _Wake:
+    """Wake state of a stack's K copies: the tick each union vertex woke at
+    (NEVER while it sleeps), the sleeping mask the wake test reads, each
+    copy's count of awake vertices, the tick each copy was covered at, and
+    the budget error of each copy the step cap stopped."""
+
+    def __init__(self, stack):
+        self.V, self.K = V, K = stack.g.vertex_count, len(stack.origins)
+        self.at = np.full(K * V, NEVER, dtype=np.int64)
+        self.at[stack.origins] = 0
+        self.sleeping = np.ones(K * V, dtype=bool)
+        self.sleeping[stack.origins] = False
+        self.count = np.ones(K, dtype=np.int64)
+        self.covered = np.zeros(K, dtype=bool)
+        self.n_covered = 0
+        self.last = np.zeros(K, dtype=np.int64)
+        self.errors = [None] * K
+
+    def __call__(self, pos, base, t):
+        """Wake, at tick t, the sleeping vertices that positions `pos` reach
+        in the copies at `base` (union id pos + base, broadcast); returns
+        their union ids, distinct. A stack of one skips the copy
+        arithmetic."""
+        gids = pos if self.K == 1 else pos + base
+        hit = gids[self.sleeping[gids]]
+        if not hit.size:
+            return hit
+        fresh = np.unique(hit)
+        self.sleeping[fresh] = False
+        self.at[fresh] = t
+        if self.K == 1:
+            self.count += fresh.size
+        else:
+            self.count += np.bincount(fresh // self.V, minlength=self.K)
+        return fresh
+
+    def cover(self, t):
+        """Mark covered at tick t the copies the wakes so far covered;
+        returns how many."""
+        full = self.count == self.V
+        new = np.count_nonzero(full) - self.n_covered
+        if new:
+            ids = np.flatnonzero(full & ~self.covered)
+            self.covered[ids] = True
+            self.last[ids] = t
+            self.n_covered += new
+        return new
+
+    def running(self, ids):
+        """Whether each union id (vertex or base) lies in an uncovered copy."""
+        return ~self.covered[ids // self.V]
+
+    def stop(self, step_cap, copies):
+        """Stop `copies` at the step cap, each with its own budget error."""
+        for k in copies:
+            self.errors[k] = BudgetExceededError(
+                "clock exceeded step cap %d" % step_cap,
+                fraction_covered=int(self.count[k]) / self.V,
+                bracket=(step_cap + 1, None))
+
+    def outcomes(self, steps):
+        """Each copy's Outcome, given the steps its particles took."""
+        return [Outcome(int(self.last[k]) if self.covered[k] else None,
+                        int(steps[k]), self.errors[k]) for k in range(self.K)]
 
 
-def _wake_on(path, at, t):
-    """Wake, at tick t, the still sleeping vertices that `path` visits;
-    returns them."""
-    hit = np.unique(path[at[path] == NEVER])
-    at[hit] = t
-    return hit
+def _wake_clock(g, stack, step_cap, tau=None):
+    """Per-vertex wake ticks of every copy of `stack`, as a (K, V) array,
+    NEVER where a vertex never wakes, and each copy's Outcome (its value is
+    its cover time).
 
-
-def _wake_clock(g, init, walks, step_cap, tau=None):
-    """Per-vertex wake tick, NEVER where a vertex never wakes.
-
-    One synchronous clock over the awake particles' (pos, keys, age)
+    One synchronous clock over the awake particles' (pos, keys, age, base)
     vectors: at each tick every awake particle takes one step, and the
     vertices it lands on for the first time wake; their particles take step
     1 on the next tick. A particle whose age reaches the lifetime `tau`
-    (None: immortal) leaves the vectors, and the clock stops once
-    everything is awake or nobody is left. The wake ticks are the
-    activation times under lifetime tau.
+    (None: immortal) leaves the vectors, and so do a copy's particles once
+    the copy is covered; the clock stops once nobody is left. The wake
+    ticks are the activation times under lifetime tau. Past step_cap every
+    copy that still has particles gets its own BudgetExceededError.
     """
     _check_step_cap(step_cap)
-    V = g.vertex_count
-    at = np.full(V, NEVER, dtype=np.int64)
-    at[init.origin] = 0
-    count = 1
-    cols = init.columns([init.origin])
-    pos, keys = init.home[cols], init.keys[cols]
+    V, K = g.vertex_count, len(stack.origins)
+    wake = _Wake(stack)
+    cols = stack.columns(stack.origins)
+    pos, keys, base = stack.home[cols], stack.keys[cols], stack.base[cols]
     age = np.zeros(len(pos), dtype=np.int64)  # steps taken by each particle
     t = 0
-    while count < V:
+    while True:
         if tau is not None:
             alive = age < tau
-            pos, keys, age = pos[alive], keys[alive], age[alive]
+            pos, keys, age, base = pos[alive], keys[alive], age[alive], \
+                base[alive]
         if not len(pos):
             break
         t += 1
         if t > step_cap:
-            raise _cap_error(step_cap, count, V)
-        pos = walks.advance(pos, keys, age, 1)[:, 0]
+            wake.stop(step_cap, np.unique(base // V))
+            break
+        pos = generate_steps(g, pos, keys, age, 1)[:, 0]
         age += 1
-        fresh = _wake_on(pos, at, t)
-        if fresh.size:
-            count += fresh.size
-            cols = init.columns(fresh)
-            pos = np.concatenate((pos, init.home[cols]))
-            keys = np.concatenate((keys, init.keys[cols]))
-            age = np.concatenate((age, np.zeros(len(cols), dtype=np.int64)))
-    return at
+        fresh = wake(pos, base, t)
+        if not fresh.size:
+            continue
+        if wake.cover(t):
+            keep = wake.running(base)
+            pos, keys, age, base = pos[keep], keys[keep], age[keep], base[keep]
+            fresh = fresh[wake.running(fresh)]
+        cols = stack.columns(fresh)
+        pos = np.concatenate((pos, stack.home[cols]))
+        keys = np.concatenate((keys, stack.keys[cols]))
+        age = np.concatenate((age, np.zeros(len(cols), dtype=np.int64)))
+        base = np.concatenate((base, stack.base[cols]))
+    # by tick T a particle woken at tick a has taken min(T - a, tau) steps;
+    # an uncovered copy's last tick is the cap or the tick its particles ran
+    # out by
+    T = np.where(wake.covered, wake.last, min(t, step_cap))
+    at = wake.at.reshape(K, V)
+    steps = (stack.counts.reshape(K, V)
+             * np.clip(T[:, None] - at, 0, tau)).sum(axis=1)
+    return at, wake.outcomes(steps)
 
 
 class _Prefix:
-    """Steps 1..h of every particle of a configuration, walked in lockstep
-    into a step-major block: row j - 1 holds every particle's position
-    after step j, column i is particle i of the table `init`.
+    """Steps 1..h of every particle of a stack, walked in lockstep into
+    step-major row chunks: row j - 1 holds every particle's position after
+    step j, column i is particle i of the stack.
 
-    h starts at PREFIX_START and doubles each time the clock passes it, up
-    to hmax = PREFIX_CELLS // (particle count) (and the step cap). The
-    block is generated in row chunks of about SCAN_BLOCK_CELLS cells, and
-    the walks are counter-based, so its positions are the ones the clock
-    would generate.
+    Each time the clock passes h, one more chunk of `rows` rows (about
+    SCAN_BLOCK_CELLS cells, at least PREFIX_ROWS rows) is walked, up to
+    hmax = PREFIX_CELLS // (particles in the stack) (and the step cap), so
+    the prefix holds at most one chunk more than the clock reads, and no
+    row is copied. The walks are counter-based, so its positions are the
+    ones the clock would generate.
     """
 
-    def __init__(self, g, init, walks, step_cap):
-        self.g, self.init, self.walks = g, init, walks
-        n = init.particle_count()
+    def __init__(self, g, stack, step_cap):
+        self.g, self.stack = g, stack
+        n = stack.particle_count()
         # complete graphs and cycles get no prefix: generate_steps already
         # replays their batches with one cumulative sum per block, and a
         # prefix there measured slower
         self.hmax = min(PREFIX_CELLS // n, step_cap) if g.family == TREE else 0
-        self.block = np.empty((0, n), dtype=g.index_dtype)
+        self.rows = max(PREFIX_ROWS, SCAN_BLOCK_CELLS // n)
+        # half the bytes of int32 wherever every vertex id fits
+        self.dtype = np.int16 if g.vertex_count <= 2 ** 15 else g.index_dtype
+        self.chunks = []
+        self.h = 0
 
-    @property
-    def h(self):
-        return len(self.block)
+    def _at(self, t, cols):
+        c, r = divmod(t - 1, self.rows)
+        return self.chunks[c][r, cols]
 
     def row(self, t, cols):
-        """Positions after step t <= hmax of particles `cols`, counted as
-        steps taken; the block grows when t passes h."""
+        """Positions after step t <= hmax of particles `cols`; the prefix
+        grows when t passes h."""
         if t > self.h:
             self._grow()
-        self.walks.steps_generated += len(cols)
-        return self.block[t - 1, cols]
+        return self._at(t, cols)
 
     def after(self, t, cols):
-        """Positions after step t <= h of particles `cols`, not counted."""
-        return self.block[t - 1, cols] if t else self.init.home[cols]
+        """Positions after step t <= h of particles `cols`."""
+        return self._at(t, cols) if t else self.stack.home[cols]
 
     def _grow(self):
-        h, n = self.h, self.block.shape[1]
-        new_h = min(max(2 * h, PREFIX_START), self.hmax)
-        block = np.empty((new_h, n), dtype=self.block.dtype)
-        block[:h] = self.block
-        rows = max(1, SCAN_BLOCK_CELLS // n)
-        for lo in range(h, new_h, rows):
-            hi = min(lo + rows, new_h)
-            start = block[lo - 1] if lo else self.init.home
-            block[lo:hi] = generate_steps(self.g, start, self.init.keys, lo,
-                                          hi - lo).T
-        self.block = block
+        g, keys, h = self.g, self.stack.keys, self.h
+        chunk = np.empty((min(self.rows, self.hmax - h), len(keys)),
+                         dtype=self.dtype)
+        step = max(1, SCAN_BLOCK_CELLS // len(keys))
+        for lo in range(0, len(chunk), step):
+            hi = min(lo + step, len(chunk))
+            start = chunk[lo - 1] if lo else self.after(h, slice(None))
+            chunk[lo:hi] = generate_steps(g, start, keys, h + lo, hi - lo).T
+        self.chunks.append(chunk)
+        self.h += len(chunk)
 
-    def replay(self, cols, t, at):
+    def replay(self, cols, t, wake):
         """Walk particles `cols` through steps 1..t and wake, at tick t, what
-        they reach: steps 1..min(t, h) are read from the block, the rest
+        they reach: steps 1..min(t, h) are read from the prefix, the rest
         generated. Returns the woken vertices and the particles' positions
         after step t."""
         woken = []
+        base = self.stack.base[cols]
         h = min(t, self.h)
         span = max(1, SCAN_BLOCK_CELLS // len(cols))
-        for lo in range(0, h, span):
-            woken.append(_wake_on(self.block[lo:min(lo + span, h), cols],
-                                  at, t))
-        self.walks.steps_generated += h * len(cols)
+        for c, chunk in enumerate(self.chunks):
+            top = min(len(chunk), h - c * self.rows)
+            for lo in range(0, top, span):
+                woken.append(wake(chunk[lo:min(lo + span, top), cols], base,
+                                  t))
         pos = self.after(h, cols)
-        keys = self.init.keys[cols]
+        keys = self.stack.keys[cols]
         for done in range(h, t, span):
-            path = self.walks.advance(pos, keys, done, min(span, t - done))
-            woken.append(_wake_on(path, at, t))
+            path = generate_steps(self.g, pos, keys, done, min(span, t - done))
+            woken.append(wake(path, base[:, None], t))
             pos = path[:, -1]
         return np.concatenate(woken), pos
+
+
+def _replay_clock(g, stack, step_cap):
+    """Each copy's susceptibility, as Outcomes; see `susceptibility`."""
+    _check_step_cap(step_cap)
+    V, K = g.vertex_count, len(stack.origins)
+    wake = _Wake(stack)
+    prefix = _Prefix(g, stack, step_cap)
+    # particles of each copy that its last wake round reached: the copy is
+    # covered before they take a step
+    idle = np.zeros(K, dtype=np.int64)
+    # the awake particles, the origins' to begin with: their columns while
+    # the ticks read the prefix, then their positions and keys
+    cols = stack.columns(stack.origins)
+    base = stack.base[cols]
+    t = 0
+    while wake.n_covered < K:
+        t += 1
+        if t > step_cap:
+            wake.stop(step_cap, np.flatnonzero(~wake.covered))
+            break
+        if t <= prefix.hmax:
+            pos = prefix.row(t, cols)
+        else:
+            if cols is not None:  # the first tick past the prefix
+                pos, keys = prefix.after(t - 1, cols), stack.keys[cols]
+                cols = None
+            pos = generate_steps(g, pos, keys, t - 1, 1)[:, 0]
+        # wake what the tick reaches, then what the woken particles' replays
+        # reach; the woken batches join the awake set once, after the tick
+        fresh = wake(pos, base, t)
+        woken = []
+        covered = False
+        while fresh.size:
+            if wake.cover(t):
+                covered = True
+                last = ~wake.running(fresh)
+                np.add.at(idle, fresh[last] // V, stack.counts[fresh[last]])
+                fresh = fresh[~last]
+            new = stack.columns(fresh)
+            if not len(new):
+                break
+            fresh, new_pos = prefix.replay(new, t, wake)
+            woken.append((new, new_pos))
+        if wake.n_covered == K:
+            break
+        if woken:
+            new = np.concatenate([c for c, _ in woken])
+            base = np.concatenate((base, stack.base[new]))
+            if cols is not None:
+                cols = np.concatenate((cols, new))
+            else:
+                pos = np.concatenate([pos] + [p for _, p in woken])
+                keys = np.concatenate((keys, stack.keys[new]))
+        if covered:
+            keep = wake.running(base)
+            base = base[keep]
+            if cols is not None:
+                cols = cols[keep]
+            else:
+                pos, keys = pos[keep], keys[keep]
+    # at the end of tick T every awake particle has walked exactly T steps,
+    # but a covered copy's last-woken particles took none
+    T = np.where(wake.covered, wake.last, step_cap)
+    awake = (stack.counts * ~wake.sleeping).reshape(K, V).sum(axis=1)
+    return wake.outcomes(T * (awake - idle))
+
+
+def _settle(outcomes, walks):
+    """The Outcome of a stack of one configuration, with its steps added to
+    walks.steps_generated (when walks is given) and its budget error
+    raised."""
+    (outcome,) = outcomes
+    if walks is not None:
+        walks.steps_generated += outcome.steps
+    if outcome.error is not None:
+        raise outcome.error
+    return outcome
 
 
 def run_activation(g, init, walks, tau):
@@ -182,13 +345,14 @@ def run_activation(g, init, walks, tau):
     """
     if tau < 0:
         raise ParameterError("tau must be >= 0, got %r" % (tau,))
-    at = _wake_clock(g, init, walks, DEFAULT_STEP_CAP, tau=tau)
-    covered = bool(np.all(at != NEVER))
-    max_at = int(at.max()) if covered else None
-    return ActivationReport(at=at, covered=covered, max_at=max_at)
+    at, outcomes = _wake_clock(g, stack_views([init]), DEFAULT_STEP_CAP,
+                               tau=tau)
+    max_at = _settle(outcomes, walks).value
+    return ActivationReport(at=at[0], covered=max_at is not None,
+                            max_at=max_at)
 
 
-def susceptibility(g, init, walks, step_cap=DEFAULT_STEP_CAP):
+def susceptibility(g, init, walks=None, step_cap=DEFAULT_STEP_CAP):
     """Minimal lifetime tau under which every vertex wakes.
 
     The replay clock: at clock t every awake particle has walked steps
@@ -197,61 +361,30 @@ def susceptibility(g, init, walks, step_cap=DEFAULT_STEP_CAP):
     then the set that lifetime t covers (reachability over first-visit
     steps <= t), so the last wake tick is the susceptibility. A tick
     t <= hmax reads the awake particles' positions from row t of the
-    pre-walked block (_Prefix); a later tick steps them itself.
-    `walks.steps_generated` counts the steps the particles take, not the
-    block's look-ahead.
+    pre-walked prefix (_Prefix); a later tick steps them itself. A covered
+    copy's particles leave the clock. The steps counted are the steps the
+    particles take, not the prefix's look-ahead.
 
-    Raises BudgetExceededError, with bracket (step_cap + 1, None), when the
-    graph is not covered by lifetime step_cap.
+    `init` is one configuration or a stack of them. For a stack this
+    returns each copy's Outcome. For one configuration it returns S, adds
+    the steps to `walks.steps_generated`, and raises BudgetExceededError,
+    with bracket (step_cap + 1, None), when the graph is not covered by
+    lifetime step_cap.
     """
-    _check_step_cap(step_cap)
-    V = g.vertex_count
-    at = np.full(V, NEVER, dtype=np.int64)
-    at[init.origin] = 0
-    count = 1
-    prefix = _Prefix(g, init, walks, step_cap)
-    # the awake particles, the origin's to begin with: their columns while
-    # the ticks read the prefix, then their positions and keys
-    cols = init.columns([init.origin])
-    t = 0
-    while count < V:
-        t += 1
-        if t > step_cap:
-            raise _cap_error(step_cap, count, V)
-        if t <= prefix.hmax:
-            pos = prefix.row(t, cols)
-        else:
-            if cols is not None:  # the first tick past the prefix
-                pos, keys = prefix.after(t - 1, cols), init.keys[cols]
-                cols = None
-            pos = walks.advance(pos, keys, t - 1, 1)[:, 0]
-        # wake what the tick reaches, then what the woken particles' replays
-        # reach; the woken batches join the awake set once, after the tick
-        fresh = _wake_on(pos, at, t)
-        woken = []
-        while fresh.size:
-            count += fresh.size
-            new = init.columns(fresh)
-            if count == V or not len(new):
-                break
-            fresh, new_pos = prefix.replay(new, t, at)
-            woken.append((new, new_pos))
-        if not woken:
-            continue
-        woken_cols, woken_pos = zip(*woken)
-        if cols is not None:
-            cols = np.concatenate((cols,) + woken_cols)
-        else:
-            pos = np.concatenate((pos,) + woken_pos)
-            keys = np.concatenate((keys,
-                                   init.keys[np.concatenate(woken_cols)]))
-    return int(at.max())
+    if isinstance(init, FrogStack):
+        return _replay_clock(g, init, step_cap)
+    return _settle(_replay_clock(g, stack_views([init]), step_cap),
+                   walks).value
 
 
-def cover_time(g, init, walks, step_cap=DEFAULT_STEP_CAP):
+def cover_time(g, init, walks=None, step_cap=DEFAULT_STEP_CAP):
     """Time of the last wake-up with immortal particles (tau = infinity).
 
-    Raises BudgetExceededError, with bracket (step_cap + 1, None), when the
-    graph is not covered by time step_cap.
+    `init` and the results are as in `susceptibility`; for one
+    configuration this raises BudgetExceededError, with bracket
+    (step_cap + 1, None), when the graph is not covered by time step_cap.
     """
-    return int(_wake_clock(g, init, walks, step_cap).max())
+    if isinstance(init, FrogStack):
+        return _wake_clock(g, init, step_cap)[1]
+    return _settle(_wake_clock(g, stack_views([init]), step_cap)[1],
+                   walks).value

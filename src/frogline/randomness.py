@@ -128,15 +128,27 @@ def step_uniforms(keys, offsets, nsteps):
     return (z.astype(np.float64) * 2.0 ** -53).T
 
 
-@dataclass
-class FrogInit:
-    """One realized configuration at density `lam`, as a particle table.
+class _ParticleTable:
+    """Particles numbered vertex by vertex: those at vertex v are first[v]
+    .. first[v] + counts[v] - 1, and particle i has walk key keys[i]."""
 
-    Particles are numbered vertex by vertex: the particles at vertex v are
-    first[v] .. first[v] + counts[v] - 1, and particle i starts at home[i]
-    with walk key keys[i]. The planted particle is the last particle at the
-    origin. Every lambda view of one configuration filters the same lam_max
-    table, kept in `coupling`.
+    def particle_count(self):
+        return len(self.keys)
+
+    def columns(self, vs):
+        """Particles living at the distinct vertices `vs`, vertex by vertex."""
+        counts = self.counts[vs]
+        # vertex j contributes first[v_j] .. first[v_j] + counts[j] - 1
+        first = self.first[vs] - counts.cumsum() + counts
+        return first.repeat(counts) + np.arange(counts.sum())
+
+
+@dataclass
+class FrogInit(_ParticleTable):
+    """One realized configuration at density `lam`, as a particle table:
+    particle i starts at home[i], and the planted particle is the last
+    particle at the origin. Every lambda view of one configuration filters
+    the same lam_max table, kept in `coupling`.
     """
 
     g: object
@@ -155,16 +167,6 @@ class FrogInit:
     def planted(self):
         return int(self.first[self.origin] + self.counts[self.origin] - 1)
 
-    def particle_count(self):
-        return len(self.keys)
-
-    def columns(self, vs):
-        """Particles living at the distinct vertices `vs`, vertex by vertex."""
-        counts = self.counts[vs]
-        # vertex j contributes first[v_j] .. first[v_j] + counts[j] - 1
-        first = self.first[vs] - counts.cumsum() + counts
-        return first.repeat(counts) + np.arange(counts.sum())
-
     def at_lambda(self, lam):
         """Re-view the same realization at a different density <= lam_max."""
         _check_lambda("lambda", lam)
@@ -173,6 +175,50 @@ class FrogInit:
                 "lambda %r exceeds lambda_max %r; resampling would break the "
                 "coupling" % (lam, self.lam_max))
         return _view(self.g, lam, self.lam_max, self.origin, self.coupling)
+
+
+@dataclass
+class FrogStack(_ParticleTable):
+    """K views of one graph as one particle table on K disjoint copies of it.
+
+    Copy k's vertex v is vertex k*V + v of the union: `counts`, `first` and
+    `origins` (copy k's origin) are indexed by union vertex. Particles are
+    numbered copy by copy, each copy's as in its view; `home` holds the
+    positions in the graph itself, so the graph's own step arithmetic moves
+    them, and base[i] = k*V maps particle i's positions into copy k. Trials
+    share nothing but the graph, and a walk is a pure function of its key
+    and step count, so one clock on the stack gives each copy the numbers
+    its view gives alone.
+    """
+
+    g: object
+    counts: np.ndarray = field(repr=False)
+    first: np.ndarray = field(repr=False)
+    home: np.ndarray = field(repr=False)
+    keys: np.ndarray = field(repr=False)
+    base: np.ndarray = field(repr=False)
+    origins: np.ndarray = field(repr=False)
+
+
+def stack_views(views):
+    """The FrogStack of `views`, configurations of one graph. A stack of one
+    shares its view's arrays."""
+    g = views[0].g
+    V, K = g.vertex_count, len(views)
+    dtype = np.int32 if K * V < 2 ** 31 else np.int64
+    bases = np.arange(K, dtype=dtype) * V
+    sizes = [view.particle_count() for view in views]
+    base = bases.repeat(sizes)
+    origins = bases + [view.origin for view in views]
+    if K == 1:
+        (view,) = views
+        return FrogStack(g, view.counts, view.first, view.home, view.keys,
+                         base, origins)
+    counts = np.concatenate([view.counts for view in views])
+    return FrogStack(g, counts, counts.cumsum() - counts,
+                     np.concatenate([view.home for view in views]),
+                     np.concatenate([view.keys for view in views]), base,
+                     origins)
 
 
 def _view(g, lam, lam_max, origin, coupling):
@@ -274,12 +320,12 @@ class WalkStore:
     """The particles' keyed walks of one configuration.
 
     A walk is a pure function of its key and step count, so nothing is
-    cached: the engines call `advance` for whole batches, and prefix(i, t)
-    regenerates positions 0..t of particle i's walk (index 0 is its home).
-    `steps_generated` counts the steps the particles take: every step
-    generated through `advance`, and every step the susceptibility clock
-    reads from its pre-walked prefix (frog_sim._Prefix), whose look-ahead is
-    not counted.
+    cached: `advance` steps a batch of walks, and prefix(i, t) regenerates
+    positions 0..t of particle i's walk (index 0 is its home).
+    `steps_generated` counts the steps generated through `advance`, plus
+    the steps the particles take in each frog_sim clock run on this
+    configuration (not the look-ahead of the susceptibility clock's
+    prefix).
     """
 
     def __init__(self, g, init):

@@ -1,6 +1,9 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 
@@ -12,6 +15,7 @@ import numpy as np
 
 from frogline import (Pmf, geometric_convolution_law, hitting_eigenvalues,
                       level_chain, stationary_levels, write_table)
+import frogline
 from frogline import cli, experiments
 from frogline.cli import main
 
@@ -163,7 +167,11 @@ def test_parameter_error_exit_2(capsys, tmp_path):
             (["analytic", "--quantity", "mu", "--graph", "cycle:n=5", "--t",
               "3", "--lambda", "inf"], "lambda"),
             (["analytic", "--quantity", "q", "--graph", "tree:d=2,n=2000"],
-             "int64")]:
+             "int64"),
+            (["simulate", "--graph", "tree:d=2,n=2", "--jobs", "0"],
+             "jobs must be >= 1"),
+            (["sweep", "--graph", "tree:d=2,n=2", "--lambda", "1",
+              "--jobs", "-5"], "jobs must be >= 1")]:
         assert main(argv) == 2, argv
         err = capsys.readouterr().err
         assert says in err and err.count("\n") == 1, (argv, err)
@@ -258,6 +266,18 @@ def test_validate_fast_exit_0(capsys):
     assert all(r["passed"] == "true" for r in rows)
     names = {r["check"] for r in rows}
     assert {"pi_stationary", "activation_oracle", "spectral_oracle"} <= names
+
+
+def test_cli_import_loads_no_process_pool():
+    # the pool is imported only by a run with more than one worker
+    code = ("import sys, frogline.cli; "
+            "print('concurrent.futures' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [os.path.dirname(os.path.dirname(frogline.__file__))]
+        + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "False"
 
 
 def test_unknown_choice_exits_2(capsys):

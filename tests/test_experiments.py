@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -100,6 +102,79 @@ def test_trial_cells_equal_per_cell_sampling(metric, jobs, lam_max, step_cap):
     assert all("step cap %d" % step_cap in r.budget_reason for r in failed)
     if step_cap < 100:  # the cap fails some cells and not others
         assert 0 < len(failed) < len(results)
+
+
+@pytest.mark.parametrize("metric", ["susceptibility", "cover"])
+@pytest.mark.parametrize("lam_max,step_cap", [(None, 10 ** 9), (2.5, 7),
+                                              (None, 60)])
+def test_batches_equal_one_trial_per_batch(metric, lam_max, step_cap,
+                                           monkeypatch):
+    spec = _spec(graphs=["tree:d=2,n=5", "complete:n=40", "cycle:n=12"],
+                 lambdas=[0.0, 0.5, 2.0], metric=metric, trials=5,
+                 lam_max=lam_max, step_cap=step_cap, seed_base=8)
+
+    def rows(spec, batch_size):
+        assert all(len(experiments._batches(spec, graph)[0]) == batch_size
+                   for graph in spec.graphs)
+        return [(r.graph, r.lam, r.trial, r.seed, r.value, r.steps,
+                 r.budget_reason) for r in run_spec_trials(spec)]
+
+    batched = rows(spec, 5)
+    assert rows(replace(spec, jobs=2), 3) == batched
+    monkeypatch.setattr(experiments, "BATCH_TABLE_SIZE", 1)
+    assert rows(spec, 1) == batched
+    if step_cap < 100:  # the cap fails some trials of a batch, not all
+        cells = {}
+        for graph, lam, _, _, value, _, _ in batched:
+            cells.setdefault((graph, lam), set()).add(value is None)
+        assert {True, False} in cells.values()
+
+
+def test_batch_size_rule():
+    spec = _spec(graphs=["tree:d=2,n=10"], lambdas=[1.0, 2.0], trials=11)
+    # 2047 * (1 + 2) = 6141 cells a trial: five fit 2 ** 15
+    assert experiments._batches(spec, "tree:d=2,n=10") == [
+        [0, 1, 2, 3, 4], [5, 6, 7, 8, 9], [10]]
+    assert experiments._batches(replace(spec, jobs=4), "tree:d=2,n=10") == [
+        [0, 1, 2], [3, 4, 5], [6, 7, 8], [9, 10]]
+    assert experiments._batches(spec, "complete:n=20000") == [
+        [i] for i in range(11)]
+    leaf = replace(spec, metric="leafwalk", lambdas=[], s=2)
+    assert experiments._batches(leaf, "tree:d=2,n=3") == [
+        [i] for i in range(11)]
+
+
+def test_jobs_below_one_rejected():
+    for jobs in (0, -5):
+        with pytest.raises(ParameterError, match="jobs must be >= 1"):
+            run_spec_trials(_spec(jobs=jobs))
+
+
+def test_pool_has_at_most_one_worker_per_task(monkeypatch):
+    import concurrent.futures
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    spec = _spec(trials=3, jobs=8)  # one trial a batch: three tasks
+    rows = [dict(r, wall_ms="") for r in trial_csv_rows(run_spec_trials(spec))]
+    assert sizes == [3]
+    serial = replace(spec, jobs=1)  # one task: no pool
+    assert rows == [dict(r, wall_ms="")
+                    for r in trial_csv_rows(run_spec_trials(serial))]
+    assert sizes == [3]
 
 
 def test_refused_configuration_fails_every_cell():

@@ -6,6 +6,7 @@ from frogline import (NEVER, BudgetExceededError, WalkStore, build_graph,
                       run_activation, susceptibility)
 from frogline import frog_sim
 from frogline.checks import activation_oracle, first_visit_table
+from frogline.randomness import stack_views
 
 from oracles import bfs_distances, bisected_susceptibility, covered_under
 
@@ -146,33 +147,62 @@ def test_cover_time_single_edge():
     assert cover_time(g, init, WalkStore(g, init)) == 1
 
 
-def _susceptibility_run(g, init, step_cap):
+def _run(engine, g, init, step_cap):
+    """One configuration's value and steps, or its budget failure."""
     walks = WalkStore(g, init)
     try:
-        return ("S", susceptibility(g, init, walks, step_cap=step_cap),
+        return ("S", engine(g, init, walks, step_cap=step_cap),
                 walks.steps_generated)
     except BudgetExceededError as err:
         return ("budget", err.fraction_covered, err.bracket,
                 walks.steps_generated)
 
 
+def _stack_runs(engine, g, inits, step_cap):
+    """_run of every copy of the stack of `inits`, from one clock."""
+    out = []
+    for o in engine(g, stack_views(inits), step_cap=step_cap):
+        err = o.error
+        out.append(("S", o.value, o.steps) if err is None else
+                   ("budget", err.fraction_covered, err.bracket, o.steps))
+    return out
+
+
+def _prefix_settings(n, s):
+    """frog_sim settings for n particles and susceptibility s: hmax = 1;
+    hmax a few steps below s; prefix chunks of three rows, walked a row at
+    a time and replayed in short spans; the defaults."""
+    return [{"PREFIX_CELLS": n}, {"PREFIX_CELLS": n * max(1, s - 3)},
+            {"SCAN_BLOCK_CELLS": n, "PREFIX_ROWS": 3}, {}]
+
+
+def _patch(monkeypatch, setting):
+    for name, value in setting.items():
+        monkeypatch.setattr(frog_sim, name, value)
+
+
 @pytest.mark.parametrize("text", ["tree:d=2,n=3", "tree:d=2,n=5",
-                                  "tree:d=3,n=3"])
+                                  "tree:d=3,n=3", "cycle:n=9",
+                                  "complete:n=12"])
 @pytest.mark.parametrize("lam", [0.0, 0.5, 1.0, 2.0])
 def test_susceptibility_across_the_prefix_boundary(text, lam, monkeypatch):
-    # at the default PREFIX_CELLS these graphs finish inside the prefix;
-    # smaller settings make the clock step the awake set and generate the
-    # replay tails past h = 1 and past h a few steps below S
+    # at the default PREFIX_CELLS the trees finish inside the prefix, and
+    # complete graphs and cycles have none; smaller settings make the clock
+    # step the awake set and generate the replay tails past h = 1 and past
+    # h a few steps below S, and make the prefix many chunks. A stack's hmax
+    # is PREFIX_CELLS // (particles of all its copies), so a stack crosses
+    # the boundary earlier than its copies would alone
     g = build_graph(parse_descriptor(text))
-    for seed in range(3):
-        init = init_config(g, lam, 0, seed, lam_max=2.0)
+    inits = [init_config(g, lam, 0, seed, lam_max=2.0) for seed in range(3)]
+    alone = []
+    for seed, init in enumerate(inits):
         s = bisected_susceptibility(g, init, WalkStore(g, init))
         n = init.particle_count()
         caps = (s, s - 1) if s > 1 else (s,)
         runs = []
-        for cells in (n, n * max(1, s - 3), frog_sim.PREFIX_CELLS):
-            monkeypatch.setattr(frog_sim, "PREFIX_CELLS", cells)
-            runs.append([_susceptibility_run(g, init, cap) for cap in caps])
+        for setting in _prefix_settings(n, s):
+            _patch(monkeypatch, setting)
+            runs.append([_run(susceptibility, g, init, cap) for cap in caps])
             monkeypatch.undo()
         first, *rest = runs
         assert first[0][:2] == ("S", s), (text, lam, seed)
@@ -183,6 +213,47 @@ def test_susceptibility_across_the_prefix_boundary(text, lam, monkeypatch):
             assert 0 < first[1][1] < 1
         for other in rest:
             assert other == first, (text, lam, seed, runs)
+        alone.append(s)
+    # the stack, with caps above every S, between them and below them
+    n = sum(init.particle_count() for init in inits)
+    for cap in sorted({max(alone), sorted(alone)[1], max(1, min(alone) - 1)}):
+        want = [_run(susceptibility, g, init, cap) for init in inits]
+        for setting in _prefix_settings(n, min(alone)):
+            _patch(monkeypatch, setting)
+            got = _stack_runs(susceptibility, g, inits, cap)
+            monkeypatch.undo()
+            assert got == want, (text, lam, cap, setting)
+
+
+@pytest.mark.parametrize("text", ["tree:d=2,n=3", "tree:d=3,n=2",
+                                  "cycle:n=9", "complete:n=8"])
+def test_stack_copies_equal_their_configurations(text):
+    # one stack mixes lambdas, origins and seeds: its copies share only the
+    # graph
+    g = build_graph(parse_descriptor(text))
+    inits = [init_config(g, lam, origin, seed, lam_max=2.0)
+             for lam, origin, seed in [(0.0, 0, 1), (0.5, 1, 2), (1.0, 0, 3),
+                                       (2.0, g.vertex_count - 1, 4)]]
+    for engine in (susceptibility, cover_time):
+        want = [_run(engine, g, init, frog_sim.DEFAULT_STEP_CAP)
+                for init in inits]
+        assert _stack_runs(engine, g, inits, frog_sim.DEFAULT_STEP_CAP) \
+            == want
+        cap = sorted(w[1] for w in want)[1]
+        capped = [_run(engine, g, init, cap) for init in inits]
+        assert {c[0] for c in capped} == {"S", "budget"}, (text, want)
+        assert _stack_runs(engine, g, inits, cap) == capped
+    # a copy's activation times: the stack's rows, a stack of one
+    # (run_activation) and the shortest-path oracle agree
+    tables = [first_visit_table(g, init, WalkStore(g, init), 12)
+              for init in inits]
+    for tau in (0, 1, 3, 12):
+        at, _ = frog_sim._wake_clock(g, stack_views(inits),
+                                     frog_sim.DEFAULT_STEP_CAP, tau=tau)
+        for row, init, ell in zip(at, inits, tables):
+            alone = run_activation(g, init, WalkStore(g, init), tau).at
+            assert np.array_equal(row, alone), (text, tau)
+            assert np.array_equal(alone, activation_oracle(g, init, ell, tau))
 
 
 # (graph, lambda, origin, seed, S, its steps_simulated, CT, its
@@ -252,3 +323,53 @@ def test_pinned_values(row):
         walks = WalkStore(g, init)
         got += [engine(g, init, walks), walks.steps_generated]
     assert tuple(got) == row[4:]
+
+
+# (graph, lambda, seed, engine, cap, vertices awake, steps taken) of a run
+# from the root at lambda_max 2 whose cap is one below its value, recorded
+# before the clocks ran on stacks: a budget failure's partial progress
+PINNED_CAPPED = [
+    ('tree:d=2,n=5', 0.5, 0, 'S', 37, 61, 1258),
+    ('tree:d=2,n=5', 0.5, 0, 'CT', 64, 62, 1285),
+    ('tree:d=2,n=5', 0.5, 1, 'S', 77, 62, 2310),
+    ('tree:d=2,n=5', 0.5, 1, 'CT', 100, 62, 2087),
+    ('tree:d=2,n=5', 2.0, 0, 'S', 7, 62, 945),
+    ('tree:d=2,n=5', 2.0, 0, 'CT', 12, 60, 628),
+    ('tree:d=2,n=5', 2.0, 1, 'S', 8, 62, 960),
+    ('tree:d=2,n=5', 2.0, 1, 'CT', 20, 61, 1732),
+    ('tree:d=2,n=8', 0.5, 0, 'S', 115, 510, 30705),
+    ('tree:d=2,n=8', 0.5, 0, 'CT', 181, 510, 28125),
+    ('tree:d=2,n=8', 0.5, 1, 'S', 84, 510, 22176),
+    ('tree:d=2,n=8', 0.5, 1, 'CT', 119, 509, 20305),
+    ('tree:d=2,n=8', 2.0, 0, 'S', 11, 510, 11429),
+    ('tree:d=2,n=8', 2.0, 0, 'CT', 31, 510, 18282),
+    ('tree:d=2,n=8', 2.0, 1, 'S', 22, 510, 23254),
+    ('tree:d=2,n=8', 2.0, 1, 'CT', 43, 510, 31245),
+    ('cycle:n=9', 0.5, 0, 'S', 4, 6, 24),
+    ('cycle:n=9', 0.5, 0, 'CT', 5, 7, 19),
+    ('cycle:n=9', 0.5, 1, 'S', 4, 3, 4),
+    ('cycle:n=9', 0.5, 1, 'CT', 11, 8, 23),
+    ('cycle:n=9', 2.0, 0, 'S', 1, 2, 4),
+    ('cycle:n=9', 2.0, 0, 'CT', 4, 7, 22),
+    ('cycle:n=9', 2.0, 1, 'S', 1, 4, 10),
+    ('cycle:n=9', 2.0, 1, 'CT', 3, 7, 21),
+    ('complete:n=100', 0.5, 0, 'S', 7, 99, 364),
+    ('complete:n=100', 0.5, 0, 'CT', 21, 99, 397),
+    ('complete:n=100', 0.5, 1, 'S', 12, 99, 576),
+    ('complete:n=100', 0.5, 1, 'CT', 18, 99, 461),
+    ('complete:n=100', 2.0, 0, 'S', 2, 99, 422),
+    ('complete:n=100', 2.0, 0, 'CT', 6, 99, 372),
+    ('complete:n=100', 2.0, 1, 'S', 2, 97, 388),
+    ('complete:n=100', 2.0, 1, 'CT', 6, 99, 397),
+]
+
+
+@pytest.mark.parametrize("row", PINNED_CAPPED,
+                         ids=lambda r: "%s-%s-%d-%s" % r[:4])
+def test_pinned_budget_failures(row):
+    text, lam, seed, name, cap, awake, steps = row
+    g = build_graph(parse_descriptor(text))
+    init = init_config(g, lam, 0, seed, lam_max=2.0)
+    engine = susceptibility if name == "S" else cover_time
+    assert _run(engine, g, init, cap) == (
+        "budget", awake / g.vertex_count, (cap + 1, None), steps)
