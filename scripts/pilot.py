@@ -12,7 +12,7 @@ from math import log, sqrt
 
 import numpy as np
 
-from frogline import build_graph, init_config, parse_descriptor, susceptibility
+from frogline import build_graph, init_config, parse_descriptor
 from frogline.checks import (complete_graph_ratio, cover_time_checks,
                              heat_kernel_extremes, leafwalk_cell,
                              mixing_crossing_ratio, range_hit_ratios,

@@ -11,16 +11,15 @@ from .graph import (GraphDescriptor, build_graph, parse_descriptor,
 from .leaf_walk import LeafWalkReport, run_killed_leaf_walk
 from .randomness import (FrogInit, WalkStore, generate_steps, init_config,
                          step_uniforms, substream, walk_keys)
-from .spectral_bd import (BirthDeathChain, Pmf, SpectralDecomposition,
-                          check_logconcave, geometric_convolution_law,
-                          half_e2_t0, hitting_eigenvalues, hitting_pmf_dp,
-                          total_variation)
-from .tree_analytics import (LowerBoundQuantities, expected_hit, gambler_ruin,
+from .spectral_bd import (BirthDeathChain, Pmf, check_logconcave,
+                          geometric_convolution_law, half_e2_t0,
+                          hitting_eigenvalues, hitting_pmf_dp, total_variation)
+from .tree_analytics import (expected_hit, gambler_ruin, green_sums,
                              kappa_sequence, leaf_to_root_closed_form,
-                             level_chain, lower_bound_quantities,
-                             mixing_crossing_time, mixing_deviation,
-                             mixing_profile, return_sum_envelope,
-                             select_spread_set, stationary_levels,
+                             level_chain, mixing_crossing_time,
+                             mixing_deviation, mixing_profile, mu_table,
+                             return_sum_envelope, select_spread_set,
+                             stationary_levels, threshold_time,
                              transition_powers)
 
 __version__ = "0.1.0"
@@ -28,17 +27,16 @@ __version__ = "0.1.0"
 __all__ = [
     "ActivationReport", "BirthDeathChain", "BudgetExceededError",
     "ExperimentSpec", "FamilyError", "FrogInit", "GraphDescriptor",
-    "LeafWalkReport", "LowerBoundQuantities", "NEVER",
-    "NumericalConsistencyError", "ParameterError", "Pmf",
-    "SpectralDecomposition", "WalkStore", "build_graph", "check_logconcave",
-    "cover_time", "estimate", "expected_hit", "gambler_ruin",
-    "generate_steps", "geometric_convolution_law", "half_e2_t0",
+    "LeafWalkReport", "NEVER", "NumericalConsistencyError", "ParameterError",
+    "Pmf", "WalkStore", "build_graph", "check_logconcave", "cover_time",
+    "estimate", "expected_hit", "gambler_ruin", "generate_steps",
+    "geometric_convolution_law", "green_sums", "half_e2_t0",
     "hitting_eigenvalues", "hitting_pmf_dp", "init_config", "kappa_sequence",
-    "leaf_to_root_closed_form", "level_chain", "lower_bound_quantities",
-    "mixing_crossing_time", "mixing_deviation", "mixing_profile",
-    "parse_descriptor", "resolve_origin", "return_sum_envelope",
-    "run_activation", "run_killed_leaf_walk", "run_spec_trials",
-    "select_spread_set", "stationary_levels", "step_uniforms", "substream",
-    "susceptibility", "sweep", "total_variation", "transition_powers",
+    "leaf_to_root_closed_form", "level_chain", "mixing_crossing_time",
+    "mixing_deviation", "mixing_profile", "mu_table", "parse_descriptor",
+    "resolve_origin", "return_sum_envelope", "run_activation",
+    "run_killed_leaf_walk", "run_spec_trials", "select_spread_set",
+    "stationary_levels", "step_uniforms", "substream", "susceptibility",
+    "sweep", "threshold_time", "total_variation", "transition_powers",
     "trial_seed", "validate", "walk_keys", "write_table",
 ]

@@ -10,12 +10,10 @@ acceptance tests can run the same measurements at their own scales.
 import heapq
 from dataclasses import dataclass
 from math import log, sqrt
-from typing import Optional
 
 import numpy as np
 
 from . import bands
-from .errors import ParameterError
 from .frog_sim import NEVER, cover_time, run_activation, susceptibility
 from .graph import COMPLETE, CYCLE, TREE, GraphDescriptor, build_graph
 from .leaf_walk import run_killed_leaf_walk
@@ -24,12 +22,12 @@ from .randomness import WalkStore, generate_steps, init_config, \
 from .spectral_bd import check_logconcave, geometric_convolution_law, half_e2_t0, \
     hitting_eigenvalues, hitting_pmf_dp, Pmf, total_variation
 from .tree_analytics import (apply_transition, expected_hit, gambler_ruin,
-                             kappa_sequence, leaf_to_root_closed_form,
-                             level_chain, lower_bound_quantities,
+                             green_sums, kappa_sequence,
+                             leaf_to_root_closed_form, level_chain,
                              mixing_crossing_time, mixing_deviation,
-                             mixing_matrix, mixing_profile,
-                             return_sum_envelope, select_spread_set,
-                             stationary_levels, transition_powers)
+                             mixing_profile, mu_table, return_sum_envelope,
+                             select_spread_set, stationary_levels,
+                             threshold_time, transition_powers)
 
 
 @dataclass
@@ -226,16 +224,16 @@ def check_spectral_oracle():
     bad = []
     for d, n in _CHAIN_GRID:
         chain = level_chain(d, n)
-        spec = hitting_eigenvalues(chain)
-        if np.any(spec.gammas <= 0) or np.any(spec.gammas > 1):
+        gammas = hitting_eigenvalues(chain)
+        if np.any(gammas <= 0) or np.any(gammas > 1):
             bad.append("gamma range d=%d n=%d" % (d, n))
-        law = geometric_convolution_law(spec, "odd" if n % 2 else "even")
+        law = geometric_convolution_law(gammas, "odd" if n % 2 else "even")
         t_max = _dp_horizon(law)
         dp = hitting_pmf_dp(chain, n, t_max)
         tv = total_variation(law, dp)
         if tv >= 1e-9:
             bad.append("tv %.2e d=%d n=%d" % (tv, d, n))
-        mean_expected = 2.0 * float((1.0 / spec.gammas).sum()) + (n % 2)
+        mean_expected = 2.0 * float((1.0 / gammas).sum()) + (n % 2)
         if abs(law.mean() - mean_expected) > 1e-6:
             bad.append("law mean d=%d n=%d" % (d, n))
         crossing_sum = expected_hit(chain, "leaf_to_root")
@@ -252,8 +250,8 @@ def _dp_horizon(law):
 def check_logconcavity():
     bad = []
     for d, n in _CHAIN_GRID:
-        spec = hitting_eigenvalues(level_chain(d, n))
-        law = geometric_convolution_law(spec, "odd" if n % 2 else "even")
+        law = geometric_convolution_law(hitting_eigenvalues(level_chain(d, n)),
+                                        "odd" if n % 2 else "even")
         ok, idx = check_logconcave(law)
         if not ok:
             bad.append("law violates at %r (d=%d n=%d)" % (idx, d, n))
@@ -267,8 +265,7 @@ def check_part3_bound():
     bad = []
     for d, n in _CHAIN_GRID:
         chain = level_chain(d, n)
-        spec = hitting_eigenvalues(chain)
-        lhs = 1.0 / float(spec.gammas[0])
+        lhs = 1.0 / float(hitting_eigenvalues(chain)[0])
         rhs = half_e2_t0(chain)
         if lhs < rhs - 1e-9:
             bad.append("1/gamma1=%.4f < %.4f (d=%d n=%d)" % (lhs, rhs, d, n))
@@ -278,10 +275,11 @@ def check_part3_bound():
 def check_kappa_threshold():
     bad = []
     g = build_graph(GraphDescriptor(COMPLETE, n=100))
-    lbq = lower_bound_quantities(g, 1.0, 0.0, 8)
-    if lbq.threshold != 3:
-        bad.append("t_{1,0}(K_100) = %r, want 3" % (lbq.threshold,))
-    if abs(lbq.kappa[0] - 1.0) > 1e-12 or np.any(np.diff(lbq.kappa) < -1e-15):
+    threshold = threshold_time(g, 1.0, 0.0, 8)
+    if threshold != 3:
+        bad.append("t_{1,0}(K_100) = %r, want 3" % (threshold,))
+    kappa = kappa_sequence(g, 8)
+    if abs(kappa[0] - 1.0) > 1e-12 or np.any(np.diff(kappa) < -1e-15):
         bad.append("kappa not a nondecreasing sequence from 1")
     # vertex-transitive: return sums identical across vertices
     for desc in [GraphDescriptor(COMPLETE, n=8), GraphDescriptor(CYCLE, n=9)]:
@@ -292,8 +290,8 @@ def check_kappa_threshold():
             bad.append("kappa varies across %s" % gg.label())
     # m_A consistency: on vertex-transitive graphs with A = V, m_A == kappa
     gg = build_graph(GraphDescriptor(COMPLETE, n=12))
-    q = lower_bound_quantities(gg, 1.0, 0.0, 6)
-    if np.abs(q.m_A - q.kappa).max() > 1e-12:
+    m_A = green_sums(gg, 6)[1].diagonal().min(axis=1)
+    if np.abs(m_A - kappa_sequence(gg, 6)).max() > 1e-12:
         bad.append("m_A != kappa on complete(12)")
     return _result("kappa_threshold", not bad, ";".join(bad) or "ok")
 
@@ -304,13 +302,13 @@ def check_mu_bounds():
                         (GraphDescriptor(CYCLE, n=15), 12)]:
         g = build_graph(desc)
         lam = 1.5
-        lbq = lower_bound_quantities(g, lam, 0.0, t_max)
-        for a, mu in lbq.mu.items():
+        A, mus = mu_table(g, lam, t_max)
+        for a, mu in zip(A, mus):
             ts = np.arange(t_max + 1)
             if np.any(mu > lam * ts + 1e-12):
                 bad.append("mu_a(t) > lambda t on %s at a=%d" % (g.label(), a))
         if g.family == COMPLETE:
-            if abs(lbq.mu[0][1] - lam) > 1e-12:
+            if abs(mus[0][1] - lam) > 1e-12:
                 bad.append("mu_a(1) != lambda on %s" % g.label())
     return _result("mu_bounds", not bad, ";".join(bad) or "ok")
 
@@ -319,22 +317,22 @@ def check_spread_set():
     bad = []
     # complete(3), t=1, s=4: all pairwise Green sums 1/2 >= 1/4, so one survivor
     g = build_graph(GraphDescriptor(COMPLETE, n=3))
-    lbq = lower_bound_quantities(g, 1.0, 0.0, 1)
-    B = select_spread_set(list(lbq.targets), 1, 4, lbq.green[:, :, 1])
+    A, green = green_sums(g, 1)
+    B = select_spread_set(list(A), 1, 4, green[:, :, 1])
     if len(B) < 1 or len(B) * (1 + 4 * 1 * 1) < 3:
         bad.append("complete(3) size bound")
     if len(B) != 1:
         bad.append("complete(3) expected a single survivor, got %r" % (B,))
     # tree(2,4) leaves, t=8, s=2: both bounds, checked against exact sums
     gt = build_graph(GraphDescriptor(TREE, d=2, n=4))
-    lbq = lower_bound_quantities(gt, 1.0, 0.0, 8)
-    A = list(lbq.targets)
-    B = select_spread_set(A, 8, 2, lbq.green[:, :, 8])
+    A, green = green_sums(gt, 8)
+    A = list(A)
+    B = select_spread_set(A, 8, 2, green[:, :, 8])
     idx = {a: i for i, a in enumerate(A)}
     cut = 1.0 / (2 * 8)
     for x in B:
         for y in B:
-            if x != y and lbq.green[idx[x], idx[y], 8] >= cut:
+            if x != y and green[idx[x], idx[y], 8] >= cut:
                 bad.append("pairwise bound fails at (%d,%d)" % (x, y))
     if len(B) * (1 + 2 * 64) < len(A):
         bad.append("tree(2,4) size bound")

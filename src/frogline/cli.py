@@ -18,12 +18,16 @@ from .tree_analytics import level_chain
 
 
 def _common_flags(p):
-    p.add_argument("--seed", type=int, default=0, help="seed base (u64)")
     p.add_argument("--jobs", type=int, default=1,
                    help="worker processes for simulate and sweep (>= 1; "
                         "at most one per batch of trials)")
     p.add_argument("--out", default="-", help="output path, '-' for stdout")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
+
+
+def _simulation_flags(p):
+    _common_flags(p)
+    p.add_argument("--seed", type=int, default=0, help="seed base (u64)")
     p.add_argument("--budget-steps", type=int, default=DEFAULT_STEP_CAP,
                    help="cap on the clock of susceptibility and cover-time "
                         "runs, and on the steps of a leaf walk")
@@ -42,7 +46,7 @@ def build_parser():
     sub = ap.add_subparsers(dest="command", required=True)
 
     sim = sub.add_parser("simulate", help="per-trial simulation rows")
-    _common_flags(sim)
+    _simulation_flags(sim)
     sim.add_argument("--graph", required=True,
                      help="tree:d=<int>,n=<int> | complete:n=<int> | cycle:n=<int>")
     sim.add_argument("--lambda", dest="lam", type=float, default=1.0)
@@ -55,7 +59,7 @@ def build_parser():
                      help="leafwalk restart parameter (restart prob 1/(2s))")
 
     sw = sub.add_parser("sweep", help="grid of cells, one estimate row each")
-    _common_flags(sw)
+    _simulation_flags(sw)
     sw.add_argument("--graph", action="append", required=True,
                     help="repeatable graph descriptor")
     sw.add_argument("--lambda", dest="lambdas", type=_float_list, default=[],
@@ -172,18 +176,16 @@ def _cmd_analytic(args):
     elif q == "threshold":
         g = _require_graph(args)
         ts = args.t or [256]
-        lbq = tree_analytics.lower_bound_quantities(g, args.lam, args.delta,
-                                                    max(ts))
-        rows = [{"quantity": "threshold", "key": "t", "value": lbq.threshold}]
+        t = tree_analytics.threshold_time(g, args.lam, args.delta, max(ts))
+        rows = [{"quantity": "threshold", "key": "t", "value": t}]
     elif q == "mu":
         g = _require_graph(args)
         ts = args.t or [16]
-        lbq = tree_analytics.lower_bound_quantities(g, args.lam, args.delta,
-                                                    max(ts))
-        for a in lbq.targets:
+        targets, mu = tree_analytics.mu_table(g, args.lam, max(ts))
+        for a, row in zip(targets, mu):
             for t in ts:
                 rows.append({"quantity": "mu", "key": "a=%d,t=%d" % (a, t),
-                             "value": repr(float(lbq.mu[int(a)][t]))})
+                             "value": repr(float(row[t]))})
     elif q == "mixing":
         g = _require_graph(args)
         ts = args.t or list(range(0, 33, 2))
@@ -191,9 +193,9 @@ def _cmd_analytic(args):
             rows.append({"quantity": "mixing", "key": t, "value": repr(dev)})
     elif q == "bd-law":
         chain = _parse_chain(args.chain)
-        spec = spectral_bd.hitting_eigenvalues(chain)
         pmf = spectral_bd.geometric_convolution_law(
-            spec, "odd" if chain.n % 2 else "even")
+            spectral_bd.hitting_eigenvalues(chain),
+            "odd" if chain.n % 2 else "even")
         experiments.write_law(pmf, args.out, args.format)
         return 0
     experiments.write_table(rows, ["quantity", "key", "value"], args.out,
@@ -216,6 +218,8 @@ def main(argv=None):
     handlers = {"simulate": _cmd_simulate, "sweep": _cmd_sweep,
                 "analytic": _cmd_analytic, "validate": _cmd_validate}
     try:
+        if args.jobs < 1:
+            raise ParameterError("jobs must be >= 1, got %r" % (args.jobs,))
         return handlers[args.command](args)
     except BudgetExceededError as exc:
         print("budget exceeded: %s" % exc, file=sys.stderr)

@@ -163,7 +163,7 @@ def _batch_task(task):
     lambda cell runs one clock on the stack of the trials' views. A trial's
     wall_ms counts its sampling (in its first cell) and an even share of
     each clock it took part in. A configuration that the byte guard refuses
-    fails every cell of its trial, with the reason."""
+    fails every cell of the batch, with the reason."""
     spec, graph, trials = task
     g = build_graph(parse_descriptor(graph))
     origin_spec = spec.origin if spec.origin is not None else (
@@ -186,24 +186,19 @@ def _batch_task(task):
             configs.append(init_config(g, _lam_max(spec), origin, cell.seed,
                                        lam_max=spec.lam_max))
         except BudgetExceededError as exc:
-            configs.append(exc)
+            # the byte guard reads only V and lambda_max: it refuses the
+            # first trial of a batch exactly when it refuses them all
+            return [[replace(c, lam=lam, budget_reason=str(exc))
+                     for lam in spec.lambdas] for c in cells]
         wall_ms.append(_ms_since(start))
-    refused = [isinstance(c, BudgetExceededError) for c in configs]
-    live = [i for i, no in enumerate(refused) if not no]
     engine = cover_time if spec.metric == "cover" else susceptibility
     rows = [[] for _ in cells]
     for lam in spec.lambdas:
-        for i, no in enumerate(refused):
-            if no:
-                rows[i].append(replace(cells[i], lam=lam,
-                                       budget_reason=str(configs[i])))
-        if not live:
-            continue
         start = time.perf_counter()
-        stack = stack_views([configs[i].at_lambda(lam) for i in live])
+        stack = stack_views([config.at_lambda(lam) for config in configs])
         outcomes = engine(g, stack, step_cap=spec.step_cap)
-        share = _ms_since(start) / len(live)
-        for i, outcome in zip(live, outcomes):
+        share = _ms_since(start) / len(cells)
+        for i, outcome in enumerate(outcomes):
             rows[i].append(run_trial(replace(cells[i], lam=lam), outcome,
                                      wall_ms[i] + share))
             wall_ms[i] = 0.0
@@ -366,7 +361,7 @@ def _output(out):
                              % (out, exc.strerror)) from None
 
 
-def validate(suite, include=None):
+def validate(suite):
     """Run a named check suite; returns (all_passed, list of CheckResult)."""
     from . import checks
     if suite == "fast":
@@ -375,9 +370,5 @@ def validate(suite, include=None):
         selected = checks.FAST_CHECKS + checks.FULL_CHECKS
     else:
         raise ParameterError("unknown suite %r (want fast or full)" % (suite,))
-    results = []
-    for name, fn in selected:
-        if include and name not in include:
-            continue
-        results.append(fn())
+    results = [fn() for _, fn in selected]
     return all(r.passed for r in results), results

@@ -169,7 +169,7 @@ class FrogInit(_ParticleTable):
 
     def at_lambda(self, lam):
         """Re-view the same realization at a different density <= lam_max."""
-        _check_lambda("lambda", lam)
+        check_lambda("lambda", lam)
         if lam > self.lam_max:
             raise ParameterError(
                 "lambda %r exceeds lambda_max %r; resampling would break the "
@@ -232,7 +232,7 @@ def _view(g, lam, lam_max, origin, coupling):
                     home, keys, coupling)
 
 
-def _check_lambda(name, lam):
+def check_lambda(name, lam):
     if not (np.isfinite(lam) and lam >= 0):
         raise ParameterError("%s must be finite and >= 0, got %r" % (name, lam))
 
@@ -253,8 +253,8 @@ def init_config(g, lam, origin, seed, lam_max=None):
     if lam_max is None:
         lam_max = lam
     else:
-        _check_lambda("lambda_max", lam_max)
-    _check_lambda("lambda", lam)
+        check_lambda("lambda_max", lam_max)
+    check_lambda("lambda", lam)
     if lam > lam_max:
         raise ParameterError("lambda %r exceeds lambda_max %r" % (lam, lam_max))
     g.check_vertex(origin)

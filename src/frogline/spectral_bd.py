@@ -61,11 +61,6 @@ def _validate_chain(chain):
 
 
 @dataclass
-class SpectralDecomposition:
-    gammas: np.ndarray  # ascending eigenvalues of I - K^2 on the even class
-
-
-@dataclass
 class Pmf:
     """Finite pmf on consecutive integers starting at `offset`.
 
@@ -83,7 +78,8 @@ class Pmf:
 
 
 def hitting_eigenvalues(chain):
-    """Eigenvalues of I - K^2 restricted to the killed chain's even class."""
+    """Ascending eigenvalues gamma of I - K^2 restricted to the killed
+    chain's even class."""
     # imported here: scipy.linalg is most of the package's import time
     from scipy.linalg import eigh_tridiagonal
     n, up, down = _validate_chain(chain)
@@ -91,7 +87,7 @@ def hitting_eigenvalues(chain):
     states = np.arange(2, top + 1, 2, dtype=np.int64)
     m = len(states)
     if m == 0:
-        return SpectralDecomposition(gammas=np.empty(0))
+        return np.empty(0)
     # K^2 on the even states; up[n] = 0 makes the boundary rows come out right
     diag = np.empty(m)
     hi = np.empty(max(m - 1, 0))
@@ -110,7 +106,7 @@ def hitting_eigenvalues(chain):
     if np.any(gammas <= 0):
         raise NumericalConsistencyError(
             "nonpositive eigenvalue of I - K^2: %r" % (gammas,))
-    return SpectralDecomposition(gammas=np.sort(gammas))
+    return np.sort(gammas)
 
 
 def _geometric_length(gamma):
@@ -125,8 +121,9 @@ def _geometric_pmf(gamma, length):
     return gamma * (1.0 - gamma) ** k
 
 
-def geometric_convolution_law(spec, n_parity):
-    """Pmf of T_0 from the top state, as the geometric convolution says.
+def geometric_convolution_law(gammas, n_parity):
+    """Pmf of T_0 from the top state, as the geometric convolution of the
+    hitting_eigenvalues `gammas` says.
 
     n_parity: 'even' or 'odd' (or the integer n itself); odd chains spend
     one deterministic step n -> n-1 before the convolution starts.
@@ -137,19 +134,19 @@ def geometric_convolution_law(spec, n_parity):
         odd = n_parity == "odd"
     else:
         odd = int(n_parity) % 2 == 1
-    lengths = [_geometric_length(gamma) for gamma in spec.gammas]
+    lengths = [_geometric_length(gamma) for gamma in gammas]
     # tracemalloc peaks measured 24-25.3 B per unit of summed factor length
     # (d=2 n=8..16, d=3 n=7 and 10): the longest factor dominates
     check_bytes("a hitting-time law of %d geometric factors" % len(lengths),
                 32 * sum(lengths))
     conv = np.array([1.0])
-    for gamma, length in zip(spec.gammas, lengths):
+    for gamma, length in zip(gammas, lengths):
         conv = np.convolve(conv, _geometric_pmf(gamma, length))
         # trim the far tail so iterated convolutions stay short
         tail = np.cumsum(conv[::-1])[::-1]
         keep = int(np.searchsorted(-tail, -1e-13))
         conv = conv[:max(keep, 1)]
-    m = len(spec.gammas)
+    m = len(gammas)
     # conv index j corresponds to the geometric sum equal to m + j
     masses = np.zeros(2 * len(conv) - 1)
     masses[::2] = conv

@@ -12,14 +12,13 @@ cycles, and tree leaf sets; everything is exact arithmetic on the implicit
 transition operator, no Monte Carlo.
 """
 
-from dataclasses import dataclass
 from math import log
 
 import numpy as np
 
 from .errors import BudgetExceededError, FamilyError, ParameterError
 from .graph import COMPLETE, CYCLE, TREE
-from .randomness import check_bytes
+from .randomness import check_bytes, check_lambda
 from .spectral_bd import BirthDeathChain, reversible_weights
 
 # float64 arrays live at the peak of each computation, rounded up from
@@ -136,16 +135,6 @@ def return_sum_envelope(d, n, t):
     return log(d * t, d) + t * float(d) ** -n
 
 
-@dataclass
-class LowerBoundQuantities:
-    kappa: np.ndarray                 # kappa[t] = min_v sum_{i<=t} p^i(v,v)
-    threshold: int                    # t_{lambda,delta}
-    targets: np.ndarray               # the target set A (ordered)
-    mu: dict                          # a -> array over t of lambda * sum_{v!=a} Pr_v[T_a <= t]
-    green: np.ndarray                 # green[ai, bi, s] = e_{A[ai], A[bi]}(s)
-    m_A: np.ndarray                   # m_A[s] = min_a green[ai, ai, s]
-
-
 def _kappa_representatives(g):
     # orbit representatives: vertex-transitive families need one vertex,
     # trees one per level
@@ -175,46 +164,62 @@ def hitting_within(g, a, t_max):
     return out
 
 
-def lower_bound_quantities(g, lam, delta, t_max, targets=None):
-    """kappa_t, the threshold time, mu_a(t), Green sums, and m_A."""
-    if not (np.isfinite(lam) and lam >= 0):
-        raise ParameterError("lambda must be finite and >= 0, got %r" % (lam,))
+def threshold_time(g, lam, delta, t_max):
+    """t_{lambda,delta}: the first t <= t_max with
+    2 t lambda / kappa_t >= (1 - delta) log |V|."""
+    check_lambda("lambda", lam)
     if not 0 <= delta < 1:
         raise ParameterError("delta must be in [0, 1)")
-    # the Green array and one hitting table; by default the targets are the
-    # d^n leaves of a tree and every vertex of the other graphs
-    m = len(targets) if targets is not None else (
-        g.d ** g.n if g.family == TREE else g.vertex_count)
-    check_bytes("the lower-bound quantities on %s" % g.label(),
-                8 * (t_max + 1) * (m * m + g.vertex_count))
-    if targets is None:
-        targets = g.leaves() if g.family == TREE else np.arange(g.vertex_count)
-    targets = np.asarray(sorted(int(a) for a in targets), dtype=np.int64)
-    if g.family == TREE and not all(g.is_leaf(int(a)) for a in targets):
-        raise ParameterError("tree targets must be leaves")
-
     kappa = kappa_sequence(g, t_max)
-
-    V = g.vertex_count
-    need = (1.0 - delta) * log(V)
-    ts = np.arange(t_max + 1)
-    ratios = 2.0 * ts * lam / kappa
+    need = (1.0 - delta) * log(g.vertex_count)
+    ratios = 2.0 * np.arange(t_max + 1) * lam / kappa
     hits = np.nonzero(ratios >= need)[0]
     if len(hits) == 0:
         raise BudgetExceededError(
             "threshold not reached by t_max=%d" % t_max,
             attained=float(ratios.max() / need) if need > 0 else float("inf"))
-    threshold = int(hits[0])
+    return int(hits[0])
 
-    mu = {}
-    for a in targets:
-        h = hitting_within(g, int(a), t_max)
-        mu[int(a)] = lam * (h.sum(axis=1) - 1.0)  # exclude v = a
 
+def _targets(g, targets, what, bytes_for):
+    """The target set A in ascending order, by default the d^n leaves of a
+    tree and every vertex of the other graphs. bytes_for(|A|) is checked
+    first, so a refused default set is never built."""
+    m = len(targets) if targets is not None else (
+        g.d ** g.n if g.family == TREE else g.vertex_count)
+    check_bytes("%s on %s" % (what, g.label()), bytes_for(m))
+    if targets is None:
+        targets = g.leaves() if g.family == TREE else np.arange(g.vertex_count)
+    targets = np.asarray(sorted(int(a) for a in targets), dtype=np.int64)
+    if g.family == TREE and not all(g.is_leaf(int(a)) for a in targets):
+        raise ParameterError("tree targets must be leaves")
+    return targets
+
+
+def mu_table(g, lam, t_max, targets=None):
+    """The targets A and mu[ai, t] = lambda * sum_{v != a} Pr_v[T_a <= t]
+    for a = A[ai]."""
+    check_lambda("lambda", lam)
+    # the rows, one hitting table at a time, and the vectors of a transition
+    targets = _targets(g, targets, "the mu tables", lambda m: 8 * (
+        (t_max + 1) * (m + g.vertex_count)
+        + TRANSITION_VECTORS * g.vertex_count))
+    mu = np.empty((len(targets), t_max + 1))
+    for ai, a in enumerate(targets):
+        # the sum over v counts v = a once
+        mu[ai] = lam * (hitting_within(g, int(a), t_max).sum(axis=1) - 1.0)
+    return targets, mu
+
+
+def green_sums(g, t_max, targets=None):
+    """The targets A and green[ai, bi, s] = e_{A[ai], A[bi]}(s), the sum of
+    p^i(A[ai], A[bi]) over i <= s."""
+    targets = _targets(g, targets, "the Green sums", lambda m: 8 * (
+        (t_max + 1) * m * m + TRANSITION_VECTORS * g.vertex_count))
     m = len(targets)
     green = np.empty((m, m, t_max + 1))
     for ai, a in enumerate(targets):
-        y = np.zeros(V)
+        y = np.zeros(g.vertex_count)
         y[a] = 1.0
         acc = y[targets].copy()
         green[ai, :, 0] = acc
@@ -222,16 +227,14 @@ def lower_bound_quantities(g, lam, delta, t_max, targets=None):
             y = apply_transition_T(g, y)  # row iteration: y[w] = p^s(a, w)
             acc += y[targets]
             green[ai, :, s] = acc
-    m_A = np.array([green[ai, ai, :] for ai in range(m)]).min(axis=0)
-    return LowerBoundQuantities(kappa=kappa, threshold=threshold,
-                                targets=targets, mu=mu, green=green, m_A=m_A)
+    return targets, green
 
 
 def select_spread_set(A, t, s, green):
     """Greedy deletion: keep a target, drop everything Green-close to it.
 
     green is the matrix e_{a,b}(t) for the pairs of A, aligned with A's
-    order (lower_bound_quantities(...).green[:, :, t]).
+    order (the slice green[:, :, t] of green_sums).
     Guarantees |B| >= |A| / (1 + s t^2) and pairwise e_{a,b}(t) < 1/(st).
     """
     A = list(A)

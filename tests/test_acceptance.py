@@ -12,11 +12,12 @@ import numpy as np
 import pytest
 
 from frogline import (WalkStore, bands, build_graph, expected_hit,
-                      geometric_convolution_law, hitting_eigenvalues,
-                      hitting_pmf_dp, init_config, leaf_to_root_closed_form,
-                      level_chain, lower_bound_quantities, mixing_crossing_time,
-                      parse_descriptor, run_activation, select_spread_set,
-                      stationary_levels, susceptibility, total_variation,
+                      geometric_convolution_law, green_sums,
+                      hitting_eigenvalues, hitting_pmf_dp,
+                      leaf_to_root_closed_form, level_chain,
+                      mixing_crossing_time, mu_table, parse_descriptor,
+                      run_activation, select_spread_set, stationary_levels,
+                      susceptibility, threshold_time, total_variation,
                       transition_powers)
 from frogline.checks import (activation_oracle, chain_matrix, check_logconcave,
                              complete_graph_ratio, first_visit_table,
@@ -203,25 +204,24 @@ def test_09_lower_bound_toolkit():
     for text, lam in [("complete:n=50", 1.0), ("cycle:n=24", 2.0),
                       ("complete:n=100", 0.5)]:
         g = build_graph(parse_descriptor(text))
-        q = lower_bound_quantities(g, lam, 0.0, 10)
         ts = np.arange(11)
-        for a in q.targets:
-            assert np.all(q.mu[int(a)] <= lam * ts + 1e-12)
+        for mu in mu_table(g, lam, 10)[1]:
+            assert np.all(mu <= lam * ts + 1e-12)
     # spread-set bounds on every tested instance
     for text, t, s in [("tree:d=2,n=4", 8, 2), ("tree:d=2,n=5", 12, 3),
                        ("complete:n=3", 1, 4), ("cycle:n=12", 6, 2)]:
         g = build_graph(parse_descriptor(text))
-        q = lower_bound_quantities(g, 1.0, 0.0, t)
-        A = list(q.targets)
-        B = select_spread_set(A, t, s, q.green[:, :, t])
+        A, green = green_sums(g, t)
+        A = list(A)
+        B = select_spread_set(A, t, s, green[:, :, t])
         assert len(B) * (1 + s * t * t) >= len(A)
         idx = {a: i for i, a in enumerate(A)}
         for x in B:
             for y in B:
                 if x != y:
-                    assert q.green[idx[x], idx[y], t] < 1.0 / (s * t)
+                    assert green[idx[x], idx[y], t] < 1.0 / (s * t)
     g = build_graph(parse_descriptor("complete:n=100"))
-    assert lower_bound_quantities(g, 1.0, 0.0, 8).threshold == 3
+    assert threshold_time(g, 1.0, 0.0, 8) == 3
     took = time.perf_counter() - t0
     _report(9, "lower-bound toolkit",
             "mu caps, spread bounds, t_{1,0}(K_100)=3, %.1fs" % took)
@@ -232,11 +232,11 @@ def test_10_pmf_structure():
     for d in (2, 3, 4):
         for n in range(2, 7):
             ch = level_chain(d, n)
-            spec = hitting_eigenvalues(ch)
-            law = geometric_convolution_law(spec, "odd" if n % 2 else "even")
+            gammas = hitting_eigenvalues(ch)
+            law = geometric_convolution_law(gammas, "odd" if n % 2 else "even")
             ok, where = check_logconcave(law)
             assert ok, (d, n, where)
-            assert 1.0 / spec.gammas.min() + 1e-9 >= half_e2_t0(ch)
+            assert 1.0 / gammas.min() + 1e-9 >= half_e2_t0(ch)
     took = time.perf_counter() - t0
     _report(10, "pmf structure", "log-concave + spectral floor on 15 chains, "
             "%.1fs" % took)

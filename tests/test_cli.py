@@ -171,7 +171,10 @@ def test_parameter_error_exit_2(capsys, tmp_path):
             (["simulate", "--graph", "tree:d=2,n=2", "--jobs", "0"],
              "jobs must be >= 1"),
             (["sweep", "--graph", "tree:d=2,n=2", "--lambda", "1",
-              "--jobs", "-5"], "jobs must be >= 1")]:
+              "--jobs", "-5"], "jobs must be >= 1"),
+            (["analytic", "--quantity", "pi", "--graph", "tree:d=2,n=2",
+              "--jobs", "0"], "jobs must be >= 1"),
+            (["validate", "--jobs", "-3"], "jobs must be >= 1")]:
         assert main(argv) == 2, argv
         err = capsys.readouterr().err
         assert says in err and err.count("\n") == 1, (argv, err)
@@ -216,11 +219,11 @@ def test_budget_steps_caps_the_leaf_walk(capsys):
 
 
 def test_analytic_byte_bounds(capsys):
+    import scipy.linalg  # noqa: F401  bd-law's first call would import it
     # refused before any allocation: V x V mixing matrices at depth 14
-    # (about 34 GB) and a 4096^2 x 257 Green array at depth 12 (34.5 GB)
+    # (about 34 GB) and 2^30 mu rows plus a hitting table at depth 30
     for argv in (["--quantity", "mixing", "--graph", "tree:d=2,n=14"],
-                 ["--quantity", "threshold", "--graph", "tree:d=2,n=12",
-                  "--t", "256"],
+                 ["--quantity", "mu", "--graph", "tree:d=2,n=30"],
                  ["--quantity", "kappa", "--graph", "tree:d=2,n=40"],
                  # 20 geometric factors, the longest 8.1e13 masses
                  ["--quantity", "bd-law", "--chain", "dary:d=2,n=40"]):
@@ -237,6 +240,26 @@ def test_analytic_byte_bounds(capsys):
     code, out = _run(capsys, "analytic", "--quantity", "kappa",
                      "--graph", "tree:d=2,n=16", "--t", "4")
     assert code == 0 and _rows(out)[0]["key"] == "4"
+
+
+def test_threshold_reads_only_return_sums(capsys):
+    # the threshold needs kappa alone: no Green array (34.5 GB at this size)
+    code, out = _run(capsys, "analytic", "--quantity", "threshold",
+                     "--graph", "tree:d=2,n=12", "--t", "256")
+    assert code == 0 and _rows(out)[0]["value"] == "8"
+
+
+def test_mu_does_not_need_the_threshold(capsys):
+    # lambda 0.5 reaches no threshold by t=8 on this tree; mu is printed anyway
+    code, out = _run(capsys, "analytic", "--quantity", "mu", "--graph",
+                     "tree:d=2,n=6", "--lambda", "0.5", "--t", "3,8")
+    assert code == 0
+    assert main(["analytic", "--quantity", "threshold", "--graph",
+                 "tree:d=2,n=6", "--lambda", "0.5", "--t", "8"]) == 3
+    rows = _rows(out)
+    assert len(rows) == 2 * 64
+    assert rows[1] == {"quantity": "mu", "key": "a=63,t=8",
+                       "value": "1.0846288675506783"}
 
 
 def test_internal_error_exit_4(capsys, monkeypatch):
@@ -286,21 +309,31 @@ def test_unknown_choice_exits_2(capsys):
     assert exc.value.code == 2
 
 
+def test_seed_and_step_budget_only_where_read(capsys):
+    # analytic and validate draw no random numbers and run no clock
+    for argv in (["analytic", "--quantity", "pi", "--graph", "tree:d=2,n=2"],
+                 ["validate"]):
+        for flag in ("--seed=5", "--budget-steps=10"):
+            with pytest.raises(SystemExit) as exc:
+                main(argv + [flag])
+            assert exc.value.code == 2
+            assert "unrecognized arguments: " + flag in \
+                capsys.readouterr().err
+
+
 # ------------------------------------------------------------ CLI fuzzing
 # Small sizes only: every valid graph has at most 121 vertices and every
 # analytic table at most a few MB, and --jobs stays 1 (no process pool).
 # Options are passed as --flag=value, so argparse also hands negative and
 # infinite values to the program instead of rejecting them as flags.
 
-_SIM_GRAPHS = st.one_of(
+_GRAPHS = st.one_of(
     st.builds("tree:d={},n={}".format, st.integers(2, 3), st.integers(1, 4)),
     st.builds("complete:n={}".format, st.integers(2, 30)),
     st.builds("cycle:n={}".format, st.integers(3, 30)),
     st.sampled_from(["tree:d=1,n=2", "tree:d=2", "tree:d=x,n=2",
                      "tree:d=2,n=0", "tree:d=2,n=2000", "cycle:n=2",
                      "complete:n=1", "torus:n=3", "", "cycle:n=5,d=2"]))
-# trees with at most 27 leaves: Green sums are |leaves|^2 (t + 1) floats
-_ANALYTIC_GRAPHS = _SIM_GRAPHS.filter(lambda text: text != "tree:d=3,n=4")
 _LAMBDAS = st.one_of(
     st.sampled_from(["0", "0.5", "1", "2.5", "1e-3"]),
     st.sampled_from(["nan", "inf", "-inf", "-1", "abc"]))
@@ -313,26 +346,27 @@ def _opt(flag, strategy):
     return st.one_of(st.just([]), strategy.map(lambda v: [flag + "=" + v]))
 
 
-_COMMON = st.tuples(
+_FORMAT = _opt("--format", st.sampled_from(["csv", "json"]))
+_SIMULATION = st.tuples(
     _opt("--seed", st.integers(-3, 2 ** 64 + 3).map(str)),
     _opt("--budget-steps", st.sampled_from(["1", "2", "0", "-5", "100000"])),
-    _opt("--format", st.sampled_from(["csv", "json"]))).map(
-        lambda ps: ["--jobs=1"] + sum(ps, []))
+    _FORMAT).map(lambda ps: ["--jobs=1"] + sum(ps, []))
+_ANALYTIC_COMMON = _FORMAT.map(lambda p: ["--jobs=1"] + p)
 
 
-def _argv(*parts):
-    return st.tuples(*parts, _COMMON).map(lambda ps: sum(ps, []))
+def _argv(*parts, common=_SIMULATION):
+    return st.tuples(*parts, common).map(lambda ps: sum(ps, []))
 
 
 _SIMULATE = _argv(
-    st.just(["simulate"]), _SIM_GRAPHS.map(lambda g: ["--graph=" + g]),
+    st.just(["simulate"]), _GRAPHS.map(lambda g: ["--graph=" + g]),
     _opt("--lambda", _LAMBDAS), _opt("--lambda-max", _LAMBDAS),
     _opt("--origin", _ORIGINS),
     _opt("--mode", st.sampled_from(["susceptibility", "cover", "leafwalk"])),
     _opt("--trials", _TRIALS), _opt("--s", _S))
 _SWEEP = _argv(
     st.just(["sweep"]),
-    st.lists(_SIM_GRAPHS, min_size=1, max_size=2).map(
+    st.lists(_GRAPHS, min_size=1, max_size=2).map(
         lambda gs: ["--graph=" + g for g in gs]),
     st.lists(_LAMBDAS, max_size=3).map(lambda ls: ["--lambda=" + ",".join(ls)]),
     _opt("--metric", st.sampled_from(["susceptibility", "cover",
@@ -341,7 +375,7 @@ _SWEEP = _argv(
 _ANALYTIC = _argv(
     st.sampled_from(["pi", "q", "hit", "kappa", "threshold", "mu", "mixing",
                      "bd-law"]).map(lambda q: ["analytic", "--quantity=" + q]),
-    _opt("--graph", _ANALYTIC_GRAPHS),
+    _opt("--graph", _GRAPHS),
     _opt("--chain", st.one_of(
         st.builds("dary:d={},n={}".format, st.integers(1, 3),
                   st.integers(0, 4)),
@@ -349,7 +383,8 @@ _ANALYTIC = _argv(
     _opt("--t", st.lists(st.integers(-300, 300).map(str), max_size=3).map(
         ",".join)),
     _opt("--lambda", _LAMBDAS),
-    _opt("--delta", st.sampled_from(["0", "0.5", "1", "-0.1", "nan"])))
+    _opt("--delta", st.sampled_from(["0", "0.5", "1", "-0.1", "nan"])),
+    common=_ANALYTIC_COMMON)
 
 
 @given(st.one_of(_SIMULATE, _SWEEP, _ANALYTIC))

@@ -12,22 +12,23 @@ from oracles import absorbing_t0_pmf
 
 def _law(d, n):
     ch = level_chain(d, n)
-    spec = hitting_eigenvalues(ch)
-    return ch, spec, geometric_convolution_law(spec, "odd" if n % 2 else "even")
+    gammas = hitting_eigenvalues(ch)
+    return ch, gammas, geometric_convolution_law(gammas,
+                                                 "odd" if n % 2 else "even")
 
 
 def test_eigenvalues_frozen_d2_n4():
-    _, spec, _ = _law(2, 4)
+    _, gammas, _ = _law(2, 4)
     want = np.sort([(4 - np.sqrt(13)) / 9, (4 + np.sqrt(13)) / 9])
-    assert np.allclose(np.sort(spec.gammas), want, atol=1e-12)
+    assert np.allclose(gammas, want, atol=1e-12)  # returned ascending
 
 
 def test_eigenvalues_single_state():
     # n=2: one even interior state, gamma = 1/(d+1)
     for d in (2, 3, 5):
-        _, spec, _ = _law(d, 2)
-        assert spec.gammas.shape == (1,)
-        assert spec.gammas[0] == pytest.approx(1 / (d + 1))
+        _, gammas, _ = _law(d, 2)
+        assert gammas.shape == (1,)
+        assert gammas[0] == pytest.approx(1 / (d + 1))
 
 
 def test_law_matches_dp_small_grid():
@@ -50,8 +51,8 @@ def test_dp_matches_matrix_power_oracle():
 
 def test_law_mean_identity():
     for d, n in [(2, 4), (3, 5), (4, 6)]:
-        ch, spec, law = _law(d, n)
-        want = 2.0 * float((1.0 / spec.gammas).sum()) + (n % 2)
+        ch, gammas, law = _law(d, n)
+        want = 2.0 * float((1.0 / gammas).sum()) + (n % 2)
         assert law.mean() == pytest.approx(want, rel=1e-9)
 
 
@@ -86,8 +87,7 @@ def test_part3_bound_per_chain():
     for d in (2, 3, 4):
         for n in range(2, 7):
             ch = level_chain(d, n)
-            spec = hitting_eigenvalues(ch)
-            assert 1.0 / spec.gammas.min() + 1e-9 >= half_e2_t0(ch)
+            assert 1.0 / hitting_eigenvalues(ch).min() + 1e-9 >= half_e2_t0(ch)
 
 
 def test_logconcave_laws_and_counterexample():

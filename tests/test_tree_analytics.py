@@ -1,15 +1,17 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from frogline import (BudgetExceededError, FamilyError, ParameterError,
-                      build_graph, expected_hit, gambler_ruin, kappa_sequence,
-                      leaf_to_root_closed_form, level_chain,
-                      lower_bound_quantities, mixing_crossing_time,
-                      mixing_deviation, mixing_profile, parse_descriptor,
-                      return_sum_envelope, select_spread_set,
-                      stationary_levels, transition_powers)
+                      build_graph, expected_hit, gambler_ruin, green_sums,
+                      kappa_sequence, leaf_to_root_closed_form, level_chain,
+                      mixing_crossing_time, mixing_deviation, mixing_profile,
+                      mu_table, parse_descriptor, return_sum_envelope,
+                      select_spread_set, stationary_levels, threshold_time,
+                      transition_powers)
 from frogline.checks import chain_matrix, ruin_probability_dp
 from frogline.tree_analytics import apply_transition, apply_transition_T, \
     hitting_within
@@ -117,38 +119,37 @@ def test_kappa_frozen_complete_100():
     assert kappa[0] == pytest.approx(1.0)
     assert kappa[1] == pytest.approx(1.0)
     assert kappa[2] == pytest.approx(1 + 1 / 99)
-    q = lower_bound_quantities(g, 1.0, 0.0, 8)
-    assert q.threshold == 3
+    assert threshold_time(g, 1.0, 0.0, 8) == 3
 
 
 def test_threshold_monotone_in_delta():
     g = build_graph(parse_descriptor("complete:n=100"))
-    t0 = lower_bound_quantities(g, 1.0, 0.0, 8).threshold
-    t5 = lower_bound_quantities(g, 1.0, 0.5, 8).threshold
+    t0 = threshold_time(g, 1.0, 0.0, 8)
+    t5 = threshold_time(g, 1.0, 0.5, 8)
     assert t5 <= t0
     with pytest.raises(ParameterError):
-        lower_bound_quantities(g, 1.0, 1.0, 8)
+        threshold_time(g, 1.0, 1.0, 8)
     with pytest.raises(BudgetExceededError) as err:
-        lower_bound_quantities(build_graph(parse_descriptor("cycle:n=40")),
-                               0.001, 0.0, 3)
+        threshold_time(build_graph(parse_descriptor("cycle:n=40")),
+                       0.001, 0.0, 3)
     assert err.value.attained is not None
 
 
 def test_mu_is_lambda_times_hitting_mass():
     g = build_graph(parse_descriptor("cycle:n=9"))
     lam = 1.5
-    q = lower_bound_quantities(g, lam, 0.0, 10)
-    for a in q.targets:
+    A, mu = mu_table(g, lam, 10)
+    assert list(A) == list(range(9)) and mu.shape == (9, 11)
+    for a, row in zip(A, mu):
         h = hitting_within(g, int(a), 10)
         want = lam * (h.sum(axis=1) - 1)  # exclude the target itself
-        assert np.allclose(q.mu[int(a)], want, atol=1e-12)
-        assert np.all(q.mu[int(a)] <= lam * np.arange(11) + 1e-12)
+        assert np.allclose(row, want, atol=1e-12)
+        assert np.all(row <= lam * np.arange(11) + 1e-12)
 
 
 def test_mu_complete_one_step():
     g = build_graph(parse_descriptor("complete:n=25"))
-    q = lower_bound_quantities(g, 2.0, 0.0, 4)
-    assert q.mu[0][1] == pytest.approx(2.0)
+    assert mu_table(g, 2.0, 4)[1][0, 1] == pytest.approx(2.0)
 
 
 def test_hitting_within_is_a_cdf():
@@ -161,32 +162,107 @@ def test_hitting_within_is_a_cdf():
 
 def test_green_matrix_and_spread_set_bounds():
     g = build_graph(parse_descriptor("tree:d=2,n=4"))
-    q = lower_bound_quantities(g, 1.0, 0.0, 8)
-    A = list(q.targets)
+    A, green = green_sums(g, 8)
+    A = list(A)
     assert A == [int(v) for v in g.leaves()]
     idx = {a: i for i, a in enumerate(A)}
     t, s = 8, 2
-    B = select_spread_set(A, t, s, q.green[:, :, t])
+    B = select_spread_set(A, t, s, green[:, :, t])
     assert set(B) <= set(A)
     assert len(B) * (1 + s * t * t) >= len(A)
     for x in B:
         for y in B:
             if x != y:
-                assert q.green[idx[x], idx[y], t] < 1.0 / (s * t)
+                assert green[idx[x], idx[y], t] < 1.0 / (s * t)
 
 
 def test_spread_set_single_survivor():
     g = build_graph(parse_descriptor("complete:n=3"))
-    q = lower_bound_quantities(g, 1.0, 0.0, 1)
-    assert select_spread_set(list(q.targets), 1, 4, q.green[:, :, 1]) == [0]
+    A, green = green_sums(g, 1)
+    assert select_spread_set(list(A), 1, 4, green[:, :, 1]) == [0]
 
 
 def test_m_A_is_min_diagonal_green():
+    # m_A[s] = min over a of e_{a,a}(s): kappa when A = V on a
+    # vertex-transitive graph
     g = build_graph(parse_descriptor("cycle:n=6"))
-    q = lower_bound_quantities(g, 1.0, 0.0, 6)
-    diag = q.green[np.arange(len(q.targets)), np.arange(len(q.targets)), :]
-    assert np.allclose(q.m_A, diag.min(axis=0))
-    assert np.allclose(q.m_A, q.kappa)  # vertex-transitive, all targets
+    A, green = green_sums(g, 6)
+    diag = green[np.arange(len(A)), np.arange(len(A)), :]
+    assert np.allclose(diag.min(axis=0), kappa_sequence(g, 6))
+
+
+# recorded from lower_bound_quantities, the one call that computed all of
+# these before threshold_time, mu_table and green_sums replaced it: the
+# graph, lambda and t_max of mu and Green, thresholds {(lambda, delta): t}
+# at t_max 64, mu {(a, t)} and its sum, Green {(ai, bi, s)} and its sum
+_PINNED = [
+    ("complete:n=100", 1.0, 8,
+     {(1.0, 0.0): 3, (1.0, 0.5): 2, (0.25, 0.0): 11, (0.25, 0.5): 5},
+     {(0, 1): 1.0000000000000009, (0, 8): 7.72281385718005,
+      (99, 8): 7.722813857180052}, 3516.42419963547,
+     {(0, 0, 8): 1.0701, (0, -1, 8): 0.0801, (0, 1, 8): 0.0801}, 4500.0),
+    ("cycle:n=15", 1.5, 64,
+     {(1.5, 0.0): 1, (1.5, 0.5): 1, (1.0, 0.0): 3, (1.0, 0.5): 1,
+      (0.25, 0.0): 21, (0.25, 0.5): 6},
+     {(0, 1): 1.5, (0, 8): 5.47265625, (0, 64): 16.59775962360403,
+      (14, 64): 16.59775962360403}, 10830.747275412597,
+     {(0, 0, 64): 6.833932214080718, (0, -1, 64): 5.869260283393705,
+      (0, 1, 8): 1.4609375}, 32175.0),
+    ("tree:d=2,n=4", 1.0, 64,
+     {(1.0, 0.0): 3, (1.0, 0.5): 1, (0.25, 0.0): 13, (0.25, 0.5): 6},
+     {(15, 1): 0.33333333333333326, (15, 8): 2.1889955799420835,
+      (15, 64): 9.650576314923365, (30, 8): 2.188995579942082,
+      (30, 64): 9.650576314923368}, 5850.300317336131,
+     {(0, 0, 64): 3.9818181030877113, (0, -1, 64): 0.41420871504884776,
+      (0, 1, 8): 0.9778235025148604}, 10013.909333333386),
+]
+
+
+@pytest.mark.parametrize("text,lam,t_max,thresholds,mus,mu_sum,greens,"
+                         "green_sum", _PINNED)
+def test_lower_bound_values_pinned(text, lam, t_max, thresholds, mus, mu_sum,
+                                   greens, green_sum):
+    g = build_graph(parse_descriptor(text))
+    for (lam_t, delta), want in thresholds.items():
+        assert threshold_time(g, lam_t, delta, 64) == want
+    A, mu = mu_table(g, lam, t_max)
+    assert list(A) == [int(a) for a in (
+        g.leaves() if text.startswith("tree") else range(g.vertex_count))]
+    row = {int(a): ai for ai, a in enumerate(A)}
+    for (a, t), want in mus.items():
+        assert mu[row[a], t] == pytest.approx(want, rel=1e-12)
+    assert sum(r.sum() for r in mu) == pytest.approx(mu_sum, rel=1e-12)
+    A_green, green = green_sums(g, t_max)
+    assert np.array_equal(A_green, A)
+    assert green.shape == (len(A), len(A), t_max + 1)
+    for key, want in greens.items():
+        assert green[key] == pytest.approx(want, rel=1e-12)
+    assert green.sum() == pytest.approx(green_sum, rel=1e-12)
+
+
+def test_lower_bound_targets_are_sorted_leaves():
+    g = build_graph(parse_descriptor("tree:d=2,n=3"))
+    A, green = green_sums(g, 4, targets=[14, 7, 9])
+    assert list(A) == [7, 9, 14] and green.shape == (3, 3, 5)
+    assert list(mu_table(g, 1.0, 4, targets=[14, 7])[0]) == [7, 14]
+    for call in (lambda: green_sums(g, 4, targets=[0, 7]),
+                 lambda: mu_table(g, 1.0, 4, targets=[3])):
+        with pytest.raises(ParameterError, match="leaves"):
+            call()
+
+
+def test_green_sums_byte_bound():
+    # a 4096^2 x 257 Green array at depth 12 (34.5 GB), refused before any
+    # allocation; the threshold at the same size needs only return sums
+    g = build_graph(parse_descriptor("tree:d=2,n=12"))
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceededError, match="needs about 3.45e"):
+            green_sums(g, 256)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 22, peak
 
 
 def test_mixing_deviation_t0_formula():
