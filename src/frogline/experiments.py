@@ -35,14 +35,17 @@ SWEEP_COLUMNS = ["graph", "lambda", "origin", "metric", "trials", "failures",
                  "mean", "median", "q10", "q90", "se"]
 
 # a batch takes trials of one graph while the sum of V * (1 + lambda_max)
-# over them stays at most BATCH_TABLE_SIZE. Clock time per trial of 8
-# trials at lambda 1, run as stacks of K copies against one at a time
-# (2-core VM, python 3.11, numpy 2.4, minimum of 5 rounds), by the stack's
-# sum: S on K_n paid up to 32k (n=4000: 8.5 ms alone, 4.0 ms at K=4; n=8000:
-# 8.1 ms, 7.5 ms at K=2) and not beyond (n=4000 at K=8, 64k: 5.4 ms; n=16000
-# at K=2, 64k: 18.8 against 19.4 ms alone). CT on trees d=2 did the same
-# (n=11: 27.7 ms alone, 18.3 ms at 32k, 22.7 ms at 64k; n=12: 50.8 ms alone,
-# 34.7 ms at 32k, 45.8 ms at 64k)
+# over them stays at most BATCH_TABLE_SIZE. Clock time per trial of 16
+# trials at lambda 1, run as stacks of K copies against one at a time, by
+# the stack's sum (shared 2-core VM, python 3.11, numpy 2.4, in-place step
+# kernel, minimum of 3 rounds, two runs): S on K_4000 took 7.2-7.6 ms
+# alone, 4.6-5.0 ms at 32k and 3.6-4.0 ms at 64k; K_16000 10.1-16.1 ms
+# alone and 9.0-14.8 ms at 64k. CT on trees d=2: n=10 16.6-19.1 ms alone,
+# 5.0-5.8 ms at 32k, 4.6-4.9 ms at 64k; n=12 22-24 ms alone, 16-23 ms at
+# 32k, 14.6-16.3 ms at 64k and 17.7-20.1 ms at 128k. S on trees d=2 n=10:
+# 4.5-6.4 ms at 32k, 5.7-5.9 ms at 64k. A larger table now pays on most
+# of these, but not on every one, and the benchmark's workloads have not
+# been run against it in pairs, so it stays at 32k
 BATCH_TABLE_SIZE = 2 ** 15
 
 

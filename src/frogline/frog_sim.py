@@ -21,7 +21,8 @@ import numpy as np
 
 from .errors import BudgetExceededError, ParameterError
 from .graph import TREE
-from .randomness import FrogStack, generate_steps, stack_views
+from .randomness import (GAMMA, FrogStack, StepScratch, counters,
+                         generate_steps, stack_views)
 
 # activation-time sentinel for "never woken"
 NEVER = np.iinfo(np.int64).max
@@ -64,9 +65,10 @@ def _check_step_cap(step_cap):
 
 class _Wake:
     """Wake state of a stack's K copies: the tick each union vertex woke at
-    (NEVER while it sleeps), the sleeping mask the wake test reads, each
-    copy's count of awake vertices, the tick each copy was covered at, and
-    the budget error of each copy the step cap stopped."""
+    (NEVER while it sleeps), the sleeping mask the wake test reads, a stamp
+    per union vertex that dedupes a tick's hits, each copy's count of awake
+    vertices, the tick each copy was covered at, and the budget error of
+    each copy the step cap stopped."""
 
     def __init__(self, stack):
         self.V, self.K = V, K = stack.g.vertex_count, len(stack.origins)
@@ -74,6 +76,7 @@ class _Wake:
         self.at[stack.origins] = 0
         self.sleeping = np.ones(K * V, dtype=bool)
         self.sleeping[stack.origins] = False
+        self.stamp = np.zeros(K * V, dtype=np.int32)
         self.count = np.ones(K, dtype=np.int64)
         self.covered = np.zeros(K, dtype=bool)
         self.n_covered = 0
@@ -86,10 +89,13 @@ class _Wake:
         their union ids, distinct. A stack of one skips the copy
         arithmetic."""
         gids = pos if self.K == 1 else pos + base
-        hit = gids[self.sleeping[gids]]
+        hit = gids[self.sleeping.take(gids)]
         if not hit.size:
             return hit
-        fresh = np.unique(hit)
+        # one hit per vertex: the one whose index the scatter kept
+        idx = np.arange(hit.size, dtype=np.int32)
+        self.stamp[hit] = idx
+        fresh = hit[self.stamp[hit] == idx]
         self.sleeping[fresh] = False
         self.at[fresh] = t
         if self.K == 1:
@@ -133,47 +139,72 @@ def _wake_clock(g, stack, step_cap, tau=None):
     NEVER where a vertex never wakes, and each copy's Outcome (its value is
     its cover time).
 
-    One synchronous clock over the awake particles' (pos, keys, age, base)
-    vectors: at each tick every awake particle takes one step, and the
-    vertices it lands on for the first time wake; their particles take step
-    1 on the next tick. A particle whose age reaches the lifetime `tau`
-    (None: immortal) leaves the vectors, and so do a copy's particles once
-    the copy is covered; the clock stops once nobody is left. The wake
-    ticks are the activation times under lifetime tau. Past step_cap every
-    copy that still has particles gets its own BudgetExceededError.
+    One synchronous clock over the awake particles: at each tick every awake
+    particle takes one step, and the vertices it lands on for the first time
+    wake; their particles take step 1 on the next tick. The awake particles
+    live in slots lo..hi of arrays that hold every particle of the stack:
+    position, counter word, copy base and, under a finite lifetime `tau`,
+    the tick the particle woke at. Woken particles are appended, so wake
+    ticks never decrease along the slots, and a particle whose age reaches
+    tau (None: immortal) leaves by moving lo past it. A covered copy's
+    particles leave by compaction. The clock stops once nobody is left. The
+    wake ticks are the activation times under lifetime tau. Past step_cap
+    every copy that still has particles gets its own BudgetExceededError.
     """
     _check_step_cap(step_cap)
     V, K = g.vertex_count, len(stack.origins)
     wake = _Wake(stack)
-    cols = stack.columns(stack.origins)
-    pos, keys, base = stack.home[cols], stack.keys[cols], stack.base[cols]
-    age = np.zeros(len(pos), dtype=np.int64)  # steps taken by each particle
+    capacity = stack.particle_count()
+    scratch = StepScratch(capacity, g.index_dtype)
+    pos = np.empty(capacity, dtype=g.index_dtype)
+    ctr = np.empty(capacity, dtype=np.uint64)
+    base = np.empty(capacity, dtype=stack.base.dtype)
+    born = np.empty(capacity, dtype=np.int64) if tau is not None else None
+    lo = hi = 0
+
+    def join(cols, t):
+        nonlocal hi
+        end = hi + len(cols)
+        pos[hi:end] = stack.home[cols]
+        ctr[hi:end] = stack.keys[cols]
+        base[hi:end] = stack.base[cols]
+        if born is not None:
+            born[hi:end] = t
+        hi = end
+
+    join(stack.columns(stack.origins), 0)
     t = 0
+    awake = None  # views of slots lo..hi, taken again when lo or hi moves
     while True:
         if tau is not None:
-            alive = age < tau
-            pos, keys, age, base = pos[alive], keys[alive], age[alive], \
-                base[alive]
-        if not len(pos):
+            # a particle woken at tick b has taken t - b steps
+            dead = int(np.searchsorted(born[lo:hi], t - tau, side="right"))
+            if dead:
+                lo, awake = lo + dead, None
+        if lo == hi:
             break
         t += 1
         if t > step_cap:
-            wake.stop(step_cap, np.unique(base // V))
+            wake.stop(step_cap, np.unique(base[lo:hi] // V))
             break
-        pos = generate_steps(g, pos, keys, age, 1)[:, 0]
-        age += 1
-        fresh = wake(pos, base, t)
+        if awake is None:
+            awake = pos[lo:hi], ctr[lo:hi], base[lo:hi]
+        p, c, b = awake
+        p[:] = generate_steps(g, p, c, 0, 1, scratch)[:, 0]
+        c += GAMMA
+        fresh = wake(p, b, t)
         if not fresh.size:
             continue
         if wake.cover(t):
-            keep = wake.running(base)
-            pos, keys, age, base = pos[keep], keys[keep], age[keep], base[keep]
+            keep = wake.running(b)
+            n = np.count_nonzero(keep)
+            for a in (pos, ctr, base, born):
+                if a is not None:
+                    a[:n] = a[lo:hi][keep]
+            lo, hi = 0, n
             fresh = fresh[wake.running(fresh)]
-        cols = stack.columns(fresh)
-        pos = np.concatenate((pos, stack.home[cols]))
-        keys = np.concatenate((keys, stack.keys[cols]))
-        age = np.concatenate((age, np.zeros(len(cols), dtype=np.int64)))
-        base = np.concatenate((base, stack.base[cols]))
+        join(stack.columns(fresh), t)
+        awake = None
     # by tick T a particle woken at tick a has taken min(T - a, tau) steps;
     # an uncovered copy's last tick is the cap or the tick its particles ran
     # out by
@@ -270,7 +301,7 @@ def _replay_clock(g, stack, step_cap):
     # covered before they take a step
     idle = np.zeros(K, dtype=np.int64)
     # the awake particles, the origins' to begin with: their columns while
-    # the ticks read the prefix, then their positions and keys
+    # the ticks read the prefix, then their positions and counter words
     cols = stack.columns(stack.origins)
     base = stack.base[cols]
     t = 0
@@ -283,9 +314,12 @@ def _replay_clock(g, stack, step_cap):
             pos = prefix.row(t, cols)
         else:
             if cols is not None:  # the first tick past the prefix
-                pos, keys = prefix.after(t - 1, cols), stack.keys[cols]
+                pos = prefix.after(t - 1, cols)
+                ctr = counters(stack.keys[cols], t - 1)
                 cols = None
-            pos = generate_steps(g, pos, keys, t - 1, 1)[:, 0]
+                scratch = StepScratch(stack.particle_count(), g.index_dtype)
+            pos = generate_steps(g, pos, ctr, 0, 1, scratch)[:, 0]
+            ctr += GAMMA
         # wake what the tick reaches, then what the woken particles' replays
         # reach; the woken batches join the awake set once, after the tick
         fresh = wake(pos, base, t)
@@ -311,14 +345,14 @@ def _replay_clock(g, stack, step_cap):
                 cols = np.concatenate((cols, new))
             else:
                 pos = np.concatenate([pos] + [p for _, p in woken])
-                keys = np.concatenate((keys, stack.keys[new]))
+                ctr = np.concatenate((ctr, counters(stack.keys[new], t)))
         if covered:
             keep = wake.running(base)
             base = base[keep]
             if cols is not None:
                 cols = cols[keep]
             else:
-                pos, keys = pos[keep], keys[keep]
+                pos, ctr = pos[keep], ctr[keep]
     # at the end of tick T every awake particle has walked exactly T steps,
     # but a covered copy's last-woken particles took none
     T = np.where(wake.covered, wake.last, step_cap)

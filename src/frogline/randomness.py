@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BudgetExceededError, ParameterError
-from .graph import TREE
+from .graph import COMPLETE, TREE
 
 # namespaces: distinct first key components keep stream families disjoint
 _NS_CONFIG = 0
@@ -47,11 +47,21 @@ _NS_AUX = 3
 _NS_AUX_WALK = 4
 
 # tree batches of at most this many walks are stepped one walk at a time in
-# plain Python (TreeGraph.step_rows), larger ones by one numpy call per step.
-# On a 2-core VM (python 3.11, numpy 2.4) a numpy step costs 15-22 us
-# whatever the batch size and a scalar step 0.3-0.45 us, and the two paths
-# cost the same at 40-60 walks
+# plain Python (TreeGraph.step_rows), larger ones by the in-place kernel.
+# Measured against that kernel on a shared 2-core VM (python 3.11, numpy
+# 2.4, minimum of 7 repeats, three runs): one step of a batch costs 50-64 us
+# in the kernel at any size up to 128 walks, and 35-38 us plus 0.5-0.6 us a
+# walk in plain Python, so the two cross at 48-64 walks one step at a time
+# and at 56-96 walks in 16-step calls; 48 sits at the low end of both
 SCALAR_STEP_WALKS = 48
+
+# cells a lockstep tree call hashes at once before it moves its walks row by
+# row: enough rows to spread the hash's numpy calls over a small batch, and
+# few enough cells (16 bytes each) to stay in cache. 64 steps on tree d=2
+# n=14 (shared 2-core VM, python 3.11, numpy 2.4, minimum of 5 repeats), ns
+# per cell at 2^10 / 2^14 / 2^18 cells: 1024 walks 60 / 39 / 51, 4096 walks
+# 23 / 17.5 / 35, 16384 walks 12.6 / 13.2 / 21
+HASH_BLOCK_CELLS = 2 ** 14
 
 # peak bytes init_config takes per vertex and per expected mark, rounded up
 # from trees of depth 16 and 18 (36-50 B per vertex at lambda 0, 70 B per
@@ -71,7 +81,7 @@ def check_bytes(what, need):
             % (what, need, CONFIG_BYTE_LIMIT))
 
 
-_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 
@@ -86,13 +96,16 @@ def substream(seed, *key):
     return _generator(seed, (_NS_AUX,) + tuple(int(k) for k in key))
 
 
-def _mix(z):
-    """SplitMix64 finalizer, in place on a uint64 array (a bijection)."""
-    z ^= z >> np.uint64(30)
+def _mix(z, tmp=None):
+    """SplitMix64 finalizer, in place on a uint64 array (a bijection); the
+    shifted words go to `tmp`, an array of z's shape, when it is given."""
+    if tmp is None:
+        tmp = np.empty_like(z)
+    z ^= np.right_shift(z, np.uint64(30), out=tmp)
     z *= _MIX1
-    z ^= z >> np.uint64(27)
+    z ^= np.right_shift(z, np.uint64(27), out=tmp)
     z *= _MIX2
-    z ^= z >> np.uint64(31)
+    z ^= np.right_shift(z, np.uint64(31), out=tmp)
     return z
 
 
@@ -107,7 +120,7 @@ def _walk_keys(seed, *words):
         limbs.append(seed & 0xFFFFFFFFFFFFFFFF)
     h = np.zeros(1, dtype=np.uint64)
     for w in limbs + list(words):
-        h = _mix((h ^ np.asarray(w, dtype=np.uint64)) + _GAMMA)
+        h = _mix((h ^ np.asarray(w, dtype=np.uint64)) + GAMMA)
     return h
 
 
@@ -122,7 +135,7 @@ def step_uniforms(keys, offsets, nsteps):
     keyed walk, as rows of a (len(keys), nsteps) array."""
     k = (np.asarray(offsets, dtype=np.uint64).reshape(1, -1)
          + np.arange(1, nsteps + 1, dtype=np.uint64).reshape(-1, 1))
-    z = _mix(k * _GAMMA + np.asarray(keys, dtype=np.uint64))
+    z = _mix(k * GAMMA + np.asarray(keys, dtype=np.uint64))
     z >>= np.uint64(11)
     # computed step-major, so a lockstep loop reads contiguous rows of .T
     return (z.astype(np.float64) * 2.0 ** -53).T
@@ -283,7 +296,102 @@ def _coupling(g, origin, seed, lam_max):
             np.insert(marks, plant, 0.0))
 
 
-def generate_steps(g, starts, keys, offsets, nsteps):
+def counters(keys, steps):
+    """Counter words of keyed walks that have taken `steps` steps (one number
+    for all, or one per walk): key + steps * GAMMA, mod 2^64. A walk's step
+    k hashes key + k * GAMMA, so the walk keyed by its counter word, at step
+    0, goes on where the walk left off."""
+    keys = np.asarray(keys, dtype=np.uint64)
+    if np.ndim(steps):
+        return np.asarray(steps, dtype=np.uint64) * GAMMA + keys
+    # a uint64 scalar product would warn on the wrap-around
+    return keys + np.uint64(int(steps) * int(GAMMA) % 2 ** 64)
+
+
+class StepScratch:
+    """Buffers of the step kernel for batches of up to `capacity` walks,
+    positions of `dtype`, that hash `rows` steps at a time: the hashed words
+    of rows x capacity cells and their shifted copies, then, for one row at
+    a time, the draws, the parents, two masks and the positions a one-step
+    generate_steps call returns. A clock allocates one per run and passes it
+    to every step it takes."""
+
+    def __init__(self, capacity, dtype, rows=1):
+        self.m = np.empty(rows * capacity, dtype=np.uint64)
+        self.tmp = np.empty(rows * capacity, dtype=np.uint64)
+        self.r = np.empty(capacity, dtype=dtype)
+        self.parent = np.empty(capacity, dtype=dtype)
+        self.inner = np.empty(capacity, dtype=bool)
+        self.moves = np.empty(capacity, dtype=bool)
+        self.out = np.empty(capacity, dtype=dtype)
+
+
+def _draws(ctr, done, rows, scratch):
+    """The 53-bit integers m behind steps done+1 .. done+rows of the walks
+    with counter words `ctr`, as a step-major (rows, len(ctr)) view of
+    scratch.m, hashed in place: the uniform of a step is m * 2^-53, the
+    value step_uniforms(ctr, done, rows) gives."""
+    n = len(ctr)
+    m = scratch.m[:rows * n].reshape(rows, n)
+    # array products wrap silently, where a uint64 scalar product would warn
+    steps = np.arange(done + 1, done + rows + 1, dtype=np.uint64) * GAMMA
+    np.add(ctr, steps.reshape(-1, 1), out=m)
+    _mix(m, scratch.tmp[:rows * n].reshape(rows, n))
+    m >>= np.uint64(11)
+    return m
+
+
+def _move(g, starts, m, out, scratch):
+    """One step of each walk, on the buffers of `scratch`: walk i, at
+    starts[i], moves to out[i] (`out` may be `starts`), to the neighbor
+    floor(u * degree) of `step_array` for the uniform u = m[i] * 2^-53. The
+    product u * degree is taken as m[i] * (degree * 2^-53): both are the
+    exact product m[i] * degree * 2^-53 rounded once, so they are the same
+    double, and the positions are those of step_array."""
+    n = len(starts)
+    if g.family != TREE:
+        # complete graphs and cycles are circulant: the move is a shift by
+        # the draw r, whatever the position; int64, so that it cannot wrap
+        r, V = scratch.tmp[:n].view(np.int64), g.vertex_count
+        if g.family == COMPLETE:
+            np.multiply(m, (V - 1) * 2.0 ** -53, out=r, casting="unsafe")
+            r += 1
+        else:
+            np.multiply(m, 2 * 2.0 ** -53, out=r, casting="unsafe")
+            r *= 2
+            r -= 1
+        r += starts
+        np.remainder(r, V, out=out, casting="unsafe")
+        return out
+    # an inner vertex has degree d + 1 and draw r = 0 is its parent, r > 0
+    # child r; a leaf only has its parent; the root has degree d and no
+    # parent slot, so its draw is shifted up by one. The degree is d + 1
+    # throughout and the leaves and the root are fixed up, which costs no
+    # per-vertex table; every array below has the positions' dtype, so no
+    # operation casts
+    d = g.d
+    r, parent = scratch.r[:n], scratch.parent[:n]
+    inner, moves = scratch.inner[:n], scratch.moves[:n]
+    np.multiply(m, (d + 1) * 2.0 ** -53, out=r, casting="unsafe")
+    if not starts.all():
+        roots = np.flatnonzero(starts == 0)
+        r[roots] = (m[roots] * (d * 2.0 ** -53)).astype(r.dtype) + 1
+    np.less(starts, g.first_leaf, out=inner)
+    np.subtract(starts, 1, out=parent)
+    parent //= d
+    np.multiply(starts, d, out=out)
+    out += r
+    # a select without branches, which a random mask would mispredict:
+    # out = parent + [inner and r > 0] * (child - parent)
+    np.not_equal(r, 0, out=moves)
+    moves &= inner
+    out -= parent
+    out *= moves
+    out += parent
+    return out
+
+
+def generate_steps(g, starts, keys, offsets, nsteps, scratch=None):
     """Positions after steps offsets+1 .. offsets+nsteps of a batch of keyed
     walks, as rows of a (len(starts), nsteps) array of `g.index_dtype`.
 
@@ -291,29 +399,51 @@ def generate_steps(g, starts, keys, offsets, nsteps):
     number for all). Every keyed walk is generated here, so a walk's path is
     the same whichever walks share its batch and however its steps are split
     into calls. Tree batches of at most SCALAR_STEP_WALKS walks are stepped
-    walk by walk in plain Python, larger ones in lockstep; both take the same
-    uniforms and the same products, so the path does not depend on which.
+    walk by walk in plain Python. Larger tree batches, and one step on any
+    graph, go through the in-place kernel: up to HASH_BLOCK_CELLS cells of
+    steps are hashed at once (`_draws`), then the walks move a row at a time
+    (`_move`). Both take the same uniforms and the same products, so the
+    path does not depend on which.
+
+    A clock passes counter words (`counters`) as `keys` at offset 0 and its
+    `scratch` (a StepScratch), so that a step allocates nothing; the
+    (walks, 1) block it returns then is a view of scratch.out, which the
+    next call rewrites.
     """
     starts = np.asarray(starts, dtype=g.index_dtype)
-    u = step_uniforms(keys, offsets, nsteps)
-    if g.family == TREE and len(starts) <= SCALAR_STEP_WALKS:
+    n = len(starts)
+    if g.family == TREE and n <= SCALAR_STEP_WALKS:
         # too few walks to pay for a numpy call per step
+        u = step_uniforms(keys, offsets, nsteps)
         path = g.step_rows(starts.tolist(), u.tolist())
-        return np.array(path, dtype=g.index_dtype).reshape(len(starts), nsteps)
-    if g.family == TREE:
-        # the degree depends on the position: one lockstep step per row of u.T
-        out = np.empty((nsteps, len(starts)), dtype=g.index_dtype)
-        v = starts
-        for j, uj in enumerate(u.T):
-            v = out[j] = g.step_array(v, uj)
-        return out.T
-    # complete graphs and cycles are circulant: a step from v lands on v + s
-    # (mod V) with a shift s = step_array(0, u) independent of v, so a path
-    # is a cumulative sum of shifts
-    path = np.cumsum(g.step_array(0, u), axis=1)
-    path += starts.reshape(-1, 1)
-    path %= g.vertex_count
-    return path.astype(g.index_dtype)
+        return np.array(path, dtype=g.index_dtype).reshape(n, nsteps)
+    if g.family != TREE and nsteps != 1:
+        # complete graphs and cycles are circulant: a step from v lands on
+        # v + s (mod V) with a shift s = step_array(0, u) independent of v,
+        # so a path is a cumulative sum of shifts
+        u = step_uniforms(keys, offsets, nsteps)
+        path = np.cumsum(g.step_array(0, u), axis=1)
+        path += starts.reshape(-1, 1)
+        path %= g.vertex_count
+        return path.astype(g.index_dtype)
+    ctr = (counters(keys, offsets) if np.ndim(offsets) or offsets
+           else np.asarray(keys, dtype=np.uint64))
+    if nsteps == 1:
+        if scratch is None:
+            scratch = StepScratch(n, g.index_dtype)
+        m = _draws(ctr, 0, 1, scratch)[0]
+        return _move(g, starts, m, scratch.out[:n], scratch).reshape(n, 1)
+    # on trees the degree depends on the position: the walks move a row at
+    # a time
+    rows = max(1, min(nsteps, HASH_BLOCK_CELLS // n))
+    scratch = StepScratch(n, g.index_dtype, rows)
+    out = np.empty((nsteps, n), dtype=g.index_dtype)
+    v = starts
+    for done in range(0, nsteps, rows):
+        m = _draws(ctr, done, min(rows, nsteps - done), scratch)
+        for j, mj in enumerate(m, done):
+            v = _move(g, v, mj, out[j], scratch)
+    return out.T
 
 
 class WalkStore:

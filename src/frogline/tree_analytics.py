@@ -143,8 +143,14 @@ def _kappa_representatives(g):
     return [0]
 
 
+def _check_t_max(t_max):
+    if t_max < 0:
+        raise ParameterError("t_max must be >= 0, got %r" % (t_max,))
+
+
 def kappa_sequence(g, t_max):
     """kappa[t] = min_v sum_{i<=t} p^i(v,v), minimized over orbit reps."""
+    _check_t_max(t_max)
     returns = np.array([transition_powers(g, v, t_max)
                         for v in _kappa_representatives(g)])
     return np.cumsum(returns, axis=1).min(axis=0)
@@ -200,6 +206,7 @@ def mu_table(g, lam, t_max, targets=None):
     """The targets A and mu[ai, t] = lambda * sum_{v != a} Pr_v[T_a <= t]
     for a = A[ai]."""
     check_lambda("lambda", lam)
+    _check_t_max(t_max)
     # the rows, one hitting table at a time, and the vectors of a transition
     targets = _targets(g, targets, "the mu tables", lambda m: 8 * (
         (t_max + 1) * (m + g.vertex_count)
@@ -214,6 +221,7 @@ def mu_table(g, lam, t_max, targets=None):
 def green_sums(g, t_max, targets=None):
     """The targets A and green[ai, bi, s] = e_{A[ai], A[bi]}(s), the sum of
     p^i(A[ai], A[bi]) over i <= s."""
+    _check_t_max(t_max)
     targets = _targets(g, targets, "the Green sums", lambda m: 8 * (
         (t_max + 1) * m * m + TRANSITION_VECTORS * g.vertex_count))
     m = len(targets)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -373,3 +375,82 @@ def test_pinned_budget_failures(row):
     engine = susceptibility if name == "S" else cover_time
     assert _run(engine, g, init, cap) == (
         "budget", awake / g.vertex_count, (cap + 1, None), steps)
+
+
+# (graph, lambda, origin, seed, S, its steps_simulated, CT, its
+# steps_simulated) at lambda_max 2, recorded before the clocks stepped
+# through the in-place kernel: graphs large enough that most ticks step
+# thousands of walks in lockstep, and, on K_2000 and cycle 500, where every
+# susceptibility tick steps the awake set itself
+PINNED_AT_SCALE = [
+    ('tree:d=2,n=11', 1.0, 0, 0, 55, 222145, 151, 308808),
+    ('tree:d=2,n=11', 1.0, 0, 1, 48, 198000, 117, 319358),
+    ('tree:d=2,n=11', 1.0, 0, 2, 42, 175560, 105, 273156),
+    ('tree:d=2,n=11', 2.0, 0, 0, 34, 274924, 53, 264671),
+    ('tree:d=2,n=11', 2.0, 0, 1, 22, 181940, 57, 302101),
+    ('tree:d=2,n=11', 2.0, 0, 2, 21, 172200, 61, 354821),
+    ('tree:d=3,n=7', 1.0, 0, 0, 38, 123956, 117, 222219),
+    ('tree:d=3,n=7', 1.0, 0, 1, 34, 113458, 137, 296887),
+    ('tree:d=3,n=7', 1.0, 0, 2, 38, 127528, 117, 282717),
+    ('tree:d=3,n=7', 2.0, 0, 0, 22, 143154, 55, 211621),
+    ('tree:d=3,n=7', 2.0, 0, 1, 18, 119898, 43, 170114),
+    ('tree:d=3,n=7', 2.0, 0, 2, 28, 184660, 51, 215988),
+    ('complete:n=2000', 1.0, 0, 0, 8, 16128, 16, 14588),
+    ('complete:n=2000', 1.0, 0, 1, 10, 20130, 18, 14550),
+    ('complete:n=2000', 1.0, 0, 2, 8, 16320, 17, 17001),
+    ('cycle:n=500', 0.5, 0, 0, 200, 52000, 1046, 125999),
+    ('cycle:n=500', 0.5, 0, 1, 213, 54741, 951, 136918),
+    ('cycle:n=500', 0.5, 0, 2, 100, 24700, 1052, 148758),
+]
+
+
+@pytest.mark.parametrize("text,lam", sorted({r[:2] for r in PINNED_AT_SCALE}))
+def test_pinned_values_at_scale(text, lam, monkeypatch):
+    # each configuration alone, then the three as one stack, then S with no
+    # prefix, so that every tick steps counter words; a uint64 scalar that
+    # wraps would warn, and a warning fails the test
+    rows = [r for r in PINNED_AT_SCALE if r[:2] == (text, lam)]
+    g = build_graph(parse_descriptor(text))
+    inits = [init_config(g, lam, r[2], r[3], lam_max=2.0) for r in rows]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for row, init in zip(rows, inits):
+            got = []
+            for engine in (susceptibility, cover_time):
+                walks = WalkStore(g, init)
+                got += [engine(g, init, walks), walks.steps_generated]
+            assert tuple(got) == row[4:], row
+        for engine, i in ((susceptibility, 4), (cover_time, 6)):
+            assert _stack_runs(engine, g, inits,
+                               frog_sim.DEFAULT_STEP_CAP) == \
+                [("S", r[i], r[i + 1]) for r in rows]
+        monkeypatch.setattr(frog_sim, "PREFIX_CELLS", 1)
+        assert [_run(susceptibility, g, init, frog_sim.DEFAULT_STEP_CAP)
+                for init in inits] == [("S",) + r[4:6] for r in rows]
+
+
+# (graph, lambda, seed, tau, vertices woken, sum of their activation times,
+# steps_simulated) of run_activation from the root at lambda_max 2, recorded
+# before the wake clock kept its particles' wake ticks in place
+PINNED_ACTIVATION = [
+    ('tree:d=2,n=11', 1.0, 0, 10, 307, 7384, 3200),
+    ('tree:d=2,n=11', 1.0, 0, 40, 4090, 305777, 161440),
+    ('tree:d=2,n=11', 1.0, 1, 10, 1132, 25891, 11340),
+    ('tree:d=2,n=11', 1.0, 1, 40, 4092, 161619, 164960),
+    ('tree:d=3,n=7', 2.0, 0, 3, 517, 6073, 2928),
+    ('tree:d=3,n=7', 2.0, 0, 10, 2811, 57971, 55530),
+    ('tree:d=3,n=7', 2.0, 1, 40, 3280, 57022, 170072),
+    ('cycle:n=500', 0.5, 1, 40, 64, 4044, 1480),
+]
+
+
+@pytest.mark.parametrize("row", PINNED_ACTIVATION,
+                         ids=lambda r: "%s-%s-%d-%d" % r[:4])
+def test_pinned_activation_at_scale(row):
+    text, lam, seed, tau = row[:4]
+    g = build_graph(parse_descriptor(text))
+    init = init_config(g, lam, 0, seed, lam_max=2.0)
+    walks = WalkStore(g, init)
+    at = run_activation(g, init, walks, tau).at
+    woken = at[at < NEVER]
+    assert (len(woken), int(woken.sum()), walks.steps_generated) == row[4:]

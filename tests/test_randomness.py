@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -83,6 +85,71 @@ def test_scalar_and_lockstep_tree_steps_agree(monkeypatch, d):
             assert scalar.shape == (walks, nsteps)
             assert scalar.dtype == lockstep.dtype == g.index_dtype
             assert np.array_equal(scalar, lockstep)
+
+
+def _wrapped_counters(keys, offsets):
+    """key + offset * GAMMA mod 2^64, in Python ints."""
+    gamma = int(randomness.GAMMA)
+    offsets = np.broadcast_to(np.asarray(offsets, dtype=object), len(keys))
+    return np.array([(int(k) + int(o) * gamma) % 2 ** 64
+                     for k, o in zip(keys, offsets)], dtype=np.uint64)
+
+
+@pytest.mark.parametrize("text", ["tree:d=2,n=6", "tree:d=3,n=5",
+                                  "tree:d=5,n=4", "complete:n=50",
+                                  "cycle:n=9"])
+def test_counter_words_continue_the_walk(text):
+    # the walk keyed by key + o * GAMMA, from step 0, is the walk keyed by
+    # key from step o: on every step path (scalar, lockstep, one step,
+    # cumulative sums), for offsets one per walk and shared, near the wrap
+    g = build_graph(parse_descriptor(text))
+    rng = np.random.default_rng(len(text))
+    for walks in (1, 48, 49, 5000):
+        starts = rng.integers(0, g.vertex_count, walks)
+        starts[0], starts[-1] = 0, g.vertex_count - 1
+        keys = walk_keys(5, walks, walks)
+        shared = [0, 1, 10 ** 9, 2 ** 64 - 1, 2 ** 64 - 130]
+        per_walk = [np.array(shared, dtype=np.uint64)[
+            rng.integers(0, len(shared), walks)]]
+        for offsets in shared + per_walk:
+            ctr = _wrapped_counters(keys, offsets)
+            assert np.array_equal(randomness.counters(keys, offsets), ctr)
+            for nsteps in (1, 257):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    want = generate_steps(g, starts, keys, offsets, nsteps)
+                    got = generate_steps(g, starts, ctr, 0, nsteps)
+                assert np.array_equal(got, want), (walks, offsets, nsteps)
+
+
+def test_scaled_products_are_the_uniform_products():
+    # the kernel multiplies the 53-bit integer m by degree * 2^-53 where
+    # step_array multiplies the uniform m * 2^-53 by the degree: the same
+    # exact product, rounded once, so the same double
+    m = np.concatenate((np.random.default_rng(3).integers(
+        0, 2 ** 53, 200_000, dtype=np.uint64),
+        np.array([0, 1, 2, 3, 2 ** 52, 2 ** 53 - 2, 2 ** 53 - 1],
+                 dtype=np.uint64)))
+    for deg in (1, 2, 3, 4, 6, 9, 99, 10 ** 4 - 1, 2 ** 31 - 2, 10 ** 12):
+        assert np.array_equal((m * 2.0 ** -53) * deg, m * (deg * 2.0 ** -53))
+
+
+def test_one_step_kernel_matches_step_array():
+    # the kernel against the graph's own step arithmetic, on every vertex
+    # kind and on vertex ids past int32
+    for text in ("tree:d=2,n=6", "tree:d=3,n=4", "tree:d=2,n=33",
+                 "complete:n=7", "cycle:n=3", "cycle:n=5000000000"):
+        g = build_graph(parse_descriptor(text))
+        V = g.vertex_count
+        starts = np.concatenate(([0, 1, V - 1, V // 2],
+                                 np.random.default_rng(V % 97).integers(
+                                     0, V, 3000)))
+        keys = walk_keys(17, len(starts), 3)
+        scratch = randomness.StepScratch(len(starts), g.index_dtype)
+        for offset in (0, 1, 77):
+            u = step_uniforms(keys, offset, 1)[:, 0]
+            got = generate_steps(g, starts, keys, offset, 1, scratch)[:, 0]
+            assert np.array_equal(got, g.step_array(starts, u)), text
 
 
 def test_init_config_size_guard():

@@ -135,6 +135,19 @@ def test_threshold_monotone_in_delta():
     assert err.value.attained is not None
 
 
+@pytest.mark.parametrize("text", ["cycle:n=5", "tree:d=2,n=40"])
+def test_negative_t_max_rejected(text):
+    # rejected before any table is sized: the depth-40 tree's tables would
+    # otherwise be refused by the byte guard
+    g = build_graph(parse_descriptor(text))
+    for call in (lambda: kappa_sequence(g, -1),
+                 lambda: threshold_time(g, 1.0, 0.0, -1),
+                 lambda: mu_table(g, 1.0, -1),
+                 lambda: green_sums(g, -1)):
+        with pytest.raises(ParameterError, match="t_max"):
+            call()
+
+
 def test_mu_is_lambda_times_hitting_mass():
     g = build_graph(parse_descriptor("cycle:n=9"))
     lam = 1.5
