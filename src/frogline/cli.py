@@ -27,7 +27,7 @@ def _common_flags(p):
 
 def _simulation_flags(p):
     _common_flags(p)
-    p.add_argument("--seed", type=int, default=0, help="seed base (u64)")
+    p.add_argument("--seed", type=int, default=0, help="seed base, 0 <= seed < 2^64")
     p.add_argument("--budget-steps", type=int, default=DEFAULT_STEP_CAP,
                    help="cap on the clock of susceptibility and cover-time "
                         "runs, and on the steps of a leaf walk")

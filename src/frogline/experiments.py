@@ -25,7 +25,7 @@ from .errors import BudgetExceededError, ParameterError
 from .frog_sim import DEFAULT_STEP_CAP, Outcome, cover_time, susceptibility
 from .graph import TREE, build_graph, parse_descriptor, resolve_origin
 from .leaf_walk import run_killed_leaf_walk
-from .randomness import init_config, stack_views
+from .randomness import check_bytes, init_config, stack_views
 
 METRICS = ("susceptibility", "cover", "leafwalk")
 
@@ -36,17 +36,26 @@ SWEEP_COLUMNS = ["graph", "lambda", "origin", "metric", "trials", "failures",
 
 # a batch takes trials of one graph while the sum of V * (1 + lambda_max)
 # over them stays at most BATCH_TABLE_SIZE. Clock time per trial of 16
-# trials at lambda 1, run as stacks of K copies against one at a time, by
-# the stack's sum (shared 2-core VM, python 3.11, numpy 2.4, in-place step
-# kernel, minimum of 3 rounds, two runs): S on K_4000 took 7.2-7.6 ms
-# alone, 4.6-5.0 ms at 32k and 3.6-4.0 ms at 64k; K_16000 10.1-16.1 ms
-# alone and 9.0-14.8 ms at 64k. CT on trees d=2: n=10 16.6-19.1 ms alone,
-# 5.0-5.8 ms at 32k, 4.6-4.9 ms at 64k; n=12 22-24 ms alone, 16-23 ms at
-# 32k, 14.6-16.3 ms at 64k and 17.7-20.1 ms at 128k. S on trees d=2 n=10:
-# 4.5-6.4 ms at 32k, 5.7-5.9 ms at 64k. A larger table now pays on most
-# of these, but not on every one, and the benchmark's workloads have not
-# been run against it in pairs, so it stays at 32k
-BATCH_TABLE_SIZE = 2 ** 15
+# trials at lambda 1, one at a time and in stacks of as many copies as a
+# table of 32k, 64k or 128k cells holds (shared 2-core VM, python 3.11,
+# numpy 2.4, minimum of 3 rounds, two runs), in ms: S on K_4000 3.6-6.0
+# alone, 2.4-3.8, 2.1-3.1, 2.1-3.0; S on K_10^4 (one copy fits 32k)
+# 6.1-9.4 alone, 5.4-8.1 at 64k, 5.3-7.1 at 128k; S on K_16000 7.5-11.6
+# alone, 7.2-10.7 at 64k, 7.0-10.1 at 128k. CT on trees d=2: n=10
+# 10.7-15.2 alone, 3.3-5.0, 3.4-4.3, 2.9-4.1; n=12 28.6-30.8 alone,
+# 23.9-25.4, 15.0-21.6, 14.8-19.1. S on trees d=2: n=10 9.5-13.5 alone,
+# 4.7-7.2, 4.2-6.1, 4.5-6.2; n=12 19.8-32.3 alone, 15.7-24.5 at 64k,
+# 13.8-20.2 at 128k. 64k beats 32k in both runs on all but CT at n=10,
+# where the runs disagree; 128k gains little more, nothing on S at n=10 (a
+# stack's prefix walks every copy down to the deepest S of the stack), for
+# twice the memory
+BATCH_TABLE_SIZE = 2 ** 16
+
+# peak bytes a run takes per trial cell (its seed entry, its batch index,
+# its result and its output row), rounded up from tracemalloc peaks of
+# 5,000 and 20,000 trials on tree d=2 n=2: 790 B per simulate row, 200 B
+# per sweep cell, 170 B per trial when validate_spec refuses the spec
+TRIAL_CELL_BYTES = 1024
 
 
 @dataclass
@@ -93,10 +102,11 @@ class TrialResult:
 
 
 def trial_seed(seed_base, graph, origin, metric, trial):
-    """64-bit seed of one trial, shared by all of its lambda cells."""
+    """64-bit seed of one trial, shared by all of its lambda cells; the
+    seed base is a u64 (validate_spec checks it)."""
     key = "graph=%s|origin=%s|metric=%s|trial=%d" % (graph, origin, metric, trial)
     h = hashlib.blake2b(key.encode(), digest_size=8).digest()
-    return (seed_base ^ int.from_bytes(h, "little")) & (2 ** 64 - 1)
+    return seed_base ^ int.from_bytes(h, "little")
 
 
 def validate_spec(spec):
@@ -114,6 +124,13 @@ def validate_spec(spec):
     bad = [lam for lam in spec.lambdas if not (np.isfinite(lam) and lam >= 0)]
     if bad and spec.metric != "leafwalk":
         raise ParameterError("lambda must be finite and >= 0, got %r" % bad[0])
+    # a seed outside the u64 range would alias one inside it
+    if not 0 <= spec.seed_base < 2 ** 64:
+        raise ParameterError("seed must be in [0, 2^64), got %r"
+                             % (spec.seed_base,))
+    cells = len(spec.graphs) * spec.trials * (
+        1 if spec.metric == "leafwalk" else len(spec.lambdas))
+    check_bytes("a run of %d trial cells" % cells, cells * TRIAL_CELL_BYTES)
     seen = {}
     for graph in spec.graphs:
         for trial in range(spec.trials):
@@ -196,9 +213,11 @@ def _batch_task(task):
         wall_ms.append(_ms_since(start))
     engine = cover_time if spec.metric == "cover" else susceptibility
     rows = [[] for _ in cells]
-    for lam in spec.lambdas:
+    for j, lam in enumerate(spec.lambdas):
         start = time.perf_counter()
         stack = stack_views([config.at_lambda(lam) for config in configs])
+        if j == len(spec.lambdas) - 1:
+            configs = None  # the last stack holds all that its clock reads
         outcomes = engine(g, stack, step_cap=spec.step_cap)
         share = _ms_since(start) / len(cells)
         for i, outcome in enumerate(outcomes):

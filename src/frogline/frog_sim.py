@@ -64,16 +64,18 @@ def _check_step_cap(step_cap):
 
 
 class _Wake:
-    """Wake state of a stack's K copies: the tick each union vertex woke at
-    (NEVER while it sleeps), the sleeping mask the wake test reads, a stamp
-    per union vertex that dedupes a tick's hits, each copy's count of awake
-    vertices, the tick each copy was covered at, and the budget error of
-    each copy the step cap stopped."""
+    """Wake state of a stack's K copies: the sleeping mask the wake test
+    reads, a stamp per union vertex that dedupes a tick's hits, each copy's
+    count of awake vertices, the tick each copy was covered at, the budget
+    error of each copy the step cap stopped and, when `times` is set, the
+    tick each union vertex woke at (NEVER while it sleeps)."""
 
-    def __init__(self, stack):
+    def __init__(self, stack, times=False):
         self.V, self.K = V, K = stack.g.vertex_count, len(stack.origins)
-        self.at = np.full(K * V, NEVER, dtype=np.int64)
-        self.at[stack.origins] = 0
+        self.at = None
+        if times:
+            self.at = np.full(K * V, NEVER, dtype=np.int64)
+            self.at[stack.origins] = 0
         self.sleeping = np.ones(K * V, dtype=bool)
         self.sleeping[stack.origins] = False
         self.stamp = np.zeros(K * V, dtype=np.int32)
@@ -97,7 +99,8 @@ class _Wake:
         self.stamp[hit] = idx
         fresh = hit[self.stamp[hit] == idx]
         self.sleeping[fresh] = False
-        self.at[fresh] = t
+        if self.at is not None:
+            self.at[fresh] = t
         if self.K == 1:
             self.count += fresh.size
         else:
@@ -153,7 +156,7 @@ def _wake_clock(g, stack, step_cap, tau=None):
     """
     _check_step_cap(step_cap)
     V, K = g.vertex_count, len(stack.origins)
-    wake = _Wake(stack)
+    wake = _Wake(stack, times=True)
     capacity = stack.particle_count()
     scratch = StepScratch(capacity, g.index_dtype)
     pos = np.empty(capacity, dtype=g.index_dtype)
@@ -300,10 +303,30 @@ def _replay_clock(g, stack, step_cap):
     # particles of each copy that its last wake round reached: the copy is
     # covered before they take a step
     idle = np.zeros(K, dtype=np.int64)
-    # the awake particles, the origins' to begin with: their columns while
-    # the ticks read the prefix, then their positions and counter words
-    cols = stack.columns(stack.origins)
-    base = stack.base[cols]
+    # the awake particles, the origins' to begin with, live in slots 0..hi
+    # of arrays that can hold every particle of the stack: their copy
+    # bases, and their columns while the ticks read the prefix, then their
+    # positions and counter words. Woken particles are appended, and a
+    # covered copy's particles leave by compaction
+    capacity = stack.particle_count()
+    base = np.empty(capacity, dtype=stack.base.dtype)
+    cols = np.empty(capacity, dtype=np.int64)
+    pos = ctr = None
+    hi = 0
+
+    def join(new, new_pos, t):
+        """Append particles `new`, at positions `new_pos` after step t."""
+        nonlocal hi
+        end = hi + len(new)
+        base[hi:end] = stack.base[new]
+        if cols is not None:
+            cols[hi:end] = new
+        else:
+            pos[hi:end] = new_pos
+            ctr[hi:end] = counters(stack.keys[new], t)
+        hi = end
+
+    join(stack.columns(stack.origins), None, 0)
     t = 0
     while wake.n_covered < K:
         t += 1
@@ -311,18 +334,21 @@ def _replay_clock(g, stack, step_cap):
             wake.stop(step_cap, np.flatnonzero(~wake.covered))
             break
         if t <= prefix.hmax:
-            pos = prefix.row(t, cols)
+            p = prefix.row(t, cols[:hi])
         else:
             if cols is not None:  # the first tick past the prefix
-                pos = prefix.after(t - 1, cols)
-                ctr = counters(stack.keys[cols], t - 1)
+                pos = np.empty(capacity, dtype=g.index_dtype)
+                pos[:hi] = prefix.after(t - 1, cols[:hi])
+                ctr = np.empty(capacity, dtype=np.uint64)
+                ctr[:hi] = counters(stack.keys[cols[:hi]], t - 1)
                 cols = None
-                scratch = StepScratch(stack.particle_count(), g.index_dtype)
-            pos = generate_steps(g, pos, ctr, 0, 1, scratch)[:, 0]
-            ctr += GAMMA
+                scratch = StepScratch(capacity, g.index_dtype)
+            p, c = pos[:hi], ctr[:hi]
+            p[:] = generate_steps(g, p, c, 0, 1, scratch)[:, 0]
+            c += GAMMA
         # wake what the tick reaches, then what the woken particles' replays
-        # reach; the woken batches join the awake set once, after the tick
-        fresh = wake(pos, base, t)
+        # reach; the woken batches join the awake set after the tick
+        fresh = wake(p, base[:hi], t)
         woken = []
         covered = False
         while fresh.size:
@@ -338,21 +364,15 @@ def _replay_clock(g, stack, step_cap):
             woken.append((new, new_pos))
         if wake.n_covered == K:
             break
-        if woken:
-            new = np.concatenate([c for c, _ in woken])
-            base = np.concatenate((base, stack.base[new]))
-            if cols is not None:
-                cols = np.concatenate((cols, new))
-            else:
-                pos = np.concatenate([pos] + [p for _, p in woken])
-                ctr = np.concatenate((ctr, counters(stack.keys[new], t)))
+        for new, new_pos in woken:
+            join(new, new_pos, t)
         if covered:
-            keep = wake.running(base)
-            base = base[keep]
-            if cols is not None:
-                cols = cols[keep]
-            else:
-                pos, ctr = pos[keep], ctr[keep]
+            keep = wake.running(base[:hi])
+            n = np.count_nonzero(keep)
+            for a in (base, cols, pos, ctr):
+                if a is not None:
+                    a[:n] = a[:hi][keep]
+            hi = n
     # at the end of tick T every awake particle has walked exactly T steps,
     # but a covered copy's last-woken particles took none
     T = np.where(wake.covered, wake.last, step_cap)

@@ -276,6 +276,20 @@ def init_config(g, lam, origin, seed, lam_max=None):
     return _view(g, lam, lam_max, origin, _coupling(g, origin, seed, lam_max))
 
 
+def _sort_marks(vertex, positions):
+    """The mark positions, with `vertex` their vertices in nondecreasing
+    order, sorted by position within each vertex: one in-place sort of the
+    complex keys vertex + i * position, which numpy orders by real part,
+    then by imaginary part. A vertex id below 2^53 is an exact double, and
+    tied positions are equal values, so this is the order of
+    lexsort((positions, vertex)), at a fraction of its cost."""
+    z = np.empty(len(vertex), dtype=np.complex128)
+    z.real = vertex
+    z.imag = positions
+    z.sort()
+    return z.imag
+
+
 def _coupling(g, origin, seed, lam_max):
     """The lam_max particle table as (home, keys, mark positions); its
     sampling temporaries are freed on return, before any view is taken."""
@@ -284,8 +298,8 @@ def _coupling(g, origin, seed, lam_max):
     total = int(per_vertex.sum())
     positions = rng.random(total) * lam_max
     vertex = np.repeat(np.arange(g.vertex_count, dtype=np.int64), per_vertex)
-    # vertex is already sorted; lexsort only orders the marks within a vertex
-    marks = positions[np.lexsort((positions, vertex))]
+    marks = _sort_marks(vertex, positions)
+    del positions
     first = np.cumsum(per_vertex) - per_vertex
     # a mark's key is hashed from (vertex, rank among the vertex's marks)
     keys = _walk_keys(seed, _NS_MARK_WALK, vertex,

@@ -174,7 +174,16 @@ def test_parameter_error_exit_2(capsys, tmp_path):
               "--jobs", "-5"], "jobs must be >= 1"),
             (["analytic", "--quantity", "pi", "--graph", "tree:d=2,n=2",
               "--jobs", "0"], "jobs must be >= 1"),
-            (["validate", "--jobs", "-3"], "jobs must be >= 1")]:
+            (["validate", "--jobs", "-3"], "jobs must be >= 1"),
+            # a seed outside the u64 range would alias one inside it
+            (["simulate", "--graph", "tree:d=2,n=2", "--seed", "-1"],
+             "seed must be in [0, 2^64)"),
+            (["simulate", "--graph", "tree:d=2,n=2", "--seed",
+              str(2 ** 64 + 5)], "seed must be in [0, 2^64)"),
+            (["sweep", "--graph", "tree:d=2,n=2", "--lambda", "1", "--seed",
+              str(2 ** 64)], "seed must be in [0, 2^64)"),
+            (["simulate", "--graph", "tree:d=2,n=3", "--mode", "leafwalk",
+              "--s", "3", "--seed", "-7"], "seed must be in [0, 2^64)")]:
         assert main(argv) == 2, argv
         err = capsys.readouterr().err
         assert says in err and err.count("\n") == 1, (argv, err)
@@ -208,6 +217,31 @@ def test_budget_exceeded_exit_3(capsys):
     err = capsys.readouterr().err
     assert code == 3 and peak < 2 ** 22, (err, peak)
     assert "a leaf walk on tree:d=2,n=40 needs about 9.9e+12 bytes" in err, err
+
+
+def test_huge_trial_counts_refused_before_any_work(capsys):
+    # one seed entry, batch index and result row per trial cell: 10^12
+    # trials would need about 10^15 bytes
+    for argv in (["simulate", "--graph", "tree:d=2,n=3",
+                  "--trials", "1000000000000"],
+                 ["sweep", "--graph", "tree:d=2,n=3", "--graph",
+                  "complete:n=5", "--lambda", "0.5,1", "--trials",
+                  str(10 ** 9)],
+                 ["simulate", "--mode", "leafwalk", "--graph", "tree:d=2,n=3",
+                  "--s", "3", "--trials", str(10 ** 10)]):
+        tracemalloc.start()
+        try:
+            code = main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        err = capsys.readouterr().err
+        assert code == 3, argv
+        assert "trial cells needs about" in err and peak < 2 ** 22, (
+            argv, err, peak)
+    # a million trial cells stay allowed
+    assert (10 ** 6 * experiments.TRIAL_CELL_BYTES
+            <= frogline.randomness.CONFIG_BYTE_LIMIT)
 
 
 def test_budget_steps_caps_the_leaf_walk(capsys):

@@ -132,10 +132,16 @@ def test_batches_equal_one_trial_per_batch(metric, lam_max, step_cap,
 
 def test_batch_size_rule():
     spec = _spec(graphs=["tree:d=2,n=10"], lambdas=[1.0, 2.0], trials=11)
-    # 2047 * (1 + 2) = 6141 cells a trial: five fit 2 ** 15
+    # 2047 * (1 + 2) = 6141 cells a trial: ten fit 2 ** 16
     assert experiments._batches(spec, "tree:d=2,n=10") == [
-        [0, 1, 2, 3, 4], [5, 6, 7, 8, 9], [10]]
+        list(range(10)), [10]]
     assert experiments._batches(replace(spec, jobs=4), "tree:d=2,n=10") == [
+        [0, 1, 2], [3, 4, 5], [6, 7, 8], [9, 10]]
+    # 10^4 * (1 + 2) cells a trial: two fit, and three at lambda_max 1
+    assert experiments._batches(spec, "complete:n=10000") == [
+        [0, 1], [2, 3], [4, 5], [6, 7], [8, 9], [10]]
+    assert experiments._batches(replace(spec, lambdas=[1.0]),
+                                "complete:n=10000") == [
         [0, 1, 2], [3, 4, 5], [6, 7, 8], [9, 10]]
     assert experiments._batches(spec, "complete:n=20000") == [
         [i] for i in range(11)]

@@ -8,6 +8,8 @@ from frogline import (BudgetExceededError, ParameterError, WalkStore,
                       parse_descriptor, randomness, step_uniforms, substream,
                       walk_keys)
 
+from oracles import lexsort_marks
+
 
 def _tree(d=2, n=4):
     return build_graph(parse_descriptor("tree:d=%d,n=%d" % (d, n)))
@@ -185,6 +187,37 @@ def test_lambda_zero_just_the_plant():
     assert init.counts.sum() == 1
     assert init.home[init.planted] == 3
     assert list(init.columns([3])) == [init.planted]
+
+
+@pytest.mark.parametrize("text", ["tree:d=2,n=6", "tree:d=3,n=4",
+                                  "complete:n=300", "cycle:n=257"])
+def test_coupling_matches_the_lexsort_oracle(monkeypatch, text):
+    # the complex-key sort orders each vertex's marks as lexsort does, so
+    # the table, keys included, is the one lexsort's order gives
+    g = build_graph(parse_descriptor(text))
+    for lam_max in (0.0, 0.5, 1.0, 8.0):
+        for seed in (0, 3, 2 ** 64 - 1):
+            origin = seed % g.vertex_count
+            got = randomness._coupling(g, origin, seed, lam_max)
+            with monkeypatch.context() as m:
+                m.setattr(randomness, "_sort_marks", lexsort_marks)
+                want = randomness._coupling(g, origin, seed, lam_max)
+            for a, b in zip(got, want):
+                assert a.dtype == b.dtype and np.array_equal(a, b), (
+                    text, lam_max, seed)
+
+
+def test_sort_marks_with_tied_positions():
+    vertex = np.array([0, 0, 0, 2, 2, 2, 2, 5, 7, 7], dtype=np.int64)
+    positions = np.array([0.5, 0.25, 0.5, 0.75, 0.0, 0.75, 0.75, 0.1, 0.9,
+                          0.0])
+    got = randomness._sort_marks(vertex, positions)
+    assert np.array_equal(got, lexsort_marks(vertex, positions))
+    assert got.tolist() == [0.25, 0.5, 0.5, 0.0, 0.75, 0.75, 0.75, 0.1, 0.0,
+                            0.9]
+    # vertex ids past 2^31, where an int32 would wrap, are still exact
+    big = vertex + 2 ** 40
+    assert np.array_equal(randomness._sort_marks(big, positions), got)
 
 
 def test_coupling_prefix_property():
