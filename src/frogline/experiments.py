@@ -22,7 +22,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import BudgetExceededError, ParameterError
-from .frog_sim import DEFAULT_STEP_CAP, Outcome, cover_time, susceptibility
+from .frog_sim import (DEFAULT_STEP_CAP, Outcome, check_step_cap, cover_time,
+                       susceptibility)
 from .graph import TREE, build_graph, parse_descriptor, resolve_origin
 from .leaf_walk import run_killed_leaf_walk
 from .randomness import check_bytes, init_config, stack_views
@@ -120,6 +121,7 @@ def validate_spec(spec):
         raise ParameterError("unknown metric %r" % (spec.metric,))
     if spec.metric == "leafwalk" and spec.s is None:
         raise ParameterError("leafwalk needs --s")
+    check_step_cap(spec.step_cap)
     # checked before any sampling: a refused configuration checks no cell
     bad = [lam for lam in spec.lambdas if not (np.isfinite(lam) and lam >= 0)]
     if bad and spec.metric != "leafwalk":

@@ -12,6 +12,10 @@ Both clocks run on a stack of configurations of one graph
 (randomness.FrogStack): K copies of the graph with disjoint vertex ids, so
 each tick's numpy calls serve K trials, while each copy's numbers stay
 those of its configuration alone. One configuration is the stack of one.
+Both keep their state in one _Clock: the copies' wake state and the awake
+particles' slots, which a tick moves (from the prefix or by one kernel
+step), woken particles join and a covered copy's particles leave by
+compaction.
 """
 
 from dataclasses import dataclass
@@ -58,19 +62,33 @@ class Outcome:
     error: Optional[BudgetExceededError] = None  # set when the cap stopped it
 
 
-def _check_step_cap(step_cap):
+def check_step_cap(step_cap):
+    """Refuse a cap on the clock (or the steps of a leaf walk) below 1."""
     if step_cap <= 0:
         raise ParameterError("step_cap must be > 0, got %r" % (step_cap,))
 
 
-class _Wake:
-    """Wake state of a stack's K copies: the sleeping mask the wake test
-    reads, a stamp per union vertex that dedupes a tick's hits, each copy's
-    count of awake vertices, the tick each copy was covered at, the budget
-    error of each copy the step cap stopped and, when `times` is set, the
-    tick each union vertex woke at (NEVER while it sleeps)."""
+class _Clock:
+    """The state of a clock on a stack's K copies.
 
-    def __init__(self, stack, times=False):
+    Wake state: the sleeping mask the wake test reads, a stamp per union
+    vertex that dedupes a tick's hits, each copy's count of awake vertices,
+    the tick each copy was covered at, the budget error of each copy the
+    step cap stopped and, when `times` is set, the tick each union vertex
+    woke at (NEVER while it sleeps).
+
+    Awake particles: slots lo..hi of arrays that can hold every particle of
+    the stack. A slot holds its particle's copy base and, while the ticks
+    read the `prefix` (t <= hmax), its column; past the prefix, or with
+    none, its position and counter word instead. Under a finite lifetime
+    `tau` it also holds the tick the particle woke at. Woken particles join
+    at hi, so wake ticks never decrease along the slots, and a particle
+    whose age reaches tau leaves by moving lo past it. Once a round covers
+    a copy, its particles leave by compaction.
+    """
+
+    def __init__(self, stack, times=False, tau=None, prefix=None):
+        self.g, self.stack, self.tau, self.prefix = stack.g, stack, tau, prefix
         self.V, self.K = V, K = stack.g.vertex_count, len(stack.origins)
         self.at = None
         if times:
@@ -84,8 +102,26 @@ class _Wake:
         self.n_covered = 0
         self.last = np.zeros(K, dtype=np.int64)
         self.errors = [None] * K
+        n = stack.particle_count()
+        self.hmax = prefix.hmax if prefix is not None else 0
+        self.base = np.empty(n, dtype=stack.base.dtype)
+        self.cols = self.pos = self.ctr = self.scratch = None
+        if self.hmax:
+            self.cols = np.empty(n, dtype=np.int64)
+        else:
+            self._step_slots()
+        self.born = np.empty(n, dtype=np.int64) if tau is not None else None
+        self.lo = self.hi = 0
 
-    def __call__(self, pos, base, t):
+    def _step_slots(self):
+        """Allocate the slots' positions and counter words, and the step
+        kernel's buffers."""
+        n = self.stack.particle_count()
+        self.pos = np.empty(n, dtype=self.g.index_dtype)
+        self.ctr = np.empty(n, dtype=np.uint64)
+        self.scratch = StepScratch(n, self.g.index_dtype)
+
+    def wake(self, pos, base, t):
         """Wake, at tick t, the sleeping vertices that positions `pos` reach
         in the copies at `base` (union id pos + base, broadcast); returns
         their union ids, distinct. A stack of one skips the copy
@@ -123,9 +159,63 @@ class _Wake:
         """Whether each union id (vertex or base) lies in an uncovered copy."""
         return ~self.covered[ids // self.V]
 
-    def stop(self, step_cap, copies):
-        """Stop `copies` at the step cap, each with its own budget error."""
-        for k in copies:
+    def join(self, cols, t, pos=None):
+        """Append particles `cols`, woken at tick t, to the awake slots: at
+        their homes, before their first step, or at positions `pos` after
+        step t."""
+        lo, hi = self.hi, self.hi + len(cols)
+        self.base[lo:hi] = self.stack.base[cols]
+        if self.cols is not None:
+            self.cols[lo:hi] = cols
+        elif pos is None:
+            self.pos[lo:hi] = self.stack.home[cols]
+            self.ctr[lo:hi] = self.stack.keys[cols]
+        else:
+            self.pos[lo:hi] = pos
+            self.ctr[lo:hi] = counters(self.stack.keys[cols], t)
+        if self.born is not None:
+            self.born[lo:hi] = t
+        self.hi = hi
+
+    def retire(self, t):
+        """Retire, after tick t, the particles that have taken tau steps: a
+        particle woken at tick b has taken t - b."""
+        if self.born is not None:
+            self.lo += int(np.searchsorted(self.born[self.lo:self.hi],
+                                           t - self.tau, side="right"))
+
+    def tick(self, t):
+        """Move the awake particles to their positions after step t, read
+        from row t of the prefix while t <= hmax and stepped by the kernel
+        after it, and wake what they reach; returns the woken vertices."""
+        lo, hi = self.lo, self.hi
+        if t <= self.hmax:
+            p = self.prefix.row(t, self.cols[lo:hi])
+        else:
+            if self.cols is not None:  # the first tick past the prefix
+                cols, self.cols = self.cols[lo:hi], None
+                self._step_slots()
+                self.pos[lo:hi] = self.prefix.after(t - 1, cols)
+                self.ctr[lo:hi] = counters(self.stack.keys[cols], t - 1)
+            p, c = self.pos[lo:hi], self.ctr[lo:hi]
+            p[:] = generate_steps(self.g, p, c, 0, 1, self.scratch)[:, 0]
+            c += GAMMA
+        return self.wake(p, self.base[lo:hi], t)
+
+    def compact(self):
+        """Drop the particles of covered copies from the awake slots."""
+        lo, hi = self.lo, self.hi
+        keep = self.running(self.base[lo:hi])
+        n = np.count_nonzero(keep)
+        for a in (self.base, self.cols, self.pos, self.ctr, self.born):
+            if a is not None:
+                a[:n] = a[lo:hi][keep]
+        self.lo, self.hi = 0, n
+
+    def stop(self, step_cap):
+        """Stop at the step cap every copy that still has awake particles,
+        each with its own budget error."""
+        for k in np.unique(self.base[self.lo:self.hi] // self.V):
             self.errors[k] = BudgetExceededError(
                 "clock exceeded step cap %d" % step_cap,
                 fraction_covered=int(self.count[k]) / self.V,
@@ -142,80 +232,40 @@ def _wake_clock(g, stack, step_cap, tau=None):
     NEVER where a vertex never wakes, and each copy's Outcome (its value is
     its cover time).
 
-    One synchronous clock over the awake particles: at each tick every awake
-    particle takes one step, and the vertices it lands on for the first time
-    wake; their particles take step 1 on the next tick. The awake particles
-    live in slots lo..hi of arrays that hold every particle of the stack:
-    position, counter word, copy base and, under a finite lifetime `tau`,
-    the tick the particle woke at. Woken particles are appended, so wake
-    ticks never decrease along the slots, and a particle whose age reaches
-    tau (None: immortal) leaves by moving lo past it. A covered copy's
-    particles leave by compaction. The clock stops once nobody is left. The
-    wake ticks are the activation times under lifetime tau. Past step_cap
-    every copy that still has particles gets its own BudgetExceededError.
+    One synchronous clock over the awake particles (_Clock): at each tick
+    every awake particle takes one step, and the vertices it lands on for
+    the first time wake; their particles join at home and take step 1 on
+    the next tick. A particle retires once its age reaches tau (None:
+    immortal), and a covered copy's particles leave; the clock stops once
+    nobody is left. The wake ticks are the activation times under lifetime
+    tau. Past step_cap every copy that still has particles gets its own
+    BudgetExceededError.
     """
-    _check_step_cap(step_cap)
-    V, K = g.vertex_count, len(stack.origins)
-    wake = _Wake(stack, times=True)
-    capacity = stack.particle_count()
-    scratch = StepScratch(capacity, g.index_dtype)
-    pos = np.empty(capacity, dtype=g.index_dtype)
-    ctr = np.empty(capacity, dtype=np.uint64)
-    base = np.empty(capacity, dtype=stack.base.dtype)
-    born = np.empty(capacity, dtype=np.int64) if tau is not None else None
-    lo = hi = 0
-
-    def join(cols, t):
-        nonlocal hi
-        end = hi + len(cols)
-        pos[hi:end] = stack.home[cols]
-        ctr[hi:end] = stack.keys[cols]
-        base[hi:end] = stack.base[cols]
-        if born is not None:
-            born[hi:end] = t
-        hi = end
-
-    join(stack.columns(stack.origins), 0)
+    check_step_cap(step_cap)
+    clock = _Clock(stack, times=True, tau=tau)
+    clock.join(stack.columns(stack.origins), 0)
     t = 0
-    awake = None  # views of slots lo..hi, taken again when lo or hi moves
     while True:
-        if tau is not None:
-            # a particle woken at tick b has taken t - b steps
-            dead = int(np.searchsorted(born[lo:hi], t - tau, side="right"))
-            if dead:
-                lo, awake = lo + dead, None
-        if lo == hi:
+        clock.retire(t)
+        if clock.lo == clock.hi:
             break
         t += 1
         if t > step_cap:
-            wake.stop(step_cap, np.unique(base[lo:hi] // V))
+            clock.stop(step_cap)
             break
-        if awake is None:
-            awake = pos[lo:hi], ctr[lo:hi], base[lo:hi]
-        p, c, b = awake
-        p[:] = generate_steps(g, p, c, 0, 1, scratch)[:, 0]
-        c += GAMMA
-        fresh = wake(p, b, t)
-        if not fresh.size:
-            continue
-        if wake.cover(t):
-            keep = wake.running(b)
-            n = np.count_nonzero(keep)
-            for a in (pos, ctr, base, born):
-                if a is not None:
-                    a[:n] = a[lo:hi][keep]
-            lo, hi = 0, n
-            fresh = fresh[wake.running(fresh)]
-        join(stack.columns(fresh), t)
-        awake = None
+        fresh = clock.tick(t)
+        if fresh.size:
+            clock.join(stack.columns(fresh), t)
+            if clock.cover(t):
+                clock.compact()
     # by tick T a particle woken at tick a has taken min(T - a, tau) steps;
     # an uncovered copy's last tick is the cap or the tick its particles ran
     # out by
-    T = np.where(wake.covered, wake.last, min(t, step_cap))
-    at = wake.at.reshape(K, V)
-    steps = (stack.counts.reshape(K, V)
+    T = np.where(clock.covered, clock.last, min(t, step_cap))
+    at = clock.at.reshape(clock.K, clock.V)
+    steps = (stack.counts.reshape(clock.K, clock.V)
              * np.clip(T[:, None] - at, 0, tau)).sum(axis=1)
-    return at, wake.outcomes(steps)
+    return at, clock.outcomes(steps)
 
 
 class _Prefix:
@@ -296,88 +346,39 @@ class _Prefix:
 
 def _replay_clock(g, stack, step_cap):
     """Each copy's susceptibility, as Outcomes; see `susceptibility`."""
-    _check_step_cap(step_cap)
-    V, K = g.vertex_count, len(stack.origins)
-    wake = _Wake(stack)
+    check_step_cap(step_cap)
     prefix = _Prefix(g, stack, step_cap)
+    clock = _Clock(stack, prefix=prefix)
+    V, K = clock.V, clock.K
     # particles of each copy that its last wake round reached: the copy is
     # covered before they take a step
     idle = np.zeros(K, dtype=np.int64)
-    # the awake particles, the origins' to begin with, live in slots 0..hi
-    # of arrays that can hold every particle of the stack: their copy
-    # bases, and their columns while the ticks read the prefix, then their
-    # positions and counter words. Woken particles are appended, and a
-    # covered copy's particles leave by compaction
-    capacity = stack.particle_count()
-    base = np.empty(capacity, dtype=stack.base.dtype)
-    cols = np.empty(capacity, dtype=np.int64)
-    pos = ctr = None
-    hi = 0
-
-    def join(new, new_pos, t):
-        """Append particles `new`, at positions `new_pos` after step t."""
-        nonlocal hi
-        end = hi + len(new)
-        base[hi:end] = stack.base[new]
-        if cols is not None:
-            cols[hi:end] = new
-        else:
-            pos[hi:end] = new_pos
-            ctr[hi:end] = counters(stack.keys[new], t)
-        hi = end
-
-    join(stack.columns(stack.origins), None, 0)
+    clock.join(stack.columns(stack.origins), 0)
     t = 0
-    while wake.n_covered < K:
+    while clock.n_covered < K:
         t += 1
         if t > step_cap:
-            wake.stop(step_cap, np.flatnonzero(~wake.covered))
+            clock.stop(step_cap)
             break
-        if t <= prefix.hmax:
-            p = prefix.row(t, cols[:hi])
-        else:
-            if cols is not None:  # the first tick past the prefix
-                pos = np.empty(capacity, dtype=g.index_dtype)
-                pos[:hi] = prefix.after(t - 1, cols[:hi])
-                ctr = np.empty(capacity, dtype=np.uint64)
-                ctr[:hi] = counters(stack.keys[cols[:hi]], t - 1)
-                cols = None
-                scratch = StepScratch(capacity, g.index_dtype)
-            p, c = pos[:hi], ctr[:hi]
-            p[:] = generate_steps(g, p, c, 0, 1, scratch)[:, 0]
-            c += GAMMA
         # wake what the tick reaches, then what the woken particles' replays
-        # reach; the woken batches join the awake set after the tick
-        fresh = wake(p, base[:hi], t)
-        woken = []
-        covered = False
+        # reach; each woken batch joins the awake particles
+        fresh = clock.tick(t)
         while fresh.size:
-            if wake.cover(t):
-                covered = True
-                last = ~wake.running(fresh)
+            if clock.cover(t):
+                last = ~clock.running(fresh)
                 np.add.at(idle, fresh[last] // V, stack.counts[fresh[last]])
                 fresh = fresh[~last]
+                clock.compact()
             new = stack.columns(fresh)
             if not len(new):
                 break
-            fresh, new_pos = prefix.replay(new, t, wake)
-            woken.append((new, new_pos))
-        if wake.n_covered == K:
-            break
-        for new, new_pos in woken:
-            join(new, new_pos, t)
-        if covered:
-            keep = wake.running(base[:hi])
-            n = np.count_nonzero(keep)
-            for a in (base, cols, pos, ctr):
-                if a is not None:
-                    a[:n] = a[:hi][keep]
-            hi = n
+            fresh, pos = prefix.replay(new, t, clock.wake)
+            clock.join(new, t, pos)
     # at the end of tick T every awake particle has walked exactly T steps,
     # but a covered copy's last-woken particles took none
-    T = np.where(wake.covered, wake.last, step_cap)
-    awake = (stack.counts * ~wake.sleeping).reshape(K, V).sum(axis=1)
-    return wake.outcomes(T * (awake - idle))
+    T = np.where(clock.covered, clock.last, step_cap)
+    awake = (stack.counts * ~clock.sleeping).reshape(K, V).sum(axis=1)
+    return clock.outcomes(T * (awake - idle))
 
 
 def _settle(outcomes, walks):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetExceededError, ParameterError
-from .frog_sim import DEFAULT_STEP_CAP
+from .frog_sim import DEFAULT_STEP_CAP, check_step_cap
 from .graph import GraphDescriptor, TREE, build_graph
 from .randomness import check_bytes, substream
 
@@ -30,6 +30,7 @@ def run_killed_leaf_walk(d, n, s, seed, start=None, step_cap=DEFAULT_STEP_CAP):
     """Cover the leaf set; restart probability 1/(2s) per step."""
     if s <= d:
         raise ParameterError("restart parameter must satisfy s > d")
+    check_step_cap(step_cap)
     g = build_graph(GraphDescriptor(TREE, d=d, n=n))
     first_leaf = g.first_leaf
     nleaves = g.vertex_count - first_leaf

@@ -117,8 +117,9 @@ def apply_transition_T(g, y):
 
 def transition_powers(g, v, t_max):
     """Exact return probabilities p^i(v,v), i = 0..t_max."""
+    # the returns and the vectors of a transition
     check_bytes("transition powers on %s" % g.label(),
-                8 * TRANSITION_VECTORS * g.vertex_count)
+                8 * (t_max + 1 + TRANSITION_VECTORS * g.vertex_count))
     g.check_vertex(v)
     y = np.zeros(g.vertex_count)
     y[v] = 1.0
@@ -151,8 +152,15 @@ def _check_t_max(t_max):
 def kappa_sequence(g, t_max):
     """kappa[t] = min_v sum_{i<=t} p^i(v,v), minimized over orbit reps."""
     _check_t_max(t_max)
-    returns = np.array([transition_powers(g, v, t_max)
-                        for v in _kappa_representatives(g)])
+    reps = _kappa_representatives(g)
+    # rows of t_max + 1 floats at the peak: the returns and their table,
+    # then the table and its cumulative sums, and their minimum (tracemalloc:
+    # 3.0 rows at one representative, 15.1 at seven; threshold_time's ratios
+    # take 0.3 more); and the vectors of a transition
+    rows = 2 * len(reps) + 2
+    check_bytes("return sums on %s" % g.label(), 8 * (
+        rows * (t_max + 1) + TRANSITION_VECTORS * g.vertex_count))
+    returns = np.array([transition_powers(g, v, t_max) for v in reps])
     return np.cumsum(returns, axis=1).min(axis=0)
 
 

@@ -135,7 +135,7 @@ def test_out_file(tmp_path, capsys):
     assert path.read_text().startswith("trial,seed,graph")
 
 
-def test_parameter_error_exit_2(capsys, tmp_path):
+def test_parameter_error_exit_2(capsys, tmp_path, monkeypatch):
     assert _run(capsys, "simulate", "--graph", "torus:n=3",
                 "--lambda", "1.0")[0] == 2
     assert _run(capsys, "simulate", "--graph", "tree:d=2,n=3",
@@ -187,6 +187,24 @@ def test_parameter_error_exit_2(capsys, tmp_path):
         assert main(argv) == 2, argv
         err = capsys.readouterr().err
         assert says in err and err.count("\n") == 1, (argv, err)
+    # --budget-steps below 1 is refused on every metric, before any sampling:
+    # a configuration of tree n=20 at lambda 2 takes about a second
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("a refused spec sampled a configuration")
+
+    monkeypatch.setattr(experiments, "init_config", no_sampling)
+    for argv in (["simulate", "--graph", "tree:d=2,n=6", "--mode", "leafwalk",
+                  "--s", "40"],
+                 ["simulate", "--graph", "tree:d=2,n=20", "--lambda", "2"],
+                 ["simulate", "--graph", "tree:d=2,n=20", "--lambda", "2",
+                  "--mode", "cover"],
+                 ["sweep", "--graph", "tree:d=2,n=20", "--lambda", "1,2",
+                  "--metric", "cover"]):
+        for cap in ("-1", "0"):
+            assert main(argv + ["--budget-steps", cap]) == 2, (argv, cap)
+            err = capsys.readouterr().err
+            assert "step_cap must be > 0" in err and err.count("\n") == 1, \
+                (argv, cap, err)
 
 
 def test_budget_exceeded_exit_3(capsys):
@@ -260,7 +278,12 @@ def test_analytic_byte_bounds(capsys):
                  ["--quantity", "mu", "--graph", "tree:d=2,n=30"],
                  ["--quantity", "kappa", "--graph", "tree:d=2,n=40"],
                  # 20 geometric factors, the longest 8.1e13 masses
-                 ["--quantity", "bd-law", "--chain", "dary:d=2,n=40"]):
+                 ["--quantity", "bd-law", "--chain", "dary:d=2,n=40"],
+                 # the table of returns, 10^11 times of one representative
+                 ["--quantity", "kappa", "--graph", "complete:n=5",
+                  "--t", "100000000000"],
+                 ["--quantity", "threshold", "--graph", "complete:n=5",
+                  "--t", "100000000000"]):
         tracemalloc.start()
         try:
             code = main(["analytic"] + argv)

@@ -258,6 +258,29 @@ def test_stack_copies_equal_their_configurations(text):
             assert np.array_equal(alone, activation_oracle(g, init, ell, tau))
 
 
+@pytest.mark.parametrize("text", ["tree:d=2,n=4", "cycle:n=9"])
+def test_stack_clock_stops_at_the_last_cover(text):
+    # a covered copy's particles leave the wake clock, so a stack's clock
+    # stops at its last cover and a cap one tick later stops no copy.
+    # Particles left behind would step on to the cap, and each copy they
+    # belong to would get a budget error; every run here is capped, so that
+    # they could not step on towards the default cap instead
+    g = build_graph(parse_descriptor(text))
+    inits = [init_config(g, lam, 0, seed, lam_max=2.0)
+             for lam, seed in [(0.5, 1), (1.0, 2), (2.0, 3), (1.0, 4)]]
+    stack = stack_views(inits)
+    cts = [o.value for o in cover_time(g, stack, step_cap=10 ** 4)]
+    cap = max(cts) + 1
+    want = [(ct, None) for ct in cts]
+    assert [(o.value, o.error) for o in cover_time(g, stack, step_cap=cap)] \
+        == want
+    # under lifetime max CT the wakes are those of immortal particles, but
+    # the last-woken particles would live past the cap
+    at, outcomes = frog_sim._wake_clock(g, stack, cap, tau=max(cts))
+    assert [(o.value, o.error) for o in outcomes] == want
+    assert [int(row.max()) for row in at] == cts
+
+
 # (graph, lambda, origin, seed, S, its steps_simulated, CT, its
 # steps_simulated) at lambda_max 2. The oracles above read the same particle
 # table as the engines, so a table that gave a particle the wrong home or

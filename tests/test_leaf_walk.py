@@ -12,6 +12,14 @@ def test_needs_s_above_degree():
     run_killed_leaf_walk(2, 3, 3, seed=0)  # d < s is enough
 
 
+def test_step_cap_below_one_is_refused():
+    # a cap of -1 would never be reached, and one of 0 would stop the walk
+    # before its first step
+    for cap in (-1, 0):
+        with pytest.raises(ParameterError, match="step_cap"):
+            run_killed_leaf_walk(2, 3, 3, seed=0, step_cap=cap)
+
+
 def test_reproducible():
     a = run_killed_leaf_walk(2, 4, 8, seed=42)
     b = run_killed_leaf_walk(2, 4, 8, seed=42)
