@@ -9,6 +9,7 @@ acceptance tests can run the same measurements at their own scales.
 
 import heapq
 from dataclasses import dataclass
+from functools import lru_cache
 from math import log, sqrt
 
 import numpy as np
@@ -21,13 +22,13 @@ from .randomness import WalkStore, generate_steps, init_config, \
     step_uniforms, walk_keys
 from .spectral_bd import check_logconcave, geometric_convolution_law, half_e2_t0, \
     hitting_eigenvalues, hitting_pmf_dp, Pmf, total_variation
-from .tree_analytics import (apply_transition, expected_hit, gambler_ruin,
-                             green_sums, kappa_sequence,
-                             leaf_to_root_closed_form, level_chain,
-                             mixing_crossing_time, mixing_deviation,
-                             mixing_profile, mu_table, return_sum_envelope,
-                             select_spread_set, stationary_levels,
-                             threshold_time, transition_powers)
+from .tree_analytics import (expected_hit, gambler_ruin, green_sums,
+                             kappa_sequence, leaf_to_root_closed_form,
+                             level_chain, mixing_crossing_time,
+                             mixing_deviation, mixing_profile, mu_table,
+                             powers, return_sum_envelope, select_spread_set,
+                             stationary_levels, threshold_time,
+                             transition_powers)
 
 
 @dataclass
@@ -400,10 +401,7 @@ def heat_kernel_extremes(d, n, k_max):
     t_hi = d ** k_max
     y = np.zeros(g.vertex_count)
     y[u] = 1.0
-    probs = [y]
-    for _ in range(t_hi):
-        y = apply_transition(g, y)
-        probs.append(y)
+    probs = list(powers(g, y, t_hi))
     for meet_co, v in targets.items():
         for k in range(max(1, meet_co), k_max + 1):
             for t in range(d ** (k - 1), d ** k + 1):
@@ -601,12 +599,19 @@ def leafwalk_cell(d, n, s, trials, seed):
     }
 
 
-def check_leafwalk_bands(trials=200, seed=5):
+def leafwalk_cells(trials, seed):
+    """Depth n -> the leaf-walk cell of d = 2, s = 2^(n-1), each simulated
+    on its first lookup."""
+    return lru_cache(maxsize=None)(
+        lambda n: leafwalk_cell(2, n, 2 ** (n - 1), trials, seed))
+
+
+def check_leafwalk_bands(cells):
     bad = []
     lo = bands.LEAFWALK_CENTER / sqrt(bands.LEAFWALK_FACTOR)
     hi = bands.LEAFWALK_CENTER * sqrt(bands.LEAFWALK_FACTOR)
     for n in (4, 5, 6):
-        cell = leafwalk_cell(2, n, 2 ** (n - 1), trials, seed)
+        cell = cells(n)
         if not lo <= cell["mean_ratio"] <= hi:
             bad.append("mean ratio %.3f outside [%.3f,%.3f] at n=%d" %
                        (cell["mean_ratio"], lo, hi, n))
@@ -622,9 +627,8 @@ def check_leafwalk_bands(trials=200, seed=5):
     return _result("leafwalk_bands", not bad, ";".join(bad) or "ok")
 
 
-def check_leafwalk_trend(trials=200, seed=5):
-    cvs = [leafwalk_cell(2, n, 2 ** (n - 1), trials, seed)["cv"]
-           for n in (4, 5, 6, 7)]
+def check_leafwalk_trend(cells):
+    cvs = [cells(n)["cv"] for n in (4, 5, 6, 7)]
     ok = all(cvs[i + 1] < cvs[i] for i in range(len(cvs) - 1))
     return _result("leafwalk_cv_trend", ok,
                    "cv by n: %s" % ["%.4f" % c for c in cvs])
@@ -670,8 +674,8 @@ def susceptibility_pair(desc, seed, lam_lo, lam_hi):
     g = build_graph(desc)
     base = init_config(g, lam_hi, 0, seed, lam_max=lam_hi)
     lo_init = base.at_lambda(lam_lo)
-    tau_hi = susceptibility(g, base, WalkStore(g, base))
-    tau_lo = susceptibility(g, lo_init, WalkStore(g, lo_init))
+    tau_hi = susceptibility(g, base)
+    tau_lo = susceptibility(g, lo_init)
     return tau_lo, tau_hi
 
 
@@ -712,7 +716,7 @@ def complete_graph_ratio(n, trials, seed, lam=1.0):
     vals = []
     for trial in range(trials):
         init = init_config(g, lam, 0, seed + trial)
-        vals.append(susceptibility(g, init, WalkStore(g, init)))
+        vals.append(susceptibility(g, init))
     return float(np.median(vals)) / log(n)
 
 
@@ -729,7 +733,7 @@ def tree_ratio_medians(ns, trials, seed, lam=1.0):
         vals = []
         for trial in range(trials):
             init = init_config(g, lam, 0, seed + 1000 * n + trial)
-            vals.append(susceptibility(g, init, WalkStore(g, init)))
+            vals.append(susceptibility(g, init))
         out.append(lam * float(np.median(vals)) / (n * log(n)))
     return out
 
@@ -747,7 +751,7 @@ def cover_time_checks(seeds=range(10), lam=4.0, n=8):
     bad = []
     for seed in seeds:
         init = init_config(g, lam, 0, seed)
-        ct = cover_time(g, init, WalkStore(g, init))
+        ct = cover_time(g, init)
         if ct < n:
             bad.append("CT %d < depth %d at seed %d" % (ct, n, seed))
         if ct > bands.CT_BAND_C * n * log(n) / lam:
@@ -759,7 +763,7 @@ def check_cover_time():
     bad = cover_time_checks()
     g = build_graph(GraphDescriptor(COMPLETE, n=2))
     init = init_config(g, 0.0, 0, 3)
-    if cover_time(g, init, WalkStore(g, init)) != 1:
+    if cover_time(g, init) != 1:
         bad.append("complete(2) lam=0 CT != 1")
     return _result("cover_time_band", not bad, ";".join(bad) or "ok")
 
@@ -780,17 +784,22 @@ def check_sweep_reproducibility():
                    "identical rows" if ok else "rows differ across reruns")
 
 
-FULL_CHECKS = [
-    ("walkstep_chisquare", check_walkstep_uniform),
-    ("poisson_moments", check_poisson_moments),
-    ("coupling_monotone", check_coupling_monotone),
-    ("lambda0_collapse", check_lambda0_collapse),
-    ("complete_ratio", check_complete_ratio),
-    ("tree_scaling_band", check_tree_band),
-    ("cover_time_band", check_cover_time),
-    ("range_hits_band", check_range_band),
-    ("range_submultiplicativity", check_submultiplicativity),
-    ("leafwalk_bands", check_leafwalk_bands),
-    ("leafwalk_cv_trend", check_leafwalk_trend),
-    ("sweep_reproducibility", check_sweep_reproducibility),
-]
+def full_checks():
+    """The checks the full suite adds, made per run: the two leaf-walk
+    checks read one set of cells (200 trials, seed 5), so the depths both
+    read are simulated once."""
+    cells = leafwalk_cells(trials=200, seed=5)
+    return [
+        ("walkstep_chisquare", check_walkstep_uniform),
+        ("poisson_moments", check_poisson_moments),
+        ("coupling_monotone", check_coupling_monotone),
+        ("lambda0_collapse", check_lambda0_collapse),
+        ("complete_ratio", check_complete_ratio),
+        ("tree_scaling_band", check_tree_band),
+        ("cover_time_band", check_cover_time),
+        ("range_hits_band", check_range_band),
+        ("range_submultiplicativity", check_submultiplicativity),
+        ("leafwalk_bands", lambda: check_leafwalk_bands(cells)),
+        ("leafwalk_cv_trend", lambda: check_leafwalk_trend(cells)),
+        ("sweep_reproducibility", check_sweep_reproducibility),
+    ]

@@ -81,6 +81,22 @@ def check_bytes(what, need):
             % (what, need, CONFIG_BYTE_LIMIT))
 
 
+# entries of the transition operator one exact analytic may touch: |V| per
+# step of a vector, |V|^2 per step of the mixing matrices. Measured at 8-26
+# ns an entry on trees of depth 10-16 (return sums on n=14 to t=256: 8 ns;
+# the mixing profile of n=11 at t=16: 26 ns), so the limit is 35-110 s
+ANALYTIC_ENTRY_LIMIT = 2 ** 32
+
+
+def check_work(what, entries):
+    """Refuse, before anything is allocated, `what` when it touches about
+    `entries` operator entries, more than ANALYTIC_ENTRY_LIMIT."""
+    if entries > ANALYTIC_ENTRY_LIMIT:
+        raise BudgetExceededError(
+            "%s needs about %.3g operator entries, over the limit of %d"
+            % (what, entries, ANALYTIC_ENTRY_LIMIT))
+
+
 GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)

@@ -9,16 +9,21 @@ here by an independent linear-algebra or DP oracle in the test suite.
 The lower-bound toolkit (kappa_t, the threshold time, expected target
 visits mu_a, partial Green sums, spread sets) works on complete graphs,
 cycles, and tree leaf sets; everything is exact arithmetic on the implicit
-transition operator, no Monte Carlo.
+transition operator, no Monte Carlo. The operator is iterated in one loop,
+`powers`, which yields P^t y (or (P^T)^t y) for t = 0, 1, ...; return sums,
+hitting tables, Green sums and the mixing profile are all read off it. Each
+entry point checks its bytes and its operator entries before it allocates.
 """
 
+from itertools import count
 from math import log
 
 import numpy as np
 
 from .errors import BudgetExceededError, FamilyError, ParameterError
 from .graph import COMPLETE, CYCLE, TREE
-from .randomness import check_bytes, check_lambda
+from .randomness import (ANALYTIC_ENTRY_LIMIT, check_bytes, check_lambda,
+                         check_work)
 from .spectral_bd import BirthDeathChain, reversible_weights
 
 # float64 arrays live at the peak of each computation, rounded up from
@@ -115,18 +120,32 @@ def apply_transition_T(g, y):
     return _neighbor_sum(g, z)
 
 
-def transition_powers(g, v, t_max):
-    """Exact return probabilities p^i(v,v), i = 0..t_max."""
-    # the returns and the vectors of a transition
-    check_bytes("transition powers on %s" % g.label(),
-                8 * (t_max + 1 + TRANSITION_VECTORS * g.vertex_count))
-    g.check_vertex(v)
+def powers(g, y, t_max, transpose=False):
+    """Yield P^t y, or (P^T)^t y, for t = 0..t_max (without end when t_max
+    is None). Each step applies to the array just yielded, so a caller may
+    change that array in place first."""
+    step = apply_transition_T if transpose else apply_transition
+    for _ in count() if t_max is None else range(t_max):
+        yield y
+        y = step(g, y)
+    yield y
+
+
+def _unit(g, v):
     y = np.zeros(g.vertex_count)
     y[v] = 1.0
+    return y
+
+
+def transition_powers(g, v, t_max):
+    """Exact return probabilities p^i(v,v), i = 0..t_max."""
+    what = "transition powers on %s" % g.label()
+    # the returns and the vectors of a transition
+    check_bytes(what, 8 * (t_max + 1 + TRANSITION_VECTORS * g.vertex_count))
+    check_work(what, t_max * g.vertex_count)
+    g.check_vertex(v)
     out = np.empty(t_max + 1)
-    out[0] = 1.0
-    for i in range(1, t_max + 1):
-        y = apply_transition(g, y)
+    for i, y in enumerate(powers(g, _unit(g, v), t_max)):
         out[i] = y[v]
     return out
 
@@ -158,22 +177,19 @@ def kappa_sequence(g, t_max):
     # 3.0 rows at one representative, 15.1 at seven; threshold_time's ratios
     # take 0.3 more); and the vectors of a transition
     rows = 2 * len(reps) + 2
-    check_bytes("return sums on %s" % g.label(), 8 * (
+    what = "return sums on %s" % g.label()
+    check_bytes(what, 8 * (
         rows * (t_max + 1) + TRANSITION_VECTORS * g.vertex_count))
+    check_work(what, len(reps) * t_max * g.vertex_count)
     returns = np.array([transition_powers(g, v, t_max) for v in reps])
     return np.cumsum(returns, axis=1).min(axis=0)
 
 
 def hitting_within(g, a, t_max):
     """h[t, v] = Pr_v[T_a <= t] by time-stepped absorbing DP at a."""
-    V = g.vertex_count
-    h = np.zeros(V)
-    h[a] = 1.0
-    out = np.empty((t_max + 1, V))
-    out[0] = h
-    for t in range(1, t_max + 1):
-        h = apply_transition(g, h)
-        h[a] = 1.0
+    out = np.empty((t_max + 1, g.vertex_count))
+    for t, h in enumerate(powers(g, _unit(g, a), t_max)):
+        h[a] = 1.0  # absorbed at a, before the next step
         out[t] = h
     return out
 
@@ -195,13 +211,16 @@ def threshold_time(g, lam, delta, t_max):
     return int(hits[0])
 
 
-def _targets(g, targets, what, bytes_for):
+def _targets(g, targets, t_max, what, bytes_for):
     """The target set A in ascending order, by default the d^n leaves of a
-    tree and every vertex of the other graphs. bytes_for(|A|) is checked
-    first, so a refused default set is never built."""
+    tree and every vertex of the other graphs. bytes_for(|A|) and t_max
+    steps of a vector per target are checked first, so a refused default
+    set is never built."""
     m = len(targets) if targets is not None else (
         g.d ** g.n if g.family == TREE else g.vertex_count)
-    check_bytes("%s on %s" % (what, g.label()), bytes_for(m))
+    what = "%s on %s" % (what, g.label())
+    check_bytes(what, bytes_for(m))
+    check_work(what, m * t_max * g.vertex_count)
     if targets is None:
         targets = g.leaves() if g.family == TREE else np.arange(g.vertex_count)
     targets = np.asarray(sorted(int(a) for a in targets), dtype=np.int64)
@@ -216,7 +235,7 @@ def mu_table(g, lam, t_max, targets=None):
     check_lambda("lambda", lam)
     _check_t_max(t_max)
     # the rows, one hitting table at a time, and the vectors of a transition
-    targets = _targets(g, targets, "the mu tables", lambda m: 8 * (
+    targets = _targets(g, targets, t_max, "the mu tables", lambda m: 8 * (
         (t_max + 1) * (m + g.vertex_count)
         + TRANSITION_VECTORS * g.vertex_count))
     mu = np.empty((len(targets), t_max + 1))
@@ -230,19 +249,15 @@ def green_sums(g, t_max, targets=None):
     """The targets A and green[ai, bi, s] = e_{A[ai], A[bi]}(s), the sum of
     p^i(A[ai], A[bi]) over i <= s."""
     _check_t_max(t_max)
-    targets = _targets(g, targets, "the Green sums", lambda m: 8 * (
+    targets = _targets(g, targets, t_max, "the Green sums", lambda m: 8 * (
         (t_max + 1) * m * m + TRANSITION_VECTORS * g.vertex_count))
     m = len(targets)
     green = np.empty((m, m, t_max + 1))
     for ai, a in enumerate(targets):
-        y = np.zeros(g.vertex_count)
-        y[a] = 1.0
-        acc = y[targets].copy()
-        green[ai, :, 0] = acc
-        for s in range(1, t_max + 1):
-            y = apply_transition_T(g, y)  # row iteration: y[w] = p^s(a, w)
-            acc += y[targets]
-            green[ai, :, s] = acc
+        # row iteration: y[w] = p^s(a, w)
+        for s, y in enumerate(powers(g, _unit(g, a), t_max, transpose=True)):
+            green[ai, :, s] = y[targets]
+        np.cumsum(green[ai], axis=1, out=green[ai])
     return targets, green
 
 
@@ -277,14 +292,14 @@ def select_spread_set(A, t, s, green):
     return B
 
 
-def mixing_matrix(g, t):
-    """Full p^t(u, v) matrix by t applications of the transition operator."""
-    check_bytes("a mixing profile on %s" % g.label(),
-                8 * MIXING_MATRICES * g.vertex_count ** 2)
-    m = np.eye(g.vertex_count)
-    for _ in range(t):
-        m = apply_transition(g, m)
-    return m
+def _mixing_powers(g, t_max):
+    """The matrices p^t(u, v), t = 0..t_max, once their bytes and entries
+    are checked."""
+    V = g.vertex_count
+    what = "a mixing profile on %s" % g.label()
+    check_bytes(what, 8 * MIXING_MATRICES * V ** 2)
+    check_work(what, t_max * V ** 2)
+    return powers(g, np.eye(V), t_max)
 
 
 def _parity_mask(g, t):
@@ -302,7 +317,8 @@ def mixing_deviation(g, t, m=None):
     if g.family != TREE:
         raise FamilyError("mixing profile is defined for trees")
     if m is None:
-        m = mixing_matrix(g, t)
+        for m in _mixing_powers(g, t):
+            pass  # m ends at p^t
     edges = g.vertex_count - 1
     deg = g.degrees_array(np.arange(g.vertex_count, dtype=np.int64))
     dev = np.abs(m * (edges / deg)[None, :] - 1.0)
@@ -311,34 +327,21 @@ def mixing_deviation(g, t, m=None):
 
 def mixing_profile(g, ts):
     """Deviation at each requested time; incremental powers, one pass."""
-    ts = sorted(set(int(t) for t in ts))
+    ts = set(int(t) for t in ts)
     if any(t < 0 for t in ts):
         raise ParameterError("mixing times must be >= 0")
-    check_bytes("a mixing profile on %s" % g.label(),
-                8 * MIXING_MATRICES * g.vertex_count ** 2)
-    m = np.eye(g.vertex_count)
-    cur = 0
-    out = []
-    for t in ts:
-        for _ in range(t - cur):
-            m = apply_transition(g, m)
-        cur = t
-        out.append((t, mixing_deviation(g, t, m=m)))
-    return out
+    return [(t, mixing_deviation(g, t, m=m))
+            for t, m in enumerate(_mixing_powers(g, max(ts, default=0)))
+            if t in ts]
 
 
 def mixing_crossing_time(g, level=None):
     """First even t where the deviation drops to 1/e."""
     target = 1 / np.e if level is None else level
-    check_bytes("a mixing profile on %s" % g.label(),
-                8 * MIXING_MATRICES * g.vertex_count ** 2)
-    m = np.eye(g.vertex_count)
-    t = 0
+    # 64 |V| steps, or fewer where the work limit is reached first
+    cap = min(64 * g.vertex_count, ANALYTIC_ENTRY_LIMIT // g.vertex_count ** 2)
     # even times only: odd-time deviation mixes parity classes differently
-    while True:
+    for t, m in enumerate(_mixing_powers(g, cap)):
         if t % 2 == 0 and mixing_deviation(g, t, m=m) <= target:
             return t
-        m = apply_transition(g, m)
-        t += 1
-        if t > 64 * g.vertex_count:
-            raise BudgetExceededError("no 1/e crossing by t=%d" % t)
+    raise BudgetExceededError("no 1/e crossing by t=%d" % cap)

@@ -2,8 +2,10 @@ import csv
 import io
 import json
 import os
+import signal
 import subprocess
 import sys
+import time
 import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 
@@ -16,7 +18,7 @@ import numpy as np
 from frogline import (Pmf, geometric_convolution_law, hitting_eigenvalues,
                       level_chain, stationary_levels, write_table)
 import frogline
-from frogline import cli, experiments
+from frogline import cli, experiments, randomness, tree_analytics
 from frogline.cli import main
 
 
@@ -297,6 +299,67 @@ def test_analytic_byte_bounds(capsys):
     code, out = _run(capsys, "analytic", "--quantity", "kappa",
                      "--graph", "tree:d=2,n=16", "--t", "4")
     assert code == 0 and _rows(out)[0]["key"] == "4"
+
+
+def _expire(signum, frame):
+    raise TimeoutError("still running")
+
+
+def test_analytic_work_bounds(capsys):
+    # admitted by the byte guard, refused by the work guard before any
+    # allocation: 2.25e13 and 6.7e12 mixing entries (the second would run
+    # for about 43 h), 1.8e11 entries of return sums, 2.1e10 of hitting tables
+    for argv in (["--quantity", "mixing", "--graph", "tree:d=2,n=3",
+                  "--t", "99999999999"],
+                 ["--quantity", "mixing", "--graph", "tree:d=2,n=12",
+                  "--t", "100000"],
+                 ["--quantity", "kappa", "--graph", "tree:d=2,n=20",
+                  "--t", "4096"],
+                 ["--quantity", "mu", "--graph", "tree:d=2,n=10",
+                  "--t", "10000"]):
+        # an admitted call would run for hours: the alarm turns it into an
+        # error (exit 4) after 5 s
+        previous = signal.signal(signal.SIGALRM, _expire)
+        signal.alarm(5)
+        tracemalloc.start()
+        t0 = time.perf_counter()
+        try:
+            code = main(["analytic"] + argv)
+            took = time.perf_counter() - t0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        err = capsys.readouterr().err
+        assert code == 3, (argv, err[-200:])
+        assert "operator entries" in err and peak < 2 ** 22, (argv, err, peak)
+        assert took < 1.0, (argv, took)
+
+
+def test_analytic_work_bound_admits_the_measured_calls(monkeypatch):
+    # the first work check of each call is its total; a call it admits
+    # reaches the loop, which is stopped there instead of run
+    class Admitted(Exception):
+        pass
+
+    def admit(what, entries):
+        randomness.check_work(what, entries)
+        raise Admitted(what)
+
+    monkeypatch.setattr(tree_analytics, "check_work", admit)
+    ta = tree_analytics
+    for text, call in (("tree:d=2,n=11", lambda g: ta.mixing_profile(g, [64])),
+                       ("tree:d=2,n=16",
+                        lambda g: ta.threshold_time(g, 1.0, 0.0, 256)),
+                       ("tree:d=2,n=14", lambda g: ta.kappa_sequence(g, 256)),
+                       ("tree:d=2,n=10", lambda g: ta.mu_table(g, 1.0, 64)),
+                       # 6.5e8 entries, slow from its per-step overhead alone
+                       ("complete:n=5",
+                        lambda g: ta.kappa_sequence(g, 130000000))):
+        g = frogline.build_graph(frogline.parse_descriptor(text))
+        with pytest.raises(Admitted):
+            call(g)
 
 
 def test_threshold_reads_only_return_sums(capsys):

@@ -70,3 +70,25 @@ def test_step_cap():
         run_killed_leaf_walk(2, 4, 8, seed=42, step_cap=full.tau_cov - 1)
     assert info.value.bracket == (full.tau_cov, None)
     assert 0 < info.value.fraction_covered < 1
+
+
+def test_validate_simulates_each_leafwalk_cell_once(monkeypatch):
+    # the bands read depths 4-6 and the trend 4-7: four cells, not seven
+    # (at 20 trials a cell instead of the suite's 200)
+    from frogline import checks
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return run_killed_leaf_walk(*args, **kwargs)
+
+    cells = checks.leafwalk_cells
+    monkeypatch.setattr(checks, "run_killed_leaf_walk", counted)
+    monkeypatch.setattr(checks, "leafwalk_cells",
+                        lambda trials, seed: cells(20, seed))
+    suite = dict(checks.full_checks())
+    bands = suite["leafwalk_bands"]()
+    trend = suite["leafwalk_cv_trend"]()
+    assert (bands.check, trend.check) == ("leafwalk_bands", "leafwalk_cv_trend")
+    assert len(calls) == 4 * 20
+    assert sorted({args[1] for args in calls}) == [4, 5, 6, 7]

@@ -14,7 +14,7 @@ from frogline import (BudgetExceededError, FamilyError, ParameterError,
                       transition_powers)
 from frogline.checks import chain_matrix, ruin_probability_dp
 from frogline.tree_analytics import apply_transition, apply_transition_T, \
-    hitting_within
+    hitting_within, powers
 
 from oracles import dense_transition, stationary_solve
 
@@ -91,17 +91,46 @@ def test_expected_hit_monte_carlo():
 
 
 def test_transition_powers_match_dense():
-    for text in ("tree:d=2,n=3", "cycle:n=6", "complete:n=5"):
+    # every quantity read off the operator loop, against dense matrix powers
+    for text in ("tree:d=2,n=3", "cycle:n=6", "complete:n=5",
+                 "tree:d=2,n=4", "cycle:n=7", "complete:n=6"):
         g = build_graph(parse_descriptor(text))
         P = dense_transition(g)
+        Pt = [np.linalg.matrix_power(P, t) for t in range(13)]
         for v in (0, g.vertex_count - 1):
             got = transition_powers(g, v, 12)
-            M = np.eye(g.vertex_count)
-            want = []
-            for _ in range(13):
-                want.append(M[v, v])
-                M = M @ P
-            assert np.allclose(got, want, atol=1e-12)
+            assert np.allclose(got, [M[v, v] for M in Pt], atol=1e-12)
+            # Pr_w[T_v <= t] is the mass at v after t steps with v absorbing
+            Q = P.copy()
+            Q[v] = 0.0
+            Q[v, v] = 1.0
+            want = [np.linalg.matrix_power(Q, t)[:, v] for t in range(13)]
+            assert np.allclose(hitting_within(g, v, 12), want, atol=1e-12)
+        A, green = green_sums(g, 12)
+        want = np.cumsum([M[np.ix_(A, A)] for M in Pt], axis=0)
+        assert np.allclose(green, np.moveaxis(want, 0, 2), atol=1e-12)
+        if g.family == "tree":
+            ts = [0, 3, 8, 12]
+            want = [(t, mixing_deviation(g, t, m=Pt[t])) for t in ts]
+            got = mixing_profile(g, ts)
+            assert [t for t, _ in got] == ts
+            assert np.allclose([dev for _, dev in got],
+                               [dev for _, dev in want], atol=1e-12)
+
+
+def test_powers_steps_the_array_it_yielded():
+    g = build_graph(parse_descriptor("tree:d=2,n=3"))
+    P = dense_transition(g)
+    for transpose, op in ((False, P), (True, P.T)):
+        y = np.zeros(g.vertex_count)
+        y[0] = 1.0
+        loop = powers(g, y, 3, transpose=transpose)
+        first = next(loop)
+        assert first is y
+        first[:] = 0.0
+        first[5] = 1.0  # moved in place: the next step starts from here
+        assert np.allclose(next(loop), op[:, 5], atol=1e-15)
+    assert len(list(powers(g, y, 4))) == 5
 
 
 def test_apply_transition_adjoint():
@@ -272,6 +301,20 @@ def test_green_sums_byte_bound():
     try:
         with pytest.raises(BudgetExceededError, match="needs about 3.45e"):
             green_sums(g, 256)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 22, peak
+
+
+def test_green_sums_work_bound():
+    # one target is a few bytes a step, but 10^5 steps of a 131071-vector
+    # are 1.3e10 operator entries: refused before any allocation
+    g = build_graph(parse_descriptor("tree:d=2,n=16"))
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceededError, match="1.31e.10 operator"):
+            green_sums(g, 100000, targets=[g.vertex_count - 1])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
