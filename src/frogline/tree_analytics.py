@@ -15,7 +15,6 @@ hitting tables, Green sums and the mixing profile are all read off it. Each
 entry point checks its bytes and its operator entries before it allocates.
 """
 
-from itertools import count
 from math import log
 
 import numpy as np
@@ -121,11 +120,11 @@ def apply_transition_T(g, y):
 
 
 def powers(g, y, t_max, transpose=False):
-    """Yield P^t y, or (P^T)^t y, for t = 0..t_max (without end when t_max
-    is None). Each step applies to the array just yielded, so a caller may
-    change that array in place first."""
+    """Yield P^t y, or (P^T)^t y, for t = 0..t_max. Each step applies to
+    the array just yielded, so a caller may change that array in place
+    first."""
     step = apply_transition_T if transpose else apply_transition
-    for _ in count() if t_max is None else range(t_max):
+    for _ in range(t_max):
         yield y
         y = step(g, y)
     yield y
@@ -254,10 +253,11 @@ def green_sums(g, t_max, targets=None):
     m = len(targets)
     green = np.empty((m, m, t_max + 1))
     for ai, a in enumerate(targets):
+        acc = np.zeros(m)
         # row iteration: y[w] = p^s(a, w)
         for s, y in enumerate(powers(g, _unit(g, a), t_max, transpose=True)):
-            green[ai, :, s] = y[targets]
-        np.cumsum(green[ai], axis=1, out=green[ai])
+            acc += y[targets]
+            green[ai, :, s] = acc
     return targets, green
 
 
@@ -292,9 +292,15 @@ def select_spread_set(A, t, s, green):
     return B
 
 
+def _check_tree(g):
+    if g.family != TREE:
+        raise FamilyError("mixing profile is defined for trees")
+
+
 def _mixing_powers(g, t_max):
-    """The matrices p^t(u, v), t = 0..t_max, once their bytes and entries
-    are checked."""
+    """The matrices p^t(u, v), t = 0..t_max, once the graph's family, their
+    bytes and their entries are checked."""
+    _check_tree(g)
     V = g.vertex_count
     what = "a mixing profile on %s" % g.label()
     check_bytes(what, 8 * MIXING_MATRICES * V ** 2)
@@ -314,8 +320,7 @@ def mixing_deviation(g, t, m=None):
     stationary mass doubled onto the reachable parity class), restricted to
     pairs with t - (coheight(u) - coheight(v)) even.
     """
-    if g.family != TREE:
-        raise FamilyError("mixing profile is defined for trees")
+    _check_tree(g)
     if m is None:
         for m in _mixing_powers(g, t):
             pass  # m ends at p^t
@@ -344,4 +349,5 @@ def mixing_crossing_time(g, level=None):
     for t, m in enumerate(_mixing_powers(g, cap)):
         if t % 2 == 0 and mixing_deviation(g, t, m=m) <= target:
             return t
-    raise BudgetExceededError("no 1/e crossing by t=%d" % cap)
+    raise BudgetExceededError("no 1/e crossing by t=%d%s" % (
+        cap, " (work limit)" if cap < 64 * g.vertex_count else ""))

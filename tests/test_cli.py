@@ -158,6 +158,9 @@ def test_parameter_error_exit_2(capsys, tmp_path, monkeypatch):
              "dary:d=<int>,n=<int>"),
             (["analytic", "--quantity", "kappa", "--graph", "cycle:n=9",
               "--t", "-3"], "--t"),
+            # a tree-only quantity on a cycle, before its budget is counted
+            (["analytic", "--quantity", "mixing", "--graph", "cycle:n=1000",
+              "--t", "100000"], "trees"),
             (["sweep", "--graph", "tree:d=2,n=2", "--lambda", "1",
               "--out", str(tmp_path / "missing" / "x.csv")], "--out"),
             (["simulate", "--graph", "tree:d=2,n=2", "--origin", "99"],

@@ -13,6 +13,7 @@ from frogline import (BudgetExceededError, FamilyError, ParameterError,
                       select_spread_set, stationary_levels, threshold_time,
                       transition_powers)
 from frogline.checks import chain_matrix, ruin_probability_dp
+from frogline import tree_analytics as ta
 from frogline.tree_analytics import apply_transition, apply_transition_T, \
     hitting_within, powers
 
@@ -321,6 +322,21 @@ def test_green_sums_work_bound():
     assert peak < 2 ** 22, peak
 
 
+def test_green_sums_one_target_peak():
+    # one target's Green row is the whole estimate: the running sum adds
+    # one m-vector to it, not a second row of t_max + 1 floats
+    g = build_graph(parse_descriptor("tree:d=2,n=4"))
+    t_max = 10000
+    tracemalloc.start()
+    try:
+        green_sums(g, t_max, targets=[g.vertex_count - 1])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    estimate = 8 * ((t_max + 1) + 6 * g.vertex_count)
+    assert peak < estimate + 2 ** 15, (peak, estimate)
+
+
 def test_mixing_deviation_t0_formula():
     g = build_graph(parse_descriptor("tree:d=2,n=4"))
     edges = g.vertex_count - 1
@@ -342,6 +358,30 @@ def test_mixing_crossing_frozen():
         build_graph(parse_descriptor("tree:d=2,n=4"))) == 64
     assert mixing_crossing_time(
         build_graph(parse_descriptor("tree:d=2,n=5"))) == 148
+
+
+def test_mixing_crossing_names_the_work_limit(monkeypatch):
+    # a search cut short by the work limit says so instead of reporting
+    # that no crossing exists (tree n=4 crosses at t = 64)
+    g = build_graph(parse_descriptor("tree:d=2,n=4"))
+    monkeypatch.setattr(ta, "ANALYTIC_ENTRY_LIMIT", 32 * g.vertex_count ** 2)
+    with pytest.raises(BudgetExceededError,
+                       match=r"no 1/e crossing by t=32 \(work limit\)"):
+        mixing_crossing_time(g)
+    # the 64 |V| cap alone names no limit
+    monkeypatch.undo()
+    with pytest.raises(BudgetExceededError,
+                       match=r"no 1/e crossing by t=1984$"):
+        mixing_crossing_time(g, level=0.0)
+
+
+def test_mixing_refuses_a_cycle_before_its_budget():
+    # 10^6 entries a step for 10^5 steps: the family error comes first
+    g = build_graph(parse_descriptor("cycle:n=1000"))
+    with pytest.raises(FamilyError):
+        mixing_profile(g, [100000])
+    with pytest.raises(FamilyError):
+        mixing_crossing_time(g)
 
 
 def test_return_sum_envelope_values():
