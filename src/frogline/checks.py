@@ -18,8 +18,8 @@ from . import bands
 from .frog_sim import NEVER, cover_time, run_activation, susceptibility
 from .graph import COMPLETE, CYCLE, TREE, GraphDescriptor, build_graph
 from .leaf_walk import run_killed_leaf_walk
-from .randomness import WalkStore, generate_steps, init_config, \
-    step_uniforms, walk_keys
+from .randomness import WalkStore, counters, generate_steps, init_config, \
+    walk_keys
 from .spectral_bd import check_logconcave, geometric_convolution_law, half_e2_t0, \
     hitting_eigenvalues, hitting_pmf_dp, Pmf, total_variation
 from .tree_analytics import (expected_hit, gambler_ruin, green_sums,
@@ -641,10 +641,12 @@ def walkstep_chisquare():
              (build_graph(GraphDescriptor(CYCLE, n=5)), 2),       # degree 2
              (build_graph(GraphDescriptor(COMPLETE, n=5)), 0)]    # degree 4
     pvals = []
+    steps = np.arange(100_000)
     for g, v in cases:
-        # 100k steps of one keyed walk's uniforms, all taken from v
-        u = step_uniforms(walk_keys(909, 1, v), 0, 100_000)[0]
-        draws = g.step_array(np.full(u.shape, v), u)
+        # 100k walks that each take one step from v: walk i, keyed by the
+        # counter word of one walk after i steps, draws that walk's step i + 1
+        keys = counters(walk_keys(909, 1, v), steps)
+        draws = generate_steps(g, np.full(len(steps), v), keys, 0, 1)[:, 0]
         counts = [np.count_nonzero(draws == w) for w in g.neighbors(v)]
         pvals.append(float(chisquare(counts).pvalue))
     return pvals

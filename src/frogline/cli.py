@@ -17,12 +17,16 @@ from .graph import TREE, build_graph, parse_descriptor
 from .tree_analytics import level_chain
 
 
+def _output_flags(p):
+    p.add_argument("--out", default="-", help="output path, '-' for stdout")
+    p.add_argument("--format", choices=("csv", "json"), default="csv")
+
+
 def _common_flags(p):
     p.add_argument("--jobs", type=int, default=1,
                    help="worker processes for simulate and sweep (>= 1; "
                         "at most one per batch of trials)")
-    p.add_argument("--out", default="-", help="output path, '-' for stdout")
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
+    _output_flags(p)
 
 
 def _simulation_flags(p):
@@ -83,7 +87,7 @@ def build_parser():
     an.add_argument("--delta", type=float, default=0.0)
 
     va = sub.add_parser("validate", help="run a named check suite")
-    _common_flags(va)
+    _output_flags(va)
     va.add_argument("--suite", choices=("fast", "full"), default="fast")
     return ap
 
@@ -128,10 +132,12 @@ def _parse_chain(text):
     if family != "dary":
         raise ParameterError("unknown chain family %r" % (family,))
     try:
-        kv = {k: int(v)
-              for k, v in (part.split("=") for part in rest.split(","))}
+        pairs = [part.split("=") for part in rest.split(",")]
+        kv = {k: int(v) for k, v in pairs}
     except ValueError:
         raise ParameterError(usage) from None
+    if len(kv) < len(pairs):
+        raise ParameterError("repeated key in --chain %r" % (text,))
     if set(kv) != {"d", "n"}:
         raise ParameterError(usage)
     return level_chain(kv["d"], kv["n"])
@@ -218,7 +224,7 @@ def main(argv=None):
     handlers = {"simulate": _cmd_simulate, "sweep": _cmd_sweep,
                 "analytic": _cmd_analytic, "validate": _cmd_validate}
     try:
-        if args.jobs < 1:
+        if getattr(args, "jobs", 1) < 1:
             raise ParameterError("jobs must be >= 1, got %r" % (args.jobs,))
         return handlers[args.command](args)
     except BudgetExceededError as exc:

@@ -59,12 +59,12 @@ def parse_descriptor(text):
     """Parse `tree:d=<int>,n=<int>` | `complete:n=<int>` | `cycle:n=<int>`."""
     try:
         family, _, rest = text.partition(":")
-        kv = {}
-        for part in rest.split(","):
-            key, _, val = part.partition("=")
-            kv[key.strip()] = int(val)
+        pairs = [part.partition("=") for part in rest.split(",")]
+        kv = {key.strip(): int(val) for key, _, val in pairs}
     except (ValueError, AttributeError) as exc:
         raise ParameterError("cannot parse graph descriptor %r" % (text,)) from exc
+    if len(kv) < len(pairs):
+        raise ParameterError("repeated key in graph descriptor %r" % (text,))
     if family == TREE:
         if set(kv) != {"d", "n"}:
             raise ParameterError("tree descriptor needs d= and n=, got %r" % (text,))
@@ -108,14 +108,6 @@ class GraphHandle:
 
     def degrees_array(self, vs):
         """Vectorized degree lookup."""
-        raise NotImplementedError
-
-    def step_array(self, vs, u):
-        """One uniform-neighbor step for every vertex in `vs` (vectorized).
-
-        `u` holds uniforms in [0, 1), broadcast against `vs`; neighbor
-        floor(u * degree) is taken, in a fixed per-vertex order.
-        """
         raise NotImplementedError
 
     def label(self):
@@ -199,37 +191,6 @@ class TreeGraph(GraphHandle):
         deg[vs >= self.first_leaf] = 1
         return deg
 
-    def step_array(self, vs, u):
-        vs = np.asarray(vs)
-        is_root = vs == 0
-        deg = np.where(vs >= self.first_leaf, 1, self.d + 1 - is_root)
-        # r == 0 means "go to parent" for non-root vertices, child r otherwise;
-        # the root has no parent slot, so its draw is shifted up by one
-        r = (u * deg).astype(vs.dtype) + is_root
-        return np.where(r == 0, (vs - 1) // self.d, self.d * vs + r)
-
-    def step_rows(self, starts, us):
-        """step_array for a few walks in plain Python, one walk at a time.
-
-        Walk i starts at starts[i] and takes one step per uniform in us[i];
-        the positions come back as one flat list, row after row. The same
-        IEEE products pick the same neighbors as step_array, so the two
-        agree bit for bit.
-        """
-        d, first_leaf = self.d, self.first_leaf
-        path = []
-        for v, row in zip(starts, us):
-            for u in row:
-                if v == 0:
-                    v = int(u * d) + 1
-                elif v >= first_leaf:
-                    v = (v - 1) // d
-                else:
-                    r = int(u * (d + 1))
-                    v = (v - 1) // d if r == 0 else d * v + r
-                path.append(v)
-        return path
-
 
 class CompleteGraph(GraphHandle):
     def degree(self, v):
@@ -243,12 +204,6 @@ class CompleteGraph(GraphHandle):
     def degrees_array(self, vs):
         vs = np.asarray(vs, dtype=np.int64)
         return np.full(vs.shape, self.vertex_count - 1, dtype=np.int64)
-
-    def step_array(self, vs, u):
-        vs = np.asarray(vs, dtype=np.int64)
-        # shift by 1 + Uniform{0..n-2} mod n: uniform over the other n-1 vertices
-        r = 1 + (u * (self.vertex_count - 1)).astype(np.int64)
-        return (vs + r) % self.vertex_count
 
 
 class CycleGraph(GraphHandle):
@@ -264,11 +219,6 @@ class CycleGraph(GraphHandle):
     def degrees_array(self, vs):
         vs = np.asarray(vs, dtype=np.int64)
         return np.full(vs.shape, 2, dtype=np.int64)
-
-    def step_array(self, vs, u):
-        vs = np.asarray(vs, dtype=np.int64)
-        r = (u * 2).astype(np.int64)
-        return (vs + 2 * r - 1) % self.vertex_count
 
 
 def resolve_origin(g, spec):

@@ -47,7 +47,7 @@ _NS_AUX = 3
 _NS_AUX_WALK = 4
 
 # tree batches of at most this many walks are stepped one walk at a time in
-# plain Python (TreeGraph.step_rows), larger ones by the in-place kernel.
+# plain Python (_tree_rows), larger ones by the in-place kernel.
 # Measured against that kernel on a shared 2-core VM (python 3.11, numpy
 # 2.4, minimum of 7 repeats, three runs): one step of a batch costs 50-64 us
 # in the kernel at any size up to 128 walks, and 35-38 us plus 0.5-0.6 us a
@@ -144,17 +144,6 @@ def walk_keys(seed, count, *key):
     """Keys of `count` independent walks for an auxiliary purpose `key`."""
     return _walk_keys(seed, _NS_AUX_WALK, *(int(k) for k in key),
                       np.arange(count, dtype=np.uint64))
-
-
-def step_uniforms(keys, offsets, nsteps):
-    """Uniforms in [0, 1) behind steps offsets+1 .. offsets+nsteps of each
-    keyed walk, as rows of a (len(keys), nsteps) array."""
-    k = (np.asarray(offsets, dtype=np.uint64).reshape(1, -1)
-         + np.arange(1, nsteps + 1, dtype=np.uint64).reshape(-1, 1))
-    z = _mix(k * GAMMA + np.asarray(keys, dtype=np.uint64))
-    z >>= np.uint64(11)
-    # computed step-major, so a lockstep loop reads contiguous rows of .T
-    return (z.astype(np.float64) * 2.0 ** -53).T
 
 
 class _ParticleTable:
@@ -339,12 +328,13 @@ def counters(keys, steps):
 
 
 class StepScratch:
-    """Buffers of the step kernel for batches of up to `capacity` walks,
+    """Buffers of the step rules for batches of up to `capacity` walks,
     positions of `dtype`, that hash `rows` steps at a time: the hashed words
-    of rows x capacity cells and their shifted copies, then, for one row at
-    a time, the draws, the parents, two masks and the positions a one-step
-    generate_steps call returns. A clock allocates one per run and passes it
-    to every step it takes."""
+    of rows x capacity cells and their shifted copies (which then hold the
+    shifts on complete graphs and cycles), then, for one row of a tree at a
+    time, the draws, the parents and two masks, and the positions a
+    one-step generate_steps call returns. A clock allocates one per run and
+    passes it to every step it takes."""
 
     def __init__(self, capacity, dtype, rows=1):
         self.m = np.empty(rows * capacity, dtype=np.uint64)
@@ -359,8 +349,8 @@ class StepScratch:
 def _draws(ctr, done, rows, scratch):
     """The 53-bit integers m behind steps done+1 .. done+rows of the walks
     with counter words `ctr`, as a step-major (rows, len(ctr)) view of
-    scratch.m, hashed in place: the uniform of a step is m * 2^-53, the
-    value step_uniforms(ctr, done, rows) gives."""
+    scratch.m, hashed in place: the uniform of a step is m * 2^-53. This is
+    the one step hash; every keyed walk draws from it."""
     n = len(ctr)
     m = scratch.m[:rows * n].reshape(rows, n)
     # array products wrap silently, where a uint64 scalar product would warn
@@ -371,35 +361,53 @@ def _draws(ctr, done, rows, scratch):
     return m
 
 
+def _fit(scratch, g, n, rows):
+    """`scratch` when it has room for rows x n cells and n walks, else a new
+    StepScratch that has."""
+    if scratch is None or len(scratch.out) < n or len(scratch.m) < rows * n:
+        return StepScratch(n, g.index_dtype, rows)
+    return scratch
+
+
+# Each step rule takes the walk to its neighbor floor(u * degree), for the
+# uniform u = m * 2^-53 of its draw m, in a fixed order of the neighbors:
+# on trees the parent first, then the children; on complete graphs and
+# cycles, shifts by 1 .. V - 1 and by -1, +1. The product u * degree is
+# taken as m * (degree * 2^-53): both are the exact product m * degree *
+# 2^-53 rounded once, so they are the same double, and every rule picks the
+# same neighbor for the same draw.
+
+
+def _tree_rows(g, starts, draws):
+    """Tree walks in plain Python, one walk at a time: walk i starts at
+    starts[i] and takes one step per draw in draws[i]; the positions come
+    back as one flat list, row after row."""
+    d, first_leaf = g.d, g.first_leaf
+    root, inner = d * 2.0 ** -53, (d + 1) * 2.0 ** -53
+    path = []
+    for v, row in zip(starts, draws):
+        for m in row:
+            if v == 0:
+                v = int(m * root) + 1
+            elif v >= first_leaf:
+                v = (v - 1) // d
+            else:
+                r = int(m * inner)
+                v = (v - 1) // d if r == 0 else d * v + r
+            path.append(v)
+    return path
+
+
 def _move(g, starts, m, out, scratch):
-    """One step of each walk, on the buffers of `scratch`: walk i, at
-    starts[i], moves to out[i] (`out` may be `starts`), to the neighbor
-    floor(u * degree) of `step_array` for the uniform u = m[i] * 2^-53. The
-    product u * degree is taken as m[i] * (degree * 2^-53): both are the
-    exact product m[i] * degree * 2^-53 rounded once, so they are the same
-    double, and the positions are those of step_array."""
-    n = len(starts)
-    if g.family != TREE:
-        # complete graphs and cycles are circulant: the move is a shift by
-        # the draw r, whatever the position; int64, so that it cannot wrap
-        r, V = scratch.tmp[:n].view(np.int64), g.vertex_count
-        if g.family == COMPLETE:
-            np.multiply(m, (V - 1) * 2.0 ** -53, out=r, casting="unsafe")
-            r += 1
-        else:
-            np.multiply(m, 2 * 2.0 ** -53, out=r, casting="unsafe")
-            r *= 2
-            r -= 1
-        r += starts
-        np.remainder(r, V, out=out, casting="unsafe")
-        return out
+    """One step of each tree walk, on the buffers of `scratch`: walk i, at
+    starts[i], moves to out[i] (`out` may be `starts`) by its draw m[i]."""
     # an inner vertex has degree d + 1 and draw r = 0 is its parent, r > 0
     # child r; a leaf only has its parent; the root has degree d and no
     # parent slot, so its draw is shifted up by one. The degree is d + 1
     # throughout and the leaves and the root are fixed up, which costs no
     # per-vertex table; every array below has the positions' dtype, so no
     # operation casts
-    d = g.d
+    n, d = len(starts), g.d
     r, parent = scratch.r[:n], scratch.parent[:n]
     inner, moves = scratch.inner[:n], scratch.moves[:n]
     np.multiply(m, (d + 1) * 2.0 ** -53, out=r, casting="unsafe")
@@ -421,6 +429,30 @@ def _move(g, starts, m, out, scratch):
     return out
 
 
+def _shift(g, starts, m, out, scratch):
+    """Rows of steps of walks on a complete graph or cycle, from the rows of
+    draws `m` into the rows of `out`; returns the last row. Both graphs are
+    circulant: a step moves by a shift drawn from m, whatever the position,
+    so after j rows a walk stands at its start plus the sum of its first j
+    shifts, mod V."""
+    k, n = m.shape
+    V = g.vertex_count
+    # int64, so that the sums cannot wrap
+    r = scratch.tmp[:k * n].view(np.int64).reshape(k, n)
+    if g.family == COMPLETE:
+        np.multiply(m, (V - 1) * 2.0 ** -53, out=r, casting="unsafe")
+        r += 1
+    else:
+        np.multiply(m, 2 * 2.0 ** -53, out=r, casting="unsafe")
+        r *= 2
+        r -= 1
+    if k > 1:
+        np.cumsum(r, axis=0, out=r)
+    r += starts
+    np.remainder(r, V, out=out, casting="unsafe")
+    return out[-1]
+
+
 def generate_steps(g, starts, keys, offsets, nsteps, scratch=None):
     """Positions after steps offsets+1 .. offsets+nsteps of a batch of keyed
     walks, as rows of a (len(starts), nsteps) array of `g.index_dtype`.
@@ -428,51 +460,50 @@ def generate_steps(g, starts, keys, offsets, nsteps, scratch=None):
     Walk i stands at starts[i] after offsets[i] steps (`offsets` may be one
     number for all). Every keyed walk is generated here, so a walk's path is
     the same whichever walks share its batch and however its steps are split
-    into calls. Tree batches of at most SCALAR_STEP_WALKS walks are stepped
-    walk by walk in plain Python. Larger tree batches, and one step on any
-    graph, go through the in-place kernel: up to HASH_BLOCK_CELLS cells of
-    steps are hashed at once (`_draws`), then the walks move a row at a time
-    (`_move`). Both take the same uniforms and the same products, so the
-    path does not depend on which.
+    into calls. All paths draw from one hash (`_draws`) and take the same
+    products. Tree batches of at most SCALAR_STEP_WALKS walks are stepped
+    walk by walk in plain Python (`_tree_rows`). Larger tree batches hash up
+    to HASH_BLOCK_CELLS cells of steps at once, then move a row at a time
+    (`_move`). On complete graphs and cycles the call's steps are hashed at
+    once and summed as shifts (`_shift`).
 
     A clock passes counter words (`counters`) as `keys` at offset 0 and its
-    `scratch` (a StepScratch), so that a step allocates nothing; the
-    (walks, 1) block it returns then is a view of scratch.out, which the
-    next call rewrites.
+    `scratch` (a StepScratch), so that a step hashes in place; off trees, or
+    past SCALAR_STEP_WALKS walks, the (walks, 1) block it returns then is a
+    view of scratch.out, which the next call rewrites. A scratch too small
+    for the call is not used.
     """
     starts = np.asarray(starts, dtype=g.index_dtype)
     n = len(starts)
+    # a clock's call, at offset 0, skips np.ndim: about 1.5 us on an int
+    ctr = (np.asarray(keys, dtype=np.uint64)
+           if type(offsets) is int and offsets == 0
+           else counters(keys, offsets))
     if g.family == TREE and n <= SCALAR_STEP_WALKS:
         # too few walks to pay for a numpy call per step
-        u = step_uniforms(keys, offsets, nsteps)
-        path = g.step_rows(starts.tolist(), u.tolist())
+        scratch = _fit(scratch, g, n, nsteps)
+        m = _draws(ctr, 0, nsteps, scratch)
+        # the draws as exact doubles (m < 2^53), which Python multiplies by
+        # a float faster than it does an int
+        x = scratch.tmp[:m.size].view(np.float64).reshape(m.shape)
+        x[...] = m
+        path = _tree_rows(g, starts.tolist(), x.T.tolist())
         return np.array(path, dtype=g.index_dtype).reshape(n, nsteps)
-    if g.family != TREE and nsteps != 1:
-        # complete graphs and cycles are circulant: a step from v lands on
-        # v + s (mod V) with a shift s = step_array(0, u) independent of v,
-        # so a path is a cumulative sum of shifts
-        u = step_uniforms(keys, offsets, nsteps)
-        path = np.cumsum(g.step_array(0, u), axis=1)
-        path += starts.reshape(-1, 1)
-        path %= g.vertex_count
-        return path.astype(g.index_dtype)
-    ctr = (counters(keys, offsets) if np.ndim(offsets) or offsets
-           else np.asarray(keys, dtype=np.uint64))
-    if nsteps == 1:
-        if scratch is None:
-            scratch = StepScratch(n, g.index_dtype)
-        m = _draws(ctr, 0, 1, scratch)[0]
-        return _move(g, starts, m, scratch.out[:n], scratch).reshape(n, 1)
-    # on trees the degree depends on the position: the walks move a row at
-    # a time
-    rows = max(1, min(nsteps, HASH_BLOCK_CELLS // n))
-    scratch = StepScratch(n, g.index_dtype, rows)
-    out = np.empty((nsteps, n), dtype=g.index_dtype)
+    # on trees the degree depends on the position, so the walks move a row
+    # at a time; off trees a call is one cumulative sum of shifts
+    rows = min(nsteps, HASH_BLOCK_CELLS // n) if g.family == TREE else nsteps
+    rows = max(1, rows)
+    scratch = _fit(scratch, g, n, rows)
+    out = (scratch.out[None, :n] if nsteps == 1
+           else np.empty((nsteps, n), dtype=g.index_dtype))
     v = starts
     for done in range(0, nsteps, rows):
         m = _draws(ctr, done, min(rows, nsteps - done), scratch)
-        for j, mj in enumerate(m, done):
-            v = _move(g, v, mj, out[j], scratch)
+        if g.family == TREE:
+            for j in range(len(m)):
+                v = _move(g, v, m[j], out[done + j], scratch)
+        else:
+            v = _shift(g, v, m, out[done:done + len(m)], scratch)
     return out.T
 
 

@@ -10,8 +10,8 @@ The lower-bound toolkit (kappa_t, the threshold time, expected target
 visits mu_a, partial Green sums, spread sets) works on complete graphs,
 cycles, and tree leaf sets; everything is exact arithmetic on the implicit
 transition operator, no Monte Carlo. The operator is iterated in one loop,
-`powers`, which yields P^t y (or (P^T)^t y) for t = 0, 1, ...; return sums,
-hitting tables, Green sums and the mixing profile are all read off it. Each
+`powers`, which yields P^t y for t = 0, 1, ...; return sums, hitting
+tables, Green sums and the mixing profile are all read off it. Each
 entry point checks its bytes and its operator entries before it allocates.
 """
 
@@ -112,21 +112,12 @@ def apply_transition(g, y):
     return s / deg
 
 
-def apply_transition_T(g, y):
-    """(P^T y)(w) = sum over neighbors u of y(u)/deg(u)."""
-    deg = g.degrees_array(np.arange(g.vertex_count, dtype=np.int64))
-    z = y / deg[:, None] if y.ndim > 1 else y / deg
-    return _neighbor_sum(g, z)
-
-
-def powers(g, y, t_max, transpose=False):
-    """Yield P^t y, or (P^T)^t y, for t = 0..t_max. Each step applies to
-    the array just yielded, so a caller may change that array in place
-    first."""
-    step = apply_transition_T if transpose else apply_transition
+def powers(g, y, t_max):
+    """Yield P^t y for t = 0..t_max. Each step applies to the array just
+    yielded, so a caller may change that array in place first."""
     for _ in range(t_max):
         yield y
-        y = step(g, y)
+        y = apply_transition(g, y)
     yield y
 
 
@@ -254,8 +245,10 @@ def green_sums(g, t_max, targets=None):
     green = np.empty((m, m, t_max + 1))
     for ai, a in enumerate(targets):
         acc = np.zeros(m)
-        # row iteration: y[w] = p^s(a, w)
-        for s, y in enumerate(powers(g, _unit(g, a), t_max, transpose=True)):
+        # the walk is reversible, pi(a) p^s(a, b) = pi(b) p^s(b, a), and the
+        # targets have equal degrees (tree leaves; complete graphs and
+        # cycles are regular), so p^s(a, b) = p^s(b, a) = (P^s e_a)(b)
+        for s, y in enumerate(powers(g, _unit(g, a), t_max)):
             acc += y[targets]
             green[ai, :, s] = acc
     return targets, green

@@ -2,7 +2,9 @@
 
 Everything here takes a deliberately different route from the library code:
 BFS instead of arithmetic on indices, matrix powers instead of incremental
-DPs, and a bisection over coverage flags instead of the wake clock. The
+DPs, a bisection over coverage flags instead of the wake clock, and float
+uniforms times per-vertex degrees instead of the step rules' scaled 53-bit
+draws. The
 activation-time oracle (Dijkstra over the first-visit table) lives in
 `frogline.checks`, since `frogline validate` runs it too.
 """
@@ -10,6 +12,7 @@ activation-time oracle (Dijkstra over the first-visit table) lives in
 import numpy as np
 
 from frogline.checks import chain_matrix
+from frogline.randomness import GAMMA, _mix
 
 
 def bfs_distances(g, src):
@@ -25,6 +28,42 @@ def bfs_distances(g, src):
                     nxt.append(u)
         frontier = nxt
     return dist
+
+
+def step_uniforms(keys, offsets, nsteps):
+    """Uniforms in [0, 1) behind steps offsets+1 .. offsets+nsteps of each
+    keyed walk, as rows of a (len(keys), nsteps) array."""
+    k = (np.asarray(offsets, dtype=np.uint64).reshape(1, -1)
+         + np.arange(1, nsteps + 1, dtype=np.uint64).reshape(-1, 1))
+    z = _mix(k * GAMMA + np.asarray(keys, dtype=np.uint64))
+    z >>= np.uint64(11)
+    # computed step-major, so a lockstep loop reads contiguous rows of .T
+    return (z.astype(np.float64) * 2.0 ** -53).T
+
+
+def step_array(g, vs, u):
+    """One uniform-neighbor step for every vertex in `vs` (vectorized).
+
+    `u` holds uniforms in [0, 1), broadcast against `vs`; neighbor
+    floor(u * degree) is taken, in a fixed per-vertex order.
+    """
+    if g.family == "tree":
+        vs = np.asarray(vs)
+        is_root = vs == 0
+        deg = np.where(vs >= g.first_leaf, 1, g.d + 1 - is_root)
+        # r == 0 means "go to parent" for non-root vertices, child r
+        # otherwise; the root has no parent slot, so its draw is shifted up
+        # by one
+        r = (u * deg).astype(vs.dtype) + is_root
+        return np.where(r == 0, (vs - 1) // g.d, g.d * vs + r)
+    vs = np.asarray(vs, dtype=np.int64)
+    if g.family == "complete":
+        # shift by 1 + Uniform{0..n-2} mod n: uniform over the other n-1
+        # vertices
+        r = 1 + (u * (g.vertex_count - 1)).astype(np.int64)
+        return (vs + r) % g.vertex_count
+    r = (u * 2).astype(np.int64)
+    return (vs + 2 * r - 1) % g.vertex_count
 
 
 def dense_transition(g):

@@ -179,7 +179,12 @@ def test_parameter_error_exit_2(capsys, tmp_path, monkeypatch):
               "--jobs", "-5"], "jobs must be >= 1"),
             (["analytic", "--quantity", "pi", "--graph", "tree:d=2,n=2",
               "--jobs", "0"], "jobs must be >= 1"),
-            (["validate", "--jobs", "-3"], "jobs must be >= 1"),
+            # a repeated key would otherwise let the last one win
+            (["analytic", "--quantity", "pi", "--graph", "tree:d=2,n=3,n=1"],
+             "repeated key"),
+            (["simulate", "--graph", "complete:n=5,n=7"], "repeated key"),
+            (["analytic", "--quantity", "bd-law", "--chain",
+              "dary:d=2,n=3,d=3"], "repeated key"),
             # a seed outside the u64 range would alias one inside it
             (["simulate", "--graph", "tree:d=2,n=2", "--seed", "-1"],
              "seed must be in [0, 2^64)"),
@@ -192,6 +197,11 @@ def test_parameter_error_exit_2(capsys, tmp_path, monkeypatch):
         assert main(argv) == 2, argv
         err = capsys.readouterr().err
         assert says in err and err.count("\n") == 1, (argv, err)
+    # validate runs in one process and takes no --jobs
+    with pytest.raises(SystemExit) as exc:
+        main(["validate", "--jobs", "-3"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --jobs -3" in capsys.readouterr().err
     # --budget-steps below 1 is refused on every metric, before any sampling:
     # a configuration of tree n=20 at lambda 2 takes about a second
     def no_sampling(*args, **kwargs):

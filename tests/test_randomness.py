@@ -5,10 +5,9 @@ import pytest
 
 from frogline import (BudgetExceededError, ParameterError, WalkStore,
                       build_graph, generate_steps, init_config,
-                      parse_descriptor, randomness, step_uniforms, substream,
-                      walk_keys)
+                      parse_descriptor, randomness, substream, walk_keys)
 
-from oracles import lexsort_marks
+from oracles import lexsort_marks, step_array, step_uniforms
 
 
 def _tree(d=2, n=4):
@@ -136,22 +135,50 @@ def test_scaled_products_are_the_uniform_products():
         assert np.array_equal((m * 2.0 ** -53) * deg, m * (deg * 2.0 ** -53))
 
 
-def test_one_step_kernel_matches_step_array():
-    # the kernel against the graph's own step arithmetic, on every vertex
-    # kind and on vertex ids past int32
-    for text in ("tree:d=2,n=6", "tree:d=3,n=4", "tree:d=2,n=33",
-                 "complete:n=7", "cycle:n=3", "cycle:n=5000000000"):
+def _oracle_paths(g, starts, keys, offsets, nsteps):
+    """Every walk's positions after steps offsets+1 .. offsets+nsteps, from
+    the float uniforms and the per-vertex degrees of the oracle."""
+    u = step_uniforms(keys, offsets, nsteps)
+    v, path = np.asarray(starts, dtype=np.int64), []
+    for j in range(nsteps):
+        v = step_array(g, v, u[:, j])
+        path.append(v)
+    return np.stack(path, axis=1)
+
+
+def test_generate_steps_matches_the_oracle():
+    # every branch of generate_steps against the oracle, walk by walk: tree
+    # batches of at most SCALAR_STEP_WALKS walks and larger ones, one step,
+    # five and more rows than one hash block holds, complete graphs and
+    # cycles (vertex ids past int32 too), shared and per-walk offsets, and no
+    # scratch, a clock's scratch and one smaller than the batch
+    rng = np.random.default_rng(5)
+    for text, walks in (("tree:d=2,n=6", 48), ("tree:d=2,n=6", 3000),
+                        ("tree:d=3,n=4", 7), ("tree:d=3,n=4", 500),
+                        ("tree:d=2,n=33", 40), ("tree:d=2,n=33", 3000),
+                        ("complete:n=7", 40), ("complete:n=7", 3000),
+                        ("cycle:n=3", 3000), ("cycle:n=5000000000", 40),
+                        ("cycle:n=5000000000", 3000)):
         g = build_graph(parse_descriptor(text))
         V = g.vertex_count
-        starts = np.concatenate(([0, 1, V - 1, V // 2],
-                                 np.random.default_rng(V % 97).integers(
-                                     0, V, 3000)))
-        keys = walk_keys(17, len(starts), 3)
-        scratch = randomness.StepScratch(len(starts), g.index_dtype)
-        for offset in (0, 1, 77):
-            u = step_uniforms(keys, offset, 1)[:, 0]
-            got = generate_steps(g, starts, keys, offset, 1, scratch)[:, 0]
-            assert np.array_equal(got, g.step_array(starts, u)), text
+        starts = rng.integers(0, V, walks)
+        starts[:4] = 0, 1, V - 1, V // 2
+        keys = walk_keys(17, walks, 3)
+        for nsteps in (1, 5, randomness.HASH_BLOCK_CELLS // walks + 2):
+            for offsets in (0, 77, rng.integers(0, 10 ** 9, walks)):
+                want = _oracle_paths(g, starts, keys, offsets, nsteps)
+                clock = randomness.StepScratch(walks, g.index_dtype)
+                for scratch in (None, clock, randomness.StepScratch(
+                        walks // 2, g.index_dtype)):
+                    got = generate_steps(g, starts, keys, offsets, nsteps,
+                                         scratch)
+                    assert got.dtype == g.index_dtype
+                    assert np.array_equal(got, want), (text, walks, nsteps)
+                # a one-step call off the scalar path returns the clock's
+                # buffer
+                got = generate_steps(g, starts, keys, offsets, 1, clock)
+                scalar = g.family == "tree" and walks <= 48
+                assert np.shares_memory(got, clock.out) != scalar
 
 
 def test_init_config_size_guard():
@@ -291,7 +318,7 @@ def test_walk_step_matches_neighbor_set():
     g = _tree(3, 2)
     for v in (0, 1, 5):
         u = step_uniforms(walk_keys(11, 1, v), 0, 200)[0]
-        seen = set(g.step_array(np.full(u.shape, v), u).tolist())
+        seen = set(step_array(g, np.full(u.shape, v), u).tolist())
         assert seen == set(g.neighbors(v))
 
 

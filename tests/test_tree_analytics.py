@@ -14,8 +14,7 @@ from frogline import (BudgetExceededError, FamilyError, ParameterError,
                       transition_powers)
 from frogline.checks import chain_matrix, ruin_probability_dp
 from frogline import tree_analytics as ta
-from frogline.tree_analytics import apply_transition, apply_transition_T, \
-    hitting_within, powers
+from frogline.tree_analytics import apply_transition, hitting_within, powers
 
 from oracles import dense_transition, stationary_solve
 
@@ -122,16 +121,27 @@ def test_transition_powers_match_dense():
 def test_powers_steps_the_array_it_yielded():
     g = build_graph(parse_descriptor("tree:d=2,n=3"))
     P = dense_transition(g)
-    for transpose, op in ((False, P), (True, P.T)):
-        y = np.zeros(g.vertex_count)
-        y[0] = 1.0
-        loop = powers(g, y, 3, transpose=transpose)
-        first = next(loop)
-        assert first is y
-        first[:] = 0.0
-        first[5] = 1.0  # moved in place: the next step starts from here
-        assert np.allclose(next(loop), op[:, 5], atol=1e-15)
+    y = np.zeros(g.vertex_count)
+    y[0] = 1.0
+    loop = powers(g, y, 3)
+    first = next(loop)
+    assert first is y
+    first[:] = 0.0
+    first[5] = 1.0  # moved in place: the next step starts from here
+    assert np.allclose(next(loop), P[:, 5], atol=1e-15)
     assert len(list(powers(g, y, 4))) == 5
+    # the rows green_sums reads: from a target a, P^t e_a agrees with
+    # (P^T)^t e_a on the targets, which share one degree
+    for text in ("tree:d=2,n=3", "tree:d=3,n=2", "cycle:n=7", "complete:n=6"):
+        g = build_graph(parse_descriptor(text))
+        P = dense_transition(g)
+        A = g.leaves() if g.family == "tree" else np.arange(g.vertex_count)
+        for a in (A[0], A[-1]):
+            x = np.zeros(g.vertex_count)
+            x[a] = 1.0
+            for t, y in enumerate(powers(g, x.copy(), 8)):
+                want = np.linalg.matrix_power(P.T, t) @ x
+                assert np.allclose(y[A], want[A], atol=1e-15), (text, a, t)
 
 
 def test_apply_transition_adjoint():
@@ -139,7 +149,7 @@ def test_apply_transition_adjoint():
     rng = np.random.default_rng(7)
     x = rng.random(g.vertex_count)
     y = rng.random(g.vertex_count)
-    assert np.dot(apply_transition_T(g, x), y) == \
+    assert np.dot(dense_transition(g).T @ x, y) == \
         pytest.approx(np.dot(x, apply_transition(g, y)))
 
 
