@@ -11,9 +11,8 @@ import sys
 import traceback
 
 from . import experiments, spectral_bd, tree_analytics
-from .errors import BudgetExceededError, ParameterError
-from .frog_sim import DEFAULT_STEP_CAP
-from .graph import TREE, build_graph, parse_descriptor
+from .errors import DEFAULT_STEP_CAP, BudgetExceededError, ParameterError
+from .graph import build_graph, parse_descriptor, parse_fields, require_tree
 from .tree_analytics import level_chain
 
 
@@ -118,26 +117,13 @@ def _cmd_sweep(args):
     return 0
 
 
-def _require_graph(args):
-    if args.graph is None:
-        raise ParameterError("--graph is required for this quantity")
-    return build_graph(parse_descriptor(args.graph))
-
-
 def _parse_chain(text):
     usage = "--chain wants dary:d=<int>,n=<int>, got %r" % (text,)
     if text is None:
         raise ParameterError("--chain is required for bd-law (dary:d=,n=)")
-    family, _, rest = text.partition(":")
+    family, kv = parse_fields(text, usage)
     if family != "dary":
         raise ParameterError("unknown chain family %r" % (family,))
-    try:
-        pairs = [part.split("=") for part in rest.split(",")]
-        kv = {k: int(v) for k, v in pairs}
-    except ValueError:
-        raise ParameterError(usage) from None
-    if len(kv) < len(pairs):
-        raise ParameterError("repeated key in --chain %r" % (text,))
     if set(kv) != {"d", "n"}:
         raise ParameterError(usage)
     return level_chain(kv["d"], kv["n"])
@@ -147,25 +133,28 @@ def _cmd_analytic(args):
     q = args.quantity
     if args.t is not None and any(t < 0 for t in args.t):
         raise ParameterError("--t wants times >= 0, got %r" % (args.t,))
+    if q == "bd-law":
+        chain = _parse_chain(args.chain)
+        pmf = spectral_bd.geometric_convolution_law(
+            spectral_bd.hitting_eigenvalues(chain),
+            "odd" if chain.n % 2 else "even")
+        experiments.write_law(pmf, args.out, args.format)
+        return 0
+    if args.graph is None:
+        raise ParameterError("--graph is required for this quantity")
+    g = build_graph(parse_descriptor(args.graph))
+    if q in ("pi", "q", "hit"):
+        require_tree(g, q)
     rows = []
     if q == "pi":
-        g = _require_graph(args)
-        if g.family != TREE:
-            raise ParameterError("pi needs a tree graph")
         pi = tree_analytics.stationary_levels(level_chain(g.d, g.n))
         rows = [{"quantity": "pi", "key": l, "value": repr(float(p))}
                 for l, p in enumerate(pi)]
     elif q == "q":
-        g = _require_graph(args)
-        if g.family != TREE:
-            raise ParameterError("q needs a tree graph")
         rows = [{"quantity": "q", "key": i,
                  "value": repr(tree_analytics.gambler_ruin(g.d, g.n, i))}
                 for i in range(g.n)]
     elif q == "hit":
-        g = _require_graph(args)
-        if g.family != TREE:
-            raise ParameterError("hit needs a tree graph")
         chain = level_chain(g.d, g.n)
         rows = [{"quantity": "crossing", "key": j,
                  "value": repr(tree_analytics.expected_hit(chain, "crossing", j))}
@@ -174,18 +163,15 @@ def _cmd_analytic(args):
                      "value": repr(tree_analytics.expected_hit(
                          chain, "leaf_to_root"))})
     elif q == "kappa":
-        g = _require_graph(args)
         ts = args.t or [16]
         kappa = tree_analytics.kappa_sequence(g, max(ts))
         rows = [{"quantity": "kappa", "key": t, "value": repr(float(kappa[t]))}
                 for t in ts]
     elif q == "threshold":
-        g = _require_graph(args)
         ts = args.t or [256]
         t = tree_analytics.threshold_time(g, args.lam, args.delta, max(ts))
         rows = [{"quantity": "threshold", "key": "t", "value": t}]
     elif q == "mu":
-        g = _require_graph(args)
         ts = args.t or [16]
         targets, mu = tree_analytics.mu_table(g, args.lam, max(ts))
         for a, row in zip(targets, mu):
@@ -193,17 +179,9 @@ def _cmd_analytic(args):
                 rows.append({"quantity": "mu", "key": "a=%d,t=%d" % (a, t),
                              "value": repr(float(row[t]))})
     elif q == "mixing":
-        g = _require_graph(args)
         ts = args.t or list(range(0, 33, 2))
         for t, dev in tree_analytics.mixing_profile(g, ts):
             rows.append({"quantity": "mixing", "key": t, "value": repr(dev)})
-    elif q == "bd-law":
-        chain = _parse_chain(args.chain)
-        pmf = spectral_bd.geometric_convolution_law(
-            spectral_bd.hitting_eigenvalues(chain),
-            "odd" if chain.n % 2 else "even")
-        experiments.write_law(pmf, args.out, args.format)
-        return 0
     experiments.write_table(rows, ["quantity", "key", "value"], args.out,
                             args.format)
     return 0

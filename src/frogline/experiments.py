@@ -21,12 +21,12 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import BudgetExceededError, ParameterError
-from .frog_sim import (DEFAULT_STEP_CAP, Outcome, check_step_cap, cover_time,
-                       susceptibility)
-from .graph import TREE, build_graph, parse_descriptor, resolve_origin
+from .errors import (DEFAULT_STEP_CAP, BudgetExceededError, ParameterError,
+                     check_budget, check_lambda, check_seed, check_step_cap)
+from .frog_sim import Outcome, cover_time, susceptibility
+from .graph import build_graph, parse_descriptor, require_tree, resolve_origin
 from .leaf_walk import run_killed_leaf_walk
-from .randomness import check_bytes, init_config, stack_views
+from .randomness import init_config, stack_views
 
 METRICS = ("susceptibility", "cover", "leafwalk")
 
@@ -123,16 +123,13 @@ def validate_spec(spec):
         raise ParameterError("leafwalk needs --s")
     check_step_cap(spec.step_cap)
     # checked before any sampling: a refused configuration checks no cell
-    bad = [lam for lam in spec.lambdas if not (np.isfinite(lam) and lam >= 0)]
-    if bad and spec.metric != "leafwalk":
-        raise ParameterError("lambda must be finite and >= 0, got %r" % bad[0])
-    # a seed outside the u64 range would alias one inside it
-    if not 0 <= spec.seed_base < 2 ** 64:
-        raise ParameterError("seed must be in [0, 2^64), got %r"
-                             % (spec.seed_base,))
+    if spec.metric != "leafwalk":
+        for lam in spec.lambdas:
+            check_lambda("lambda", lam)
+    check_seed(spec.seed_base)
     cells = len(spec.graphs) * spec.trials * (
         1 if spec.metric == "leafwalk" else len(spec.lambdas))
-    check_bytes("a run of %d trial cells" % cells, cells * TRIAL_CELL_BYTES)
+    check_budget("a run of %d trial cells" % cells, cells * TRIAL_CELL_BYTES)
     seen = {}
     for graph in spec.graphs:
         for trial in range(spec.trials):
@@ -160,8 +157,6 @@ def run_trial(cell, outcome, wall_ms):
 
 
 def _leaf_walk(spec, g, origin, seed):
-    if g.family != TREE:
-        raise ParameterError("leafwalk needs a tree graph")
     try:
         tau = run_killed_leaf_walk(g.d, g.n, spec.s, seed, origin,
                                    spec.step_cap).tau_cov
@@ -188,6 +183,8 @@ def _batch_task(task):
     fails every cell of the batch, with the reason."""
     spec, graph, trials = task
     g = build_graph(parse_descriptor(graph))
+    if spec.metric == "leafwalk":
+        require_tree(g, "leafwalk")
     origin_spec = spec.origin if spec.origin is not None else (
         "leaf" if spec.metric == "leafwalk" else "root")
     origin = resolve_origin(g, origin_spec)

@@ -23,16 +23,14 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import BudgetExceededError, ParameterError
+from .errors import (DEFAULT_STEP_CAP, BudgetExceededError, ParameterError,
+                     check_step_cap)
 from .graph import TREE
 from .randomness import (GAMMA, FrogStack, StepScratch, counters,
                          generate_steps, stack_views)
 
 # activation-time sentinel for "never woken"
 NEVER = np.iinfo(np.int64).max
-
-# cap on the clock of activation, susceptibility and cover time
-DEFAULT_STEP_CAP = 10 ** 9
 
 # positions generated per replay block: catching woken particles up to the
 # clock holds one block plus O(1) words per walk, whatever the clock is
@@ -60,12 +58,6 @@ class Outcome:
     value: Optional[int]  # S or CT; None when the copy is not covered
     steps: int  # steps the copy's particles took
     error: Optional[BudgetExceededError] = None  # set when the cap stopped it
-
-
-def check_step_cap(step_cap):
-    """Refuse a cap on the clock (or the steps of a leaf walk) below 1."""
-    if step_cap <= 0:
-        raise ParameterError("step_cap must be > 0, got %r" % (step_cap,))
 
 
 class _Clock:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import FamilyError, ParameterError
 
 TREE = "tree"
 COMPLETE = "complete"
@@ -55,16 +55,25 @@ class GraphDescriptor:
         return "%s:n=%d" % (self.family, self.n)
 
 
-def parse_descriptor(text):
-    """Parse `tree:d=<int>,n=<int>` | `complete:n=<int>` | `cycle:n=<int>`."""
+def parse_fields(text, usage):
+    """The family and the {key: int} fields of `text`, in the grammar
+    family:key=<int>,...; ParameterError(usage) when it does not parse."""
     try:
         family, _, rest = text.partition(":")
         pairs = [part.partition("=") for part in rest.split(",")]
         kv = {key.strip(): int(val) for key, _, val in pairs}
-    except (ValueError, AttributeError) as exc:
-        raise ParameterError("cannot parse graph descriptor %r" % (text,)) from exc
+    except (ValueError, AttributeError):
+        raise ParameterError(usage) from None
+    # a repeated key would otherwise let the last one win
     if len(kv) < len(pairs):
-        raise ParameterError("repeated key in graph descriptor %r" % (text,))
+        raise ParameterError("repeated key in %r" % (text,))
+    return family, kv
+
+
+def parse_descriptor(text):
+    """Parse `tree:d=<int>,n=<int>` | `complete:n=<int>` | `cycle:n=<int>`."""
+    family, kv = parse_fields(text, "cannot parse graph descriptor %r"
+                              % (text,))
     if family == TREE:
         if set(kv) != {"d", "n"}:
             raise ParameterError("tree descriptor needs d= and n=, got %r" % (text,))
@@ -221,14 +230,20 @@ class CycleGraph(GraphHandle):
         return np.full(vs.shape, 2, dtype=np.int64)
 
 
+def require_tree(g, what):
+    """`g`, when it is a tree; `what` is defined on trees only."""
+    if g.family != TREE:
+        raise FamilyError("%s is defined on trees only, not on %s"
+                          % (what, g.label()))
+    return g
+
+
 def resolve_origin(g, spec):
     """Map a CLI origin spec (index, 'root', or 'leaf') to a vertex id."""
     if spec == "root":
         return 0
     if spec == "leaf":
-        if g.family != TREE:
-            raise ParameterError("origin 'leaf' only makes sense on trees")
-        return g.vertex_count - 1
+        return require_tree(g, "origin 'leaf'").vertex_count - 1
     try:
         v = int(spec)
     except (TypeError, ValueError) as exc:

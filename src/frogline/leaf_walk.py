@@ -13,10 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BudgetExceededError, ParameterError
-from .frog_sim import DEFAULT_STEP_CAP, check_step_cap
+from .errors import (DEFAULT_STEP_CAP, BudgetExceededError, ParameterError,
+                     check_budget, check_step_cap)
 from .graph import GraphDescriptor, TREE, build_graph
-from .randomness import check_bytes, substream
+from .randomness import substream
 
 
 @dataclass
@@ -39,7 +39,7 @@ def run_killed_leaf_walk(d, n, s, seed, start=None, step_cap=DEFAULT_STEP_CAP):
     if not g.is_leaf(start):
         raise ParameterError("start %r is not a leaf" % (start,))
     # a visited flag and an int64 visit count per leaf
-    check_bytes("a leaf walk on %s" % g.label(), 9 * nleaves)
+    check_budget("a leaf walk on %s" % g.label(), 9 * nleaves)
 
     rng = substream(seed)
     p_restart = 1.0 / (2.0 * s)

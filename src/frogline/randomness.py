@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BudgetExceededError, ParameterError
+from .errors import ParameterError, check_budget, check_lambda, check_seed
 from .graph import COMPLETE, TREE
 
 # namespaces: distinct first key components keep stream families disjoint
@@ -69,32 +69,6 @@ HASH_BLOCK_CELLS = 2 ** 14
 # refused before anything is allocated
 CONFIG_BYTES_PER_VERTEX = 48
 CONFIG_BYTES_PER_MARK = 72
-CONFIG_BYTE_LIMIT = 2 ** 32
-
-
-def check_bytes(what, need):
-    """Refuse, before anything is allocated, `what` when it is estimated at
-    `need` bytes, more than CONFIG_BYTE_LIMIT. Every size guard calls this."""
-    if need > CONFIG_BYTE_LIMIT:
-        raise BudgetExceededError(
-            "%s needs about %.3g bytes, over the limit of %d"
-            % (what, need, CONFIG_BYTE_LIMIT))
-
-
-# entries of the transition operator one exact analytic may touch: |V| per
-# step of a vector, |V|^2 per step of the mixing matrices. Measured at 8-26
-# ns an entry on trees of depth 10-16 (return sums on n=14 to t=256: 8 ns;
-# the mixing profile of n=11 at t=16: 26 ns), so the limit is 35-110 s
-ANALYTIC_ENTRY_LIMIT = 2 ** 32
-
-
-def check_work(what, entries):
-    """Refuse, before anything is allocated, `what` when it touches about
-    `entries` operator entries, more than ANALYTIC_ENTRY_LIMIT."""
-    if entries > ANALYTIC_ENTRY_LIMIT:
-        raise BudgetExceededError(
-            "%s needs about %.3g operator entries, over the limit of %d"
-            % (what, entries, ANALYTIC_ENTRY_LIMIT))
 
 
 GAMMA = np.uint64(0x9E3779B97F4A7C15)
@@ -103,6 +77,7 @@ _MIX2 = np.uint64(0x94D049BB133111EB)
 
 
 def _generator(seed, spawn_key):
+    check_seed(seed)
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(
         entropy=seed, spawn_key=spawn_key)))
 
@@ -126,16 +101,11 @@ def _mix(z, tmp=None):
 
 
 def _walk_keys(seed, *words):
-    """uint64 keys hashed from (seed, *words); the words broadcast."""
-    seed = int(seed)
-    if seed < 0:
-        raise ParameterError("seed must be >= 0, got %r" % (seed,))
-    limbs = [seed & 0xFFFFFFFFFFFFFFFF]
-    while seed >> 64:
-        seed >>= 64
-        limbs.append(seed & 0xFFFFFFFFFFFFFFFF)
+    """uint64 keys hashed from (seed, *words), seed a u64; the words
+    broadcast."""
+    check_seed(seed)
     h = np.zeros(1, dtype=np.uint64)
-    for w in limbs + list(words):
+    for w in (int(seed),) + words:
         h = _mix((h ^ np.asarray(w, dtype=np.uint64)) + GAMMA)
     return h
 
@@ -250,11 +220,6 @@ def _view(g, lam, lam_max, origin, coupling):
                     home, keys, coupling)
 
 
-def check_lambda(name, lam):
-    if not (np.isfinite(lam) and lam >= 0):
-        raise ParameterError("%s must be finite and >= 0, got %r" % (name, lam))
-
-
 def config_bytes(vertex_count, lam_max):
     """Estimated peak bytes of a configuration with lam_max * vertex_count
     expected marks."""
@@ -276,8 +241,8 @@ def init_config(g, lam, origin, seed, lam_max=None):
     if lam > lam_max:
         raise ParameterError("lambda %r exceeds lambda_max %r" % (lam, lam_max))
     g.check_vertex(origin)
-    check_bytes("a configuration on %s at lambda_max %r" % (g.label(), lam_max),
-                config_bytes(g.vertex_count, lam_max))
+    check_budget("a configuration on %s at lambda_max %r"
+                 % (g.label(), lam_max), config_bytes(g.vertex_count, lam_max))
     return _view(g, lam, lam_max, origin, _coupling(g, origin, seed, lam_max))
 
 

@@ -16,8 +16,7 @@ from math import log
 
 import numpy as np
 
-from .errors import NumericalConsistencyError, ParameterError
-from .randomness import check_bytes
+from .errors import NumericalConsistencyError, ParameterError, check_budget
 
 _TAIL = 1e-16  # per-factor geometric tail kept below this
 
@@ -137,8 +136,8 @@ def geometric_convolution_law(gammas, n_parity):
     lengths = [_geometric_length(gamma) for gamma in gammas]
     # tracemalloc peaks measured 24-25.3 B per unit of summed factor length
     # (d=2 n=8..16, d=3 n=7 and 10): the longest factor dominates
-    check_bytes("a hitting-time law of %d geometric factors" % len(lengths),
-                32 * sum(lengths))
+    check_budget("a hitting-time law of %d geometric factors" % len(lengths),
+                 32 * sum(lengths))
     conv = np.array([1.0])
     for gamma, length in zip(gammas, lengths):
         conv = np.convolve(conv, _geometric_pmf(gamma, length))

@@ -13,16 +13,18 @@ transition operator, no Monte Carlo. The operator is iterated in one loop,
 `powers`, which yields P^t y for t = 0, 1, ...; return sums, hitting
 tables, Green sums and the mixing profile are all read off it. Each
 entry point checks its bytes and its operator entries before it allocates.
+Every target set the toolkit allows (tree leaves; any vertices of a complete
+graph or cycle) lies in one orbit of the graph's automorphisms, so a
+quantity read from one target holds for all of them.
 """
 
 from math import log
 
 import numpy as np
 
-from .errors import BudgetExceededError, FamilyError, ParameterError
-from .graph import COMPLETE, CYCLE, TREE
-from .randomness import (ANALYTIC_ENTRY_LIMIT, check_bytes, check_lambda,
-                         check_work)
+from .errors import (ANALYTIC_ENTRY_LIMIT, BudgetExceededError,
+                     ParameterError, check_budget, check_lambda, check_t_max)
+from .graph import COMPLETE, CYCLE, TREE, require_tree
 from .spectral_bd import BirthDeathChain, reversible_weights
 
 # float64 arrays live at the peak of each computation, rounded up from
@@ -129,10 +131,11 @@ def _unit(g, v):
 
 def transition_powers(g, v, t_max):
     """Exact return probabilities p^i(v,v), i = 0..t_max."""
-    what = "transition powers on %s" % g.label()
+    check_t_max(t_max)
     # the returns and the vectors of a transition
-    check_bytes(what, 8 * (t_max + 1 + TRANSITION_VECTORS * g.vertex_count))
-    check_work(what, t_max * g.vertex_count)
+    check_budget("transition powers on %s" % g.label(),
+                 8 * (t_max + 1 + TRANSITION_VECTORS * g.vertex_count),
+                 t_max, g.vertex_count)
     g.check_vertex(v)
     out = np.empty(t_max + 1)
     for i, y in enumerate(powers(g, _unit(g, v), t_max)):
@@ -153,30 +156,25 @@ def _kappa_representatives(g):
     return [0]
 
 
-def _check_t_max(t_max):
-    if t_max < 0:
-        raise ParameterError("t_max must be >= 0, got %r" % (t_max,))
-
-
 def kappa_sequence(g, t_max):
     """kappa[t] = min_v sum_{i<=t} p^i(v,v), minimized over orbit reps."""
-    _check_t_max(t_max)
+    check_t_max(t_max)
     reps = _kappa_representatives(g)
     # rows of t_max + 1 floats at the peak: the returns and their table,
     # then the table and its cumulative sums, and their minimum (tracemalloc:
     # 3.0 rows at one representative, 15.1 at seven; threshold_time's ratios
     # take 0.3 more); and the vectors of a transition
     rows = 2 * len(reps) + 2
-    what = "return sums on %s" % g.label()
-    check_bytes(what, 8 * (
-        rows * (t_max + 1) + TRANSITION_VECTORS * g.vertex_count))
-    check_work(what, len(reps) * t_max * g.vertex_count)
+    check_budget("return sums on %s" % g.label(), 8 * (
+        rows * (t_max + 1) + TRANSITION_VECTORS * g.vertex_count),
+        len(reps) * t_max, g.vertex_count)
     returns = np.array([transition_powers(g, v, t_max) for v in reps])
     return np.cumsum(returns, axis=1).min(axis=0)
 
 
 def hitting_within(g, a, t_max):
     """h[t, v] = Pr_v[T_a <= t] by time-stepped absorbing DP at a."""
+    check_t_max(t_max)
     out = np.empty((t_max + 1, g.vertex_count))
     for t, h in enumerate(powers(g, _unit(g, a), t_max)):
         h[a] = 1.0  # absorbed at a, before the next step
@@ -201,16 +199,14 @@ def threshold_time(g, lam, delta, t_max):
     return int(hits[0])
 
 
-def _targets(g, targets, t_max, what, bytes_for):
+def _targets(g, targets, what, cost):
     """The target set A in ascending order, by default the d^n leaves of a
-    tree and every vertex of the other graphs. bytes_for(|A|) and t_max
-    steps of a vector per target are checked first, so a refused default
-    set is never built."""
+    tree and every vertex of the other graphs. cost(|A|), the bytes and the
+    steps of a vector it takes, is checked first, so a refused default set
+    is never built."""
     m = len(targets) if targets is not None else (
         g.d ** g.n if g.family == TREE else g.vertex_count)
-    what = "%s on %s" % (what, g.label())
-    check_bytes(what, bytes_for(m))
-    check_work(what, m * t_max * g.vertex_count)
+    check_budget("%s on %s" % (what, g.label()), *cost(m), g.vertex_count)
     if targets is None:
         targets = g.leaves() if g.family == TREE else np.arange(g.vertex_count)
     targets = np.asarray(sorted(int(a) for a in targets), dtype=np.int64)
@@ -221,26 +217,28 @@ def _targets(g, targets, t_max, what, bytes_for):
 
 def mu_table(g, lam, t_max, targets=None):
     """The targets A and mu[ai, t] = lambda * sum_{v != a} Pr_v[T_a <= t]
-    for a = A[ai]."""
+    for a = A[ai]: one row, the same for every target."""
     check_lambda("lambda", lam)
-    _check_t_max(t_max)
-    # the rows, one hitting table at a time, and the vectors of a transition
-    targets = _targets(g, targets, t_max, "the mu tables", lambda m: 8 * (
+    check_t_max(t_max)
+    # the rows, one hitting table, and the vectors of a transition
+    targets = _targets(g, targets, "the mu tables", lambda m: (8 * (
         (t_max + 1) * (m + g.vertex_count)
-        + TRANSITION_VECTORS * g.vertex_count))
+        + TRANSITION_VECTORS * g.vertex_count), t_max))
     mu = np.empty((len(targets), t_max + 1))
-    for ai, a in enumerate(targets):
+    if len(targets):
         # the sum over v counts v = a once
-        mu[ai] = lam * (hitting_within(g, int(a), t_max).sum(axis=1) - 1.0)
+        mu[:] = lam * (hitting_within(g, int(targets[0]), t_max).sum(axis=1)
+                       - 1.0)
     return targets, mu
 
 
 def green_sums(g, t_max, targets=None):
     """The targets A and green[ai, bi, s] = e_{A[ai], A[bi]}(s), the sum of
     p^i(A[ai], A[bi]) over i <= s."""
-    _check_t_max(t_max)
-    targets = _targets(g, targets, t_max, "the Green sums", lambda m: 8 * (
-        (t_max + 1) * m * m + TRANSITION_VECTORS * g.vertex_count))
+    check_t_max(t_max)
+    targets = _targets(g, targets, "the Green sums", lambda m: (8 * (
+        (t_max + 1) * m * m + TRANSITION_VECTORS * g.vertex_count),
+        m * t_max))
     m = len(targets)
     green = np.empty((m, m, t_max + 1))
     for ai, a in enumerate(targets):
@@ -261,6 +259,9 @@ def select_spread_set(A, t, s, green):
     order (the slice green[:, :, t] of green_sums).
     Guarantees |B| >= |A| / (1 + s t^2) and pairwise e_{a,b}(t) < 1/(st).
     """
+    if not (t >= 1 and s > 0):
+        raise ParameterError("spread sets need t >= 1 and s > 0, got t=%r, "
+                             "s=%r" % (t, s))
     A = list(A)
     green = np.asarray(green)
     if green.shape != (len(A), len(A)):
@@ -285,19 +286,13 @@ def select_spread_set(A, t, s, green):
     return B
 
 
-def _check_tree(g):
-    if g.family != TREE:
-        raise FamilyError("mixing profile is defined for trees")
-
-
 def _mixing_powers(g, t_max):
     """The matrices p^t(u, v), t = 0..t_max, once the graph's family, their
     bytes and their entries are checked."""
-    _check_tree(g)
+    require_tree(g, "a mixing profile")
     V = g.vertex_count
-    what = "a mixing profile on %s" % g.label()
-    check_bytes(what, 8 * MIXING_MATRICES * V ** 2)
-    check_work(what, t_max * V ** 2)
+    check_budget("a mixing profile on %s" % g.label(),
+                 8 * MIXING_MATRICES * V ** 2, t_max, V ** 2)
     return powers(g, np.eye(V), t_max)
 
 
@@ -313,7 +308,8 @@ def mixing_deviation(g, t, m=None):
     stationary mass doubled onto the reachable parity class), restricted to
     pairs with t - (coheight(u) - coheight(v)) even.
     """
-    _check_tree(g)
+    require_tree(g, "a mixing profile")
+    check_t_max(t)
     if m is None:
         for m in _mixing_powers(g, t):
             pass  # m ends at p^t
@@ -326,8 +322,7 @@ def mixing_deviation(g, t, m=None):
 def mixing_profile(g, ts):
     """Deviation at each requested time; incremental powers, one pass."""
     ts = set(int(t) for t in ts)
-    if any(t < 0 for t in ts):
-        raise ParameterError("mixing times must be >= 0")
+    check_t_max(min(ts, default=0))
     return [(t, mixing_deviation(g, t, m=m))
             for t, m in enumerate(_mixing_powers(g, max(ts, default=0)))
             if t in ts]

@@ -18,7 +18,7 @@ import numpy as np
 from frogline import (Pmf, geometric_convolution_law, hitting_eigenvalues,
                       level_chain, stationary_levels, write_table)
 import frogline
-from frogline import cli, experiments, randomness, tree_analytics
+from frogline import cli, errors, experiments, tree_analytics
 from frogline.cli import main
 
 
@@ -161,6 +161,19 @@ def test_parameter_error_exit_2(capsys, tmp_path, monkeypatch):
             # a tree-only quantity on a cycle, before its budget is counted
             (["analytic", "--quantity", "mixing", "--graph", "cycle:n=1000",
               "--t", "100000"], "trees"),
+            # every other tree-only request on a cycle is a FamilyError too
+            (["analytic", "--quantity", "pi", "--graph", "cycle:n=5"],
+             "pi is defined on trees only"),
+            (["analytic", "--quantity", "q", "--graph", "cycle:n=5"],
+             "q is defined on trees only"),
+            (["analytic", "--quantity", "hit", "--graph", "cycle:n=5"],
+             "hit is defined on trees only"),
+            (["simulate", "--graph", "cycle:n=5", "--mode", "leafwalk",
+              "--s", "3"], "leafwalk is defined on trees only"),
+            (["simulate", "--graph", "cycle:n=5", "--mode", "leafwalk",
+              "--s", "3", "--origin", "0"], "leafwalk is defined on trees only"),
+            (["simulate", "--graph", "cycle:n=5", "--origin", "leaf"],
+             "origin 'leaf' is defined on trees only"),
             (["sweep", "--graph", "tree:d=2,n=2", "--lambda", "1",
               "--out", str(tmp_path / "missing" / "x.csv")], "--out"),
             (["simulate", "--graph", "tree:d=2,n=2", "--origin", "99"],
@@ -274,7 +287,7 @@ def test_huge_trial_counts_refused_before_any_work(capsys):
             argv, err, peak)
     # a million trial cells stay allowed
     assert (10 ** 6 * experiments.TRIAL_CELL_BYTES
-            <= frogline.randomness.CONFIG_BYTE_LIMIT)
+            <= frogline.errors.CONFIG_BYTE_LIMIT)
 
 
 def test_budget_steps_caps_the_leaf_walk(capsys):
@@ -320,16 +333,20 @@ def _expire(signum, frame):
 
 def test_analytic_work_bounds(capsys):
     # admitted by the byte guard, refused by the work guard before any
-    # allocation: 2.25e13 and 6.7e12 mixing entries (the second would run
-    # for about 43 h), 1.8e11 entries of return sums, 2.1e10 of hitting tables
+    # allocation: 1.0e14 and 6.7e12 mixing entries (the second would run
+    # for about 43 h), 1.8e11 entries of return sums; on K_5, where a step
+    # costs 2^10 entries whatever its length, 1.3e11 of return sums (6.5e8
+    # entries, about 15 min of steps) and 1.0e10 of a hitting table
     for argv in (["--quantity", "mixing", "--graph", "tree:d=2,n=3",
                   "--t", "99999999999"],
                  ["--quantity", "mixing", "--graph", "tree:d=2,n=12",
                   "--t", "100000"],
                  ["--quantity", "kappa", "--graph", "tree:d=2,n=20",
                   "--t", "4096"],
-                 ["--quantity", "mu", "--graph", "tree:d=2,n=10",
-                  "--t", "10000"]):
+                 ["--quantity", "kappa", "--graph", "complete:n=5",
+                  "--t", "130000000"],
+                 ["--quantity", "mu", "--graph", "complete:n=5",
+                  "--t", "10000000"]):
         # an admitted call would run for hours: the alarm turns it into an
         # error (exit 4) after 5 s
         previous = signal.signal(signal.SIGALRM, _expire)
@@ -356,20 +373,17 @@ def test_analytic_work_bound_admits_the_measured_calls(monkeypatch):
     class Admitted(Exception):
         pass
 
-    def admit(what, entries):
-        randomness.check_work(what, entries)
-        raise Admitted(what)
+    def admit(*args):
+        errors.check_budget(*args)
+        raise Admitted(args[0])
 
-    monkeypatch.setattr(tree_analytics, "check_work", admit)
+    monkeypatch.setattr(tree_analytics, "check_budget", admit)
     ta = tree_analytics
     for text, call in (("tree:d=2,n=11", lambda g: ta.mixing_profile(g, [64])),
                        ("tree:d=2,n=16",
                         lambda g: ta.threshold_time(g, 1.0, 0.0, 256)),
                        ("tree:d=2,n=14", lambda g: ta.kappa_sequence(g, 256)),
-                       ("tree:d=2,n=10", lambda g: ta.mu_table(g, 1.0, 64)),
-                       # 6.5e8 entries, slow from its per-step overhead alone
-                       ("complete:n=5",
-                        lambda g: ta.kappa_sequence(g, 130000000))):
+                       ("tree:d=2,n=10", lambda g: ta.mu_table(g, 1.0, 64))):
         g = frogline.build_graph(frogline.parse_descriptor(text))
         with pytest.raises(Admitted):
             call(g)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from frogline import (BudgetExceededError, ParameterError, WalkStore,
-                      build_graph, generate_steps, init_config,
+                      build_graph, errors, generate_steps, init_config,
                       parse_descriptor, randomness, substream, walk_keys)
 
 from oracles import lexsort_marks, step_array, step_uniforms
@@ -192,7 +192,7 @@ def test_init_config_size_guard():
     # depth 20 at lambda 8 (about 1.3 GB) stays allowed
     deep = build_graph(parse_descriptor("tree:d=2,n=20"))
     assert (randomness.config_bytes(deep.vertex_count, 8.0)
-            <= randomness.CONFIG_BYTE_LIMIT)
+            <= errors.CONFIG_BYTE_LIMIT)
 
 
 def test_walks_are_valid_paths():
