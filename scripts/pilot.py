@@ -12,12 +12,10 @@ from math import log, sqrt
 
 import numpy as np
 
-from frogline import build_graph, init_config, parse_descriptor
 from frogline.checks import (complete_graph_ratio, cover_time_checks,
                              heat_kernel_extremes, leafwalk_cell,
                              mixing_crossing_ratio, range_hit_ratios,
                              return_sum_ratios, tree_ratio_medians)
-from frogline.randomness import WalkStore
 
 
 def pilot_returns(fast):
@@ -52,19 +50,13 @@ def pilot_heatkernel(fast):
 
 
 def pilot_cover(fast):
-    seeds = range(10 if fast else 30)
-    bad = cover_time_checks(seeds=seeds, lam=4.0, n=8)
+    bad, cts = cover_time_checks(trials=10 if fast else 30, seed_base=0,
+                                 lam=4.0, n=8)
     print("band exits under current CT_BAND_C: %s" % (bad or "none"))
     # report raw ratios to pick C
-    from frogline.frog_sim import cover_time
-    g = build_graph(parse_descriptor("tree:d=2,n=8"))
-    ratios = []
-    for seed in seeds:
-        init = init_config(g, 4.0, 0, seed)
-        ct = cover_time(g, init, WalkStore(g, init))
-        ratios.append(ct * 4.0 / (8 * log(8)))
+    ratios = cts * 4.0 / (8 * log(8))
     print("CT*lambda/(n ln n): max %.3f mean %.3f" %
-          (max(ratios), float(np.mean(ratios))))
+          (ratios.max(), ratios.mean()))
 
 
 def pilot_leafwalk(fast):
@@ -91,11 +83,13 @@ def pilot_range(fast):
 
 
 def pilot_frogs(fast):
-    print("complete(1000): median S/ln n = %.3f" %
-          complete_graph_ratio(1000, trials=10 if fast else 20, seed=17))
-    meds = tree_ratio_medians((6, 8) if fast else (6, 8, 10),
-                              trials=10 if fast else 30, seed=23)
+    ratio, failed = complete_graph_ratio(1000, trials=10 if fast else 20,
+                                         seed_base=17)
+    print("complete(1000): median S/ln n = %.3f" % ratio)
+    meds, _, more = tree_ratio_medians((6, 8) if fast else (6, 8, 10),
+                                       trials=10 if fast else 30, seed_base=23)
     print("tree lambda*S/(n ln n) medians: %s" % ["%.3f" % m for m in meds])
+    print("failed trials: %s" % (failed + more or "none"))
 
 
 def main():

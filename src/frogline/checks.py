@@ -1,25 +1,66 @@
 """Named property checks behind `frogline validate` and the test suite.
 
-Each check returns a CheckResult; the fast suite is deterministic oracle
-work (closed forms vs DP/linear algebra, exact simulation equivalence on
-small instances), the full suite adds seeded Monte Carlo band checks. The
-measurement helpers are separated from the pass/fail wrappers so the
-acceptance tests can run the same measurements at their own scales.
+Each check returns a CheckResult, which carries its name; the fast suite is
+deterministic oracle work (closed forms vs DP/linear algebra, exact
+simulation equivalence on small instances), the full suite adds seeded
+Monte Carlo band checks. Each acceptance criterion is implemented once,
+here: a check takes its instances as arguments, defaulting to validate's
+scale, and tests/test_acceptance.py calls it at the acceptance scale.
+
+    criterion               check(s)               validate / acceptance
+    01 spectral law = DP    spectral_oracle,       15 chains d=2..4, n=2..6 /
+                            hitting_expectations   the same
+    02 closed forms         pi_stationary,         ruin rows n=2..8 /
+                            gambler_ruin_dp,       n=1..8
+                            hitting_expectations
+    03 activation = paths   activation_oracle      tree n=2, C_6, K_5; lambda
+                                                   0,1; 3 seeds; tau 0,1,3,9 /
+                                                   trees n=1..3, C_3..C_9,
+                                                   K_2..K_8; lambda 0,1,2; 20
+                                                   seeds; tau 0..40
+    04 S / ln n on K_n      complete_ratio         K_1000, 20 trials, base 17
+                                                   / K_10^4, 50 trials, 29
+    05 tree band            tree_scaling_band      n=6,8, 10 trials, base 23 /
+                                                   n=6,8,10, 30 trials, 37;
+                                                   n=12,14,16, 5 trials, 37
+    06 coupling             coupling_monotone      tree n=6, 20 trials, base 0
+                                                   / the same
+    07 kernel bands         return_sums,           last leaf of tree(2,6),
+                            mixing_crossing        n=4,5 / both end leaves,
+                                                   n=5,6
+    08 leaf walk            leafwalk_bands         200 trials, seed 5 / 41
+    09 lower-bound toolkit  mu_bounds, spread_set, K_20, C_15 (lambda 1.5,
+                            kappa_threshold        t 12), K_3, tree(2,4) /
+                                                   K_50, C_24, K_100 (t 10);
+                                                   tree(2,4), tree(2,5), K_3,
+                                                   C_12
+    10 pmf structure        logconcave_unimodal,   15 chains / the same
+                            part3_bound
+
+The Monte Carlo checks of S and CT draw their trials through the sweep's
+trial loop (`experiments.run_spec_trials`), so their seeds are
+`trial_seed(seed_base, ...)`'s and their clocks run on the stacks that
+`simulate` and `sweep` run; a trial the budget stops fails its check, with
+its reason in the detail. The leaf-walk cells run their own loop, because
+the bands read each walk's restarts, which a trial row does not carry.
 """
 
 import heapq
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import log, sqrt
 
 import numpy as np
 
 from . import bands
-from .frog_sim import NEVER, cover_time, run_activation, susceptibility
-from .graph import COMPLETE, CYCLE, TREE, GraphDescriptor, build_graph
+from .experiments import (ExperimentSpec, estimate, run_spec_trials, sweep,
+                          sweep_csv_rows, trial_csv_rows, trial_seed)
+from .frog_sim import NEVER, run_activation, susceptibility
+from .graph import (COMPLETE, CYCLE, TREE, GraphDescriptor, build_graph,
+                    parse_descriptor)
 from .leaf_walk import run_killed_leaf_walk
-from .randomness import WalkStore, counters, generate_steps, init_config, \
-    walk_keys
+from .randomness import (WalkStore, counters, generate_steps, init_config,
+                         stack_views, walk_keys)
 from .spectral_bd import check_logconcave, geometric_convolution_law, half_e2_t0, \
     hitting_eigenvalues, hitting_pmf_dp, Pmf, total_variation
 from .tree_analytics import (expected_hit, gambler_ruin, green_sums,
@@ -183,19 +224,19 @@ def check_stationary_levels():
                 bad.append("closed form d=%d n=%d" % (d, n))
             if not 0.25 < pi[n] <= 0.5:
                 bad.append("pi_n range d=%d n=%d" % (d, n))
-    ok = worst <= 1e-12 and not bad
+    ok = worst < 1e-12 and not bad
     return _result("pi_stationary", ok,
                    "max residual %.2e%s" % (worst, ";" + ";".join(bad) if bad else ""))
 
 
-def check_gambler_ruin():
+def check_gambler_ruin(ns=range(2, 9)):
     worst = 0.0
     for d in (2, 3, 4):
-        for n in range(2, 9):
+        for n in ns:
             for i in range(n):
                 worst = max(worst, abs(gambler_ruin(d, n, i) -
                                        ruin_probability_dp(d, n, i)))
-    return _result("gambler_ruin_dp", worst <= 1e-12, "max gap %.2e" % worst)
+    return _result("gambler_ruin_dp", worst < 1e-12, "max gap %.2e" % worst)
 
 
 def check_hitting_expectations():
@@ -223,6 +264,7 @@ def check_hitting_expectations():
 
 def check_spectral_oracle():
     bad = []
+    worst = 0.0
     for d, n in _CHAIN_GRID:
         chain = level_chain(d, n)
         gammas = hitting_eigenvalues(chain)
@@ -232,6 +274,7 @@ def check_spectral_oracle():
         t_max = _dp_horizon(law)
         dp = hitting_pmf_dp(chain, n, t_max)
         tv = total_variation(law, dp)
+        worst = max(worst, tv)
         if tv >= 1e-9:
             bad.append("tv %.2e d=%d n=%d" % (tv, d, n))
         mean_expected = 2.0 * float((1.0 / gammas).sum()) + (n % 2)
@@ -240,7 +283,8 @@ def check_spectral_oracle():
         crossing_sum = expected_hit(chain, "leaf_to_root")
         if abs(mean_expected - crossing_sum) > 1e-6 * crossing_sum:
             bad.append("mean vs crossing d=%d n=%d" % (d, n))
-    return _result("spectral_oracle", not bad, ";".join(bad) or "ok")
+    return _result("spectral_oracle", not bad,
+                   ";".join(bad) or "max TV %.2e" % worst)
 
 
 def _dp_horizon(law):
@@ -297,15 +341,15 @@ def check_kappa_threshold():
     return _result("kappa_threshold", not bad, ";".join(bad) or "ok")
 
 
-def check_mu_bounds():
+def check_mu_bounds(cases=(("complete:n=20", 1.5, 12),
+                           ("cycle:n=15", 1.5, 12))):
+    """mu_a(t) <= lambda t for t <= t_max on each (graph, lambda, t_max)."""
     bad = []
-    for desc, t_max in [(GraphDescriptor(COMPLETE, n=20), 12),
-                        (GraphDescriptor(CYCLE, n=15), 12)]:
-        g = build_graph(desc)
-        lam = 1.5
+    for text, lam, t_max in cases:
+        g = build_graph(parse_descriptor(text))
         A, mus = mu_table(g, lam, t_max)
+        ts = np.arange(t_max + 1)
         for a, mu in zip(A, mus):
-            ts = np.arange(t_max + 1)
             if np.any(mu > lam * ts + 1e-12):
                 bad.append("mu_a(t) > lambda t on %s at a=%d" % (g.label(), a))
         if g.family == COMPLETE:
@@ -314,29 +358,27 @@ def check_mu_bounds():
     return _result("mu_bounds", not bad, ";".join(bad) or "ok")
 
 
-def check_spread_set():
+def check_spread_set(cases=(("complete:n=3", 1, 4), ("tree:d=2,n=4", 8, 2))):
+    """Both bounds of the spread set B of each (graph, t, s), against exact
+    Green sums: |B| (1 + s t^2) >= |A|, and G_t(x, y) < 1/(s t) on B."""
     bad = []
-    # complete(3), t=1, s=4: all pairwise Green sums 1/2 >= 1/4, so one survivor
-    g = build_graph(GraphDescriptor(COMPLETE, n=3))
-    A, green = green_sums(g, 1)
+    for text, t, s in cases:
+        A, green = green_sums(build_graph(parse_descriptor(text)), t)
+        A = list(A)
+        B = select_spread_set(A, t, s, green[:, :, t])
+        if not B or len(B) * (1 + s * t * t) < len(A):
+            bad.append("%s size bound" % text)
+        idx = {a: i for i, a in enumerate(A)}
+        for x in B:
+            for y in B:
+                if x != y and green[idx[x], idx[y], t] >= 1.0 / (s * t):
+                    bad.append("%s pairwise bound fails at (%d,%d)"
+                               % (text, x, y))
+    # complete(3), t=1, s=4: every pairwise Green sum 1/2 >= 1/4, one survivor
+    A, green = green_sums(build_graph(GraphDescriptor(COMPLETE, n=3)), 1)
     B = select_spread_set(list(A), 1, 4, green[:, :, 1])
-    if len(B) < 1 or len(B) * (1 + 4 * 1 * 1) < 3:
-        bad.append("complete(3) size bound")
     if len(B) != 1:
         bad.append("complete(3) expected a single survivor, got %r" % (B,))
-    # tree(2,4) leaves, t=8, s=2: both bounds, checked against exact sums
-    gt = build_graph(GraphDescriptor(TREE, d=2, n=4))
-    A, green = green_sums(gt, 8)
-    A = list(A)
-    B = select_spread_set(A, 8, 2, green[:, :, 8])
-    idx = {a: i for i, a in enumerate(A)}
-    cut = 1.0 / (2 * 8)
-    for x in B:
-        for y in B:
-            if x != y and green[idx[x], idx[y], 8] >= cut:
-                bad.append("pairwise bound fails at (%d,%d)" % (x, y))
-    if len(B) * (1 + 2 * 64) < len(A):
-        bad.append("tree(2,4) size bound")
     return _result("spread_set", not bad, ";".join(bad) or "ok")
 
 
@@ -359,26 +401,28 @@ def mixing_crossing_ratio(d, n):
     return t_star / (d ** (n - 1) * log(d))
 
 
-def check_mixing_crossing():
-    bad = []
-    for d, n in [(2, 4), (2, 5)]:
-        ratio = mixing_crossing_ratio(d, n)
-        if not bands.MIXING_BAND_LO <= ratio <= bands.MIXING_BAND_HI:
-            bad.append("crossing ratio %.3f outside band (d=%d n=%d)" %
-                       (ratio, d, n))
-    return _result("mixing_crossing", not bad, ";".join(bad) or "ok")
+def check_mixing_crossing(ns=(4, 5)):
+    """The crossing ratio of the binary tree of each depth in the band."""
+    ratios = [mixing_crossing_ratio(2, n) for n in ns]
+    ok = all(bands.MIXING_BAND_LO <= r <= bands.MIXING_BAND_HI for r in ratios)
+    return _result("mixing_crossing", ok,
+                   "ratios %s at n=%s in [%.1f, %.1f]" %
+                   (["%.2f" % r for r in ratios], list(ns),
+                    bands.MIXING_BAND_LO, bands.MIXING_BAND_HI))
 
 
-def return_sum_ratios(d, n, ts):
+def return_sum_ratios(d, n, ts, leaf=-1):
+    """Return sums of the leaf g.leaves()[leaf] over their envelope."""
     g = build_graph(GraphDescriptor(TREE, d=d, n=n))
-    leaf = g.vertex_count - 1
-    p = transition_powers(g, leaf, max(ts))
+    p = transition_powers(g, int(g.leaves()[leaf]), max(ts))
     sums = np.cumsum(p)
     return [float(sums[t] / return_sum_envelope(d, n, t)) for t in ts]
 
 
-def check_return_sums():
-    ratios = return_sum_ratios(2, 6, [4, 16, 64, 256])
+def check_return_sums(leaves=(-1,)):
+    """Return-sum ratios of tree(2,6) at t = 4..256 from each leaf index."""
+    ratios = [r for leaf in leaves
+              for r in return_sum_ratios(2, 6, [4, 16, 64, 256], leaf)]
     lo = bands.RETURN_SUM_CENTER / bands.RETURN_SUM_FACTOR
     hi = bands.RETURN_SUM_CENTER * bands.RETURN_SUM_FACTOR
     ok = all(lo <= r <= hi for r in ratios)
@@ -422,19 +466,23 @@ def check_heat_kernel():
                    (lo, hi, bands.HK_LO, bands.HK_HI))
 
 
-def check_activation_oracle(cases=None, taus=(0, 1, 3, 9), seeds=range(3),
+def check_activation_oracle(cases=("tree:d=2,n=2", "cycle:n=6",
+                                   "complete:n=5"),
+                            taus=(0, 1, 3, 9), seeds=range(3),
                             lambdas=(0.0, 1.0)):
-    cases = cases or [GraphDescriptor(TREE, d=2, n=2),
-                      GraphDescriptor(CYCLE, n=6),
-                      GraphDescriptor(COMPLETE, n=5)]
+    """Activation times equal the shortest paths over the first-visit
+    table, exactly, on every (graph, lambda, seed, tau)."""
     bad = []
-    for desc in cases:
-        g = build_graph(desc)
+    checked = 0
+    for text in cases:
+        g = build_graph(parse_descriptor(text))
         for lam in lambdas:
             for seed in seeds:
                 init = init_config(g, lam, 0, seed)
                 walks = WalkStore(g, init)
-                s = susceptibility(g, init, walks)
+                # S read up to the largest tau (None: no tau checked covers)
+                (s,) = susceptibility(g, stack_views([init]),
+                                      step_cap=max(taus))
                 ell = first_visit_table(g, init, walks, max(taus))
                 for tau in taus:
                     report = run_activation(g, init, walks, tau)
@@ -442,13 +490,15 @@ def check_activation_oracle(cases=None, taus=(0, 1, 3, 9), seeds=range(3),
                     if not np.array_equal(report.at, oracle):
                         bad.append("%s lam=%s seed=%d tau=%d" %
                                    (g.label(), lam, seed, tau))
-                    if report.covered != (s <= tau):
+                    if report.covered != (s.value is not None
+                                          and s.value <= tau):
                         bad.append("covered flag %s tau=%d" % (g.label(), tau))
-    return _result("activation_oracle", not bad, ";".join(bad[:4]) or "ok")
+                    checked += 1
+    return _result("activation_oracle", not bad, ";".join(bad[:4]) or
+                   "%d cases agree exactly" % checked)
 
 
 def check_estimate_stats():
-    from .experiments import estimate
     bad = []
     s = estimate([5, 5, 5])
     if s["mean"] != 5 or s["se"] != 0:
@@ -495,24 +545,12 @@ def check_coupling_counts():
 
 
 FAST_CHECKS = [
-    ("graph_invariants", check_graph_invariants),
-    ("pi_stationary", check_stationary_levels),
-    ("gambler_ruin_dp", check_gambler_ruin),
-    ("hitting_expectations", check_hitting_expectations),
-    ("spectral_oracle", check_spectral_oracle),
-    ("logconcave_unimodal", check_logconcavity),
-    ("part3_bound", check_part3_bound),
-    ("kappa_threshold", check_kappa_threshold),
-    ("mu_bounds", check_mu_bounds),
-    ("spread_set", check_spread_set),
-    ("mixing_profile", check_mixing_profile),
-    ("mixing_crossing", check_mixing_crossing),
-    ("return_sums", check_return_sums),
-    ("heat_kernel_sandwich", check_heat_kernel),
-    ("activation_oracle", check_activation_oracle),
-    ("estimate_stats", check_estimate_stats),
-    ("reproducibility", check_reproducibility),
-    ("coupling_counts", check_coupling_counts),
+    check_graph_invariants, check_stationary_levels, check_gambler_ruin,
+    check_hitting_expectations, check_spectral_oracle, check_logconcavity,
+    check_part3_bound, check_kappa_threshold, check_mu_bounds,
+    check_spread_set, check_mixing_profile, check_mixing_crossing,
+    check_return_sums, check_heat_kernel, check_activation_oracle,
+    check_estimate_stats, check_reproducibility, check_coupling_counts,
 ]
 
 
@@ -610,8 +648,10 @@ def check_leafwalk_bands(cells):
     bad = []
     lo = bands.LEAFWALK_CENTER / sqrt(bands.LEAFWALK_FACTOR)
     hi = bands.LEAFWALK_CENTER * sqrt(bands.LEAFWALK_FACTOR)
+    means = []
     for n in (4, 5, 6):
         cell = cells(n)
+        means.append(cell["mean_ratio"])
         if not lo <= cell["mean_ratio"] <= hi:
             bad.append("mean ratio %.3f outside [%.3f,%.3f] at n=%d" %
                        (cell["mean_ratio"], lo, hi, n))
@@ -624,7 +664,9 @@ def check_leafwalk_bands(cells):
             bad.append("restart rate %.5f vs %.5f at n=%d" % (rate, p, n))
         if cell["restart_floor_frac"] <= 0.5:
             bad.append("restart floor fails majority at n=%d" % n)
-    return _result("leafwalk_bands", not bad, ";".join(bad) or "ok")
+    return _result("leafwalk_bands", not bad, ";".join(bad) or
+                   "mean ratios %s in [%.2f, %.2f]" %
+                   (["%.3f" % m for m in means], lo, hi))
 
 
 def check_leafwalk_trend(cells):
@@ -672,23 +714,29 @@ def check_poisson_moments():
                    "mean gap %.2f vs 3se %.2f" % (gap, 3 * sigma / sqrt(100)))
 
 
-def susceptibility_pair(desc, seed, lam_lo, lam_hi):
-    g = build_graph(desc)
-    base = init_config(g, lam_hi, 0, seed, lam_max=lam_hi)
-    lo_init = base.at_lambda(lam_lo)
-    tau_hi = susceptibility(g, base)
-    tau_lo = susceptibility(g, lo_init)
-    return tau_lo, tau_hi
+def draw_trials(graphs, lambdas, trials, seed_base, metric="susceptibility"):
+    """The values of `trials` trials of each (graph, lambda) cell, as an
+    array of shape (graphs, lambdas, trials), drawn by the sweep's trial
+    loop; and one line for each trial that the budget stopped (nan in the
+    array), with its reason."""
+    rows = run_spec_trials(ExperimentSpec(
+        graphs=list(graphs), lambdas=list(lambdas), metric=metric,
+        trials=trials, seed_base=seed_base))
+    values = np.array([np.nan if r.value is None else r.value for r in rows])
+    failures = ["%s lam=%s trial %d: %s" % (r.graph, r.lam, r.trial,
+                                            r.budget_reason)
+                for r in rows if r.value is None]
+    return values.reshape(len(graphs), len(lambdas), trials), failures
 
 
-def check_coupling_monotone(seeds=range(20), desc=None):
-    desc = desc or GraphDescriptor(TREE, d=2, n=6)
-    bad = []
-    for seed in seeds:
-        tau_lo, tau_hi = susceptibility_pair(desc, seed, 1.0, 2.0)
-        if tau_hi > tau_lo:
-            bad.append("seed %d: S(2)=%d > S(1)=%d" % (seed, tau_hi, tau_lo))
-    return _result("coupling_monotone", not bad, ";".join(bad) or "ok")
+def check_coupling_monotone(graph="tree:d=2,n=6", trials=20, seed_base=0):
+    """S(2) <= S(1) on every trial: both views of one configuration."""
+    (values,), bad = draw_trials([graph], [1.0, 2.0], trials, seed_base)
+    for trial in np.flatnonzero(values[1] > values[0]):
+        bad.append("trial %d: S(2)=%d > S(1)=%d" %
+                   (trial, values[1, trial], values[0, trial]))
+    return _result("coupling_monotone", not bad, ";".join(bad) or
+                   "S(2) <= S(1) on %d/%d trials" % (trials, trials))
 
 
 def check_lambda0_collapse():
@@ -713,66 +761,79 @@ def check_lambda0_collapse():
     return _result("lambda0_collapse", not bad, ";".join(bad) or "ok")
 
 
-def complete_graph_ratio(n, trials, seed, lam=1.0):
-    g = build_graph(GraphDescriptor(COMPLETE, n=n))
-    vals = []
-    for trial in range(trials):
-        init = init_config(g, lam, 0, seed + trial)
-        vals.append(susceptibility(g, init))
-    return float(np.median(vals)) / log(n)
+def complete_graph_ratio(n, trials, seed_base, lam=1.0):
+    """Median S / ln n on K_n, and the failed trials."""
+    values, failures = draw_trials(["complete:n=%d" % n], [lam], trials,
+                                   seed_base)
+    return float(np.median(values)) / log(n), failures
 
 
-def check_complete_ratio():
-    ratio = complete_graph_ratio(1000, trials=20, seed=17)
-    ok = 0.7 <= ratio <= 1.5
-    return _result("complete_ratio", ok, "median S/ln n = %.3f" % ratio)
+def check_complete_ratio(n=1000, trials=20, seed_base=17):
+    ratio, bad = complete_graph_ratio(n, trials, seed_base)
+    ok = not bad and 0.7 <= ratio <= 1.5
+    return _result("complete_ratio", ok, ";".join(bad) or
+                   "median S/ln n = %.3f" % ratio)
 
 
-def tree_ratio_medians(ns, trials, seed, lam=1.0):
-    out = []
-    for n in ns:
-        g = build_graph(GraphDescriptor(TREE, d=2, n=n))
-        vals = []
-        for trial in range(trials):
-            init = init_config(g, lam, 0, seed + 1000 * n + trial)
-            vals.append(susceptibility(g, init))
-        out.append(lam * float(np.median(vals)) / (n * log(n)))
-    return out
+def _tree(n):
+    return "tree:d=2,n=%d" % n
 
 
-def check_tree_band():
-    meds = tree_ratio_medians((6, 8), trials=10, seed=23)
-    ok = all(np.isfinite(m) and m > 0 for m in meds) and \
-        max(meds) / min(meds) < 3.0
-    return _result("tree_scaling_band", ok,
-                   "medians %s" % ["%.3f" % m for m in meds])
+def tree_ratio_medians(ns, trials, seed_base, lam=1.0):
+    """lambda median(S) / (n ln n) on the binary tree of each depth in ns;
+    the S of each depth's trials, a row each; and the failed trials."""
+    values, failures = draw_trials([_tree(n) for n in ns], [lam], trials,
+                                   seed_base)
+    values = values[:, 0]
+    meds = [lam * float(np.median(v)) / (n * log(n))
+            for n, v in zip(ns, values)]
+    return meds, values, failures
 
 
-def cover_time_checks(seeds=range(10), lam=4.0, n=8):
-    g = build_graph(GraphDescriptor(TREE, d=2, n=n))
-    bad = []
-    for seed in seeds:
-        init = init_config(g, lam, 0, seed)
-        ct = cover_time(g, init)
+def check_tree_band(ns=(6, 8), trials=10, seed_base=23):
+    """The medians of lambda S / (n ln n) within a factor 3 of each other,
+    and each depth's first trial: lifetime S covers, S - 1 does not."""
+    meds, values, bad = tree_ratio_medians(ns, trials, seed_base)
+    for n, s in zip(ns, values[:, 0]):
+        g = build_graph(parse_descriptor(_tree(n)))
+        init = init_config(g, 1.0, 0, trial_seed(seed_base, _tree(n), None,
+                                                 "susceptibility", 0))
+        walks = WalkStore(g, init)
+        if not (s >= 1 and run_activation(g, init, walks, int(s)).covered
+                and not run_activation(g, init, walks, int(s) - 1).covered):
+            bad.append("S=%s is not the first covering lifetime at n=%d"
+                       % (s, n))
+    spread = max(meds) / min(meds)
+    ok = not bad and all(m > 0 for m in meds) and spread < 3.0
+    return _result("tree_scaling_band", ok, ";".join(bad) or
+                   "medians %s, spread x%.2f" %
+                   (["%.3f" % m for m in meds], spread))
+
+
+def cover_time_checks(trials=10, seed_base=0, lam=4.0, n=8):
+    """Band exits of CT on tree(2,n) from the root (failed trials too), and
+    the trials' CT."""
+    values, bad = draw_trials([_tree(n)], [lam], trials, seed_base, "cover")
+    cts = values[0, 0]
+    for trial, ct in enumerate(cts):
         if ct < n:
-            bad.append("CT %d < depth %d at seed %d" % (ct, n, seed))
+            bad.append("CT %d < depth %d at trial %d" % (ct, n, trial))
         if ct > bands.CT_BAND_C * n * log(n) / lam:
-            bad.append("CT %d above band at seed %d" % (ct, seed))
-    return bad
+            bad.append("CT %d above band at trial %d" % (ct, trial))
+    return bad, cts
 
 
 def check_cover_time():
-    bad = cover_time_checks()
-    g = build_graph(GraphDescriptor(COMPLETE, n=2))
-    init = init_config(g, 0.0, 0, 3)
-    if cover_time(g, init) != 1:
+    bad, cts = cover_time_checks()
+    values, failures = draw_trials(["complete:n=2"], [0.0], 1, 3, "cover")
+    bad += failures
+    if values[0, 0, 0] != 1:
         bad.append("complete(2) lam=0 CT != 1")
-    return _result("cover_time_band", not bad, ";".join(bad) or "ok")
+    return _result("cover_time_band", not bad,
+                   ";".join(bad) or "max CT %d" % cts.max())
 
 
 def check_sweep_reproducibility():
-    from .experiments import (ExperimentSpec, run_spec_trials, sweep,
-                              sweep_csv_rows, trial_csv_rows)
     spec = ExperimentSpec(graphs=["tree:d=2,n=3", "complete:n=16"],
                           lambdas=[1.0, 2.0], metric="susceptibility",
                           trials=3, seed_base=99)
@@ -792,16 +853,9 @@ def full_checks():
     read are simulated once."""
     cells = leafwalk_cells(trials=200, seed=5)
     return [
-        ("walkstep_chisquare", check_walkstep_uniform),
-        ("poisson_moments", check_poisson_moments),
-        ("coupling_monotone", check_coupling_monotone),
-        ("lambda0_collapse", check_lambda0_collapse),
-        ("complete_ratio", check_complete_ratio),
-        ("tree_scaling_band", check_tree_band),
-        ("cover_time_band", check_cover_time),
-        ("range_hits_band", check_range_band),
-        ("range_submultiplicativity", check_submultiplicativity),
-        ("leafwalk_bands", lambda: check_leafwalk_bands(cells)),
-        ("leafwalk_cv_trend", lambda: check_leafwalk_trend(cells)),
-        ("sweep_reproducibility", check_sweep_reproducibility),
+        check_walkstep_uniform, check_poisson_moments, check_coupling_monotone,
+        check_lambda0_collapse, check_complete_ratio, check_tree_band,
+        check_cover_time, check_range_band, check_submultiplicativity,
+        partial(check_leafwalk_bands, cells),
+        partial(check_leafwalk_trend, cells), check_sweep_reproducibility,
     ]

@@ -391,5 +391,5 @@ def validate(suite):
         selected = checks.FAST_CHECKS + checks.full_checks()
     else:
         raise ParameterError("unknown suite %r (want fast or full)" % (suite,))
-    results = [fn() for _, fn in selected]
+    results = [check() for check in selected]
     return all(r.passed for r in results), results

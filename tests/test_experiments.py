@@ -326,3 +326,17 @@ def test_fault_injection_names_failing_check(monkeypatch):
     result = checks.check_stationary_levels()
     assert result.check == "pi_stationary"
     assert not result.passed
+
+
+def test_budget_stopped_trial_fails_its_check(monkeypatch):
+    # the Monte Carlo checks draw through run_spec_trials; a trial that the
+    # budget stops fails its check, with its reason in the detail
+    from functools import partial
+    import frogline.checks as checks
+    monkeypatch.setattr(checks, "ExperimentSpec",
+                        partial(checks.ExperimentSpec, step_cap=2))
+    for check in (checks.check_coupling_monotone, checks.check_complete_ratio,
+                  checks.check_tree_band, checks.check_cover_time):
+        result = check()
+        assert not result.passed, result.check
+        assert "trial 0: clock exceeded step cap 2" in result.detail

@@ -7,7 +7,8 @@ from frogline import (NEVER, BudgetExceededError, WalkStore, build_graph,
                       cover_time, init_config, parse_descriptor,
                       run_activation, susceptibility)
 from frogline import frog_sim
-from frogline.checks import activation_oracle, first_visit_table
+from frogline.checks import (activation_oracle, check_activation_oracle,
+                             first_visit_table)
 from frogline.randomness import stack_views
 
 from oracles import bfs_distances, bisected_susceptibility, covered_under
@@ -19,16 +20,9 @@ SMALL = ["tree:d=2,n=2", "tree:d=2,n=3", "cycle:n=5", "cycle:n=9",
 @pytest.mark.parametrize("text", SMALL)
 @pytest.mark.parametrize("lam", [0.0, 1.0, 2.0])
 def test_activation_matches_shortest_paths(text, lam):
-    g = build_graph(parse_descriptor(text))
-    for seed in range(5):
-        init = init_config(g, lam, 0, seed)
-        walks = WalkStore(g, init)
-        ell = first_visit_table(g, init, walks, 24)
-        for tau in (0, 1, 2, 5, 11, 24):
-            got = run_activation(g, init, walks, tau)
-            want = activation_oracle(g, init, ell, tau)
-            assert np.array_equal(got.at, want), \
-                "%s lam=%s seed=%d tau=%d" % (text, lam, seed, tau)
+    result = check_activation_oracle([text], taus=(0, 1, 2, 5, 11, 24),
+                                     seeds=range(5), lambdas=[lam])
+    assert result.passed, result.detail
 
 
 def test_activation_origin_and_distance_floor():

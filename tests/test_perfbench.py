@@ -1,8 +1,9 @@
-"""The benchmark's traced tiny pass still runs against the library.
+"""The benchmark's tiny passes still run against the library.
 
 perfbench/ drives the CLI in-process and its tracer wraps `run_trial`,
 `init_config`, `generate_steps` and the engines; its checks call
-`WalkStore(g, init)`, `init_config(..., lam_max=)` and `run_activation`. A
+`WalkStore(g, init)`, `init_config(..., lam_max=)` and `run_activation`,
+and compare the analytic tables with perfbench/expected_analytics.json. A
 change to any of these that breaks the benchmark fails here instead of in a
 benchmark run. Nothing under perfbench/ is changed.
 """
@@ -27,3 +28,12 @@ def test_traced_tiny_pass(workload, monkeypatch):
     metrics = result["metrics"]
     assert metrics["randomness.steps_generated"]["value"] > 0
     assert metrics["frog_sim.engine_s"]["value"] > 0
+
+
+def test_untraced_tiny_analytics_pass(monkeypatch):
+    # the analytic tables of a pass match expected_analytics.json
+    monkeypatch.syspath_prepend(PERFBENCH)
+    import run
+    result, _, _ = run.measure("tree-analytics", seed=7, seconds=0.1,
+                               trace=0, profile="tiny")
+    assert result["attempted"] > 0 and result["failed"] == 0, result
