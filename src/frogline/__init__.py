@@ -10,7 +10,7 @@ from .graph import (GraphDescriptor, build_graph, parse_descriptor,
                     resolve_origin)
 from .leaf_walk import LeafWalkReport, run_killed_leaf_walk
 from .randomness import (FrogInit, WalkStore, generate_steps, init_config,
-                         substream, walk_keys)
+                         walk_keys)
 from .spectral_bd import (BirthDeathChain, Pmf, check_logconcave,
                           geometric_convolution_law, half_e2_t0,
                           hitting_eigenvalues, hitting_pmf_dp, total_variation)
@@ -36,7 +36,7 @@ __all__ = [
     "mixing_deviation", "mixing_profile", "mu_table", "parse_descriptor",
     "resolve_origin", "return_sum_envelope", "run_activation",
     "run_killed_leaf_walk", "run_spec_trials", "select_spread_set",
-    "stationary_levels", "substream", "susceptibility", "sweep",
+    "stationary_levels", "susceptibility", "sweep",
     "threshold_time", "total_variation", "transition_powers",
     "trial_seed", "validate", "walk_keys", "write_table",
 ]

@@ -27,12 +27,15 @@ CT_BAND_C = 10.0
 # Killed leaf walk, d=2, n in {4..7}, s=d^(n-1): mean tau_cov/(d^n n ln s).
 # Observed 0.831..0.917. Pilot: python scripts/pilot.py leafwalk (200
 # trials/cell). One factor-5 band for the grid: [center/sqrt(5), center*sqrt(5)].
+# The realized walks moved when the excursion loop on Philox draws gave way
+# to the exact leaf chain on the keyed hash, with trial_seed seeds; the
+# same pilot then read 0.818..0.853, and the bands were not refitted.
 LEAFWALK_CENTER = 0.87
 LEAFWALK_FACTOR = 5.0
 
 # Restart-count floor: restarts >= LEAFWALK_RESTART_C0 * n d^n ln(s) / s on a
 # majority of trials per cell. Same pilot; observed median ratios 0.395..0.421,
-# frozen at half the minimum.
+# frozen at half the minimum; the leaf chain's pilot reads the same range.
 LEAFWALK_RESTART_C0 = 0.2
 
 # Heat-kernel sandwich on tree(2,6) leaf pairs, t even, t >= dist(u,v),

@@ -28,7 +28,7 @@ scale, and tests/test_acceptance.py calls it at the acceptance scale.
     07 kernel bands         return_sums,           last leaf of tree(2,6),
                             mixing_crossing        n=4,5 / both end leaves,
                                                    n=5,6
-    08 leaf walk            leafwalk_bands         200 trials, seed 5 / 41
+    08 leaf walk            leafwalk_bands         200 trials, base 5 / 41
     09 lower-bound toolkit  mu_bounds, spread_set, K_20, C_15 (lambda 1.5,
                             kappa_threshold        t 12), K_3, tree(2,4) /
                                                    K_50, C_24, K_100 (t 10);
@@ -37,12 +37,12 @@ scale, and tests/test_acceptance.py calls it at the acceptance scale.
     10 pmf structure        logconcave_unimodal,   15 chains / the same
                             part3_bound
 
-The Monte Carlo checks of S and CT draw their trials through the sweep's
-trial loop (`experiments.run_spec_trials`), so their seeds are
-`trial_seed(seed_base, ...)`'s and their clocks run on the stacks that
-`simulate` and `sweep` run; a trial the budget stops fails its check, with
-its reason in the detail. The leaf-walk cells run their own loop, because
-the bands read each walk's restarts, which a trial row does not carry.
+The Monte Carlo checks of S, CT and the leaf walk draw their trials
+through the sweep's trial loop (`experiments.run_spec_trials`), so their
+seeds are `trial_seed(seed_base, ...)`'s, their clocks run on the stacks
+that `simulate` and `sweep` run, and the leaf-walk rows carry each walk's
+restarts; a trial the budget stops fails its check, with its reason in the
+detail.
 """
 
 import heapq
@@ -55,10 +55,10 @@ import numpy as np
 from . import bands
 from .experiments import (ExperimentSpec, estimate, run_spec_trials, sweep,
                           sweep_csv_rows, trial_csv_rows, trial_seed)
-from .frog_sim import NEVER, run_activation, susceptibility
+from .errors import DEFAULT_STEP_CAP
+from .frog_sim import NEVER, _wake_clock, run_activation, susceptibility
 from .graph import (COMPLETE, CYCLE, TREE, GraphDescriptor, build_graph,
                     parse_descriptor)
-from .leaf_walk import run_killed_leaf_walk
 from .randomness import (WalkStore, counters, generate_steps, init_config,
                          stack_views, walk_keys)
 from .spectral_bd import check_logconcave, geometric_convolution_law, half_e2_t0, \
@@ -471,29 +471,30 @@ def check_activation_oracle(cases=("tree:d=2,n=2", "cycle:n=6",
                             taus=(0, 1, 3, 9), seeds=range(3),
                             lambdas=(0.0, 1.0)):
     """Activation times equal the shortest paths over the first-visit
-    table, exactly, on every (graph, lambda, seed, tau)."""
+    table, exactly, on every (graph, lambda, seed, tau). A graph's (lambda,
+    seed) configurations run as one stack: one wake clock per tau, and one
+    susceptibility clock for the covered flags."""
     bad = []
-    checked = 0
+    configs = [(lam, seed) for lam in lambdas for seed in seeds]
     for text in cases:
         g = build_graph(parse_descriptor(text))
-        for lam in lambdas:
-            for seed in seeds:
-                init = init_config(g, lam, 0, seed)
-                walks = WalkStore(g, init)
-                # S read up to the largest tau (None: no tau checked covers)
-                (s,) = susceptibility(g, stack_views([init]),
-                                      step_cap=max(taus))
-                ell = first_visit_table(g, init, walks, max(taus))
-                for tau in taus:
-                    report = run_activation(g, init, walks, tau)
-                    oracle = activation_oracle(g, init, ell, tau)
-                    if not np.array_equal(report.at, oracle):
-                        bad.append("%s lam=%s seed=%d tau=%d" %
-                                   (g.label(), lam, seed, tau))
-                    if report.covered != (s.value is not None
-                                          and s.value <= tau):
-                        bad.append("covered flag %s tau=%d" % (g.label(), tau))
-                    checked += 1
+        inits = [init_config(g, lam, 0, seed) for lam, seed in configs]
+        stack = stack_views(inits)
+        # S read up to the largest tau (None: no tau checked covers)
+        s = susceptibility(g, stack, step_cap=max(taus))
+        ells = [first_visit_table(g, init, WalkStore(g, init), max(taus))
+                for init in inits]
+        for tau in taus:
+            at, outcomes = _wake_clock(g, stack, DEFAULT_STEP_CAP, tau=tau)
+            for k, (lam, seed) in enumerate(configs):
+                if not np.array_equal(at[k], activation_oracle(
+                        g, inits[k], ells[k], tau)):
+                    bad.append("%s lam=%s seed=%d tau=%d" %
+                               (g.label(), lam, seed, tau))
+                if (outcomes[k].value is not None) != (
+                        s[k].value is not None and s[k].value <= tau):
+                    bad.append("covered flag %s tau=%d" % (g.label(), tau))
+    checked = len(cases) * len(configs) * len(taus)
     return _result("activation_oracle", not bad, ";".join(bad[:4]) or
                    "%d cases agree exactly" % checked)
 
@@ -619,13 +620,15 @@ def check_range_band():
 
 
 def leafwalk_cell(d, n, s, trials, seed):
-    """Per-cell leaf-walk statistics used by bands and the trend check."""
-    taus = np.empty(trials)
-    restarts = np.empty(trials)
-    for i in range(trials):
-        rep = run_killed_leaf_walk(d, n, s, seed * 100003 + i)
-        taus[i] = rep.tau_cov
-        restarts[i] = rep.restarts
+    """Per-cell leaf-walk statistics used by bands and the trend check, from
+    the sweep's trial rows at seed base `seed`; `failures` has one line for
+    each trial that the budget stopped (nan in taus and restarts), with its
+    reason."""
+    rows = run_spec_trials(ExperimentSpec(
+        graphs=["tree:d=%d,n=%d" % (d, n)], lambdas=[], metric="leafwalk",
+        trials=trials, seed_base=seed, s=s))
+    taus = np.array([r.value for r in rows], dtype=float)
+    restarts = np.array([r.restarts for r in rows], dtype=float)
     scale = d ** n * n * log(s)
     return {
         "mean_ratio": float(taus.mean() / scale),
@@ -634,6 +637,8 @@ def leafwalk_cell(d, n, s, trials, seed):
         "restarts": restarts,
         "restart_floor_frac": float(np.mean(
             restarts >= bands.LEAFWALK_RESTART_C0 * scale / s)),
+        "failures": ["%s trial %d: %s" % (r.graph, r.trial, r.budget_reason)
+                     for r in rows if r.value is None],
     }
 
 
@@ -651,6 +656,7 @@ def check_leafwalk_bands(cells):
     means = []
     for n in (4, 5, 6):
         cell = cells(n)
+        bad += cell["failures"]
         means.append(cell["mean_ratio"])
         if not lo <= cell["mean_ratio"] <= hi:
             bad.append("mean ratio %.3f outside [%.3f,%.3f] at n=%d" %

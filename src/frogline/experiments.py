@@ -100,6 +100,7 @@ class TrialResult:
     steps: int = 0
     wall_ms: float = 0.0
     budget_reason: Optional[str] = None  # why the budget ran out
+    restarts: Optional[int] = None  # a covering leaf walk's teleports
 
 
 def trial_seed(seed_base, graph, origin, metric, trial):
@@ -156,15 +157,6 @@ def run_trial(cell, outcome, wall_ms):
     return replace(cell, budget_reason=reason, wall_ms=wall_ms)
 
 
-def _leaf_walk(spec, g, origin, seed):
-    try:
-        tau = run_killed_leaf_walk(g.d, g.n, spec.s, seed, origin,
-                                   spec.step_cap).tau_cov
-    except BudgetExceededError as exc:
-        return Outcome(None, 0, exc)
-    return Outcome(tau, tau)
-
-
 def _lam_max(spec):
     return max(spec.lambdas) if spec.lam_max is None else spec.lam_max
 
@@ -195,7 +187,13 @@ def _batch_task(task):
         rows = []
         for cell in cells:
             start = time.perf_counter()
-            outcome = _leaf_walk(spec, g, origin, cell.seed)
+            try:
+                walk = run_killed_leaf_walk(g.d, g.n, spec.s, cell.seed,
+                                            origin, spec.step_cap)
+                outcome = Outcome(walk.tau_cov, walk.tau_cov)
+                cell = replace(cell, restarts=walk.restarts)
+            except BudgetExceededError as exc:
+                outcome = Outcome(None, 0, exc)
             rows.append([run_trial(cell, outcome, _ms_since(start))])
         return rows
     configs, wall_ms = [], []

@@ -18,6 +18,7 @@ step), woken particles join and a covered copy's particles leave by
 compaction.
 """
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Optional
 
@@ -41,7 +42,7 @@ SCAN_BLOCK_CELLS = 2 ** 16
 # 16 MiB of positions (int16 or int32)
 PREFIX_CELLS = 2 ** 22
 
-# rows the prefix grows by, at least, each time the clock passes it
+# rows of the prefix's first chunk
 PREFIX_ROWS = 16
 
 
@@ -265,12 +266,14 @@ class _Prefix:
     step-major row chunks: row j - 1 holds every particle's position after
     step j, column i is particle i of the stack.
 
-    Each time the clock passes h, one more chunk of `rows` rows (about
-    SCAN_BLOCK_CELLS cells, at least PREFIX_ROWS rows) is walked, up to
-    hmax = PREFIX_CELLS // (particles in the stack) (and the step cap), so
-    the prefix holds at most one chunk more than the clock reads, and no
-    row is copied. The walks are counter-based, so its positions are the
-    ones the clock would generate.
+    Each time the clock passes h, one more chunk is walked, up to hmax =
+    PREFIX_CELLS // (particles in the stack) (and the step cap): PREFIX_ROWS
+    rows first, then as many rows as the prefix holds, up to `rows` (about
+    SCAN_BLOCK_CELLS cells, at least PREFIX_ROWS rows). So the prefix holds
+    at most one chunk more than the clock reads, a run that reads t rows
+    walks at most 2 max(t, PREFIX_ROWS) of them, and no row is copied. The
+    walks are counter-based, so its positions are the ones the clock would
+    generate.
     """
 
     def __init__(self, g, stack, step_cap):
@@ -284,11 +287,12 @@ class _Prefix:
         # half the bytes of int32 wherever every vertex id fits
         self.dtype = np.int16 if g.vertex_count <= 2 ** 15 else g.index_dtype
         self.chunks = []
+        self.starts = []  # the steps before each chunk's first row
         self.h = 0
 
     def _at(self, t, cols):
-        c, r = divmod(t - 1, self.rows)
-        return self.chunks[c][r, cols]
+        c = bisect_right(self.starts, t - 1) - 1
+        return self.chunks[c][t - 1 - self.starts[c], cols]
 
     def row(self, t, cols):
         """Positions after step t <= hmax of particles `cols`; the prefix
@@ -303,13 +307,14 @@ class _Prefix:
 
     def _grow(self):
         g, keys, h = self.g, self.stack.keys, self.h
-        chunk = np.empty((min(self.rows, self.hmax - h), len(keys)),
-                         dtype=self.dtype)
+        rows = min(self.rows, max(PREFIX_ROWS, h), self.hmax - h)
+        chunk = np.empty((rows, len(keys)), dtype=self.dtype)
         step = max(1, SCAN_BLOCK_CELLS // len(keys))
         for lo in range(0, len(chunk), step):
             hi = min(lo + step, len(chunk))
             start = chunk[lo - 1] if lo else self.after(h, slice(None))
             chunk[lo:hi] = generate_steps(g, start, keys, h + lo, hi - lo).T
+        self.starts.append(h)
         self.chunks.append(chunk)
         self.h += len(chunk)
 
@@ -322,8 +327,8 @@ class _Prefix:
         base = self.stack.base[cols]
         h = min(t, self.h)
         span = max(1, SCAN_BLOCK_CELLS // len(cols))
-        for c, chunk in enumerate(self.chunks):
-            top = min(len(chunk), h - c * self.rows)
+        for first, chunk in zip(self.starts, self.chunks):
+            top = min(len(chunk), h - first)
             for lo in range(0, top, span):
                 woken.append(wake(chunk[lo:min(lo + span, top), cols], base,
                                   t))

@@ -3,18 +3,17 @@ and keyed, counter-based random walks.
 
 Two kinds of stream come from one 64-bit seed:
 
-- Philox substreams (a `SeedSequence` spawn key per purpose) drive the
-  Poisson configuration, the auxiliary `substream` Generators and the
-  killed leaf walk.
-- Keyed walks drive the frog particles and the range samples. A walk is
-  one 64-bit key, and the uniform behind its step k is a SplitMix64-style
-  hash of (key, k): a counter-based generator in the sense of Salmon et
-  al., "Parallel random numbers: as easy as 1, 2, 3" (SC'11). A walk's
-  next position is a pure function of its key, its step count and its
-  current vertex, so `generate_steps` can advance any batch of walks in
-  lockstep as numpy vectors, or a few walks one at a time, and a walk's
-  path does not depend on which walks share its batch or on how its steps
-  are split into blocks.
+- A Philox generator (a `SeedSequence` spawn key) draws the Poisson
+  configuration, and nothing else.
+- Keyed walks drive the frog particles, the range samples and the killed
+  leaf walk. A walk is one 64-bit key, and the uniform behind its step k
+  is a SplitMix64-style hash of (key, k): a counter-based generator in the
+  sense of Salmon et al., "Parallel random numbers: as easy as 1, 2, 3"
+  (SC'11). A walk's next position is a pure function of its key, its step
+  count and its current vertex, so `generate_steps` can advance any batch
+  of walks in lockstep as numpy vectors, or a few walks one at a time, and
+  a walk's path does not depend on which walks share its batch or on how
+  its steps are split into blocks.
 
 The coupling works like this: every vertex carries the arrival marks of a
 unit-rate Poisson process on [0, lambda_max], sampled once per (seed,
@@ -43,8 +42,8 @@ from .graph import COMPLETE, TREE
 _NS_CONFIG = 0
 _NS_MARK_WALK = 1
 _NS_PLANT_WALK = 2
-_NS_AUX = 3
-_NS_AUX_WALK = 4
+_NS_LEAF_WALK = 3
+_NS_PURPOSE_WALK = 4
 
 # tree batches of at most this many walks are stepped one walk at a time in
 # plain Python (_tree_rows), larger ones by the in-place kernel.
@@ -82,11 +81,6 @@ def _generator(seed, spawn_key):
         entropy=seed, spawn_key=spawn_key)))
 
 
-def substream(seed, *key):
-    """Independent Generator for an auxiliary purpose."""
-    return _generator(seed, (_NS_AUX,) + tuple(int(k) for k in key))
-
-
 def _mix(z, tmp=None):
     """SplitMix64 finalizer, in place on a uint64 array (a bijection); the
     shifted words go to `tmp`, an array of z's shape, when it is given."""
@@ -112,7 +106,7 @@ def _walk_keys(seed, *words):
 
 def walk_keys(seed, count, *key):
     """Keys of `count` independent walks for an auxiliary purpose `key`."""
-    return _walk_keys(seed, _NS_AUX_WALK, *(int(k) for k in key),
+    return _walk_keys(seed, _NS_PURPOSE_WALK, *(int(k) for k in key),
                       np.arange(count, dtype=np.uint64))
 
 

@@ -4,13 +4,14 @@ Everything here takes a deliberately different route from the library code:
 BFS instead of arithmetic on indices, matrix powers instead of incremental
 DPs, a bisection over coverage flags instead of the wake clock, and float
 uniforms times per-vertex degrees instead of the step rules' scaled 53-bit
-draws. The
-activation-time oracle (Dijkstra over the first-visit table) lives in
+draws, and a tree excursion per leaf-walk step instead of the exact leaf
+chain. The activation-time oracle (Dijkstra over the first-visit table) lives in
 `frogline.checks`, since `frogline validate` runs it too.
 """
 
 import numpy as np
 
+from frogline import GraphDescriptor, build_graph
 from frogline.checks import chain_matrix
 from frogline.randomness import GAMMA, _mix
 
@@ -74,6 +75,38 @@ def dense_transition(g):
         for u in nbrs:
             P[v, u] += 1.0 / len(nbrs)
     return P
+
+
+def _uniforms(rng):
+    while True:
+        yield from rng.random(4096).tolist()
+
+
+def excursion_leaf_walk(d, n, s, rng):
+    """tau_cov of the killed leaf walk from the first leaf, simulated on the
+    tree with the uniforms of the numpy Generator `rng`: each step restarts
+    w.p. 1/(2s) at a uniform leaf, or else walks from the leaf's parent, a
+    tree step at a time, until it stands on a leaf."""
+    g = build_graph(GraphDescriptor("tree", d=d, n=n))
+    first_leaf, nleaves = g.first_leaf, g.vertex_count - g.first_leaf
+    uniforms = _uniforms(rng)
+    visited = {first_leaf}
+    v = first_leaf
+    t = 0
+    while len(visited) < nleaves:
+        t += 1
+        if next(uniforms) < 1.0 / (2.0 * s):
+            v = first_leaf + int(next(uniforms) * nleaves)
+        else:
+            v = (v - 1) // d
+            while v < first_leaf:
+                if v == 0:
+                    v = 1 + int(next(uniforms) * d)
+                else:
+                    r = int(next(uniforms) * (d + 1))
+                    v = (v - 1) // d if r == 0 else d * v + r
+        visited.add(v)
+    return t
 
 
 def covered_under(g, init, walks, tau):

@@ -252,7 +252,7 @@ def test_budget_exceeded_exit_3(capsys):
     err = capsys.readouterr().err
     assert code == 3
     assert "clock exceeded step cap 3 (fraction covered 0." in err, err
-    # a leaf walk on 2^40 leaves would need 9 bytes per leaf
+    # a leaf walk on 2^40 leaves would need 8 bytes per leaf
     tracemalloc.start()
     try:
         code = main(["simulate", "--mode", "leafwalk", "--graph",
@@ -262,7 +262,7 @@ def test_budget_exceeded_exit_3(capsys):
         tracemalloc.stop()
     err = capsys.readouterr().err
     assert code == 3 and peak < 2 ** 22, (err, peak)
-    assert "a leaf walk on tree:d=2,n=40 needs about 9.9e+12 bytes" in err, err
+    assert "a leaf walk on tree:d=2,n=40 needs about 8.8e+12 bytes" in err, err
 
 
 def test_huge_trial_counts_refused_before_any_work(capsys):

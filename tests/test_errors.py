@@ -9,7 +9,7 @@ from frogline import (BudgetExceededError, ExperimentSpec, FamilyError,
                       init_config, kappa_sequence, mixing_deviation,
                       mixing_profile, mu_table, parse_descriptor,
                       resolve_origin, run_killed_leaf_walk, select_spread_set,
-                      substream, threshold_time, transition_powers, walk_keys)
+                      threshold_time, transition_powers, walk_keys)
 from frogline.experiments import validate_spec
 from frogline.tree_analytics import hitting_within
 
@@ -41,7 +41,8 @@ CASES = [
      ParameterError),
     # numpy's own ValueError used to come first
     ("seed", lambda: init_config(_g(TREE), 1.0, 0, -1), ParameterError),
-    ("seed", lambda: substream(2 ** 64), ParameterError),
+    ("seed", lambda: run_killed_leaf_walk(2, 3, 3, seed=2 ** 64),
+     ParameterError),
     ("seed", lambda: walk_keys(-1, 3), ParameterError),
     ("seed", lambda: validate_spec(_spec(seed=2 ** 64)), ParameterError),
     ("step cap", lambda: run_killed_leaf_walk(2, 3, 3, 0, step_cap=0),

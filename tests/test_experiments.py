@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from frogline import (BudgetExceededError, ExperimentSpec, ParameterError,
                       WalkStore, build_graph, cover_time, estimate,
                       init_config, parse_descriptor, resolve_origin,
-                      susceptibility, sweep, trial_seed)
+                      run_killed_leaf_walk, susceptibility, sweep, trial_seed)
 from frogline import experiments
 from frogline.experiments import (SIMULATE_COLUMNS, SWEEP_COLUMNS,
                                   run_spec_trials, sweep_csv_rows,
@@ -284,6 +284,24 @@ def test_leafwalk_rows_have_no_lambda():
     assert all(int(r["value"]) >= 1 for r in rows)
     srows = list(sweep_csv_rows(sweep(spec)))
     assert srows[0]["lambda"] == ""
+
+
+def test_leafwalk_rows_are_the_walks_at_their_trial_seeds():
+    spec = _spec(metric="leafwalk", graphs=["tree:d=2,n=4"], lambdas=[],
+                 s=8, trials=3)
+    leaf = resolve_origin(build_graph(parse_descriptor("tree:d=2,n=4")),
+                          "leaf")
+    for r in run_spec_trials(spec):
+        seed = trial_seed(11, "tree:d=2,n=4", None, "leafwalk", r.trial)
+        walk = run_killed_leaf_walk(2, 4, 8, seed, start=leaf)
+        assert r.seed == seed
+        assert (r.value, r.steps, r.restarts) == (walk.tau_cov, walk.tau_cov,
+                                                  walk.restarts)
+    # the clocks' rows and a walk that the budget stopped carry none
+    stopped = run_spec_trials(replace(spec, step_cap=2))
+    clocks = run_spec_trials(_spec())
+    assert all(r.restarts is None for r in stopped + clocks)
+    assert all(r.value is None and r.budget_reason for r in stopped)
 
 
 def test_sweep_rows_sorted_by_cell():

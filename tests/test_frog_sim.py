@@ -7,8 +7,7 @@ from frogline import (NEVER, BudgetExceededError, WalkStore, build_graph,
                       cover_time, init_config, parse_descriptor,
                       run_activation, susceptibility)
 from frogline import frog_sim
-from frogline.checks import (activation_oracle, check_activation_oracle,
-                             first_visit_table)
+from frogline.checks import activation_oracle, first_visit_table
 from frogline.randomness import stack_views
 
 from oracles import bfs_distances, bisected_susceptibility, covered_under
@@ -20,9 +19,18 @@ SMALL = ["tree:d=2,n=2", "tree:d=2,n=3", "cycle:n=5", "cycle:n=9",
 @pytest.mark.parametrize("text", SMALL)
 @pytest.mark.parametrize("lam", [0.0, 1.0, 2.0])
 def test_activation_matches_shortest_paths(text, lam):
-    result = check_activation_oracle([text], taus=(0, 1, 2, 5, 11, 24),
-                                     seeds=range(5), lambdas=[lam])
-    assert result.passed, result.detail
+    # run_activation, the wake clock on a stack of one, against the oracle
+    # that check_activation_oracle (acceptance test 03) runs on stacks
+    g = build_graph(parse_descriptor(text))
+    for seed in range(5):
+        init = init_config(g, lam, 0, seed)
+        walks = WalkStore(g, init)
+        ell = first_visit_table(g, init, walks, 24)
+        for tau in (0, 1, 2, 5, 11, 24):
+            report = run_activation(g, init, walks, tau)
+            assert np.array_equal(report.at,
+                                  activation_oracle(g, init, ell, tau))
+            assert report.covered == bool(np.all(report.at < NEVER))
 
 
 def test_activation_origin_and_distance_floor():
@@ -219,6 +227,26 @@ def test_susceptibility_across_the_prefix_boundary(text, lam, monkeypatch):
             got = _stack_runs(susceptibility, g, inits, cap)
             monkeypatch.undo()
             assert got == want, (text, lam, cap, setting)
+
+
+def test_lone_prefix_depth_follows_the_clock(monkeypatch):
+    # the prefix's chunks start at PREFIX_ROWS rows and double, so a lone
+    # run walks at most twice the rows its clock reads, not a 2^16-row chunk
+    made = []
+
+    class Recorded(frog_sim._Prefix):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    monkeypatch.setattr(frog_sim, "_Prefix", Recorded)
+    for text in ("tree:d=2,n=2", "tree:d=2,n=5"):
+        g = build_graph(parse_descriptor(text))
+        for lam in (0.0, 1.0, 2.0):
+            for seed in range(3):
+                s = susceptibility(g, init_config(g, lam, 0, seed))
+                assert made[-1].h <= 2 * max(s, frog_sim.PREFIX_ROWS), (
+                    text, lam, seed, s)
 
 
 @pytest.mark.parametrize("text", ["tree:d=2,n=3", "tree:d=3,n=2",

@@ -1,7 +1,12 @@
+from functools import partial
+
 import numpy as np
 import pytest
 
-from frogline import BudgetExceededError, ParameterError, run_killed_leaf_walk
+from frogline import (BudgetExceededError, GraphDescriptor, ParameterError,
+                      build_graph, run_killed_leaf_walk)
+from frogline.leaf_walk import _climb_tail
+from oracles import dense_transition, excursion_leaf_walk
 
 
 def test_needs_s_above_degree():
@@ -72,10 +77,54 @@ def test_step_cap():
     assert 0 < info.value.fraction_covered < 1
 
 
+@pytest.mark.parametrize("d, n", [(2, 3), (2, 5), (3, 3), (4, 3)])
+def test_next_leaf_law_equals_linear_solve(d, n):
+    # the chain climbs to height H with the law of _climb_tail, then lands
+    # on a uniform leaf of the height-H ancestor's block of d^H leaves
+    s = d + 1
+    tail = np.append(_climb_tail(d, n, s), 0.0)
+    leaves = np.arange(d ** n)
+    law = np.zeros((d ** n, d ** n))
+    for h in range(1, n + 1):
+        same = leaves[:, None] // d ** h == leaves[None, :] // d ** h
+        law += (tail[h - 1] - tail[h]) / d ** h * same
+    # the tree walk's hitting law of the leaves from each inner vertex,
+    # entered at the leaf's parent, or a uniform leaf on restart
+    g = build_graph(GraphDescriptor("tree", d=d, n=n))
+    P = dense_transition(g)
+    inner = np.arange(g.first_leaf)
+    hits = np.linalg.solve(np.eye(len(inner)) - P[np.ix_(inner, inner)],
+                           P[np.ix_(inner, g.first_leaf + leaves)])
+    p = 1.0 / (2 * s)
+    solved = p / d ** n + (1 - p) * hits[(g.first_leaf + leaves - 1) // d]
+    assert np.abs(law - solved).max() <= 1e-12
+
+
+def test_cover_time_mean_matches_the_excursion_walk():
+    trials = 2000
+    chain = np.array([run_killed_leaf_walk(3, 3, 4, seed=i).tau_cov
+                      for i in range(trials)])
+    rng = np.random.default_rng(2024)
+    tree = np.array([excursion_leaf_walk(3, 3, 4, rng)
+                     for _ in range(trials)])
+    se = np.hypot(chain.std(ddof=1), tree.std(ddof=1)) / np.sqrt(trials)
+    assert abs(chain.mean() - tree.mean()) < 4 * se
+
+
+def test_stopped_walks_fail_the_bands_with_their_reason(monkeypatch):
+    from frogline import ExperimentSpec, checks
+    monkeypatch.setattr(checks, "ExperimentSpec",
+                        partial(ExperimentSpec, step_cap=5))
+    result = checks.check_leafwalk_bands(checks.leafwalk_cells(3, seed=0))
+    assert not result.passed
+    assert "tree:d=2,n=4 trial 0: leaf walk exceeded step cap 5" in (
+        result.detail)
+
+
 def test_validate_simulates_each_leafwalk_cell_once(monkeypatch):
     # the bands read depths 4-6 and the trend 4-7: four cells, not seven
     # (at 20 trials a cell instead of the suite's 200)
-    from frogline import checks
+    from frogline import checks, experiments
     calls = []
 
     def counted(*args, **kwargs):
@@ -83,7 +132,7 @@ def test_validate_simulates_each_leafwalk_cell_once(monkeypatch):
         return run_killed_leaf_walk(*args, **kwargs)
 
     cells = checks.leafwalk_cells
-    monkeypatch.setattr(checks, "run_killed_leaf_walk", counted)
+    monkeypatch.setattr(experiments, "run_killed_leaf_walk", counted)
     monkeypatch.setattr(checks, "leafwalk_cells",
                         lambda trials, seed: cells(20, seed))
     suite = {check.func: check for check in checks.full_checks()

@@ -2,8 +2,7 @@
 
 The pilot fits the constants of frogline.bands from the helpers of
 frogline.checks, so a helper renamed or re-signed there fails here instead
-of at the next band refit. Every pilot runs at its --fast scale but the
-leaf walk's (5 s), whose helper acceptance test 08 runs.
+of at the next band refit. Every pilot runs at its --fast scale.
 """
 
 import os
@@ -15,7 +14,7 @@ SCRIPTS = os.path.join(os.path.dirname(os.path.dirname(
 
 
 @pytest.mark.parametrize("what", ["returns", "mixing", "heatkernel", "cover",
-                                  "range", "frogs"])
+                                  "leafwalk", "range", "frogs"])
 def test_pilot_runs(what, monkeypatch, capsys):
     monkeypatch.syspath_prepend(SCRIPTS)
     import pilot

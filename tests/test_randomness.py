@@ -5,7 +5,7 @@ import pytest
 
 from frogline import (BudgetExceededError, ParameterError, WalkStore,
                       build_graph, errors, generate_steps, init_config,
-                      parse_descriptor, randomness, substream, walk_keys)
+                      parse_descriptor, randomness, walk_keys)
 
 from oracles import lexsort_marks, step_array, step_uniforms
 
@@ -328,11 +328,3 @@ def test_generate_steps_uniform_marginals():
     # one step from 0 goes to 1 or 8; over the path, increments are +-1
     diffs = (np.diff(np.concatenate(([0], steps))) + 9) % 9
     assert set(np.unique(diffs)) == {1, 8}
-
-
-def test_substream_independence():
-    a = substream(99, 1, 2, 3).random(8)
-    b = substream(99, 1, 2, 4).random(8)
-    c = substream(99, 1, 2, 3).random(8)
-    assert np.array_equal(a, c)
-    assert not np.array_equal(a, b)
