@@ -534,14 +534,10 @@ def check_coupling_counts():
     g = build_graph(GraphDescriptor(COMPLETE, n=200))
     bad = []
     for seed in range(5):
-        base = init_config(g, 2.0, 0, seed, lam_max=2.0)
-        lo = base.at_lambda(1.0)
-        if np.any(lo.counts > base.counts):
-            bad.append("counts not nested at seed %d" % seed)
+        base = init_config(g, 2.0, 0, seed)
         grid = [base.at_lambda(x).counts for x in (0.0, 0.5, 1.0, 1.5, 2.0)]
-        for i in range(len(grid) - 1):
-            if np.any(grid[i] > grid[i + 1]):
-                bad.append("grid not monotone at seed %d" % seed)
+        if any(np.any(lo > hi) for lo, hi in zip(grid, grid[1:])):
+            bad.append("grid not monotone at seed %d" % seed)
     return _result("coupling_counts", not bad, ";".join(bad) or "ok")
 
 
@@ -682,7 +678,9 @@ def check_leafwalk_trend(cells):
                    "cv by n: %s" % ["%.4f" % c for c in cvs])
 
 
-def walkstep_chisquare():
+def check_walkstep_uniform():
+    """A chi-square test of the neighbors taken by 100k one-step walks
+    from one vertex, for each degree; every p-value must exceed 0.001."""
     from scipy.stats import chisquare
     cases = [(build_graph(GraphDescriptor(TREE, d=3, n=2)), 0),   # degree 3
              (build_graph(GraphDescriptor(TREE, d=3, n=2)), 1),   # degree 4
@@ -697,27 +695,36 @@ def walkstep_chisquare():
         draws = generate_steps(g, np.full(len(steps), v), keys, 0, 1)[:, 0]
         counts = [np.count_nonzero(draws == w) for w in g.neighbors(v)]
         pvals.append(float(chisquare(counts).pvalue))
-    return pvals
-
-
-def check_walkstep_uniform():
-    pvals = walkstep_chisquare()
-    ok = all(p > 0.001 for p in pvals)
-    return _result("walkstep_chisquare", ok,
+    return _result("walkstep_chisquare", all(p > 0.001 for p in pvals),
                    "p-values %s" % ["%.4f" % p for p in pvals])
 
 
 def check_poisson_moments():
+    """The mean particle count of 100 configurations of K_10^4 at lambda 2,
+    within 3 se; and, on tree d=2 n=17, the mark counts of the vertices
+    other than the origin at lambda 0.5, 1 and 4 against the Pois(lambda)
+    pmf by chi-square, with p > 0.001: counts 0, 1, ... binned alone while
+    a bin and the tail past it each expect >= 5 vertices, the tail
+    pooled."""
+    from scipy.stats import chisquare, poisson
     g = build_graph(GraphDescriptor(COMPLETE, n=10_000))
-    lam = 2.0
-    totals = [init_config(g, lam, 0, seed).particle_count()
-              for seed in range(100)]
-    expect = 1 + lam * g.vertex_count
-    sigma = sqrt(lam * g.vertex_count)
-    gap = abs(float(np.mean(totals)) - expect)
-    ok = gap <= 3 * sigma / sqrt(len(totals))
-    return _result("poisson_moments", ok,
-                   "mean gap %.2f vs 3se %.2f" % (gap, 3 * sigma / sqrt(100)))
+    totals = [init_config(g, 2.0, 0, s).particle_count() for s in range(100)]
+    gap = abs(float(np.mean(totals)) - (1 + 2.0 * g.vertex_count))
+    se3 = 3 * sqrt(2.0 * g.vertex_count / len(totals))
+    g = build_graph(GraphDescriptor(TREE, d=2, n=17))
+    V, ks, pvals = g.vertex_count - 1, np.arange(64), []
+    for lam in (0.5, 1.0, 4.0):
+        counts = init_config(g, lam, 0, 11).counts[1:]
+        # pmf[k] = V Pr(N = k), tail[k] = V Pr(N >= k)
+        pmf, tail = V * poisson.pmf(ks, lam), V * poisson.sf(ks - 1, lam)
+        k = int(np.argmax(np.minimum(pmf[:-1], tail[1:]) < 5))
+        observed = np.bincount(np.minimum(counts, k), minlength=k + 1)
+        expected = np.append(pmf[:k], tail[k])
+        pvals.append(float(chisquare(observed, expected).pvalue))
+    return _result("poisson_moments",
+                   gap <= se3 and all(p > 0.001 for p in pvals),
+                   "mean gap %.2f vs 3se %.2f; pmf chi-square p-values %s"
+                   % (gap, se3, ["%.4f" % p for p in pvals]))
 
 
 def draw_trials(graphs, lambdas, trials, seed_base, metric="susceptibility"):

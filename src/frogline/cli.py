@@ -11,7 +11,8 @@ import sys
 import traceback
 
 from . import experiments, spectral_bd, tree_analytics
-from .errors import DEFAULT_STEP_CAP, BudgetExceededError, ParameterError
+from .errors import (DEFAULT_STEP_CAP, BudgetExceededError, ParameterError,
+                     check_horizon)
 from .graph import build_graph, parse_descriptor, parse_fields, require_tree
 from .tree_analytics import level_chain
 
@@ -53,7 +54,8 @@ def build_parser():
     sim.add_argument("--graph", required=True,
                      help="tree:d=<int>,n=<int> | complete:n=<int> | cycle:n=<int>")
     sim.add_argument("--lambda", dest="lam", type=float, default=1.0)
-    sim.add_argument("--lambda-max", dest="lam_max", type=float, default=None)
+    sim.add_argument("--lambda-max", dest="lam_max", type=float, default=None,
+                     help="changes no output; must be >= --lambda, finite")
     sim.add_argument("--origin", default=None, help="vertex index, 'root' or 'leaf'")
     sim.add_argument("--mode", choices=experiments.METRICS,
                      default="susceptibility")
@@ -92,11 +94,13 @@ def build_parser():
 
 
 def _cmd_simulate(args):
+    if args.lam_max is not None and args.mode != "leafwalk":
+        # accepted for older command lines, though it changes no output
+        check_horizon(args.lam, args.lam_max)
     spec = experiments.ExperimentSpec(
         graphs=[args.graph], lambdas=[args.lam], metric=args.mode,
         trials=args.trials, seed_base=args.seed, origin=args.origin,
-        s=args.s, lam_max=args.lam_max, step_cap=args.budget_steps,
-        jobs=args.jobs)
+        s=args.s, step_cap=args.budget_steps, jobs=args.jobs)
     results = experiments.run_spec_trials(spec)
     experiments.write_table(experiments.trial_csv_rows(results),
                             experiments.SIMULATE_COLUMNS, args.out,

@@ -78,6 +78,15 @@ def check_lambda(name, lam):
         raise ParameterError("%s must be finite and >= 0, got %r" % (name, lam))
 
 
+def check_horizon(lam, lam_max):
+    """Refuse a density past lam_max, the horizon its configuration is
+    drawn to, and either one negative or not finite."""
+    check_lambda("lambda", lam)
+    check_lambda("lambda_max", lam_max)
+    if lam > lam_max:
+        raise ParameterError("lambda %r exceeds lambda_max %r" % (lam, lam_max))
+
+
 def check_seed(seed):
     # a seed outside the u64 range would alias one inside it
     if not 0 <= seed < 2 ** 64:

@@ -1,11 +1,12 @@
 """Sweep orchestration: grids, per-trial seeds, estimates, validation suites.
 
 A batch of trials of one graph is the unit of work. Each trial samples one
-configuration at lambda_max, and each lambda cell runs one clock on the
-stack of the batch's views of those configurations, so a trial's cells are
-coupled as `randomness` describes and its numbers do not depend on its
-batch. Per-trial seeds are seed_base XOR blake2b(graph, origin, metric,
-trial index), checked for collisions when a spec is validated.
+configuration at the largest lambda of the grid, and each lambda cell runs
+one clock on the stack of the batch's views of those configurations, so a
+trial's cells are coupled as `randomness` describes, and its numbers do not
+depend on its batch or on the rest of the grid. Per-trial seeds are
+seed_base XOR blake2b(graph, origin, metric, trial index), checked for
+collisions when a spec is validated.
 """
 
 import contextlib
@@ -36,10 +37,11 @@ SWEEP_COLUMNS = ["graph", "lambda", "origin", "metric", "trials", "failures",
                  "mean", "median", "q10", "q90", "se"]
 
 # a batch takes trials of one graph while the sum of V * (1 + lambda_max)
-# over them stays at most BATCH_TABLE_SIZE. Clock time per trial of 16
-# trials at lambda 1, one at a time and in stacks of as many copies as a
-# table of 32k, 64k or 128k cells holds (shared 2-core VM, python 3.11,
-# numpy 2.4, minimum of 3 rounds, two runs), in ms: S on K_4000 3.6-6.0
+# over them, lambda_max the largest lambda of the grid, stays at most
+# BATCH_TABLE_SIZE. Clock time per trial of 16 trials at lambda 1, one at a
+# time and in stacks of as many copies as a table of 32k, 64k or 128k
+# cells holds (shared 2-core VM, python 3.11, numpy 2.4, minimum of 3
+# rounds, two runs), in ms: S on K_4000 3.6-6.0
 # alone, 2.4-3.8, 2.1-3.1, 2.1-3.0; S on K_10^4 (one copy fits 32k)
 # 6.1-9.4 alone, 5.4-8.1 at 64k, 5.3-7.1 at 128k; S on K_16000 7.5-11.6
 # alone, 7.2-10.7 at 64k, 7.0-10.1 at 128k. CT on trees d=2: n=10
@@ -68,7 +70,6 @@ class ExperimentSpec:
     seed_base: int
     origin: Optional[str] = None     # None -> per-metric default
     s: Optional[int] = None          # leafwalk restart parameter
-    lam_max: Optional[float] = None  # None -> max of the lambda grid
     step_cap: int = DEFAULT_STEP_CAP  # clock cap of both simulation metrics
     jobs: int = 1
 
@@ -157,10 +158,6 @@ def run_trial(cell, outcome, wall_ms):
     return replace(cell, budget_reason=reason, wall_ms=wall_ms)
 
 
-def _lam_max(spec):
-    return max(spec.lambdas) if spec.lam_max is None else spec.lam_max
-
-
 def _ms_since(start):
     return (time.perf_counter() - start) * 1000.0
 
@@ -168,11 +165,11 @@ def _ms_since(start):
 def _batch_task(task):
     """The cells of a (spec, graph, trial indices) task: one list per trial,
     in the order of the lambda grid. The graph and the origin are built
-    once, each trial samples its lambda_max configuration once, and each
-    lambda cell runs one clock on the stack of the trials' views. A trial's
-    wall_ms counts its sampling (in its first cell) and an even share of
-    each clock it took part in. A configuration that the byte guard refuses
-    fails every cell of the batch, with the reason."""
+    once, each trial samples its configuration at the largest lambda once,
+    and each lambda cell runs one clock on the stack of the trials' views.
+    A trial's wall_ms counts its sampling (in its first cell) and an even
+    share of each clock it took part in. A configuration that the byte
+    guard refuses fails every cell of the batch, with the reason."""
     spec, graph, trials = task
     g = build_graph(parse_descriptor(graph))
     if spec.metric == "leafwalk":
@@ -200,8 +197,8 @@ def _batch_task(task):
     for cell in cells:
         start = time.perf_counter()
         try:
-            configs.append(init_config(g, _lam_max(spec), origin, cell.seed,
-                                       lam_max=spec.lam_max))
+            configs.append(init_config(g, max(spec.lambdas), origin,
+                                       cell.seed))
         except BudgetExceededError as exc:
             # the byte guard reads only V and lambda_max: it refuses the
             # first trial of a batch exactly when it refuses them all
@@ -230,10 +227,9 @@ def _batches(spec, graph):
     ceil(trials / jobs)."""
     size = 1
     if spec.metric != "leafwalk":
-        table = parse_descriptor(graph).vertex_count * (1 + _lam_max(spec))
-        if table > 0:  # a bad lambda_max fails when it is sampled
-            size = min(max(1, int(BATCH_TABLE_SIZE // table)),
-                       ceil(spec.trials / spec.jobs))
+        table = parse_descriptor(graph).vertex_count * (1 + max(spec.lambdas))
+        size = min(max(1, int(BATCH_TABLE_SIZE // table)),
+                   ceil(spec.trials / spec.jobs))
     return [list(range(lo, min(lo + size, spec.trials)))
             for lo in range(0, spec.trials, size)]
 

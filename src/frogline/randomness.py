@@ -1,41 +1,41 @@
 """Seeded randomness: Poisson configurations with a superposition coupling,
-and keyed, counter-based random walks.
+and keyed, counter-based random walks, all from one stream family.
 
-Two kinds of stream come from one 64-bit seed:
+A stream is one 64-bit key, hashed from (seed, namespace, ...), and its
+draw k is a SplitMix64-style hash of (key, k): a counter-based generator in
+the sense of Salmon et al., "Parallel random numbers: as easy as 1, 2, 3"
+(SC'11). Every random number comes from that one hash (`_draws`): the
+Poisson configuration, the frog particles' walks, the range samples and
+the killed leaf walk. A walk's next position is a pure function of its
+key, its step count and its current vertex, so `generate_steps` can
+advance any batch of walks in lockstep as numpy vectors, or a few walks
+one at a time, and a walk's path does not depend on which walks share its
+batch or on how its steps are split into blocks.
 
-- A Philox generator (a `SeedSequence` spawn key) draws the Poisson
-  configuration, and nothing else.
-- Keyed walks drive the frog particles, the range samples and the killed
-  leaf walk. A walk is one 64-bit key, and the uniform behind its step k
-  is a SplitMix64-style hash of (key, k): a counter-based generator in the
-  sense of Salmon et al., "Parallel random numbers: as easy as 1, 2, 3"
-  (SC'11). A walk's next position is a pure function of its key, its step
-  count and its current vertex, so `generate_steps` can advance any batch
-  of walks in lockstep as numpy vectors, or a few walks one at a time, and
-  a walk's path does not depend on which walks share its batch or on how
-  its steps are split into blocks.
-
-The coupling works like this: every vertex carries the arrival marks of a
-unit-rate Poisson process on [0, lambda_max], sampled once per (seed,
-lambda_max). The particles present at density lambda are exactly the marks
-with position <= lambda, plus the planted particle at the origin. For
-lambda <= lambda' the lambda-particles are a sub-multiset of the
+The coupling works like this: every vertex v carries the arrival marks of
+a unit-rate Poisson process, whose gap j is -log1p(-u) for the uniform u of
+draw j of the stream (seed, config, v). The particles present at density
+lambda are exactly the marks with position <= lambda, plus the planted
+particle at the origin. An arrival <= lambda depends only on the gaps
+before it, so the configuration at lambda is a function of (seed, origin,
+lambda) alone, whatever horizon lambda_max the processes were drawn to.
+For lambda <= lambda' the lambda-particles are a sub-multiset of the
 lambda'-particles, and each particle keeps the same walk key (hashed from
 (seed, vertex, mark rank), or (seed, origin) for the planted particle,
 never from lambda), so susceptibility and cover time are pointwise
-monotone in lambda on shared seeds. The keys are hashed once per
-configuration, for every mark up to lambda_max, into the lambda_max
-particle table, and every lambda view (`FrogInit`) is that table filtered.
+monotone in lambda on shared seeds. The marks up to lambda_max are drawn
+once per configuration into the lambda_max particle table, and every
+lambda view (`FrogInit`) is that table filtered.
 
-Asking for lambda > lambda_max raises instead of resampling; a silent
-resample would break the coupling.
+A view asks for lambda <= lambda_max: the table holds no marks past its
+horizon.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ParameterError, check_budget, check_lambda, check_seed
+from .errors import check_budget, check_horizon, check_seed
 from .graph import COMPLETE, TREE
 
 # namespaces: distinct first key components keep stream families disjoint
@@ -62,23 +62,25 @@ SCALAR_STEP_WALKS = 48
 # 23 / 17.5 / 35, 16384 walks 12.6 / 13.2 / 21
 HASH_BLOCK_CELLS = 2 ** 14
 
-# peak bytes init_config takes per vertex and per expected mark, rounded up
-# from trees of depth 16 and 18 (36-50 B per vertex at lambda 0, 70 B per
-# mark at lambda 8); a configuration estimated above CONFIG_BYTE_LIMIT is
-# refused before anything is allocated
+# peak bytes init_config takes per vertex and per expected mark, an upper
+# bound: the tracemalloc peak on tree d=2 n=16 reads 0.33 of the estimate
+# at lambda 0, 0.36 at lambda 1 and 0.55 at lambda 8; a configuration
+# estimated above CONFIG_BYTE_LIMIT is refused before anything is allocated
 CONFIG_BYTES_PER_VERTEX = 48
 CONFIG_BYTES_PER_MARK = 72
+
+# vertices whose marks init_config draws at once: a block's temporaries
+# take about 100 B a vertex, so the peak stays inside the estimate (one
+# block of all 131,071 vertices of tree d=2 n=16 reads 1.46 of it at lambda
+# 0, blocks of 2^16 read 0.73). Best of 3 on tree d=2 n=20 (shared 2-core
+# VM, python 3.11, numpy 2.4), init_config at lambda 1 / 4: blocks of 2^12
+# 0.34 / 0.80 s, 2^14 0.22 / 0.65 s, 2^16 0.30 / 0.87 s
+CONFIG_BLOCK_VERTICES = 2 ** 14
 
 
 GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
-
-
-def _generator(seed, spawn_key):
-    check_seed(seed)
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(
-        entropy=seed, spawn_key=spawn_key)))
 
 
 def _mix(z, tmp=None):
@@ -151,11 +153,7 @@ class FrogInit(_ParticleTable):
 
     def at_lambda(self, lam):
         """Re-view the same realization at a different density <= lam_max."""
-        check_lambda("lambda", lam)
-        if lam > self.lam_max:
-            raise ParameterError(
-                "lambda %r exceeds lambda_max %r; resampling would break the "
-                "coupling" % (lam, self.lam_max))
+        check_horizon(lam, self.lam_max)
         return _view(self.g, lam, self.lam_max, self.origin, self.coupling)
 
 
@@ -227,51 +225,55 @@ def init_config(g, lam, origin, seed, lam_max=None):
     Raises BudgetExceededError, before any allocation, when the
     configuration would take more than CONFIG_BYTE_LIMIT bytes.
     """
-    if lam_max is None:
-        lam_max = lam
-    else:
-        check_lambda("lambda_max", lam_max)
-    check_lambda("lambda", lam)
-    if lam > lam_max:
-        raise ParameterError("lambda %r exceeds lambda_max %r" % (lam, lam_max))
+    lam_max = lam if lam_max is None else lam_max
+    check_horizon(lam, lam_max)
     g.check_vertex(origin)
     check_budget("a configuration on %s at lambda_max %r"
                  % (g.label(), lam_max), config_bytes(g.vertex_count, lam_max))
     return _view(g, lam, lam_max, origin, _coupling(g, origin, seed, lam_max))
 
 
-def _sort_marks(vertex, positions):
-    """The mark positions, with `vertex` their vertices in nondecreasing
-    order, sorted by position within each vertex: one in-place sort of the
-    complex keys vertex + i * position, which numpy orders by real part,
-    then by imaginary part. A vertex id below 2^53 is an exact double, and
-    tied positions are equal values, so this is the order of
-    lexsort((positions, vertex)), at a fraction of its cost."""
-    z = np.empty(len(vertex), dtype=np.complex128)
-    z.real = vertex
-    z.imag = positions
-    z.sort()
-    return z.imag
-
-
 def _coupling(g, origin, seed, lam_max):
-    """The lam_max particle table as (home, keys, mark positions); its
-    sampling temporaries are freed on return, before any view is taken."""
-    rng = _generator(seed, (_NS_CONFIG,))
-    per_vertex = rng.poisson(lam_max, size=g.vertex_count).astype(np.int64)
-    total = int(per_vertex.sum())
-    positions = rng.random(total) * lam_max
-    vertex = np.repeat(np.arange(g.vertex_count, dtype=np.int64), per_vertex)
-    marks = _sort_marks(vertex, positions)
-    del positions
-    first = np.cumsum(per_vertex) - per_vertex
-    # a mark's key is hashed from (vertex, rank among the vertex's marks)
-    keys = _walk_keys(seed, _NS_MARK_WALK, vertex,
-                      np.arange(total, dtype=np.int64) - first[vertex])
-    plant = int(first[origin] + per_vertex[origin])
-    return (np.insert(vertex.astype(g.index_dtype), plant, origin),
-            np.insert(keys, plant, _walk_keys(seed, _NS_PLANT_WALK, origin)),
-            np.insert(marks, plant, 0.0))
+    """The lam_max particle table as (home, keys, mark positions), sampled
+    CONFIG_BLOCK_VERTICES vertices at a time; its sampling temporaries are
+    freed on return, before any view is taken."""
+    V, B = g.vertex_count, CONFIG_BLOCK_VERTICES
+    blocks = [_block_marks(g, seed, lo, min(lo + B, V), lam_max)
+              for lo in range(0, V, B)]
+    # the planted particle comes last at the origin, at mark position 0
+    at = np.searchsorted(blocks[origin // B][0], origin, side="right")
+    plant = (origin, _walk_keys(seed, _NS_PLANT_WALK, origin), 0.0)
+    blocks[origin // B] = [np.insert(column, at, x)
+                           for column, x in zip(blocks[origin // B], plant)]
+    return tuple(np.concatenate(parts) for parts in zip(*blocks))
+
+
+def _block_marks(g, seed, lo, hi, lam_max):
+    """(home, keys, mark positions) of the marks of vertices lo .. hi - 1,
+    vertex by vertex and in increasing position within a vertex: vertex v's
+    arrivals up to lam_max, whose gap j is -log1p(-u) for the uniform u of
+    draw j of the stream (seed, _NS_CONFIG, v). The gaps are drawn in
+    rounds, one for each vertex whose last arrival is still <= lam_max, so
+    the vertices of a round share their counter."""
+    ctr = _walk_keys(seed, _NS_CONFIG, np.arange(lo, hi, dtype=np.uint64))
+    scratch = StepScratch(hi - lo, g.index_dtype)
+    # round j: the vertices with a mark of rank j, and its position
+    live, t, rounds = np.arange(hi - lo), np.zeros(hi - lo), []
+    while len(live):
+        u = _draws(ctr, len(rounds), 1, scratch)[0] * 2.0 ** -53
+        t = t - np.log1p(-u)  # a new array: the last round holds the old one
+        keep = np.flatnonzero(t <= lam_max)  # faster than a mask
+        live, ctr, t = live[keep], ctr[keep], t[keep]
+        rounds.append((live, t))
+    counts = np.bincount(np.concatenate([vs for vs, _ in rounds]),
+                         minlength=hi - lo)
+    first = counts.cumsum() - counts
+    marks = np.empty(int(counts.sum()))
+    for j, (vs, ts) in enumerate(rounds):
+        marks[first[vs] + j] = ts
+    home = np.arange(lo, hi, dtype=g.index_dtype).repeat(counts)
+    rank = np.arange(len(home)) - first.repeat(counts)
+    return home, _walk_keys(seed, _NS_MARK_WALK, home, rank), marks
 
 
 def counters(keys, steps):

@@ -145,11 +145,6 @@ def bisected_susceptibility(g, init, walks):
     return lo
 
 
-def lexsort_marks(vertex, positions):
-    """The mark positions ordered by (vertex, position), by an index sort."""
-    return positions[np.lexsort((positions, vertex))]
-
-
 def stationary_solve(chain):
     """Left eigenvector of the level chain's matrix for eigenvalue 1, by a
     least-squares solve with the normalization as an extra row."""

@@ -438,16 +438,44 @@ def test_validate_fast_exit_0(capsys):
     assert {"pi_stationary", "activation_oracle", "spectral_oracle"} <= names
 
 
-def test_cli_import_loads_no_process_pool():
-    # the pool is imported only by a run with more than one worker
-    code = ("import sys, frogline.cli; "
-            "print('concurrent.futures' in sys.modules)")
+def _last_line_of(code):
+    """The last line that `code` prints in a fresh interpreter."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [os.path.dirname(os.path.dirname(frogline.__file__))]
         + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
     done = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, check=True)
-    assert done.stdout.strip() == "False"
+    return done.stdout.strip().splitlines()[-1]
+
+
+def test_cli_import_loads_no_process_pool():
+    # the pool is imported only by a run with more than one worker
+    assert _last_line_of("import sys, frogline.cli; "
+                         "print('concurrent.futures' in sys.modules)") \
+        == "False"
+
+
+def test_simulate_and_sweep_load_no_numpy_random():
+    # one random-number layer: every draw comes from the keyed walk hash,
+    # so a run never imports numpy's generators
+    assert _last_line_of(
+        "import sys; from frogline.cli import main; "
+        "main(['simulate', '--graph', 'tree:d=2,n=4', '--trials', '2']); "
+        "main(['sweep', '--graph', 'tree:d=2,n=4', '--lambda', '0.5,1', "
+        "'--trials', '2']); "
+        "print('numpy.random' in sys.modules)") == "False"
+
+
+def test_lambda_max_changes_no_simulate_row(capsys):
+    for mode in ("susceptibility", "cover"):
+        runs = []
+        for extra in ((), ("--lambda-max", "2")):
+            code, out = _run(capsys, "simulate", "--graph", "tree:d=2,n=5",
+                             "--lambda", "1", "--mode", mode, "--trials", "4",
+                             *extra)
+            assert code == 0
+            runs.append([dict(r, wall_ms="") for r in _rows(out)])
+        assert runs[0] == runs[1], mode
 
 
 def test_unknown_choice_exits_2(capsys):

