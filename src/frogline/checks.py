@@ -55,8 +55,7 @@ import numpy as np
 from . import bands
 from .experiments import (ExperimentSpec, estimate, run_spec_trials, sweep,
                           sweep_csv_rows, trial_csv_rows, trial_seed)
-from .errors import DEFAULT_STEP_CAP
-from .frog_sim import NEVER, _wake_clock, run_activation, susceptibility
+from .frog_sim import NEVER, activation_times, susceptibility
 from .graph import (COMPLETE, CYCLE, TREE, GraphDescriptor, build_graph,
                     parse_descriptor)
 from .randomness import (WalkStore, counters, generate_steps, init_config,
@@ -114,17 +113,22 @@ def expected_hit_solve(chain):
     return float(h[-1])
 
 
-def first_visit_table(g, init, walks, tau_max):
-    """ell[x, y]: first step <= tau_max at which a particle based at x
-    stands on y; 0 on the diagonal, NEVER where no such particle arrives."""
-    V = g.vertex_count
-    ell = np.full((V, V), NEVER, dtype=np.int64)
+def first_visit_table(stack, tau_max):
+    """ell[k, x, y]: first step <= tau_max at which a particle based at x in
+    copy k of `stack` stands on y; 0 on the diagonal, NEVER where no such
+    particle arrives."""
+    g = stack.g
+    V, K = g.vertex_count, len(stack.origins)
+    ell = np.full((K, V, V), NEVER, dtype=np.int64)
     steps = np.arange(1, tau_max + 1, dtype=np.int64)
     for x in range(V):
-        cols = init.columns([x])
-        path = walks.advance(init.home[cols], init.keys[cols], 0, tau_max)
-        np.minimum.at(ell[x], path, np.broadcast_to(steps, path.shape))
-        ell[x, x] = 0
+        cols = stack.columns(np.arange(K) * V + x)
+        path = generate_steps(g, stack.home[cols], stack.keys[cols], 0,
+                              tau_max)
+        copies = (stack.base[cols] // V)[:, None]
+        np.minimum.at(ell, (copies, x, path),
+                      np.broadcast_to(steps, path.shape))
+    ell[:, range(V), range(V)] = 0
     return ell
 
 
@@ -481,11 +485,10 @@ def check_activation_oracle(cases=("tree:d=2,n=2", "cycle:n=6",
         inits = [init_config(g, lam, 0, seed) for lam, seed in configs]
         stack = stack_views(inits)
         # S read up to the largest tau (None: no tau checked covers)
-        s = susceptibility(g, stack, step_cap=max(taus))
-        ells = [first_visit_table(g, init, WalkStore(g, init), max(taus))
-                for init in inits]
+        s = susceptibility(stack, step_cap=max(taus))
+        ells = first_visit_table(stack, max(taus))
         for tau in taus:
-            at, outcomes = _wake_clock(g, stack, DEFAULT_STEP_CAP, tau=tau)
+            at, outcomes = activation_times(stack, tau)
             for k, (lam, seed) in enumerate(configs):
                 if not np.array_equal(at[k], activation_oracle(
                         g, inits[k], ells[k], tau)):
@@ -755,12 +758,13 @@ def check_coupling_monotone(graph="tree:d=2,n=6", trials=20, seed_base=0):
 def check_lambda0_collapse():
     bad = []
     g = build_graph(GraphDescriptor(CYCLE, n=7))
-    for seed in range(5):
-        init = init_config(g, 0.0, 0, seed)
-        walks = WalkStore(g, init)
-        tau = susceptibility(g, init, walks)
+    # at lambda 0 copy k's one particle is its plant, particle k of the stack
+    stack = stack_views([init_config(g, 0.0, 0, seed) for seed in range(5)])
+    taus = [o.value for o in susceptibility(stack)]
+    walks = np.column_stack((stack.home, generate_steps(
+        g, stack.home, stack.keys, 0, max(taus) + 8)))
+    for seed, (tau, w) in enumerate(zip(taus, walks)):
         # oracle: first t with |{X_0..X_t}| = |V| along the planted walk
-        w = walks.prefix(init.planted, tau + 8)
         seen = set()
         first_cover = None
         for t, v in enumerate(w):
@@ -809,11 +813,11 @@ def check_tree_band(ns=(6, 8), trials=10, seed_base=23):
     meds, values, bad = tree_ratio_medians(ns, trials, seed_base)
     for n, s in zip(ns, values[:, 0]):
         g = build_graph(parse_descriptor(_tree(n)))
-        init = init_config(g, 1.0, 0, trial_seed(seed_base, _tree(n), None,
-                                                 "susceptibility", 0))
-        walks = WalkStore(g, init)
-        if not (s >= 1 and run_activation(g, init, walks, int(s)).covered
-                and not run_activation(g, init, walks, int(s) - 1).covered):
+        stack = stack_views([init_config(g, 1.0, 0, trial_seed(
+            seed_base, _tree(n), None, "susceptibility", 0))])
+        covered = [s >= 1 and activation_times(stack, int(tau))[1][0].value
+                   is not None for tau in (s, s - 1)]
+        if covered != [True, False]:
             bad.append("S=%s is not the first covering lifetime at n=%d"
                        % (s, n))
     spread = max(meds) / min(meds)

@@ -212,7 +212,7 @@ def _batch_task(task):
         stack = stack_views([config.at_lambda(lam) for config in configs])
         if j == len(spec.lambdas) - 1:
             configs = None  # the last stack holds all that its clock reads
-        outcomes = engine(g, stack, step_cap=spec.step_cap)
+        outcomes = engine(stack, step_cap=spec.step_cap)
         share = _ms_since(start) / len(cells)
         for i, outcome in enumerate(outcomes):
             rows[i].append(run_trial(replace(cells[i], lam=lam), outcome,

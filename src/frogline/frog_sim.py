@@ -8,13 +8,16 @@ particles (tau = infinity). Activation times and cover time come from one
 wake clock, susceptibility from a replay clock that reads the first steps
 of every particle from a prefix walked ahead in lockstep.
 
-Both clocks run on a stack of configurations of one graph
-(randomness.FrogStack): K copies of the graph with disjoint vertex ids, so
-each tick's numpy calls serve K trials, while each copy's numbers stay
-those of its configuration alone. One configuration is the stack of one.
-Both keep their state in one _Clock: the copies' wake state and the awake
-particles' slots, which a tick moves (from the prefix or by one kernel
-step), woken particles join and a covered copy's particles leave by
+The three entry points, `activation_times`, `susceptibility` and
+`cover_time`, take a stack of configurations of one graph
+(randomness.FrogStack, made by stack_views): K copies of the graph with
+disjoint vertex ids, so each tick's numpy calls serve K trials, while each
+copy's numbers stay those of its configuration alone. One configuration is
+the stack of one. Each returns one Outcome per copy: its value, the steps
+its particles took and, when the step cap stopped it, its budget error.
+Both clocks keep their state in one _Clock: the copies' wake state and the
+awake particles' slots, which a tick moves (from the prefix or by one
+kernel step), woken particles join and a covered copy's particles leave by
 compaction.
 """
 
@@ -27,8 +30,8 @@ import numpy as np
 from .errors import (DEFAULT_STEP_CAP, BudgetExceededError, ParameterError,
                      check_step_cap)
 from .graph import TREE
-from .randomness import (GAMMA, FrogStack, StepScratch, counters,
-                         generate_steps, stack_views)
+from .randomness import (GAMMA, StepScratch, counters, generate_steps,
+                         stack_views)
 
 # activation-time sentinel for "never woken"
 NEVER = np.iinfo(np.int64).max
@@ -220,21 +223,24 @@ class _Clock:
                         int(steps[k]), self.errors[k]) for k in range(self.K)]
 
 
-def _wake_clock(g, stack, step_cap, tau=None):
-    """Per-vertex wake ticks of every copy of `stack`, as a (K, V) array,
-    NEVER where a vertex never wakes, and each copy's Outcome (its value is
-    its cover time).
+def activation_times(stack, tau=None, step_cap=DEFAULT_STEP_CAP):
+    """Per-vertex wake ticks of every copy of `stack` under lifetime tau
+    (None: immortal), as a (K, V) array, NEVER where a vertex never wakes,
+    and each copy's Outcome, whose value is its last wake tick when it is
+    covered (under tau = None, its cover time).
 
     One synchronous clock over the awake particles (_Clock): at each tick
     every awake particle takes one step, and the vertices it lands on for
     the first time wake; their particles join at home and take step 1 on
-    the next tick. A particle retires once its age reaches tau (None:
-    immortal), and a covered copy's particles leave; the clock stops once
-    nobody is left. The wake ticks are the activation times under lifetime
-    tau. Past step_cap every copy that still has particles gets its own
-    BudgetExceededError.
+    the next tick. A particle retires once its age reaches tau, and a
+    covered copy's particles leave; the clock stops once nobody is left.
+    The wake ticks are the activation times under lifetime tau. Past
+    step_cap every copy that still has particles gets its own
+    BudgetExceededError, with bracket (step_cap + 1, None).
     """
     check_step_cap(step_cap)
+    if tau is not None and tau < 0:
+        raise ParameterError("tau must be >= 0, got %r" % (tau,))
     clock = _Clock(stack, times=True, tau=tau)
     clock.join(stack.columns(stack.origins), 0)
     t = 0
@@ -261,6 +267,12 @@ def _wake_clock(g, stack, step_cap, tau=None):
     return at, clock.outcomes(steps)
 
 
+def cover_time(stack, step_cap=DEFAULT_STEP_CAP):
+    """Each copy's cover time, the tick of its last wake-up with immortal
+    particles (tau = infinity), as Outcomes; see `activation_times`."""
+    return activation_times(stack, step_cap=step_cap)[1]
+
+
 class _Prefix:
     """Steps 1..h of every particle of a stack, walked in lockstep into
     step-major row chunks: row j - 1 holds every particle's position after
@@ -276,9 +288,9 @@ class _Prefix:
     generate.
     """
 
-    def __init__(self, g, stack, step_cap):
+    def __init__(self, stack, step_cap):
+        g, n = stack.g, stack.particle_count()
         self.g, self.stack = g, stack
-        n = stack.particle_count()
         # complete graphs and cycles get no prefix: generate_steps already
         # replays their batches with one cumulative sum per block, and a
         # prefix there measured slower
@@ -341,10 +353,24 @@ class _Prefix:
         return np.concatenate(woken), pos
 
 
-def _replay_clock(g, stack, step_cap):
-    """Each copy's susceptibility, as Outcomes; see `susceptibility`."""
+def susceptibility(stack, step_cap=DEFAULT_STEP_CAP):
+    """Each copy's susceptibility, the minimal lifetime tau under which
+    every vertex wakes, as Outcomes.
+
+    The replay clock: at clock t every awake particle has walked steps
+    1..t, so the particles of a vertex woken at t first replay steps 1..t,
+    and what they reach wakes at the same t. The awake set at clock t is
+    then the set that lifetime t covers (reachability over first-visit
+    steps <= t), so the last wake tick is the susceptibility. A tick
+    t <= hmax reads the awake particles' positions from row t of the
+    pre-walked prefix (_Prefix); a later tick steps them itself. A covered
+    copy's particles leave the clock. The steps counted are the steps the
+    particles take, not the prefix's look-ahead. A copy that lifetime
+    step_cap does not cover gets a BudgetExceededError, with bracket
+    (step_cap + 1, None).
+    """
     check_step_cap(step_cap)
-    prefix = _Prefix(g, stack, step_cap)
+    prefix = _Prefix(stack, step_cap)
     clock = _Clock(stack, prefix=prefix)
     V, K = clock.V, clock.K
     # particles of each copy that its last wake round reached: the copy is
@@ -378,65 +404,15 @@ def _replay_clock(g, stack, step_cap):
     return clock.outcomes(T * (awake - idle))
 
 
-def _settle(outcomes, walks):
-    """The Outcome of a stack of one configuration, with its steps added to
-    walks.steps_generated (when walks is given) and its budget error
-    raised."""
-    (outcome,) = outcomes
-    if walks is not None:
-        walks.steps_generated += outcome.steps
-    if outcome.error is not None:
-        raise outcome.error
-    return outcome
-
-
 def run_activation(g, init, walks, tau):
-    """Exact activation times for lifetime tau.
+    """Activation times of one configuration for lifetime tau, as an
+    ActivationReport: `activation_times` on its stack of one, kept for
+    callers of the one-configuration form; `g` and `walks` are not read.
 
     Raises BudgetExceededError when the clock passes DEFAULT_STEP_CAP.
     """
-    if tau < 0:
-        raise ParameterError("tau must be >= 0, got %r" % (tau,))
-    at, outcomes = _wake_clock(g, stack_views([init]), DEFAULT_STEP_CAP,
-                               tau=tau)
-    max_at = _settle(outcomes, walks).value
-    return ActivationReport(at=at[0], covered=max_at is not None,
-                            max_at=max_at)
+    at, (outcome,) = activation_times(stack_views([init]), tau)
+    if outcome.error is not None:
+        raise outcome.error
+    return ActivationReport(at[0], outcome.value is not None, outcome.value)
 
-
-def susceptibility(g, init, walks=None, step_cap=DEFAULT_STEP_CAP):
-    """Minimal lifetime tau under which every vertex wakes.
-
-    The replay clock: at clock t every awake particle has walked steps
-    1..t, so the particles of a vertex woken at t first replay steps 1..t,
-    and what they reach wakes at the same t. The awake set at clock t is
-    then the set that lifetime t covers (reachability over first-visit
-    steps <= t), so the last wake tick is the susceptibility. A tick
-    t <= hmax reads the awake particles' positions from row t of the
-    pre-walked prefix (_Prefix); a later tick steps them itself. A covered
-    copy's particles leave the clock. The steps counted are the steps the
-    particles take, not the prefix's look-ahead.
-
-    `init` is one configuration or a stack of them. For a stack this
-    returns each copy's Outcome. For one configuration it returns S, adds
-    the steps to `walks.steps_generated`, and raises BudgetExceededError,
-    with bracket (step_cap + 1, None), when the graph is not covered by
-    lifetime step_cap.
-    """
-    if isinstance(init, FrogStack):
-        return _replay_clock(g, init, step_cap)
-    return _settle(_replay_clock(g, stack_views([init]), step_cap),
-                   walks).value
-
-
-def cover_time(g, init, walks=None, step_cap=DEFAULT_STEP_CAP):
-    """Time of the last wake-up with immortal particles (tau = infinity).
-
-    `init` and the results are as in `susceptibility`; for one
-    configuration this raises BudgetExceededError, with bracket
-    (step_cap + 1, None), when the graph is not covered by time step_cap.
-    """
-    if isinstance(init, FrogStack):
-        return _wake_clock(g, init, step_cap)[1]
-    return _settle(_wake_clock(g, stack_views([init]), step_cap)[1],
-                   walks).value

@@ -237,12 +237,17 @@ def _coupling(g, origin, seed, lam_max):
     """The lam_max particle table as (home, keys, mark positions), sampled
     CONFIG_BLOCK_VERTICES vertices at a time; its sampling temporaries are
     freed on return, before any view is taken."""
+    # the planted particle comes last at the origin, at mark position 0
+    plant = (origin, _walk_keys(seed, _NS_PLANT_WALK, origin), 0.0)
+    if lam_max == 0:
+        # no arrival at or below 0: a Poisson gap is positive, so no vertex
+        # draws one (a drawn gap is 0 only for m = 0, probability 2^-53)
+        return tuple(np.array(x, dtype=dtype, ndmin=1) for x, dtype
+                     in zip(plant, (g.index_dtype, np.uint64, np.float64)))
     V, B = g.vertex_count, CONFIG_BLOCK_VERTICES
     blocks = [_block_marks(g, seed, lo, min(lo + B, V), lam_max)
               for lo in range(0, V, B)]
-    # the planted particle comes last at the origin, at mark position 0
     at = np.searchsorted(blocks[origin // B][0], origin, side="right")
-    plant = (origin, _walk_keys(seed, _NS_PLANT_WALK, origin), 0.0)
     blocks[origin // B] = [np.insert(column, at, x)
                            for column, x in zip(blocks[origin // B], plant)]
     return tuple(np.concatenate(parts) for parts in zip(*blocks))
@@ -469,29 +474,17 @@ def generate_steps(g, starts, keys, offsets, nsteps, scratch=None):
 
 
 class WalkStore:
-    """The particles' keyed walks of one configuration.
-
-    A walk is a pure function of its key and step count, so nothing is
-    cached: `advance` steps a batch of walks, and prefix(i, t) regenerates
-    positions 0..t of particle i's walk (index 0 is its home).
-    `steps_generated` counts the steps generated through `advance`, plus
-    the steps the particles take in each frog_sim clock run on this
-    configuration (not the look-ahead of the susceptibility clock's
-    prefix).
-    """
+    """The particles' keyed walks of one configuration, read one walk at a
+    time: prefix(i, t) regenerates positions 0..t of particle i's walk
+    (index 0 is its home). A walk is a pure function of its key and step
+    count, so nothing is cached."""
 
     def __init__(self, g, init):
         self.g = g
         self.init = init
-        self.steps_generated = 0
-
-    def advance(self, starts, keys, offsets, nsteps):
-        """generate_steps on this store's graph, counted in steps_generated."""
-        block = generate_steps(self.g, starts, keys, offsets, nsteps)
-        self.steps_generated += block.size
-        return block
 
     def prefix(self, i, nsteps):
         home = self.init.home[i:i + 1]
-        steps = self.advance(home, self.init.keys[i:i + 1], 0, nsteps)[0]
+        steps = generate_steps(self.g, home, self.init.keys[i:i + 1], 0,
+                               nsteps)[0]
         return np.concatenate((home, steps))

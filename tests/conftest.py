@@ -6,7 +6,7 @@ import signal
 
 import pytest
 
-# well above the slowest test, acceptance 03 (23-31 s)
+# well above the slowest test, which takes 2-5 s (shared 2-core VM)
 TEST_SECONDS = 120
 
 

@@ -13,7 +13,7 @@ import numpy as np
 
 from frogline import GraphDescriptor, build_graph
 from frogline.checks import chain_matrix
-from frogline.randomness import GAMMA, _mix
+from frogline.randomness import GAMMA, _mix, generate_steps
 
 
 def bfs_distances(g, src):
@@ -109,40 +109,50 @@ def excursion_leaf_walk(d, n, s, rng):
     return t
 
 
-def covered_under(g, init, walks, tau):
-    """Whether lifetime tau wakes every vertex, by reachability over
-    first-tau walk ranges: whether a vertex ever wakes does not depend on
-    when its wakers arrive, so round r walks all tau steps of the particles
-    at the vertices round r - 1 woke."""
-    visited = np.zeros(g.vertex_count, dtype=bool)
-    visited[init.origin] = True
-    frontier = [init.origin]
-    while tau > 0 and len(frontier):
-        cols = init.columns(frontier)
+def covered_under(stack, tau):
+    """Whether lifetime tau (one per copy, or one for all) wakes every vertex
+    of each copy of `stack`, by reachability over first-tau walk ranges:
+    whether a vertex ever wakes does not depend on when its wakers arrive,
+    so round r walks the first tau steps of the particles at the vertices
+    round r - 1 woke."""
+    g = stack.g
+    V, K = g.vertex_count, len(stack.origins)
+    tau = np.broadcast_to(tau, K)
+    visited = np.zeros(K * V, dtype=bool)
+    visited[stack.origins] = True
+    frontier = stack.origins
+    steps = np.arange(1, tau.max() + 1)
+    while len(steps) and len(frontier):
+        cols = stack.columns(frontier)
         if not len(cols):
             break  # nobody lives on the last vertices woken
-        path = walks.advance(init.home[cols], init.keys[cols], 0, tau)
+        base = stack.base[cols]
+        path = generate_steps(g, stack.home[cols], stack.keys[cols], 0,
+                              len(steps)) + base[:, None]
+        path = path[steps <= tau[base // V][:, None]]
         frontier = np.unique(path[~visited[path]])
         visited[frontier] = True
-    return bool(visited.all())
+    return visited.reshape(K, V).all(axis=1)
 
 
-def bisected_susceptibility(g, init, walks):
-    """Smallest tau with covered_under(tau): doubling, then bisection.
-    Coverage is monotone in tau because walk prefixes are nested."""
-    if g.vertex_count == 1:
-        return 0
-    hi = 1
-    while not covered_under(g, init, walks, hi):
-        hi *= 2
+def bisected_susceptibility(stack):
+    """Each copy's smallest tau with covered_under(tau): doubling, then
+    bisection. Coverage is monotone in tau because walk prefixes are
+    nested."""
+    K = len(stack.origins)
+    if stack.g.vertex_count == 1:
+        return [0] * K
+    hi = np.ones(K, dtype=np.int64)
+    while not (covered := covered_under(stack, hi)).all():
+        hi[~covered] *= 2
     lo = hi // 2 + 1  # hi // 2 was not covered (or is 0)
-    while lo < hi:
+    while (lo < hi).any():
         mid = (lo + hi) // 2
-        if covered_under(g, init, walks, mid):
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
+        covered = covered_under(stack, mid)
+        # a copy with lo == hi has mid == hi, which is covered
+        hi = np.where(covered, mid, hi)
+        lo = np.where(covered, lo, mid + 1)
+    return lo.tolist()
 
 
 def stationary_solve(chain):

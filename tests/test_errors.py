@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 
 from frogline import (BudgetExceededError, ExperimentSpec, FamilyError,
-                      ParameterError, build_graph, cover_time, green_sums,
-                      init_config, kappa_sequence, mixing_deviation,
-                      mixing_profile, mu_table, parse_descriptor,
-                      resolve_origin, run_killed_leaf_walk, select_spread_set,
+                      ParameterError, activation_times, build_graph,
+                      cover_time, green_sums, init_config, kappa_sequence,
+                      mixing_deviation, mixing_profile, mu_table,
+                      parse_descriptor, resolve_origin, run_killed_leaf_walk,
+                      select_spread_set, stack_views, susceptibility,
                       threshold_time, transition_powers, walk_keys)
 from frogline.experiments import validate_spec
 from frogline.tree_analytics import hitting_within
@@ -16,6 +17,10 @@ from frogline.tree_analytics import hitting_within
 
 def _g(text):
     return build_graph(parse_descriptor(text))
+
+
+def _stack():
+    return stack_views([init_config(_g(TREE), 1.0, 0, 1)])
 
 
 def _spec(lam=1.0, seed=0):
@@ -47,9 +52,7 @@ CASES = [
     ("seed", lambda: validate_spec(_spec(seed=2 ** 64)), ParameterError),
     ("step cap", lambda: run_killed_leaf_walk(2, 3, 3, 0, step_cap=0),
      ParameterError),
-    ("step cap", lambda: cover_time(
-        _g(TREE), init_config(_g(TREE), 1.0, 0, 1), step_cap=0),
-     ParameterError),
+    ("step cap", lambda: cover_time(_stack(), step_cap=0), ParameterError),
     # a negative time used to return 1.0 or raise a bare IndexError
     ("t_max", lambda: mixing_deviation(_g(TREE), -1), ParameterError),
     ("t_max", lambda: mixing_profile(_g(TREE), [2, -2]), ParameterError),
@@ -68,6 +71,10 @@ CASES = [
     ("tree only", lambda: resolve_origin(_g(CYCLE), "leaf"), FamilyError),
     ("grammar", lambda: parse_descriptor("tree:d=2,n=3,n=1"), ParameterError),
     ("grammar", lambda: parse_descriptor("tree:d=x,n=3"), ParameterError),
+    # a negative lifetime used to give negative step counts
+    ("tau", lambda: activation_times(_stack(), tau=-1), ParameterError),
+    ("step cap", lambda: susceptibility(_stack(), step_cap=0),
+     ParameterError),
 ]
 
 

@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from frogline import (BudgetExceededError, ExperimentSpec, ParameterError,
-                      WalkStore, build_graph, cover_time, estimate,
-                      init_config, parse_descriptor, resolve_origin,
-                      run_killed_leaf_walk, susceptibility, sweep, trial_seed)
+from frogline import (ExperimentSpec, ParameterError, build_graph,
+                      cover_time, estimate, init_config, parse_descriptor,
+                      resolve_origin, run_killed_leaf_walk, stack_views,
+                      susceptibility, sweep, trial_seed)
 from frogline import experiments
 from frogline.experiments import (SIMULATE_COLUMNS, SWEEP_COLUMNS,
                                   run_spec_trials, sweep_csv_rows,
@@ -75,13 +75,9 @@ def _per_cell_reference(spec, lam_max):
                 seed = trial_seed(spec.seed_base, graph, spec.origin,
                                   spec.metric, trial)
                 init = init_config(g, lam, origin, seed, lam_max=lam_max)
-                walks = WalkStore(g, init)
-                try:
-                    value = engine(g, init, walks, step_cap=spec.step_cap)
-                    steps = walks.steps_generated
-                except BudgetExceededError:
-                    value, steps = None, 0
-                out.append((graph, lam, trial, seed, value, steps))
+                (o,) = engine(stack_views([init]), step_cap=spec.step_cap)
+                steps = o.steps if o.error is None else 0
+                out.append((graph, lam, trial, seed, o.value, steps))
     return out
 
 

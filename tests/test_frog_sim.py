@@ -3,79 +3,69 @@ import warnings
 import numpy as np
 import pytest
 
-from frogline import (NEVER, BudgetExceededError, WalkStore, build_graph,
+from frogline import (NEVER, WalkStore, activation_times, build_graph,
                       cover_time, init_config, parse_descriptor,
-                      run_activation, susceptibility)
+                      run_activation, stack_views, susceptibility)
 from frogline import frog_sim
 from frogline.checks import activation_oracle, first_visit_table
-from frogline.randomness import stack_views
 
 from oracles import bfs_distances, bisected_susceptibility, covered_under
 
-SMALL = ["tree:d=2,n=2", "tree:d=2,n=3", "cycle:n=5", "cycle:n=9",
-         "complete:n=4", "complete:n=8"]
 
-
-@pytest.mark.parametrize("text", SMALL)
-@pytest.mark.parametrize("lam", [0.0, 1.0, 2.0])
-def test_activation_matches_shortest_paths(text, lam):
-    # run_activation, the wake clock on a stack of one, against the oracle
-    # that check_activation_oracle (acceptance test 03) runs on stacks
-    g = build_graph(parse_descriptor(text))
-    for seed in range(5):
-        init = init_config(g, lam, 0, seed)
-        walks = WalkStore(g, init)
-        ell = first_visit_table(g, init, walks, 24)
-        for tau in (0, 1, 2, 5, 11, 24):
-            report = run_activation(g, init, walks, tau)
-            assert np.array_equal(report.at,
-                                  activation_oracle(g, init, ell, tau))
-            assert report.covered == bool(np.all(report.at < NEVER))
+def _runs(engine, inits, step_cap=frog_sim.DEFAULT_STEP_CAP):
+    """Each configuration's value and steps, or its budget failure, from one
+    clock on the stack of `inits`; a lone run is a stack of one."""
+    out = []
+    for o in engine(stack_views(inits), step_cap=step_cap):
+        err = o.error
+        out.append(("S", o.value, o.steps) if err is None else
+                   ("budget", err.fraction_covered, err.bracket, o.steps))
+    return out
 
 
 def test_activation_origin_and_distance_floor():
     g = build_graph(parse_descriptor("tree:d=2,n=3"))
     dist = bfs_distances(g, 0)
-    for seed in range(5):
-        init = init_config(g, 1.0, 0, seed)
-        rep = run_activation(g, init, WalkStore(g, init), 12)
-        assert rep.at[0] == 0
-        live = rep.at < NEVER
+    at, _ = activation_times(stack_views(
+        [init_config(g, 1.0, 0, seed) for seed in range(5)]), 12)
+    for row in at:
+        assert row[0] == 0
+        live = row < NEVER
         # nothing activates sooner than graph distance from the origin
-        assert np.all(rep.at[live] >= dist[live])
+        assert np.all(row[live] >= dist[live])
 
 
 def test_covered_flag_matches_at_vector():
     g = build_graph(parse_descriptor("cycle:n=7"))
-    for seed in range(8):
-        init = init_config(g, 0.5, 0, seed)
-        walks = WalkStore(g, init)
-        for tau in (1, 4, 16):
-            rep = run_activation(g, init, walks, tau)
-            assert rep.covered == bool(np.all(rep.at < NEVER))
-            cov = covered_under(g, init, walks, tau)
-            assert cov == rep.covered
+    inits = [init_config(g, 0.5, 0, seed) for seed in range(8)]
+    stack = stack_views(inits)
+    for tau in (1, 4, 16):
+        at, outcomes = activation_times(stack, tau)
+        covered = [o.value is not None for o in outcomes]
+        assert covered == list((at < NEVER).all(axis=1))
+        assert covered == list(covered_under(stack, tau))
+        # run_activation: the same clock on a stack of one
+        for init, row, o in zip(inits, at, outcomes):
+            report = run_activation(g, init, None, tau)
+            assert np.array_equal(report.at, row)
+            assert (report.covered, report.max_at) == (o.value is not None,
+                                                       o.value)
 
 
 def test_susceptibility_is_minimal():
     g = build_graph(parse_descriptor("tree:d=2,n=4"))
-    for seed in range(6):
-        init = init_config(g, 1.0, 0, seed)
-        tau = susceptibility(g, init, WalkStore(g, init))
-        walks = WalkStore(g, init)
-        assert covered_under(g, init, walks, tau)
-        assert tau >= 1
-        if tau > 1:
-            assert not covered_under(g, init, walks, tau - 1)
+    stack = stack_views([init_config(g, 1.0, 0, seed) for seed in range(6)])
+    taus = np.array([o.value for o in susceptibility(stack)])
+    assert np.all(taus >= 1)
+    assert covered_under(stack, taus).all()
+    assert not covered_under(stack, taus - 1).any()
 
 
 def test_susceptibility_lambda_zero_is_walk_cover_time():
     g = build_graph(parse_descriptor("cycle:n=8"))
-    for seed in range(5):
-        init = init_config(g, 0.0, 0, seed)
-        walks = WalkStore(g, init)
-        tau = susceptibility(g, init, walks)
-        w = walks.prefix(init.planted, tau)
+    inits = [init_config(g, 0.0, 0, seed) for seed in range(5)]
+    for init, o in zip(inits, susceptibility(stack_views(inits))):
+        w = WalkStore(g, init).prefix(init.planted, o.value)
         assert len(np.unique(w)) == g.vertex_count
         assert len(np.unique(w[:-1])) == g.vertex_count - 1
 
@@ -88,19 +78,16 @@ def test_susceptibility_lambda_zero_is_walk_cover_time():
 @pytest.mark.parametrize("lam", [0.0, 0.5, 1.0, 2.0])
 def test_susceptibility_matches_bisection_oracle(text, lam):
     g = build_graph(parse_descriptor(text))
-    for seed in range(5):
-        init = init_config(g, lam, 0, seed)
-        walks = WalkStore(g, init)
-        assert susceptibility(g, init, walks) == \
-            bisected_susceptibility(g, init, walks), (text, lam, seed)
+    stack = stack_views([init_config(g, lam, 0, seed) for seed in range(5)])
+    assert [o.value for o in susceptibility(stack)] == \
+        bisected_susceptibility(stack), (text, lam)
 
 
 def test_susceptibility_ceiling_budget():
     g = build_graph(parse_descriptor("tree:d=2,n=5"))
     init = init_config(g, 0.01, 0, 3)
-    with pytest.raises(BudgetExceededError) as err:
-        susceptibility(g, init, WalkStore(g, init), step_cap=4)
-    assert err.value.bracket == (5, None)
+    (o,) = susceptibility(stack_views([init]), step_cap=4)
+    assert o.value is None and o.error.bracket == (5, None)
 
 
 @pytest.mark.parametrize("text", ["tree:d=2,n=4", "cycle:n=9",
@@ -110,66 +97,41 @@ def test_susceptibility_step_cap_is_the_clock(text):
     for lam in (0.5, 1.0):
         for seed in range(3):
             init = init_config(g, lam, 0, seed)
-            s = susceptibility(g, init, WalkStore(g, init))
-            assert susceptibility(g, init, WalkStore(g, init),
-                                  step_cap=s) == s
+            (run,) = _runs(susceptibility, [init])
+            s = run[1]
+            assert _runs(susceptibility, [init], step_cap=s) == [run]
             if s == 1:
                 continue  # step_cap must be > 0
-            with pytest.raises(BudgetExceededError) as err:
-                susceptibility(g, init, WalkStore(g, init), step_cap=s - 1)
-            assert 0 < err.value.fraction_covered < 1
-            assert err.value.bracket == (s, None)
+            ((kind, fraction, bracket, _),) = _runs(susceptibility, [init],
+                                                    step_cap=s - 1)
+            assert kind == "budget" and 0 < fraction < 1
+            assert bracket == (s, None)
 
 
 def test_cover_time_floor_and_budget():
     g = build_graph(parse_descriptor("tree:d=2,n=4"))
-    for seed in range(5):
-        init = init_config(g, 2.0, 0, seed)
-        ct = cover_time(g, init, WalkStore(g, init))
-        assert ct >= g.n  # the deepest leaf is n steps away
+    stack = stack_views([init_config(g, 2.0, 0, seed) for seed in range(5)])
+    # the deepest leaf is n steps away
+    assert all(o.value >= g.n for o in cover_time(stack))
     # CT is exactly the last activation time under lifetime CT
     for text in ("tree:d=2,n=3", "tree:d=3,n=2", "cycle:n=9",
                  "complete:n=8"):
         g = build_graph(parse_descriptor(text))
-        for lam in (0.0, 1.0, 2.0):
-            for seed in range(5):
-                init = init_config(g, lam, 0, seed)
-                walks = WalkStore(g, init)
-                ct = cover_time(g, init, walks)
-                rep = run_activation(g, init, walks, ct)
-                assert rep.covered and rep.max_at == ct, (text, lam, seed)
+        inits = [init_config(g, lam, 0, seed)
+                 for lam in (0.0, 1.0, 2.0) for seed in range(5)]
+        for init, o in zip(inits, cover_time(stack_views(inits))):
+            (last,) = activation_times(stack_views([init]), o.value)[1]
+            assert last.value == o.value, (text, init.lam)
     g = build_graph(parse_descriptor("tree:d=2,n=4"))
     init = init_config(g, 0.5, 0, 1)
-    with pytest.raises(BudgetExceededError) as err:
-        cover_time(g, init, WalkStore(g, init), step_cap=2)
-    assert 0 < err.value.fraction_covered < 1
+    (o,) = cover_time(stack_views([init]), step_cap=2)
+    assert o.value is None and 0 < o.error.fraction_covered < 1
 
 
 def test_cover_time_single_edge():
     g = build_graph(parse_descriptor("complete:n=2"))
     init = init_config(g, 0.0, 0, 11)
-    assert cover_time(g, init, WalkStore(g, init)) == 1
-
-
-def _run(engine, g, init, step_cap):
-    """One configuration's value and steps, or its budget failure."""
-    walks = WalkStore(g, init)
-    try:
-        return ("S", engine(g, init, walks, step_cap=step_cap),
-                walks.steps_generated)
-    except BudgetExceededError as err:
-        return ("budget", err.fraction_covered, err.bracket,
-                walks.steps_generated)
-
-
-def _stack_runs(engine, g, inits, step_cap):
-    """_run of every copy of the stack of `inits`, from one clock."""
-    out = []
-    for o in engine(g, stack_views(inits), step_cap=step_cap):
-        err = o.error
-        out.append(("S", o.value, o.steps) if err is None else
-                   ("budget", err.fraction_covered, err.bracket, o.steps))
-    return out
+    assert [o.value for o in cover_time(stack_views([init]))] == [1]
 
 
 def _prefix_settings(n, s):
@@ -198,15 +160,15 @@ def test_susceptibility_across_the_prefix_boundary(text, lam, monkeypatch):
     # the boundary earlier than its copies would alone
     g = build_graph(parse_descriptor(text))
     inits = [init_config(g, lam, 0, seed, lam_max=2.0) for seed in range(3)]
-    alone = []
-    for seed, init in enumerate(inits):
-        s = bisected_susceptibility(g, init, WalkStore(g, init))
+    alone = bisected_susceptibility(stack_views(inits))
+    for seed, (init, s) in enumerate(zip(inits, alone)):
         n = init.particle_count()
         caps = (s, s - 1) if s > 1 else (s,)
         runs = []
         for setting in _prefix_settings(n, s):
             _patch(monkeypatch, setting)
-            runs.append([_run(susceptibility, g, init, cap) for cap in caps])
+            runs.append([_runs(susceptibility, [init], cap)[0]
+                         for cap in caps])
             monkeypatch.undo()
         first, *rest = runs
         assert first[0][:2] == ("S", s), (text, lam, seed)
@@ -217,14 +179,13 @@ def test_susceptibility_across_the_prefix_boundary(text, lam, monkeypatch):
             assert 0 < first[1][1] < 1
         for other in rest:
             assert other == first, (text, lam, seed, runs)
-        alone.append(s)
     # the stack, with caps above every S, between them and below them
     n = sum(init.particle_count() for init in inits)
     for cap in sorted({max(alone), sorted(alone)[1], max(1, min(alone) - 1)}):
-        want = [_run(susceptibility, g, init, cap) for init in inits]
+        want = [_runs(susceptibility, [init], cap)[0] for init in inits]
         for setting in _prefix_settings(n, min(alone)):
             _patch(monkeypatch, setting)
-            got = _stack_runs(susceptibility, g, inits, cap)
+            got = _runs(susceptibility, inits, cap)
             monkeypatch.undo()
             assert got == want, (text, lam, cap, setting)
 
@@ -244,9 +205,10 @@ def test_lone_prefix_depth_follows_the_clock(monkeypatch):
         g = build_graph(parse_descriptor(text))
         for lam in (0.0, 1.0, 2.0):
             for seed in range(3):
-                s = susceptibility(g, init_config(g, lam, 0, seed))
-                assert made[-1].h <= 2 * max(s, frog_sim.PREFIX_ROWS), (
-                    text, lam, seed, s)
+                (o,) = susceptibility(stack_views(
+                    [init_config(g, lam, 0, seed)]))
+                assert made[-1].h <= 2 * max(o.value, frog_sim.PREFIX_ROWS), (
+                    text, lam, seed, o.value)
 
 
 @pytest.mark.parametrize("text", ["tree:d=2,n=3", "tree:d=3,n=2",
@@ -259,25 +221,26 @@ def test_stack_copies_equal_their_configurations(text):
              for lam, origin, seed in [(0.0, 0, 1), (0.5, 1, 2), (1.0, 0, 3),
                                        (2.0, g.vertex_count - 1, 4)]]
     for engine in (susceptibility, cover_time):
-        want = [_run(engine, g, init, frog_sim.DEFAULT_STEP_CAP)
-                for init in inits]
-        assert _stack_runs(engine, g, inits, frog_sim.DEFAULT_STEP_CAP) \
-            == want
+        want = [_runs(engine, [init])[0] for init in inits]
+        assert _runs(engine, inits) == want
         cap = sorted(w[1] for w in want)[1]
-        capped = [_run(engine, g, init, cap) for init in inits]
+        capped = [_runs(engine, [init], cap)[0] for init in inits]
         assert {c[0] for c in capped} == {"S", "budget"}, (text, want)
-        assert _stack_runs(engine, g, inits, cap) == capped
-    # a copy's activation times: the stack's rows, a stack of one
-    # (run_activation) and the shortest-path oracle agree
-    tables = [first_visit_table(g, init, WalkStore(g, init), 12)
-              for init in inits]
+        assert _runs(engine, inits, cap) == capped
+    # a copy's activation times: the stack's rows, the stack of one and the
+    # shortest-path oracle agree, over the stack's first-visit tables
+    stack = stack_views(inits)
+    tables = first_visit_table(stack, 12)
+    for init, ell in zip(inits, tables):
+        assert np.array_equal(first_visit_table(stack_views([init]), 12)[0],
+                              ell)
     for tau in (0, 1, 3, 12):
-        at, _ = frog_sim._wake_clock(g, stack_views(inits),
-                                     frog_sim.DEFAULT_STEP_CAP, tau=tau)
-        for row, init, ell in zip(at, inits, tables):
-            alone = run_activation(g, init, WalkStore(g, init), tau).at
-            assert np.array_equal(row, alone), (text, tau)
-            assert np.array_equal(alone, activation_oracle(g, init, ell, tau))
+        at, outcomes = activation_times(stack, tau)
+        for row, o, init, ell in zip(at, outcomes, inits, tables):
+            alone, (lone,) = activation_times(stack_views([init]), tau)
+            assert np.array_equal(row, alone[0]), (text, tau)
+            assert (o.value, o.steps) == (lone.value, lone.steps)
+            assert np.array_equal(row, activation_oracle(g, init, ell, tau))
 
 
 @pytest.mark.parametrize("text", ["tree:d=2,n=4", "cycle:n=9"])
@@ -291,14 +254,14 @@ def test_stack_clock_stops_at_the_last_cover(text):
     inits = [init_config(g, lam, 0, seed, lam_max=2.0)
              for lam, seed in [(0.5, 1), (1.0, 2), (2.0, 3), (1.0, 4)]]
     stack = stack_views(inits)
-    cts = [o.value for o in cover_time(g, stack, step_cap=10 ** 4)]
+    cts = [o.value for o in cover_time(stack, step_cap=10 ** 4)]
     cap = max(cts) + 1
     want = [(ct, None) for ct in cts]
-    assert [(o.value, o.error) for o in cover_time(g, stack, step_cap=cap)] \
+    assert [(o.value, o.error) for o in cover_time(stack, step_cap=cap)] \
         == want
     # under lifetime max CT the wakes are those of immortal particles, but
     # the last-woken particles would live past the cap
-    at, outcomes = frog_sim._wake_clock(g, stack, cap, tau=max(cts))
+    at, outcomes = activation_times(stack, max(cts), step_cap=cap)
     assert [(o.value, o.error) for o in outcomes] == want
     assert [int(row.max()) for row in at] == cts
 
@@ -370,8 +333,7 @@ def test_pinned_values(row):
     init = init_config(g, lam, origin, seed, lam_max=2.0)
     got = []
     for engine in (susceptibility, cover_time):
-        walks = WalkStore(g, init)
-        got += [engine(g, init, walks), walks.steps_generated]
+        got += _runs(engine, [init])[0][1:]
     assert tuple(got) == row[4:]
 
 
@@ -421,8 +383,8 @@ def test_pinned_budget_failures(row):
     g = build_graph(parse_descriptor(text))
     init = init_config(g, lam, 0, seed, lam_max=2.0)
     engine = susceptibility if name == "S" else cover_time
-    assert _run(engine, g, init, cap) == (
-        "budget", awake / g.vertex_count, (cap + 1, None), steps)
+    assert _runs(engine, [init], cap) == [
+        ("budget", awake / g.vertex_count, (cap + 1, None), steps)]
 
 
 # (graph, lambda, origin, seed, S, its steps_simulated, CT, its
@@ -464,20 +426,18 @@ def test_pinned_values_at_scale(text, lam, monkeypatch):
         for row, init in zip(rows, inits):
             got = []
             for engine in (susceptibility, cover_time):
-                walks = WalkStore(g, init)
-                got += [engine(g, init, walks), walks.steps_generated]
+                got += _runs(engine, [init])[0][1:]
             assert tuple(got) == row[4:], row
         for engine, i in ((susceptibility, 4), (cover_time, 6)):
-            assert _stack_runs(engine, g, inits,
-                               frog_sim.DEFAULT_STEP_CAP) == \
+            assert _runs(engine, inits) == \
                 [("S", r[i], r[i + 1]) for r in rows]
         monkeypatch.setattr(frog_sim, "PREFIX_CELLS", 1)
-        assert [_run(susceptibility, g, init, frog_sim.DEFAULT_STEP_CAP)
-                for init in inits] == [("S",) + r[4:6] for r in rows]
+        assert [_runs(susceptibility, [init])[0] for init in inits] == \
+            [("S",) + r[4:6] for r in rows]
 
 
 # (graph, lambda, seed, tau, vertices woken, sum of their activation times,
-# steps_simulated) of run_activation from the root at lambda_max 2, whose
+# steps_simulated) of activation_times from the root at lambda_max 2, whose
 # activation times equal activation_oracle's
 PINNED_ACTIVATION = [
     ('tree:d=2,n=11', 1.0, 0, 10, 1028, 22874, 10280),
@@ -497,7 +457,6 @@ def test_pinned_activation_at_scale(row):
     text, lam, seed, tau = row[:4]
     g = build_graph(parse_descriptor(text))
     init = init_config(g, lam, 0, seed, lam_max=2.0)
-    walks = WalkStore(g, init)
-    at = run_activation(g, init, walks, tau).at
+    (at,), (o,) = activation_times(stack_views([init]), tau)
     woken = at[at < NEVER]
-    assert (len(woken), int(woken.sum()), walks.steps_generated) == row[4:]
+    assert (len(woken), int(woken.sum()), o.steps) == row[4:]

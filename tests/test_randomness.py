@@ -217,6 +217,23 @@ def test_lambda_zero_just_the_plant():
     assert list(init.columns([3])) == [init.planted]
 
 
+def test_lambda_max_zero_draws_nothing(monkeypatch):
+    # no arrival lies at or below 0, so at lambda_max 0 the sampler draws no
+    # gap: the table is the planted particle alone
+    calls = []
+    draws = randomness._draws
+
+    def counted(*args):
+        calls.append(args)
+        return draws(*args)
+
+    monkeypatch.setattr(randomness, "_draws", counted)
+    for text in ("tree:d=2,n=4", "complete:n=10000"):
+        init = init_config(build_graph(parse_descriptor(text)), 0.0, 3, 77)
+        assert list(init.home) == [3]
+    assert not calls
+
+
 def test_lambda_max_changes_no_configuration():
     # an arrival <= lambda depends only on the gaps before it: every view at
     # lambda is the same table whatever horizon the marks were drawn to. On
