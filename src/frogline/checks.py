@@ -58,8 +58,8 @@ from .experiments import (ExperimentSpec, estimate, run_spec_trials, sweep,
 from .frog_sim import NEVER, activation_times, susceptibility
 from .graph import (COMPLETE, CYCLE, TREE, GraphDescriptor, build_graph,
                     parse_descriptor)
-from .randomness import (WalkStore, counters, generate_steps, init_config,
-                         stack_views, walk_keys)
+from .randomness import (counters, generate_steps, init_config, stack_views,
+                         walk_keys)
 from .spectral_bd import check_logconcave, geometric_convolution_law, half_e2_t0, \
     hitting_eigenvalues, hitting_pmf_dp, Pmf, total_variation
 from .tree_analytics import (expected_hit, gambler_ruin, green_sums,
@@ -519,16 +519,16 @@ def check_reproducibility():
     bad = []
     if not np.array_equal(a.counts, b.counts):
         bad.append("counts differ across replays")
-    wa, wb = WalkStore(g, a), WalkStore(g, b)
+    def walk(x, i, nsteps):
+        return generate_steps(g, x.home[[i]], x.keys[[i]], 0, nsteps)[0]
+
     for i in a.columns([0, 3]):
-        if not np.array_equal(wa.prefix(i, 50), wb.prefix(i, 50)):
+        if not np.array_equal(walk(a, i, 50), walk(b, i, 50)):
             bad.append("walk %d differs" % i)
-    # extending never rewrites: generate in two block patterns
-    wc = WalkStore(g, a)
-    first = wa.prefix(a.planted, 80).copy()
+    # extending never rewrites: the planted walk cut at 3, 17, 48, 80 steps
+    first = walk(a, a.planted, 80)
     for step in (3, 17, 48, 80):
-        part = wc.prefix(a.planted, step)
-        if not np.array_equal(part, first[:step + 1]):
+        if not np.array_equal(walk(a, a.planted, step), first[:step]):
             bad.append("prefix changed at %d" % step)
     return _result("reproducibility", not bad, ";".join(bad) or "ok")
 
@@ -813,9 +813,9 @@ def check_tree_band(ns=(6, 8), trials=10, seed_base=23):
     meds, values, bad = tree_ratio_medians(ns, trials, seed_base)
     for n, s in zip(ns, values[:, 0]):
         g = build_graph(parse_descriptor(_tree(n)))
-        stack = stack_views([init_config(g, 1.0, 0, trial_seed(
-            seed_base, _tree(n), None, "susceptibility", 0))])
-        covered = [s >= 1 and activation_times(stack, int(tau))[1][0].value
+        init = init_config(g, 1.0, 0, trial_seed(
+            seed_base, _tree(n), None, "susceptibility", 0))
+        covered = [s >= 1 and activation_times(init, int(tau))[1][0].value
                    is not None for tau in (s, s - 1)]
         if covered != [True, False]:
             bad.append("S=%s is not the first covering lifetime at n=%d"

@@ -12,16 +12,17 @@ The three entry points, `activation_times`, `susceptibility` and
 `cover_time`, take a stack of configurations of one graph
 (randomness.FrogStack, made by stack_views): K copies of the graph with
 disjoint vertex ids, so each tick's numpy calls serve K trials, while each
-copy's numbers stay those of its configuration alone. One configuration is
-the stack of one. Each returns one Outcome per copy: its value, the steps
-its particles took and, when the step cap stopped it, its budget error.
+copy's numbers stay those of its configuration alone. A configuration
+(randomness.FrogInit) is itself the stack of one. Each returns one Outcome
+per copy: its value, the steps its particles took and, when the step cap
+stopped it, its budget error.
 Both clocks keep their state in one _Clock: the copies' wake state and the
 awake particles' slots, which a tick moves (from the prefix or by one
 kernel step), woken particles join and a covered copy's particles leave by
 compaction.
 """
 
-from bisect import bisect_right
+import operator
 from dataclasses import dataclass
 from typing import Optional
 
@@ -30,8 +31,7 @@ import numpy as np
 from .errors import (DEFAULT_STEP_CAP, BudgetExceededError, ParameterError,
                      check_step_cap)
 from .graph import TREE
-from .randomness import (GAMMA, StepScratch, counters, generate_steps,
-                         stack_views)
+from .randomness import GAMMA, StepScratch, counters, generate_steps
 
 # activation-time sentinel for "never woken"
 NEVER = np.iinfo(np.int64).max
@@ -45,7 +45,7 @@ SCAN_BLOCK_CELLS = 2 ** 16
 # 16 MiB of positions (int16 or int32)
 PREFIX_CELLS = 2 ** 22
 
-# rows of the prefix's first chunk
+# rows the prefix walks first
 PREFIX_ROWS = 16
 
 
@@ -186,12 +186,12 @@ class _Clock:
         after it, and wake what they reach; returns the woken vertices."""
         lo, hi = self.lo, self.hi
         if t <= self.hmax:
-            p = self.prefix.row(t, self.cols[lo:hi])
+            p = self.prefix.at(t, self.cols[lo:hi])
         else:
             if self.cols is not None:  # the first tick past the prefix
                 cols, self.cols = self.cols[lo:hi], None
                 self._step_slots()
-                self.pos[lo:hi] = self.prefix.after(t - 1, cols)
+                self.pos[lo:hi] = self.prefix.at(t - 1, cols)
                 self.ctr[lo:hi] = counters(self.stack.keys[cols], t - 1)
             p, c = self.pos[lo:hi], self.ctr[lo:hi]
             p[:] = generate_steps(self.g, p, c, 0, 1, self.scratch)[:, 0]
@@ -225,9 +225,9 @@ class _Clock:
 
 def activation_times(stack, tau=None, step_cap=DEFAULT_STEP_CAP):
     """Per-vertex wake ticks of every copy of `stack` under lifetime tau
-    (None: immortal), as a (K, V) array, NEVER where a vertex never wakes,
-    and each copy's Outcome, whose value is its last wake tick when it is
-    covered (under tau = None, its cover time).
+    (None: immortal, else an integer >= 0), as a (K, V) array, NEVER where
+    a vertex never wakes, and each copy's Outcome, whose value is its last
+    wake tick when it is covered (under tau = None, its cover time).
 
     One synchronous clock over the awake particles (_Clock): at each tick
     every awake particle takes one step, and the vertices it lands on for
@@ -239,8 +239,13 @@ def activation_times(stack, tau=None, step_cap=DEFAULT_STEP_CAP):
     BudgetExceededError, with bracket (step_cap + 1, None).
     """
     check_step_cap(step_cap)
-    if tau is not None and tau < 0:
-        raise ParameterError("tau must be >= 0, got %r" % (tau,))
+    if tau is not None:
+        # a fractional lifetime would retire particles at its ceiling but
+        # count their steps up to tau itself
+        if not hasattr(tau, "__index__") or tau < 0:
+            raise ParameterError("tau must be None or an integer >= 0, got %r"
+                                 % (tau,))
+        tau = operator.index(tau)
     clock = _Clock(stack, times=True, tau=tau)
     clock.join(stack.columns(stack.origins), 0)
     t = 0
@@ -274,18 +279,19 @@ def cover_time(stack, step_cap=DEFAULT_STEP_CAP):
 
 
 class _Prefix:
-    """Steps 1..h of every particle of a stack, walked in lockstep into
-    step-major row chunks: row j - 1 holds every particle's position after
-    step j, column i is particle i of the stack.
+    """Positions 0..h of every particle of a stack, walked in lockstep into
+    one step-major block: row j holds every particle's position after step
+    j (row 0 its home), column i is particle i of the stack.
 
-    Each time the clock passes h, one more chunk is walked, up to hmax =
+    Each time the clock passes h, more rows are walked, up to hmax =
     PREFIX_CELLS // (particles in the stack) (and the step cap): PREFIX_ROWS
     rows first, then as many rows as the prefix holds, up to `rows` (about
-    SCAN_BLOCK_CELLS cells, at least PREFIX_ROWS rows). So the prefix holds
-    at most one chunk more than the clock reads, a run that reads t rows
-    walks at most 2 max(t, PREFIX_ROWS) of them, and no row is copied. The
-    walks are counter-based, so its positions are the ones the clock would
-    generate.
+    SCAN_BLOCK_CELLS cells, at least PREFIX_ROWS rows). So a run that reads
+    t rows walks at most 2 max(t, PREFIX_ROWS) of them. A full block is
+    replaced by one of twice its rows, up to hmax + 1, into which the rows
+    walked so far are copied: the block holds at most 2h + 1 rows, and the
+    rows a run copies are fewer than its last block holds. The walks are
+    counter-based, so its positions are the ones the clock would generate.
     """
 
     def __init__(self, stack, step_cap):
@@ -298,37 +304,30 @@ class _Prefix:
         self.rows = max(PREFIX_ROWS, SCAN_BLOCK_CELLS // n)
         # half the bytes of int32 wherever every vertex id fits
         self.dtype = np.int16 if g.vertex_count <= 2 ** 15 else g.index_dtype
-        self.chunks = []
-        self.starts = []  # the steps before each chunk's first row
+        self.block = stack.home[None]
         self.h = 0
 
-    def _at(self, t, cols):
-        c = bisect_right(self.starts, t - 1) - 1
-        return self.chunks[c][t - 1 - self.starts[c], cols]
-
-    def row(self, t, cols):
-        """Positions after step t <= hmax of particles `cols`; the prefix
-        grows when t passes h."""
+    def at(self, t, cols):
+        """Positions after step t <= hmax of particles `cols` (t = 0: their
+        homes); the prefix grows when t passes h."""
         if t > self.h:
             self._grow()
-        return self._at(t, cols)
-
-    def after(self, t, cols):
-        """Positions after step t <= h of particles `cols`."""
-        return self._at(t, cols) if t else self.stack.home[cols]
+        return self.block[t, cols]
 
     def _grow(self):
-        g, keys, h = self.g, self.stack.keys, self.h
-        rows = min(self.rows, max(PREFIX_ROWS, h), self.hmax - h)
-        chunk = np.empty((rows, len(keys)), dtype=self.dtype)
+        keys, h = self.stack.keys, self.h
+        top = h + min(self.rows, max(PREFIX_ROWS, h), self.hmax - h)
+        if top >= len(self.block):
+            block = np.empty((min(max(2 * len(self.block), top + 1),
+                                  self.hmax + 1), len(keys)), dtype=self.dtype)
+            block[:h + 1] = self.block[:h + 1]
+            self.block = block
         step = max(1, SCAN_BLOCK_CELLS // len(keys))
-        for lo in range(0, len(chunk), step):
-            hi = min(lo + step, len(chunk))
-            start = chunk[lo - 1] if lo else self.after(h, slice(None))
-            chunk[lo:hi] = generate_steps(g, start, keys, h + lo, hi - lo).T
-        self.starts.append(h)
-        self.chunks.append(chunk)
-        self.h += len(chunk)
+        for lo in range(h, top, step):
+            hi = min(lo + step, top)
+            self.block[lo + 1:hi + 1] = generate_steps(
+                self.g, self.block[lo], keys, lo, hi - lo).T
+        self.h = top
 
     def replay(self, cols, t, wake):
         """Walk particles `cols` through steps 1..t and wake, at tick t, what
@@ -339,12 +338,10 @@ class _Prefix:
         base = self.stack.base[cols]
         h = min(t, self.h)
         span = max(1, SCAN_BLOCK_CELLS // len(cols))
-        for first, chunk in zip(self.starts, self.chunks):
-            top = min(len(chunk), h - first)
-            for lo in range(0, top, span):
-                woken.append(wake(chunk[lo:min(lo + span, top), cols], base,
-                                  t))
-        pos = self.after(h, cols)
+        for lo in range(1, h + 1, span):
+            woken.append(wake(self.block[lo:min(lo + span, h + 1), cols], base,
+                              t))
+        pos = self.at(h, cols)
         keys = self.stack.keys[cols]
         for done in range(h, t, span):
             path = generate_steps(self.g, pos, keys, done, min(span, t - done))
@@ -406,12 +403,12 @@ def susceptibility(stack, step_cap=DEFAULT_STEP_CAP):
 
 def run_activation(g, init, walks, tau):
     """Activation times of one configuration for lifetime tau, as an
-    ActivationReport: `activation_times` on its stack of one, kept for
+    ActivationReport: `activation_times` on the configuration, kept for
     callers of the one-configuration form; `g` and `walks` are not read.
 
     Raises BudgetExceededError when the clock passes DEFAULT_STEP_CAP.
     """
-    at, (outcome,) = activation_times(stack_views([init]), tau)
+    at, (outcome,) = activation_times(init, tau)
     if outcome.error is not None:
         raise outcome.error
     return ActivationReport(at[0], outcome.value is not None, outcome.value)

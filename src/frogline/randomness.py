@@ -25,7 +25,9 @@ lambda'-particles, and each particle keeps the same walk key (hashed from
 never from lambda), so susceptibility and cover time are pointwise
 monotone in lambda on shared seeds. The marks up to lambda_max are drawn
 once per configuration into the lambda_max particle table, and every
-lambda view (`FrogInit`) is that table filtered.
+lambda view (`FrogInit`) is that table filtered. A view is a `FrogStack`
+of one copy, and `stack_views` stacks views of one graph into one table,
+so that one clock runs them all.
 
 A view asks for lambda <= lambda_max: the table holds no marks past its
 horizon.
@@ -112,9 +114,30 @@ def walk_keys(seed, count, *key):
                       np.arange(count, dtype=np.uint64))
 
 
-class _ParticleTable:
-    """Particles numbered vertex by vertex: those at vertex v are first[v]
-    .. first[v] + counts[v] - 1, and particle i has walk key keys[i]."""
+@dataclass
+class FrogStack:
+    """K configurations of one graph as one particle table on K disjoint
+    copies of it; one configuration (FrogInit) is the stack of one.
+
+    Copy k's vertex v is vertex k*V + v of the union: `counts`, `first` and
+    `origins` (copy k's origin) are indexed by union vertex, and the
+    particles at vertex v are first[v] .. first[v] + counts[v] - 1. Particles
+    are numbered copy by copy, each copy's as in its configuration, and
+    particle i has walk key keys[i]; `home` holds the positions in the graph
+    itself, so the graph's own step arithmetic moves them, and base[i] = k*V
+    maps particle i's positions into copy k. Trials share nothing but the
+    graph, and a walk is a pure function of its key and step count, so one
+    clock on the stack gives each copy the numbers its configuration gives
+    alone.
+    """
+
+    g: object
+    counts: np.ndarray = field(repr=False)
+    first: np.ndarray = field(repr=False)
+    home: np.ndarray = field(repr=False)
+    keys: np.ndarray = field(repr=False)
+    base: np.ndarray = field(repr=False)
+    origins: np.ndarray = field(repr=False)
 
     def particle_count(self):
         return len(self.keys)
@@ -128,21 +151,17 @@ class _ParticleTable:
 
 
 @dataclass
-class FrogInit(_ParticleTable):
-    """One realized configuration at density `lam`, as a particle table:
-    particle i starts at home[i], and the planted particle is the last
-    particle at the origin. Every lambda view of one configuration filters
-    the same lam_max table, kept in `coupling`.
+class FrogInit(FrogStack):
+    """One realized configuration at density `lam`, the stack of one: its
+    `base` is all zeros (a broadcast that takes no bytes) and `origins` is
+    [origin]. Particle i starts at home[i], and the planted particle is the
+    last particle at the origin. Every lambda view of one configuration
+    filters the same lam_max table, kept in `coupling`.
     """
 
-    g: object
     lam: float
     lam_max: float
     origin: int
-    counts: np.ndarray
-    first: np.ndarray = field(repr=False)
-    home: np.ndarray = field(repr=False)
-    keys: np.ndarray = field(repr=False)
     # (home, keys, mark position) of every particle of the lam_max view; the
     # planted particle's position is 0, so every view keeps it
     coupling: tuple = field(repr=False)
@@ -157,48 +176,21 @@ class FrogInit(_ParticleTable):
         return _view(self.g, lam, self.lam_max, self.origin, self.coupling)
 
 
-@dataclass
-class FrogStack(_ParticleTable):
-    """K views of one graph as one particle table on K disjoint copies of it.
-
-    Copy k's vertex v is vertex k*V + v of the union: `counts`, `first` and
-    `origins` (copy k's origin) are indexed by union vertex. Particles are
-    numbered copy by copy, each copy's as in its view; `home` holds the
-    positions in the graph itself, so the graph's own step arithmetic moves
-    them, and base[i] = k*V maps particle i's positions into copy k. Trials
-    share nothing but the graph, and a walk is a pure function of its key
-    and step count, so one clock on the stack gives each copy the numbers
-    its view gives alone.
-    """
-
-    g: object
-    counts: np.ndarray = field(repr=False)
-    first: np.ndarray = field(repr=False)
-    home: np.ndarray = field(repr=False)
-    keys: np.ndarray = field(repr=False)
-    base: np.ndarray = field(repr=False)
-    origins: np.ndarray = field(repr=False)
-
-
 def stack_views(views):
-    """The FrogStack of `views`, configurations of one graph. A stack of one
-    shares its view's arrays."""
+    """The FrogStack of `views`, configurations of one graph; a lone
+    configuration is its own stack."""
+    if len(views) == 1:
+        return views[0]
     g = views[0].g
     V, K = g.vertex_count, len(views)
     dtype = np.int32 if K * V < 2 ** 31 else np.int64
     bases = np.arange(K, dtype=dtype) * V
-    sizes = [view.particle_count() for view in views]
-    base = bases.repeat(sizes)
-    origins = bases + [view.origin for view in views]
-    if K == 1:
-        (view,) = views
-        return FrogStack(g, view.counts, view.first, view.home, view.keys,
-                         base, origins)
     counts = np.concatenate([view.counts for view in views])
     return FrogStack(g, counts, counts.cumsum() - counts,
                      np.concatenate([view.home for view in views]),
-                     np.concatenate([view.keys for view in views]), base,
-                     origins)
+                     np.concatenate([view.keys for view in views]),
+                     bases.repeat([view.particle_count() for view in views]),
+                     bases + [view.origin for view in views])
 
 
 def _view(g, lam, lam_max, origin, coupling):
@@ -208,8 +200,9 @@ def _view(g, lam, lam_max, origin, coupling):
     if not keep.all():  # a view keeping everything shares the arrays
         home, keys = home[keep], keys[keep]
     counts = np.bincount(home, minlength=g.vertex_count)
-    return FrogInit(g, lam, lam_max, origin, counts, counts.cumsum() - counts,
-                    home, keys, coupling)
+    base = np.broadcast_to(np.zeros((), dtype=g.index_dtype), len(keys))
+    return FrogInit(g, counts, counts.cumsum() - counts, home, keys, base,
+                    np.array([origin]), lam, lam_max, origin, coupling)
 
 
 def config_bytes(vertex_count, lam_max):
@@ -319,8 +312,9 @@ def _draws(ctr, done, rows, scratch):
     the one step hash; every keyed walk draws from it."""
     n = len(ctr)
     m = scratch.m[:rows * n].reshape(rows, n)
-    # array products wrap silently, where a uint64 scalar product would warn
-    steps = np.arange(done + 1, done + rows + 1, dtype=np.uint64) * GAMMA
+    # the step numbers mod 2^64, as the counter words take them: array sums
+    # and products wrap silently, where uint64 scalar arithmetic would warn
+    steps = (np.arange(rows, dtype=np.uint64) + (done + 1) % 2 ** 64) * GAMMA
     np.add(ctr, steps.reshape(-1, 1), out=m)
     _mix(m, scratch.tmp[:rows * n].reshape(rows, n))
     m >>= np.uint64(11)
@@ -419,36 +413,36 @@ def _shift(g, starts, m, out, scratch):
     return out[-1]
 
 
-def generate_steps(g, starts, keys, offsets, nsteps, scratch=None):
-    """Positions after steps offsets+1 .. offsets+nsteps of a batch of keyed
+def generate_steps(g, starts, keys, offset, nsteps, scratch=None):
+    """Positions after steps offset+1 .. offset+nsteps of a batch of keyed
     walks, as rows of a (len(starts), nsteps) array of `g.index_dtype`.
 
-    Walk i stands at starts[i] after offsets[i] steps (`offsets` may be one
-    number for all). Every keyed walk is generated here, so a walk's path is
-    the same whichever walks share its batch and however its steps are split
-    into calls. All paths draw from one hash (`_draws`) and take the same
-    products. Tree batches of at most SCALAR_STEP_WALKS walks are stepped
-    walk by walk in plain Python (`_tree_rows`). Larger tree batches hash up
-    to HASH_BLOCK_CELLS cells of steps at once, then move a row at a time
-    (`_move`). On complete graphs and cycles the call's steps are hashed at
-    once and summed as shifts (`_shift`).
+    Walk i stands at starts[i] after `offset` steps, one int for the whole
+    batch. A walk keyed by its counter word (`counters`) at offset 0 goes on
+    where the walk left off, so walks that have taken different numbers of
+    steps share a batch keyed by their counter words. Every keyed walk is
+    generated here, so a walk's path is the same whichever walks share its
+    batch and however its steps are split into calls. All paths draw from
+    one hash (`_draws`) and take the same products. Tree batches of at most
+    SCALAR_STEP_WALKS walks are stepped walk by walk in plain Python
+    (`_tree_rows`). Larger tree batches hash up to HASH_BLOCK_CELLS cells of
+    steps at once, then move a row at a time (`_move`). On complete graphs
+    and cycles the call's steps are hashed at once and summed as shifts
+    (`_shift`).
 
-    A clock passes counter words (`counters`) as `keys` at offset 0 and its
-    `scratch` (a StepScratch), so that a step hashes in place; off trees, or
-    past SCALAR_STEP_WALKS walks, the (walks, 1) block it returns then is a
-    view of scratch.out, which the next call rewrites. A scratch too small
-    for the call is not used.
+    A clock passes counter words as `keys` at offset 0 and its `scratch` (a
+    StepScratch), so that a step hashes in place; off trees, or past
+    SCALAR_STEP_WALKS walks, the (walks, 1) block it returns then is a view
+    of scratch.out, which the next call rewrites. A scratch too small for
+    the call is not used.
     """
     starts = np.asarray(starts, dtype=g.index_dtype)
+    keys = np.asarray(keys, dtype=np.uint64)
     n = len(starts)
-    # a clock's call, at offset 0, skips np.ndim: about 1.5 us on an int
-    ctr = (np.asarray(keys, dtype=np.uint64)
-           if type(offsets) is int and offsets == 0
-           else counters(keys, offsets))
     if g.family == TREE and n <= SCALAR_STEP_WALKS:
         # too few walks to pay for a numpy call per step
         scratch = _fit(scratch, g, n, nsteps)
-        m = _draws(ctr, 0, nsteps, scratch)
+        m = _draws(keys, offset, nsteps, scratch)
         # the draws as exact doubles (m < 2^53), which Python multiplies by
         # a float faster than it does an int
         x = scratch.tmp[:m.size].view(np.float64).reshape(m.shape)
@@ -464,7 +458,7 @@ def generate_steps(g, starts, keys, offsets, nsteps, scratch=None):
            else np.empty((nsteps, n), dtype=g.index_dtype))
     v = starts
     for done in range(0, nsteps, rows):
-        m = _draws(ctr, done, min(rows, nsteps - done), scratch)
+        m = _draws(keys, offset + done, min(rows, nsteps - done), scratch)
         if g.family == TREE:
             for j in range(len(m)):
                 v = _move(g, v, m[j], out[done + j], scratch)

@@ -9,8 +9,8 @@ from frogline import (BudgetExceededError, ExperimentSpec, FamilyError,
                       cover_time, green_sums, init_config, kappa_sequence,
                       mixing_deviation, mixing_profile, mu_table,
                       parse_descriptor, resolve_origin, run_killed_leaf_walk,
-                      select_spread_set, stack_views, susceptibility,
-                      threshold_time, transition_powers, walk_keys)
+                      select_spread_set, susceptibility, threshold_time,
+                      transition_powers, walk_keys)
 from frogline.experiments import validate_spec
 from frogline.tree_analytics import hitting_within
 
@@ -20,7 +20,7 @@ def _g(text):
 
 
 def _stack():
-    return stack_views([init_config(_g(TREE), 1.0, 0, 1)])
+    return init_config(_g(TREE), 1.0, 0, 1)
 
 
 def _spec(lam=1.0, seed=0):
@@ -75,6 +75,10 @@ CASES = [
     ("tau", lambda: activation_times(_stack(), tau=-1), ParameterError),
     ("step cap", lambda: susceptibility(_stack(), step_cap=0),
      ParameterError),
+    # a fractional lifetime used to retire particles at its ceiling but count
+    # their steps to tau itself, and nan raised a bare ValueError
+    ("tau", lambda: activation_times(_stack(), tau=2.5), ParameterError),
+    ("tau", lambda: activation_times(_stack(), tau=np.nan), ParameterError),
 ]
 
 

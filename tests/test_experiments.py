@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 
 from frogline import (ExperimentSpec, ParameterError, build_graph,
                       cover_time, estimate, init_config, parse_descriptor,
-                      resolve_origin, run_killed_leaf_walk, stack_views,
-                      susceptibility, sweep, trial_seed)
-from frogline import experiments
+                      resolve_origin, run_killed_leaf_walk, susceptibility,
+                      sweep, trial_seed)
+from frogline import checks, experiments
 from frogline.experiments import (SIMULATE_COLUMNS, SWEEP_COLUMNS,
                                   run_spec_trials, sweep_csv_rows,
                                   trial_csv_rows, validate_spec, write_table)
@@ -75,7 +75,7 @@ def _per_cell_reference(spec, lam_max):
                 seed = trial_seed(spec.seed_base, graph, spec.origin,
                                   spec.metric, trial)
                 init = init_config(g, lam, origin, seed, lam_max=lam_max)
-                (o,) = engine(stack_views([init]), step_cap=spec.step_cap)
+                (o,) = engine(init, step_cap=spec.step_cap)
                 steps = o.steps if o.error is None else 0
                 out.append((graph, lam, trial, seed, o.value, steps))
     return out
@@ -330,8 +330,6 @@ def test_column_sets_match_contract():
 
 
 def test_fault_injection_names_failing_check(monkeypatch):
-    import frogline.checks as checks
-
     def corrupt(chain):
         pi = np.asarray(checks_orig(chain)).copy()
         pi[0] += 1e-6
@@ -348,7 +346,6 @@ def test_budget_stopped_trial_fails_its_check(monkeypatch):
     # the Monte Carlo checks draw through run_spec_trials; a trial that the
     # budget stops fails its check, with its reason in the detail
     from functools import partial
-    import frogline.checks as checks
     monkeypatch.setattr(checks, "ExperimentSpec",
                         partial(checks.ExperimentSpec, step_cap=2))
     for check in (checks.check_coupling_monotone, checks.check_complete_ratio,
@@ -356,3 +353,13 @@ def test_budget_stopped_trial_fails_its_check(monkeypatch):
         result = check()
         assert not result.passed, result.check
         assert "trial 0: clock exceeded step cap 2" in result.detail
+
+
+@pytest.mark.parametrize("check", [
+    checks.check_walkstep_uniform, checks.check_lambda0_collapse,
+    checks.check_range_band, checks.check_submultiplicativity,
+    checks.check_sweep_reproducibility], ids=lambda check: check.__name__)
+def test_full_suite_check_passes(check):
+    # the checks of `validate --suite full` that no other test runs
+    result = check()
+    assert result.passed, (result.check, result.detail)

@@ -3,20 +3,21 @@ import warnings
 import numpy as np
 import pytest
 
-from frogline import (NEVER, WalkStore, activation_times, build_graph,
-                      cover_time, init_config, parse_descriptor,
-                      run_activation, stack_views, susceptibility)
+from frogline import (NEVER, FrogStack, activation_times, build_graph,
+                      cover_time, generate_steps, init_config,
+                      parse_descriptor, run_activation, stack_views,
+                      susceptibility)
 from frogline import frog_sim
 from frogline.checks import activation_oracle, first_visit_table
 
 from oracles import bfs_distances, bisected_susceptibility, covered_under
 
 
-def _runs(engine, inits, step_cap=frog_sim.DEFAULT_STEP_CAP):
-    """Each configuration's value and steps, or its budget failure, from one
-    clock on the stack of `inits`; a lone run is a stack of one."""
+def _runs(engine, stack, step_cap=frog_sim.DEFAULT_STEP_CAP):
+    """Each copy's value and steps, or its budget failure, from one clock on
+    `stack`; a configuration is the stack of one."""
     out = []
-    for o in engine(stack_views(inits), step_cap=step_cap):
+    for o in engine(stack, step_cap=step_cap):
         err = o.error
         out.append(("S", o.value, o.steps) if err is None else
                    ("budget", err.fraction_covered, err.bracket, o.steps))
@@ -65,7 +66,9 @@ def test_susceptibility_lambda_zero_is_walk_cover_time():
     g = build_graph(parse_descriptor("cycle:n=8"))
     inits = [init_config(g, 0.0, 0, seed) for seed in range(5)]
     for init, o in zip(inits, susceptibility(stack_views(inits))):
-        w = WalkStore(g, init).prefix(init.planted, o.value)
+        # the planted particle's positions 0..S
+        home, key = init.home[[init.planted]], init.keys[[init.planted]]
+        w = np.append(home, generate_steps(g, home, key, 0, o.value))
         assert len(np.unique(w)) == g.vertex_count
         assert len(np.unique(w[:-1])) == g.vertex_count - 1
 
@@ -86,7 +89,7 @@ def test_susceptibility_matches_bisection_oracle(text, lam):
 def test_susceptibility_ceiling_budget():
     g = build_graph(parse_descriptor("tree:d=2,n=5"))
     init = init_config(g, 0.01, 0, 3)
-    (o,) = susceptibility(stack_views([init]), step_cap=4)
+    (o,) = susceptibility(init, step_cap=4)
     assert o.value is None and o.error.bracket == (5, None)
 
 
@@ -97,12 +100,12 @@ def test_susceptibility_step_cap_is_the_clock(text):
     for lam in (0.5, 1.0):
         for seed in range(3):
             init = init_config(g, lam, 0, seed)
-            (run,) = _runs(susceptibility, [init])
+            (run,) = _runs(susceptibility, init)
             s = run[1]
-            assert _runs(susceptibility, [init], step_cap=s) == [run]
+            assert _runs(susceptibility, init, step_cap=s) == [run]
             if s == 1:
                 continue  # step_cap must be > 0
-            ((kind, fraction, bracket, _),) = _runs(susceptibility, [init],
+            ((kind, fraction, bracket, _),) = _runs(susceptibility, init,
                                                     step_cap=s - 1)
             assert kind == "budget" and 0 < fraction < 1
             assert bracket == (s, None)
@@ -120,24 +123,24 @@ def test_cover_time_floor_and_budget():
         inits = [init_config(g, lam, 0, seed)
                  for lam in (0.0, 1.0, 2.0) for seed in range(5)]
         for init, o in zip(inits, cover_time(stack_views(inits))):
-            (last,) = activation_times(stack_views([init]), o.value)[1]
+            (last,) = activation_times(init, o.value)[1]
             assert last.value == o.value, (text, init.lam)
     g = build_graph(parse_descriptor("tree:d=2,n=4"))
     init = init_config(g, 0.5, 0, 1)
-    (o,) = cover_time(stack_views([init]), step_cap=2)
+    (o,) = cover_time(init, step_cap=2)
     assert o.value is None and 0 < o.error.fraction_covered < 1
 
 
 def test_cover_time_single_edge():
     g = build_graph(parse_descriptor("complete:n=2"))
     init = init_config(g, 0.0, 0, 11)
-    assert [o.value for o in cover_time(stack_views([init]))] == [1]
+    assert [o.value for o in cover_time(init)] == [1]
 
 
 def _prefix_settings(n, s):
     """frog_sim settings for n particles and susceptibility s: hmax = 1;
-    hmax a few steps below s; prefix chunks of three rows, walked a row at
-    a time and replayed in short spans; the defaults."""
+    hmax a few steps below s; a prefix grown three rows at a time, walked a
+    row at a time and replayed in short spans; the defaults."""
     return [{"PREFIX_CELLS": n}, {"PREFIX_CELLS": n * max(1, s - 3)},
             {"SCAN_BLOCK_CELLS": n, "PREFIX_ROWS": 3}, {}]
 
@@ -155,9 +158,10 @@ def test_susceptibility_across_the_prefix_boundary(text, lam, monkeypatch):
     # at the default PREFIX_CELLS the trees finish inside the prefix, and
     # complete graphs and cycles have none; smaller settings make the clock
     # step the awake set and generate the replay tails past h = 1 and past
-    # h a few steps below S, and make the prefix many chunks. A stack's hmax
-    # is PREFIX_CELLS // (particles of all its copies), so a stack crosses
-    # the boundary earlier than its copies would alone
+    # h a few steps below S, and make the prefix grow and double its block
+    # many times. A stack's hmax is PREFIX_CELLS // (particles of all its
+    # copies), so a stack crosses the boundary earlier than its copies would
+    # alone
     g = build_graph(parse_descriptor(text))
     inits = [init_config(g, lam, 0, seed, lam_max=2.0) for seed in range(3)]
     alone = bisected_susceptibility(stack_views(inits))
@@ -167,7 +171,7 @@ def test_susceptibility_across_the_prefix_boundary(text, lam, monkeypatch):
         runs = []
         for setting in _prefix_settings(n, s):
             _patch(monkeypatch, setting)
-            runs.append([_runs(susceptibility, [init], cap)[0]
+            runs.append([_runs(susceptibility, init, cap)[0]
                          for cap in caps])
             monkeypatch.undo()
         first, *rest = runs
@@ -182,17 +186,18 @@ def test_susceptibility_across_the_prefix_boundary(text, lam, monkeypatch):
     # the stack, with caps above every S, between them and below them
     n = sum(init.particle_count() for init in inits)
     for cap in sorted({max(alone), sorted(alone)[1], max(1, min(alone) - 1)}):
-        want = [_runs(susceptibility, [init], cap)[0] for init in inits]
+        want = [_runs(susceptibility, init, cap)[0] for init in inits]
         for setting in _prefix_settings(n, min(alone)):
             _patch(monkeypatch, setting)
-            got = _runs(susceptibility, inits, cap)
+            got = _runs(susceptibility, stack_views(inits), cap)
             monkeypatch.undo()
             assert got == want, (text, lam, cap, setting)
 
 
 def test_lone_prefix_depth_follows_the_clock(monkeypatch):
-    # the prefix's chunks start at PREFIX_ROWS rows and double, so a lone
-    # run walks at most twice the rows its clock reads, not a 2^16-row chunk
+    # the prefix walks PREFIX_ROWS rows first and then doubles, so a lone
+    # run walks at most twice the rows its clock reads, not 2^16 rows; its
+    # block doubles too, so it holds at most 2h + 1 rows
     made = []
 
     class Recorded(frog_sim._Prefix):
@@ -205,10 +210,11 @@ def test_lone_prefix_depth_follows_the_clock(monkeypatch):
         g = build_graph(parse_descriptor(text))
         for lam in (0.0, 1.0, 2.0):
             for seed in range(3):
-                (o,) = susceptibility(stack_views(
-                    [init_config(g, lam, 0, seed)]))
-                assert made[-1].h <= 2 * max(o.value, frog_sim.PREFIX_ROWS), (
+                (o,) = susceptibility(init_config(g, lam, 0, seed))
+                h = made[-1].h
+                assert h <= 2 * max(o.value, frog_sim.PREFIX_ROWS), (
                     text, lam, seed, o.value)
+                assert len(made[-1].block) <= 2 * h + 1, (text, lam, seed)
 
 
 @pytest.mark.parametrize("text", ["tree:d=2,n=3", "tree:d=3,n=2",
@@ -221,23 +227,24 @@ def test_stack_copies_equal_their_configurations(text):
              for lam, origin, seed in [(0.0, 0, 1), (0.5, 1, 2), (1.0, 0, 3),
                                        (2.0, g.vertex_count - 1, 4)]]
     for engine in (susceptibility, cover_time):
-        want = [_runs(engine, [init])[0] for init in inits]
-        assert _runs(engine, inits) == want
+        want = [_runs(engine, init)[0] for init in inits]
+        assert _runs(engine, stack_views(inits)) == want
         cap = sorted(w[1] for w in want)[1]
-        capped = [_runs(engine, [init], cap)[0] for init in inits]
+        capped = [_runs(engine, init, cap)[0] for init in inits]
         assert {c[0] for c in capped} == {"S", "budget"}, (text, want)
-        assert _runs(engine, inits, cap) == capped
+        assert _runs(engine, stack_views(inits), cap) == capped
     # a copy's activation times: the stack's rows, the stack of one and the
-    # shortest-path oracle agree, over the stack's first-visit tables
+    # shortest-path oracle agree, over the stack's first-visit tables; a
+    # configuration is its own stack of one
     stack = stack_views(inits)
     tables = first_visit_table(stack, 12)
     for init, ell in zip(inits, tables):
-        assert np.array_equal(first_visit_table(stack_views([init]), 12)[0],
-                              ell)
+        assert isinstance(init, FrogStack) and stack_views([init]) is init
+        assert np.array_equal(first_visit_table(init, 12)[0], ell)
     for tau in (0, 1, 3, 12):
         at, outcomes = activation_times(stack, tau)
         for row, o, init, ell in zip(at, outcomes, inits, tables):
-            alone, (lone,) = activation_times(stack_views([init]), tau)
+            alone, (lone,) = activation_times(init, tau)
             assert np.array_equal(row, alone[0]), (text, tau)
             assert (o.value, o.steps) == (lone.value, lone.steps)
             assert np.array_equal(row, activation_oracle(g, init, ell, tau))
@@ -333,7 +340,7 @@ def test_pinned_values(row):
     init = init_config(g, lam, origin, seed, lam_max=2.0)
     got = []
     for engine in (susceptibility, cover_time):
-        got += _runs(engine, [init])[0][1:]
+        got += _runs(engine, init)[0][1:]
     assert tuple(got) == row[4:]
 
 
@@ -383,7 +390,7 @@ def test_pinned_budget_failures(row):
     g = build_graph(parse_descriptor(text))
     init = init_config(g, lam, 0, seed, lam_max=2.0)
     engine = susceptibility if name == "S" else cover_time
-    assert _runs(engine, [init], cap) == [
+    assert _runs(engine, init, cap) == [
         ("budget", awake / g.vertex_count, (cap + 1, None), steps)]
 
 
@@ -426,13 +433,13 @@ def test_pinned_values_at_scale(text, lam, monkeypatch):
         for row, init in zip(rows, inits):
             got = []
             for engine in (susceptibility, cover_time):
-                got += _runs(engine, [init])[0][1:]
+                got += _runs(engine, init)[0][1:]
             assert tuple(got) == row[4:], row
         for engine, i in ((susceptibility, 4), (cover_time, 6)):
-            assert _runs(engine, inits) == \
+            assert _runs(engine, stack_views(inits)) == \
                 [("S", r[i], r[i + 1]) for r in rows]
         monkeypatch.setattr(frog_sim, "PREFIX_CELLS", 1)
-        assert [_runs(susceptibility, [init])[0] for init in inits] == \
+        assert [_runs(susceptibility, init)[0] for init in inits] == \
             [("S",) + r[4:6] for r in rows]
 
 
@@ -457,6 +464,6 @@ def test_pinned_activation_at_scale(row):
     text, lam, seed, tau = row[:4]
     g = build_graph(parse_descriptor(text))
     init = init_config(g, lam, 0, seed, lam_max=2.0)
-    (at,), (o,) = activation_times(stack_views([init]), tau)
+    (at,), (o,) = activation_times(init, tau)
     woken = at[at < NEVER]
     assert (len(woken), int(woken.sum()), o.steps) == row[4:]

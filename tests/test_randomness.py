@@ -74,14 +74,16 @@ def test_scalar_and_lockstep_tree_steps_agree(monkeypatch, d):
     for walks in (1, 7, 60):
         starts = rng.integers(0, g.vertex_count, walks)
         starts[0], starts[-1] = 0, leaf
-        keys = walk_keys(d, walks, 21)
-        offsets = rng.integers(0, 10 ** 9, walks)
+        # walks keyed by their counter words after different step counts,
+        # stepped on from one offset
+        keys = randomness.counters(walk_keys(d, walks, 21),
+                                   rng.integers(0, 10 ** 9, walks))
         for nsteps in (0, 1, 257):
             blocks = []
             for threshold in (0, 10 ** 9):
                 monkeypatch.setattr(randomness, "SCALAR_STEP_WALKS",
                                     threshold)
-                blocks.append(generate_steps(g, starts, keys, offsets,
+                blocks.append(generate_steps(g, starts, keys, 123456789,
                                              nsteps))
             lockstep, scalar = blocks
             assert scalar.shape == (walks, nsteps)
@@ -103,7 +105,8 @@ def _wrapped_counters(keys, offsets):
 def test_counter_words_continue_the_walk(text):
     # the walk keyed by key + o * GAMMA, from step 0, is the walk keyed by
     # key from step o: on every step path (scalar, lockstep, one step,
-    # cumulative sums), for offsets one per walk and shared, near the wrap
+    # cumulative sums), for offsets one per walk and shared, near the wrap.
+    # The walks of each offset o are stepped by one call at offset o
     g = build_graph(parse_descriptor(text))
     rng = np.random.default_rng(len(text))
     for walks in (1, 48, 49, 5000):
@@ -119,9 +122,12 @@ def test_counter_words_continue_the_walk(text):
             for nsteps in (1, 257):
                 with warnings.catch_warnings():
                     warnings.simplefilter("error")
-                    want = generate_steps(g, starts, keys, offsets, nsteps)
                     got = generate_steps(g, starts, ctr, 0, nsteps)
-                assert np.array_equal(got, want), (walks, offsets, nsteps)
+                    for o in np.unique(offsets):
+                        at = np.broadcast_to(offsets == o, walks)
+                        want = generate_steps(g, starts[at], keys[at], int(o),
+                                              nsteps)
+                        assert np.array_equal(got[at], want), (walks, o)
 
 
 def test_scaled_products_are_the_uniform_products():
@@ -151,7 +157,8 @@ def test_generate_steps_matches_the_oracle():
     # every branch of generate_steps against the oracle, walk by walk: tree
     # batches of at most SCALAR_STEP_WALKS walks and larger ones, one step,
     # five and more rows than one hash block holds, complete graphs and
-    # cycles (vertex ids past int32 too), shared and per-walk offsets, and no
+    # cycles (vertex ids past int32 too), offsets 0 and 77 of plain keys and
+    # offset 77 of counter words after different step counts, and no
     # scratch, a clock's scratch and one smaller than the batch
     rng = np.random.default_rng(5)
     for text, walks in (("tree:d=2,n=6", 48), ("tree:d=2,n=6", 3000),
@@ -165,19 +172,21 @@ def test_generate_steps_matches_the_oracle():
         starts = rng.integers(0, V, walks)
         starts[:4] = 0, 1, V - 1, V // 2
         keys = walk_keys(17, walks, 3)
+        done = rng.integers(0, 10 ** 9, walks)
         for nsteps in (1, 5, randomness.HASH_BLOCK_CELLS // walks + 2):
-            for offsets in (0, 77, rng.integers(0, 10 ** 9, walks)):
-                want = _oracle_paths(g, starts, keys, offsets, nsteps)
+            for ctr, offset, steps in ((keys, 0, 0), (keys, 77, 77), (
+                    randomness.counters(keys, done), 77, done + 77)):
+                want = _oracle_paths(g, starts, keys, steps, nsteps)
                 clock = randomness.StepScratch(walks, g.index_dtype)
                 for scratch in (None, clock, randomness.StepScratch(
                         walks // 2, g.index_dtype)):
-                    got = generate_steps(g, starts, keys, offsets, nsteps,
+                    got = generate_steps(g, starts, ctr, offset, nsteps,
                                          scratch)
                     assert got.dtype == g.index_dtype
                     assert np.array_equal(got, want), (text, walks, nsteps)
                 # a one-step call off the scalar path returns the clock's
                 # buffer
-                got = generate_steps(g, starts, keys, offsets, 1, clock)
+                got = generate_steps(g, starts, ctr, offset, 1, clock)
                 scalar = g.family == "tree" and walks <= 48
                 assert np.shares_memory(got, clock.out) != scalar
 
