@@ -93,17 +93,13 @@ def pilot_frogs(fast):
 
 
 def main():
+    jobs = {name[len("pilot_"):]: fn for name, fn in globals().items()
+            if name.startswith("pilot_")}
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("what", choices=["returns", "mixing", "heatkernel",
-                                     "cover", "leafwalk", "range", "frogs",
-                                     "all"])
+    ap.add_argument("what", choices=list(jobs) + ["all"])
     ap.add_argument("--fast", action="store_true",
                     help="smaller grids for a quick look")
     args = ap.parse_args()
-    jobs = {"returns": pilot_returns, "mixing": pilot_mixing,
-            "heatkernel": pilot_heatkernel, "cover": pilot_cover,
-            "leafwalk": pilot_leafwalk, "range": pilot_range,
-            "frogs": pilot_frogs}
     for name, fn in jobs.items():
         if args.what in (name, "all"):
             print("== %s ==" % name)

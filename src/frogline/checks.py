@@ -3,39 +3,10 @@
 Each check returns a CheckResult, which carries its name; the fast suite is
 deterministic oracle work (closed forms vs DP/linear algebra, exact
 simulation equivalence on small instances), the full suite adds seeded
-Monte Carlo band checks. Each acceptance criterion is implemented once,
-here: a check takes its instances as arguments, defaulting to validate's
-scale, and tests/test_acceptance.py calls it at the acceptance scale.
-
-    criterion               check(s)               validate / acceptance
-    01 spectral law = DP    spectral_oracle,       15 chains d=2..4, n=2..6 /
-                            hitting_expectations   the same
-    02 closed forms         pi_stationary,         ruin rows n=2..8 /
-                            gambler_ruin_dp,       n=1..8
-                            hitting_expectations
-    03 activation = paths   activation_oracle      tree n=2, C_6, K_5; lambda
-                                                   0,1; 3 seeds; tau 0,1,3,9 /
-                                                   trees n=1..3, C_3..C_9,
-                                                   K_2..K_8; lambda 0,1,2; 20
-                                                   seeds; tau 0..40
-    04 S / ln n on K_n      complete_ratio         K_1000, 20 trials, base 17
-                                                   / K_10^4, 50 trials, 29
-    05 tree band            tree_scaling_band      n=6,8, 10 trials, base 23 /
-                                                   n=6,8,10, 30 trials, 37;
-                                                   n=12,14,16, 5 trials, 37
-    06 coupling             coupling_monotone      tree n=6, 20 trials, base 0
-                                                   / the same
-    07 kernel bands         return_sums,           last leaf of tree(2,6),
-                            mixing_crossing        n=4,5 / both end leaves,
-                                                   n=5,6
-    08 leaf walk            leafwalk_bands         200 trials, base 5 / 41
-    09 lower-bound toolkit  mu_bounds, spread_set, K_20, C_15 (lambda 1.5,
-                            kappa_threshold        t 12), K_3, tree(2,4) /
-                                                   K_50, C_24, K_100 (t 10);
-                                                   tree(2,4), tree(2,5), K_3,
-                                                   C_12
-    10 pmf structure        logconcave_unimodal,   15 chains / the same
-                            part3_bound
+Monte Carlo band checks. `CRITERIA`, at the end of this module, lists
+every check once, with its suite and its keyword arguments in each
+acceptance run of the criteria in `ACCEPTANCE`; a check's defaults are
+validate's scale.
 
 The Monte Carlo checks of S, CT and the leaf walk draw their trials
 through the sweep's trial loop (`experiments.run_spec_trials`), so their
@@ -46,8 +17,10 @@ detail.
 """
 
 import heapq
+import inspect
+from collections import namedtuple
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 from math import log, sqrt
 
 import numpy as np
@@ -82,35 +55,23 @@ class CheckResult:
 
 def chain_matrix(chain):
     n = chain.n
-    Q = np.zeros((n + 1, n + 1))
-    for i in range(n + 1):
-        if i < n:
-            Q[i, i + 1] = chain.up[i]
-        if i > 0:
-            Q[i, i - 1] = chain.down[i]
-    return Q
+    return (np.diag(np.asarray(chain.up[:n], dtype=float), 1)
+            + np.diag(np.asarray(chain.down[1:], dtype=float), -1))
 
 
 def ruin_probability_dp(d, n, i):
     """Pr_i[T_0 < T_n] by linear solve on the absorbing chain."""
-    Q = chain_matrix(level_chain(d, n))
-    interior = list(range(1, n))
     if i == 0:
         return 1.0
-    A = np.eye(len(interior)) - Q[np.ix_(interior, interior)]
-    b = Q[interior, 0]
-    sol = np.linalg.solve(A, b)
-    return float(sol[i - 1])
+    Q = chain_matrix(level_chain(d, n))
+    return float(np.linalg.solve(np.eye(n - 1) - Q[1:n, 1:n], Q[1:n, 0])[i - 1])
 
 
 def expected_hit_solve(chain):
     """E_n[T_0] by first-step analysis linear solve."""
     Q = chain_matrix(chain)
-    n = chain.n
-    states = list(range(1, n + 1))
-    A = np.eye(n) - Q[np.ix_(states, states)]
-    h = np.linalg.solve(A, np.ones(n))
-    return float(h[-1])
+    return float(np.linalg.solve(np.eye(chain.n) - Q[1:, 1:],
+                                 np.ones(chain.n))[-1])
 
 
 def first_visit_table(stack, tau_max):
@@ -187,18 +148,12 @@ def check_graph_invariants():
     for d in (2, 3):
         for n in (2, 3, 4):
             g = build_graph(GraphDescriptor(TREE, d=d, n=n))
-
-            def ancestors(v):
-                out = [v]
-                while v:
-                    v = (v - 1) // d
-                    out.append(v)
-                return out
-
+            ancestors = [{0}]  # a vertex and every vertex above it
+            for v in range(1, g.vertex_count):
+                ancestors.append({v} | ancestors[(v - 1) // d])
             for x in range(g.vertex_count):
                 for y in range(g.vertex_count):
-                    expect = max(set(ancestors(x)) & set(ancestors(y)),
-                                 key=lambda a: g.level(a))
+                    expect = max(ancestors[x] & ancestors[y], key=g.level)
                     if g.meet(x, y) != expect:
                         bad.append("meet(%d,%d) on %s" % (x, y, g.label()))
     # level boundaries partition the index range
@@ -234,12 +189,8 @@ def check_stationary_levels():
 
 
 def check_gambler_ruin(ns=range(2, 9)):
-    worst = 0.0
-    for d in (2, 3, 4):
-        for n in ns:
-            for i in range(n):
-                worst = max(worst, abs(gambler_ruin(d, n, i) -
-                                       ruin_probability_dp(d, n, i)))
+    worst = max((abs(gambler_ruin(d, n, i) - ruin_probability_dp(d, n, i))
+                 for d in (2, 3, 4) for n in ns for i in range(n)), default=0.0)
     return _result("gambler_ruin_dp", worst < 1e-12, "max gap %.2e" % worst)
 
 
@@ -275,8 +226,8 @@ def check_spectral_oracle():
         if np.any(gammas <= 0) or np.any(gammas > 1):
             bad.append("gamma range d=%d n=%d" % (d, n))
         law = geometric_convolution_law(gammas, "odd" if n % 2 else "even")
-        t_max = _dp_horizon(law)
-        dp = hitting_pmf_dp(chain, n, t_max)
+        # a DP horizon far enough that the residual dies below the TV target
+        dp = hitting_pmf_dp(chain, n, law.offset + 2 * len(law.masses) + 64)
         tv = total_variation(law, dp)
         worst = max(worst, tv)
         if tv >= 1e-9:
@@ -289,11 +240,6 @@ def check_spectral_oracle():
             bad.append("mean vs crossing d=%d n=%d" % (d, n))
     return _result("spectral_oracle", not bad,
                    ";".join(bad) or "max TV %.2e" % worst)
-
-
-def _dp_horizon(law):
-    """A DP horizon far enough that the residual dies below the TV target."""
-    return law.offset + 2 * len(law.masses) + 64
 
 
 def check_logconcavity():
@@ -331,8 +277,8 @@ def check_kappa_threshold():
     if abs(kappa[0] - 1.0) > 1e-12 or np.any(np.diff(kappa) < -1e-15):
         bad.append("kappa not a nondecreasing sequence from 1")
     # vertex-transitive: return sums identical across vertices
-    for desc in [GraphDescriptor(COMPLETE, n=8), GraphDescriptor(CYCLE, n=9)]:
-        gg = build_graph(desc)
+    for gg in map(build_graph, [GraphDescriptor(COMPLETE, n=8),
+                                GraphDescriptor(CYCLE, n=9)]):
         sums = [np.cumsum(transition_powers(gg, v, 10))
                 for v in range(gg.vertex_count)]
         if max(float(np.abs(s - sums[0]).max()) for s in sums) > 1e-12:
@@ -356,9 +302,8 @@ def check_mu_bounds(cases=(("complete:n=20", 1.5, 12),
         for a, mu in zip(A, mus):
             if np.any(mu > lam * ts + 1e-12):
                 bad.append("mu_a(t) > lambda t on %s at a=%d" % (g.label(), a))
-        if g.family == COMPLETE:
-            if abs(mus[0][1] - lam) > 1e-12:
-                bad.append("mu_a(1) != lambda on %s" % g.label())
+        if g.family == COMPLETE and abs(mus[0][1] - lam) > 1e-12:
+            bad.append("mu_a(1) != lambda on %s" % g.label())
     return _result("mu_bounds", not bad, ";".join(bad) or "ok")
 
 
@@ -401,8 +346,7 @@ def check_mixing_profile():
 
 def mixing_crossing_ratio(d, n):
     g = build_graph(GraphDescriptor(TREE, d=d, n=n))
-    t_star = mixing_crossing_time(g)
-    return t_star / (d ** (n - 1) * log(d))
+    return mixing_crossing_time(g) / (d ** (n - 1) * log(d))
 
 
 def check_mixing_crossing(ns=(4, 5)):
@@ -418,8 +362,7 @@ def check_mixing_crossing(ns=(4, 5)):
 def return_sum_ratios(d, n, ts, leaf=-1):
     """Return sums of the leaf g.leaves()[leaf] over their envelope."""
     g = build_graph(GraphDescriptor(TREE, d=d, n=n))
-    p = transition_powers(g, int(g.leaves()[leaf]), max(ts))
-    sums = np.cumsum(p)
+    sums = np.cumsum(transition_powers(g, int(g.leaves()[leaf]), max(ts)))
     return [float(sums[t] / return_sum_envelope(d, n, t)) for t in ts]
 
 
@@ -443,13 +386,11 @@ def heat_kernel_extremes(d, n, k_max):
     u = int(leaves[0])
     targets = {}
     for v in leaves:
-        kk = g.coheight(g.meet(u, int(v)))
-        targets.setdefault(kk, int(v))
+        targets.setdefault(g.coheight(g.meet(u, int(v))), int(v))
     lo_ratio, hi_ratio = np.inf, 0.0
-    t_hi = d ** k_max
     y = np.zeros(g.vertex_count)
     y[u] = 1.0
-    probs = list(powers(g, y, t_hi))
+    probs = list(powers(g, y, d ** k_max))
     for meet_co, v in targets.items():
         for k in range(max(1, meet_co), k_max + 1):
             for t in range(d ** (k - 1), d ** k + 1):
@@ -544,16 +485,6 @@ def check_coupling_counts():
     return _result("coupling_counts", not bad, ";".join(bad) or "ok")
 
 
-FAST_CHECKS = [
-    check_graph_invariants, check_stationary_levels, check_gambler_ruin,
-    check_hitting_expectations, check_spectral_oracle, check_logconcavity,
-    check_part3_bound, check_kappa_threshold, check_mu_bounds,
-    check_spread_set, check_mixing_profile, check_mixing_crossing,
-    check_return_sums, check_heat_kernel, check_activation_oracle,
-    check_estimate_stats, check_reproducibility, check_coupling_counts,
-]
-
-
 # ------------------------------------------------------------- full checks
 
 def exclusive_range_sizes(g, start, t, keys):
@@ -570,9 +501,8 @@ def submultiplicativity_gap(d, n, t_prime, s, ell, trials, seed):
     excludes the start. Returns (lhs_lower, rhs_upper): check lhs <= rhs.
     """
     g = build_graph(GraphDescriptor(TREE, d=d, n=n))
-    reps = [int(g.level_starts[l]) for l in range(n + 1)]
     p_hat = 0.0
-    for i, v in enumerate(reps):
+    for i, v in enumerate(g.level_starts[:n + 1].tolist()):
         sizes = exclusive_range_sizes(g, v, t_prime,
                                       walk_keys(seed, trials, 100 + i))
         p = float(np.mean(sizes <= ell))
@@ -600,8 +530,7 @@ def range_hit_ratios(d, n, ks, trials, seed):
         starts = np.zeros(trials, dtype=np.int64)
         # the start (the root) is no leaf, so the steps alone give R_t's leaves
         steps = np.sort(generate_steps(g, starts, keys, 0, t), axis=1)
-        first = np.ones(steps.shape, dtype=bool)
-        first[:, 1:] = steps[:, 1:] != steps[:, :-1]
+        first = np.diff(steps, axis=1, prepend=-1) != 0
         counts = np.count_nonzero(first & (steps >= g.first_leaf), axis=1)
         g_t = t / (log(d * t) / log(d))
         out.append(float(np.median(counts)) / g_t)
@@ -641,14 +570,16 @@ def leafwalk_cell(d, n, s, trials, seed):
     }
 
 
-def leafwalk_cells(trials, seed):
-    """Depth n -> the leaf-walk cell of d = 2, s = 2^(n-1), each simulated
-    on its first lookup."""
-    return lru_cache(maxsize=None)(
-        lambda n: leafwalk_cell(2, n, 2 ** (n - 1), trials, seed))
+class LeafwalkCells(namedtuple("LeafwalkCells", "trials seed")):
+    """Depth n -> the leaf-walk cell of d = 2, s = 2^(n-1), simulated on
+    each call; `run_checks` passes the checks that take equal cells one
+    memo of them."""
+
+    def __call__(self, n):
+        return leafwalk_cell(2, n, 2 ** (n - 1), self.trials, self.seed)
 
 
-def check_leafwalk_bands(cells):
+def check_leafwalk_bands(cells=LeafwalkCells(trials=200, seed=5)):
     bad = []
     lo = bands.LEAFWALK_CENTER / sqrt(bands.LEAFWALK_FACTOR)
     hi = bands.LEAFWALK_CENTER * sqrt(bands.LEAFWALK_FACTOR)
@@ -674,7 +605,7 @@ def check_leafwalk_bands(cells):
                    (["%.3f" % m for m in means], lo, hi))
 
 
-def check_leafwalk_trend(cells):
+def check_leafwalk_trend(cells=LeafwalkCells(trials=200, seed=5)):
     cvs = [cells(n)["cv"] for n in (4, 5, 6, 7)]
     ok = all(cvs[i + 1] < cvs[i] for i in range(len(cvs) - 1))
     return _result("leafwalk_cv_trend", ok,
@@ -764,14 +695,11 @@ def check_lambda0_collapse():
     walks = np.column_stack((stack.home, generate_steps(
         g, stack.home, stack.keys, 0, max(taus) + 8)))
     for seed, (tau, w) in enumerate(zip(taus, walks)):
-        # oracle: first t with |{X_0..X_t}| = |V| along the planted walk
-        seen = set()
-        first_cover = None
-        for t, v in enumerate(w):
-            seen.add(int(v))
-            if len(seen) == g.vertex_count:
-                first_cover = t
-                break
+        # oracle: first t with |{X_0..X_t}| = |V| along the planted walk,
+        # the last of the vertices' first visits
+        firsts = np.unique(w, return_index=True)[1]
+        first_cover = (int(firsts.max()) if len(firsts) == g.vertex_count
+                       else None)
         if tau != first_cover:
             bad.append("seed %d: tau*=%d vs walk cover %r" %
                        (seed, tau, first_cover))
@@ -854,25 +782,108 @@ def check_sweep_reproducibility():
     spec = ExperimentSpec(graphs=["tree:d=2,n=3", "complete:n=16"],
                           lambdas=[1.0, 2.0], metric="susceptibility",
                           trials=3, seed_base=99)
-    rows_a = list(sweep_csv_rows(sweep(spec)))
-    rows_b = list(sweep_csv_rows(sweep(spec)))
-    ok = rows_a == rows_b
-    ta = [dict(r, wall_ms="") for r in trial_csv_rows(run_spec_trials(spec))]
-    tb = [dict(r, wall_ms="") for r in trial_csv_rows(run_spec_trials(spec))]
-    ok = ok and ta == tb
+
+    def rows():
+        return (list(sweep_csv_rows(sweep(spec))), [
+            dict(r, wall_ms="") for r in trial_csv_rows(run_spec_trials(spec))])
+
+    ok = rows() == rows()
     return _result("sweep_reproducibility", ok,
                    "identical rows" if ok else "rows differ across reruns")
 
 
-def full_checks():
-    """The checks the full suite adds, made per run: the two leaf-walk
-    checks read one set of cells (200 trials, seed 5), so the depths both
-    read are simulated once."""
-    cells = leafwalk_cells(trials=200, seed=5)
-    return [
-        check_walkstep_uniform, check_poisson_moments, check_coupling_monotone,
-        check_lambda0_collapse, check_complete_ratio, check_tree_band,
-        check_cover_time, check_range_band, check_submultiplicativity,
-        partial(check_leafwalk_bands, cells),
-        partial(check_leafwalk_trend, cells), check_sweep_reproducibility,
-    ]
+# ------------------------------------------------------------ the table
+
+# criterion number -> its label and {acceptance run: budget in seconds, or
+# None}; a run is named as its test in tests/test_acceptance.py
+ACCEPTANCE = {
+    1: ("spectral law = DP", {"01_convolution_law_equals_dp": 10}),
+    2: ("closed forms", {"02_closed_forms": 10}),
+    3: ("activation = shortest paths",
+        {"03_activation_equals_shortest_paths": 60}),
+    4: ("S/ln n on K_n", {"04_complete_graph_ratio": 300}),
+    5: ("tree band", {"05_tree_scaling_band": 600,
+                      "05b_deep_tree_scaling_band": 600}),
+    6: ("monotone coupling", {"06_monotone_coupling": 120}),
+    7: ("return sums, mixing", {"07_return_sums_and_mixing_band": 120}),
+    8: ("killed leaf walk", {"08_killed_leaf_walk": 300}),
+    9: ("lower-bound toolkit", {"09_lower_bound_toolkit": None}),
+    10: ("pmf structure", {"10_pmf_structure": None}),
+}
+
+# a check, the suite that runs it at its defaults, and {acceptance run:
+# kwargs} of the runs it takes part in, whose criteria are the row's
+Row = namedtuple("Row", "check suite runs", defaults=({},))
+
+# every check once, in validate's order; `validate --suite S` runs the
+# rows of S and of the suites before it
+CRITERIA = [
+    Row(check_graph_invariants, "fast"),
+    Row(check_stationary_levels, "fast", {"02_closed_forms": {}}),
+    Row(check_gambler_ruin, "fast", {"02_closed_forms": dict(ns=range(1, 9))}),
+    Row(check_hitting_expectations, "fast",
+        {"01_convolution_law_equals_dp": {}, "02_closed_forms": {}}),
+    Row(check_spectral_oracle, "fast", {"01_convolution_law_equals_dp": {}}),
+    Row(check_logconcavity, "fast", {"10_pmf_structure": {}}),
+    Row(check_part3_bound, "fast", {"10_pmf_structure": {}}),
+    Row(check_kappa_threshold, "fast", {"09_lower_bound_toolkit": {}}),
+    Row(check_mu_bounds, "fast", {"09_lower_bound_toolkit": dict(cases=[
+        ("complete:n=50", 1.0, 10), ("cycle:n=24", 2.0, 10),
+        ("complete:n=100", 0.5, 10)])}),
+    Row(check_spread_set, "fast", {"09_lower_bound_toolkit": dict(cases=[
+        ("tree:d=2,n=4", 8, 2), ("tree:d=2,n=5", 12, 3),
+        ("complete:n=3", 1, 4), ("cycle:n=12", 6, 2)])}),
+    Row(check_mixing_profile, "fast"),
+    Row(check_mixing_crossing, "fast",
+        {"07_return_sums_and_mixing_band": dict(ns=(5, 6))}),
+    Row(check_return_sums, "fast",
+        {"07_return_sums_and_mixing_band": dict(leaves=(0, -1))}),
+    Row(check_heat_kernel, "fast"),
+    Row(check_activation_oracle, "fast", {
+        "03_activation_equals_shortest_paths": dict(
+            cases=(["tree:d=2,n=%d" % n for n in (1, 2, 3)] +
+                   ["cycle:n=%d" % n for n in range(3, 10)] +
+                   ["complete:n=%d" % n for n in range(2, 9)]),
+            taus=range(41), seeds=range(20), lambdas=(0.0, 1.0, 2.0))}),
+    Row(check_estimate_stats, "fast"),
+    Row(check_reproducibility, "fast"),
+    Row(check_coupling_counts, "fast"),
+    Row(check_walkstep_uniform, "full"),
+    Row(check_poisson_moments, "full"),
+    Row(check_coupling_monotone, "full", {"06_monotone_coupling": {}}),
+    Row(check_lambda0_collapse, "full"),
+    Row(check_complete_ratio, "full", {"04_complete_graph_ratio": dict(
+        n=10_000, trials=50, seed_base=29)}),
+    Row(check_tree_band, "full", {
+        "05_tree_scaling_band": dict(ns=(6, 8, 10), trials=30, seed_base=37),
+        "05b_deep_tree_scaling_band": dict(ns=(12, 14, 16), trials=5,
+                                           seed_base=37)}),
+    Row(check_cover_time, "full"),
+    Row(check_range_band, "full"),
+    Row(check_submultiplicativity, "full"),
+    Row(check_leafwalk_bands, "full", {"08_killed_leaf_walk": dict(
+        cells=LeafwalkCells(trials=200, seed=41))}),
+    Row(check_leafwalk_trend, "full"),
+    Row(check_sweep_reproducibility, "full"),
+]
+
+
+def defaults(check):
+    """The keyword arguments of `check` at its defaults: validate's scale."""
+    return {name: p.default
+            for name, p in inspect.signature(check).parameters.items()}
+
+
+def run_checks(calls):
+    """The CheckResult of each (check, kwargs) call, in order, the omitted
+    arguments at their defaults. The calls that take equal LeafwalkCells
+    share one memo of them, so each cell is simulated once per call of
+    run_checks, and no memo outlives it."""
+    memos, results = {}, []
+    for check, kwargs in calls:
+        kwargs = dict(defaults(check), **kwargs)
+        if "cells" in kwargs:
+            cells = kwargs["cells"]
+            kwargs["cells"] = memos.setdefault(cells, lru_cache()(cells))
+        results.append(check(**kwargs))
+    return results

@@ -37,12 +37,14 @@ def _simulation_flags(p):
                         "runs, and on the steps of a leaf walk")
 
 
-def _float_list(text):
-    return [float(x) for x in text.split(",") if x != ""]
-
-
-def _int_list(text):
-    return [int(x) for x in text.split(",") if x != ""]
+def _list_of(kind):
+    """An argparse type: a comma list of `kind` with no empty item."""
+    def parse(text):
+        if "" in text.split(","):
+            raise argparse.ArgumentTypeError("empty item in %r" % (text,))
+        return [kind(x) for x in text.split(",")]
+    parse.__name__ = kind.__name__ + " list"
+    return parse
 
 
 def build_parser():
@@ -67,7 +69,7 @@ def build_parser():
     _simulation_flags(sw)
     sw.add_argument("--graph", action="append", required=True,
                     help="repeatable graph descriptor")
-    sw.add_argument("--lambda", dest="lambdas", type=_float_list, default=[],
+    sw.add_argument("--lambda", dest="lambdas", type=_list_of(float), default=[],
                     help="comma-separated lambda grid")
     sw.add_argument("--metric", choices=experiments.METRICS,
                     default="susceptibility")
@@ -82,25 +84,30 @@ def build_parser():
                     choices=("pi", "q", "hit", "kappa", "threshold", "mu",
                              "mixing", "bd-law"))
     an.add_argument("--chain", default=None, help="dary:d=<int>,n=<int>")
-    an.add_argument("--t", type=_int_list, default=None,
+    an.add_argument("--t", type=_list_of(int), default=None,
                     help="comma-separated times")
     an.add_argument("--lambda", dest="lam", type=float, default=1.0)
     an.add_argument("--delta", type=float, default=0.0)
 
     va = sub.add_parser("validate", help="run a named check suite")
     _output_flags(va)
-    va.add_argument("--suite", choices=("fast", "full"), default="fast")
+    va.add_argument("--suite", help="a suite of frogline.checks.CRITERIA "
+                                    "(default: its first)")
     return ap
+
+
+def _spec(args, graphs, lambdas, metric):
+    return experiments.ExperimentSpec(
+        graphs=graphs, lambdas=lambdas, metric=metric, trials=args.trials,
+        seed_base=args.seed, origin=args.origin, s=args.s,
+        step_cap=args.budget_steps, jobs=args.jobs)
 
 
 def _cmd_simulate(args):
     if args.lam_max is not None and args.mode != "leafwalk":
         # accepted for older command lines, though it changes no output
         check_horizon(args.lam, args.lam_max)
-    spec = experiments.ExperimentSpec(
-        graphs=[args.graph], lambdas=[args.lam], metric=args.mode,
-        trials=args.trials, seed_base=args.seed, origin=args.origin,
-        s=args.s, step_cap=args.budget_steps, jobs=args.jobs)
+    spec = _spec(args, [args.graph], [args.lam], args.mode)
     results = experiments.run_spec_trials(spec)
     experiments.write_table(experiments.trial_csv_rows(results),
                             experiments.SIMULATE_COLUMNS, args.out,
@@ -111,10 +118,7 @@ def _cmd_simulate(args):
 
 
 def _cmd_sweep(args):
-    spec = experiments.ExperimentSpec(
-        graphs=args.graph, lambdas=args.lambdas, metric=args.metric,
-        trials=args.trials, seed_base=args.seed, origin=args.origin,
-        s=args.s, step_cap=args.budget_steps, jobs=args.jobs)
+    spec = _spec(args, args.graph, args.lambdas, args.metric)
     rows = experiments.sweep(spec)
     experiments.write_table(experiments.sweep_csv_rows(rows),
                             experiments.SWEEP_COLUMNS, args.out, args.format)
@@ -149,45 +153,38 @@ def _cmd_analytic(args):
     g = build_graph(parse_descriptor(args.graph))
     if q in ("pi", "q", "hit"):
         require_tree(g, q)
-    rows = []
+    # (quantity, key, value) of each row
     if q == "pi":
         pi = tree_analytics.stationary_levels(level_chain(g.d, g.n))
-        rows = [{"quantity": "pi", "key": l, "value": repr(float(p))}
-                for l, p in enumerate(pi)]
+        rows = [("pi", l, repr(float(p))) for l, p in enumerate(pi)]
     elif q == "q":
-        rows = [{"quantity": "q", "key": i,
-                 "value": repr(tree_analytics.gambler_ruin(g.d, g.n, i))}
+        rows = [("q", i, repr(tree_analytics.gambler_ruin(g.d, g.n, i)))
                 for i in range(g.n)]
     elif q == "hit":
         chain = level_chain(g.d, g.n)
-        rows = [{"quantity": "crossing", "key": j,
-                 "value": repr(tree_analytics.expected_hit(chain, "crossing", j))}
-                for j in range(g.n)]
-        rows.append({"quantity": "hit", "key": "leaf_to_root",
-                     "value": repr(tree_analytics.expected_hit(
-                         chain, "leaf_to_root"))})
+        rows = [("crossing", j, repr(tree_analytics.expected_hit(
+            chain, "crossing", j))) for j in range(g.n)]
+        rows.append(("hit", "leaf_to_root", repr(tree_analytics.expected_hit(
+            chain, "leaf_to_root"))))
     elif q == "kappa":
         ts = args.t or [16]
         kappa = tree_analytics.kappa_sequence(g, max(ts))
-        rows = [{"quantity": "kappa", "key": t, "value": repr(float(kappa[t]))}
-                for t in ts]
+        rows = [("kappa", t, repr(float(kappa[t]))) for t in ts]
     elif q == "threshold":
         ts = args.t or [256]
-        t = tree_analytics.threshold_time(g, args.lam, args.delta, max(ts))
-        rows = [{"quantity": "threshold", "key": "t", "value": t}]
+        rows = [("threshold", "t", tree_analytics.threshold_time(
+            g, args.lam, args.delta, max(ts)))]
     elif q == "mu":
         ts = args.t or [16]
         targets, mu = tree_analytics.mu_table(g, args.lam, max(ts))
-        for a, row in zip(targets, mu):
-            for t in ts:
-                rows.append({"quantity": "mu", "key": "a=%d,t=%d" % (a, t),
-                             "value": repr(float(row[t]))})
+        rows = [("mu", "a=%d,t=%d" % (a, t), repr(float(row[t])))
+                for a, row in zip(targets, mu) for t in ts]
     elif q == "mixing":
-        ts = args.t or list(range(0, 33, 2))
-        for t, dev in tree_analytics.mixing_profile(g, ts):
-            rows.append({"quantity": "mixing", "key": t, "value": repr(dev)})
-    experiments.write_table(rows, ["quantity", "key", "value"], args.out,
-                            args.format)
+        rows = [("mixing", t, repr(dev)) for t, dev in
+                tree_analytics.mixing_profile(g, args.t or range(0, 33, 2))]
+    columns = ["quantity", "key", "value"]
+    experiments.write_table([dict(zip(columns, r)) for r in rows], columns,
+                            args.out, args.format)
     return 0
 
 

@@ -125,10 +125,13 @@ def validate_spec(spec):
         raise ParameterError("leafwalk needs --s")
     check_step_cap(spec.step_cap)
     # checked before any sampling: a refused configuration checks no cell
-    if spec.metric != "leafwalk":
-        for lam in spec.lambdas:
-            check_lambda("lambda", lam)
+    lambdas = [] if spec.metric == "leafwalk" else spec.lambdas
+    for lam in lambdas:
+        check_lambda("lambda", lam)
     check_seed(spec.seed_base)
+    for name, grid in (("graph", spec.graphs), ("lambda", lambdas)):
+        if len(set(grid)) < len(grid):
+            raise ParameterError("repeated %s in %r" % (name, grid))
     cells = len(spec.graphs) * spec.trials * (
         1 if spec.metric == "leafwalk" else len(spec.lambdas))
     check_budget("a run of %d trial cells" % cells, cells * TRIAL_CELL_BYTES)
@@ -376,14 +379,15 @@ def _output(out):
                              % (out, exc.strerror)) from None
 
 
-def validate(suite):
-    """Run a named check suite; returns (all_passed, list of CheckResult)."""
+def validate(suite=None):
+    """Run a named check suite of `checks.CRITERIA`, by default its first;
+    returns (all_passed, list of CheckResult)."""
     from . import checks
-    if suite == "fast":
-        selected = checks.FAST_CHECKS
-    elif suite == "full":
-        selected = checks.FAST_CHECKS + checks.full_checks()
-    else:
-        raise ParameterError("unknown suite %r (want fast or full)" % (suite,))
-    results = [check() for check in selected]
+    suites = list(dict.fromkeys(row.suite for row in checks.CRITERIA))
+    if suite not in suites + [None]:
+        raise ParameterError("unknown suite %r (want %s)"
+                             % (suite, " or ".join(suites)))
+    upto = suites[:suites.index(suite or suites[0]) + 1]
+    results = checks.run_checks([(row.check, {}) for row in checks.CRITERIA
+                                 if row.suite in upto])
     return all(r.passed for r in results), results

@@ -95,7 +95,8 @@ def build_graph(descriptor):
 
 
 class GraphHandle:
-    """Immutable view of one graph; safe to share across concurrent trials."""
+    """Immutable view of one graph; safe to share across concurrent trials.
+    Each family's subclass gives `degree`, `neighbors` and `degrees_array`."""
 
     def __init__(self, descriptor):
         self.descriptor = descriptor
@@ -108,16 +109,6 @@ class GraphHandle:
     def check_vertex(self, v):
         if not 0 <= v < self.vertex_count:
             raise IndexError("vertex %r outside [0, %d)" % (v, self.vertex_count))
-
-    def degree(self, v):
-        raise NotImplementedError
-
-    def neighbors(self, v):
-        raise NotImplementedError
-
-    def degrees_array(self, vs):
-        """Vectorized degree lookup."""
-        raise NotImplementedError
 
     def label(self):
         return self.descriptor.label()

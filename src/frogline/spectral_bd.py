@@ -79,14 +79,15 @@ class Pmf:
 def hitting_eigenvalues(chain):
     """Ascending eigenvalues gamma of I - K^2 restricted to the killed
     chain's even class."""
-    # imported here: scipy.linalg is most of the package's import time
-    from scipy.linalg import eigh_tridiagonal
     n, up, down = _validate_chain(chain)
     top = n if n % 2 == 0 else n - 1
     states = np.arange(2, top + 1, 2, dtype=np.int64)
     m = len(states)
     if m == 0:
         return np.empty(0)
+    # the dense m x m matrix, of which eigvalsh touches about m^3 entries:
+    # m <= 1625, so n <= 3251, while a law is refused from n = 21 at d = 2
+    check_budget("a %d x %d even-class matrix" % (m, m), 8 * m * m, m, m * m)
     # K^2 on the even states; up[n] = 0 makes the boundary rows come out right
     diag = np.empty(m)
     hi = np.empty(max(m - 1, 0))
@@ -97,7 +98,8 @@ def hitting_eigenvalues(chain):
             hi[j] = up[i] * up[i + 1]
             lo[j] = down[i + 2] * down[i + 1]
     sym_off = -np.sqrt(hi * lo)
-    gammas = eigh_tridiagonal(1.0 - diag, sym_off, eigvals_only=True)
+    gammas = np.linalg.eigvalsh(
+        np.diag(1.0 - diag) + np.diag(sym_off, -1) + np.diag(sym_off, 1))
     if np.any(gammas < -1e-9) or np.any(gammas > 1 + 1e-9):
         raise NumericalConsistencyError(
             "eigenvalues of I - K^2 left (0,1]: %r" % (gammas,))

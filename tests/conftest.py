@@ -1,8 +1,10 @@
 """A time limit on every test: a fault that keeps a loop running (a clock
 that never covers, an operator that never stops) fails its test instead of
-hanging the suite."""
+hanging the suite. And `peak_bytes`, for the tests of the memory bounds."""
 
+import contextlib
 import signal
+import tracemalloc
 
 import pytest
 
@@ -23,3 +25,19 @@ def time_limit():
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.fixture
+def peak_bytes():
+    """`with peak_bytes() as peak:` traces the block's allocations and
+    leaves their peak in peak[0], also when the block raises."""
+    @contextlib.contextmanager
+    def trace():
+        peak = [0]
+        tracemalloc.start()
+        try:
+            yield peak
+        finally:
+            peak[0] = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+    return trace

@@ -170,12 +170,8 @@ def stationary_solve(chain):
 def absorbing_t0_pmf(chain, t_max):
     """Law of T_0 from state n by explicit matrix powers with 0 absorbing."""
     n = chain.n
-    Q = np.zeros((n + 1, n + 1))
-    Q[0, 0] = 1.0
-    for i in range(1, n + 1):
-        Q[i, i - 1] = chain.down[i]
-        if i < n:
-            Q[i, i + 1] = chain.up[i]
+    Q = chain_matrix(chain)
+    Q[0] = np.eye(n + 1)[0]
     masses = np.zeros(t_max + 1)
     row = np.zeros(n + 1)
     row[n] = 1.0

@@ -6,7 +6,6 @@ import signal
 import subprocess
 import sys
 import time
-import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -196,6 +195,13 @@ def test_parameter_error_exit_2(capsys, tmp_path, monkeypatch):
             (["analytic", "--quantity", "pi", "--graph", "tree:d=2,n=3,n=1"],
              "repeated key"),
             (["simulate", "--graph", "complete:n=5,n=7"], "repeated key"),
+            # a repeated graph or lambda pooled its trials into one row
+            (["sweep", "--graph", "tree:d=2,n=3", "--lambda", "1,1",
+              "--trials", "2"], "repeated lambda in [1.0, 1.0]"),
+            (["sweep", "--graph", "tree:d=2,n=3", "--graph", "tree:d=2,n=3",
+              "--lambda", "1"], "repeated graph"),
+            (["validate", "--suite", "slow"],
+             "unknown suite 'slow' (want fast or full)"),
             (["analytic", "--quantity", "bd-law", "--chain",
               "dary:d=2,n=3,d=3"], "repeated key"),
             # a seed outside the u64 range would alias one inside it
@@ -235,7 +241,7 @@ def test_parameter_error_exit_2(capsys, tmp_path, monkeypatch):
                 (argv, cap, err)
 
 
-def test_budget_exceeded_exit_3(capsys):
+def test_budget_exceeded_exit_3(capsys, peak_bytes):
     # --budget-steps caps the clock of both simulation metrics
     for mode in ("cover", "susceptibility"):
         code, _ = _run(capsys, "simulate", "--graph", "tree:d=2,n=5",
@@ -253,19 +259,15 @@ def test_budget_exceeded_exit_3(capsys):
     assert code == 3
     assert "clock exceeded step cap 3 (fraction covered 0." in err, err
     # a leaf walk on 2^40 leaves would need 8 bytes per leaf
-    tracemalloc.start()
-    try:
+    with peak_bytes() as peak:
         code = main(["simulate", "--mode", "leafwalk", "--graph",
                      "tree:d=2,n=40", "--s", "3"])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
     err = capsys.readouterr().err
-    assert code == 3 and peak < 2 ** 22, (err, peak)
+    assert code == 3 and peak[0] < 2 ** 22, (err, peak)
     assert "a leaf walk on tree:d=2,n=40 needs about 8.8e+12 bytes" in err, err
 
 
-def test_huge_trial_counts_refused_before_any_work(capsys):
+def test_huge_trial_counts_refused_before_any_work(capsys, peak_bytes):
     # one seed entry, batch index and result row per trial cell: 10^12
     # trials would need about 10^15 bytes
     for argv in (["simulate", "--graph", "tree:d=2,n=3",
@@ -275,15 +277,11 @@ def test_huge_trial_counts_refused_before_any_work(capsys):
                   str(10 ** 9)],
                  ["simulate", "--mode", "leafwalk", "--graph", "tree:d=2,n=3",
                   "--s", "3", "--trials", str(10 ** 10)]):
-        tracemalloc.start()
-        try:
+        with peak_bytes() as peak:
             code = main(argv)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
         err = capsys.readouterr().err
         assert code == 3, argv
-        assert "trial cells needs about" in err and peak < 2 ** 22, (
+        assert "trial cells needs about" in err and peak[0] < 2 ** 22, (
             argv, err, peak)
     # a million trial cells stay allowed
     assert (10 ** 6 * experiments.TRIAL_CELL_BYTES
@@ -298,8 +296,7 @@ def test_budget_steps_caps_the_leaf_walk(capsys):
     assert "leaf walk exceeded step cap 3 (fraction covered 0." in err, err
 
 
-def test_analytic_byte_bounds(capsys):
-    import scipy.linalg  # noqa: F401  bd-law's first call would import it
+def test_analytic_byte_bounds(capsys, peak_bytes):
     # refused before any allocation: V x V mixing matrices at depth 14
     # (about 34 GB) and 2^30 mu rows plus a hitting table at depth 30
     for argv in (["--quantity", "mixing", "--graph", "tree:d=2,n=14"],
@@ -312,15 +309,11 @@ def test_analytic_byte_bounds(capsys):
                   "--t", "100000000000"],
                  ["--quantity", "threshold", "--graph", "complete:n=5",
                   "--t", "100000000000"]):
-        tracemalloc.start()
-        try:
+        with peak_bytes() as peak:
             code = main(["analytic"] + argv)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
         err = capsys.readouterr().err
         assert code == 3, argv
-        assert "needs about" in err and peak < 2 ** 22, (argv, err, peak)
+        assert "needs about" in err and peak[0] < 2 ** 22, (argv, err, peak)
     # return sums need only vectors
     code, out = _run(capsys, "analytic", "--quantity", "kappa",
                      "--graph", "tree:d=2,n=16", "--t", "4")
@@ -331,7 +324,7 @@ def _expire(signum, frame):
     raise TimeoutError("still running")
 
 
-def test_analytic_work_bounds(capsys):
+def test_analytic_work_bounds(capsys, peak_bytes):
     # admitted by the byte guard, refused by the work guard before any
     # allocation: 1.0e14 and 6.7e12 mixing entries (the second would run
     # for about 43 h), 1.8e11 entries of return sums; on K_5, where a step
@@ -351,19 +344,18 @@ def test_analytic_work_bounds(capsys):
         # error (exit 4) after 5 s
         previous = signal.signal(signal.SIGALRM, _expire)
         signal.alarm(5)
-        tracemalloc.start()
         t0 = time.perf_counter()
         try:
-            code = main(["analytic"] + argv)
+            with peak_bytes() as peak:
+                code = main(["analytic"] + argv)
             took = time.perf_counter() - t0
-            peak = tracemalloc.get_traced_memory()[1]
         finally:
-            tracemalloc.stop()
             signal.alarm(0)
             signal.signal(signal.SIGALRM, previous)
         err = capsys.readouterr().err
         assert code == 3, (argv, err[-200:])
-        assert "operator entries" in err and peak < 2 ** 22, (argv, err, peak)
+        assert "operator entries" in err and peak[0] < 2 ** 22, (argv, err,
+                                                                 peak)
         assert took < 1.0, (argv, took)
 
 
@@ -455,6 +447,16 @@ def test_cli_import_loads_no_process_pool():
         == "False"
 
 
+def test_cli_import_and_bd_law_load_no_scipy():
+    # `import frogline.cli` is what the benchmark's setup time measures
+    for run in ("", "main(['analytic', '--quantity', 'bd-law', '--chain', "
+                    "'dary:d=2,n=6']); "):
+        assert _last_line_of(
+            "import sys; from frogline.cli import main; %sprint([m for m in "
+            "sys.modules if m == 'frogline.checks' or m.split('.')[0] == "
+            "'scipy'])" % run) == "[]"
+
+
 def test_simulate_and_sweep_load_no_numpy_random():
     # one random-number layer: every draw comes from the keyed walk hash,
     # so a run never imports numpy's generators
@@ -479,9 +481,18 @@ def test_lambda_max_changes_no_simulate_row(capsys):
 
 
 def test_unknown_choice_exits_2(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["analytic", "--quantity", "entropy"])
-    assert exc.value.code == 2
+    # argparse refuses these; an empty item of a comma list used to be
+    # dropped without a word
+    for argv, says in [
+            (["analytic", "--quantity", "entropy"], "invalid choice"),
+            (["sweep", "--graph", "tree:d=2,n=3", "--lambda", "1,,2"],
+             "empty item in '1,,2'"),
+            (["analytic", "--quantity", "kappa", "--graph", "tree:d=2,n=3",
+              "--t", "4,,8"], "empty item in '4,,8'")]:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+        assert says in capsys.readouterr().err, argv
 
 
 def test_seed_and_step_budget_only_where_read(capsys):

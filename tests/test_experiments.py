@@ -207,16 +207,11 @@ def test_coupled_sweep_is_pointwise_monotone():
 
 
 def test_validate_spec_rejects():
-    with pytest.raises(ParameterError):
-        validate_spec(_spec(trials=0))
-    with pytest.raises(ParameterError):
-        validate_spec(_spec(graphs=[]))
-    with pytest.raises(ParameterError):
-        validate_spec(_spec(lambdas=[]))
-    with pytest.raises(ParameterError):
-        validate_spec(_spec(metric="entropy"))
-    with pytest.raises(ParameterError):
-        validate_spec(_spec(metric="leafwalk", s=None))
+    for kw in (dict(trials=0), dict(graphs=[]), dict(lambdas=[]),
+               dict(metric="entropy"), dict(metric="leafwalk", s=None),
+               dict(graphs=["cycle:n=5"] * 2), dict(lambdas=[1.0, 2.0, 1.0])):
+        with pytest.raises(ParameterError):
+            validate_spec(_spec(**kw))
 
 
 def test_estimate_frozen_examples():

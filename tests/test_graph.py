@@ -93,10 +93,9 @@ def test_neighbors_symmetry():
 
 def test_check_vertex_raises():
     g = build_graph(GraphDescriptor(COMPLETE, n=4))
-    with pytest.raises(IndexError):
-        g.neighbors(4)
-    with pytest.raises(IndexError):
-        g.neighbors(-1)
+    for v in (4, -1):
+        with pytest.raises(IndexError):
+            g.neighbors(v)
 
 
 def test_resolve_origin():
@@ -107,11 +106,7 @@ def test_resolve_origin():
     assert resolve_origin(gt, 5) == 5
     gc = build_graph(GraphDescriptor(CYCLE, n=5))
     assert resolve_origin(gc, "root") == 0
-    with pytest.raises(ParameterError):
-        resolve_origin(gc, "leaf")
-    with pytest.raises(ParameterError):
-        resolve_origin(gt, "7")  # out of range
-    with pytest.raises(ParameterError):
-        resolve_origin(gt, "-1")
-    with pytest.raises(ParameterError):
-        resolve_origin(gt, "center")
+    # a leaf of a cycle, out of range, and no vertex at all
+    for g, spec in ((gc, "leaf"), (gt, "7"), (gt, "-1"), (gt, "center")):
+        with pytest.raises(ParameterError):
+            resolve_origin(g, spec)

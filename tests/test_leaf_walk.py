@@ -115,7 +115,7 @@ def test_stopped_walks_fail_the_bands_with_their_reason(monkeypatch):
     from frogline import ExperimentSpec, checks
     monkeypatch.setattr(checks, "ExperimentSpec",
                         partial(ExperimentSpec, step_cap=5))
-    result = checks.check_leafwalk_bands(checks.leafwalk_cells(3, seed=0))
+    result = checks.check_leafwalk_bands(checks.LeafwalkCells(3, seed=0))
     assert not result.passed
     assert "tree:d=2,n=4 trial 0: leaf walk exceeded step cap 5" in (
         result.detail)
@@ -125,20 +125,16 @@ def test_validate_simulates_each_leafwalk_cell_once(monkeypatch):
     # the bands read depths 4-6 and the trend 4-7: four cells, not seven
     # (at 20 trials a cell instead of the suite's 200)
     from frogline import checks, experiments
-    calls = []
+    depths, cell = [], checks.leafwalk_cell
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return run_killed_leaf_walk(*args, **kwargs)
+    def counted(d, n, s, trials, seed):
+        depths.append(n)
+        return cell(d, n, s, 20, seed)
 
-    cells = checks.leafwalk_cells
-    monkeypatch.setattr(experiments, "run_killed_leaf_walk", counted)
-    monkeypatch.setattr(checks, "leafwalk_cells",
-                        lambda trials, seed: cells(20, seed))
-    suite = {check.func: check for check in checks.full_checks()
-             if hasattr(check, "func")}  # the two that share the cells
-    bands = suite[checks.check_leafwalk_bands]()
-    trend = suite[checks.check_leafwalk_trend]()
+    monkeypatch.setattr(checks, "leafwalk_cell", counted)
+    shared = [row for row in checks.CRITERIA if "cells" in
+              checks.defaults(row.check)]  # the two that share the cells
+    monkeypatch.setattr(checks, "CRITERIA", shared)
+    _, (bands, trend) = experiments.validate("full")
     assert (bands.check, trend.check) == ("leafwalk_bands", "leafwalk_cv_trend")
-    assert len(calls) == 4 * 20
-    assert sorted({args[1] for args in calls}) == [4, 5, 6, 7]
+    assert sorted(depths) == [4, 5, 6, 7]

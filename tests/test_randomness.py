@@ -1,4 +1,3 @@
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -262,19 +261,15 @@ def test_lambda_max_changes_no_configuration():
                             text, origin, seed, lam)
 
 
-def test_sampling_peak_stays_inside_config_bytes():
+def test_sampling_peak_stays_inside_config_bytes(peak_bytes):
     # the byte guard's estimate holds for the sampler's peak, its blocks
     # and the view included
     g = _tree(2, 16)
     init_config(g, 1.0, 0, 1)  # imports and first-call caches, untraced
     for lam_max in (0.0, 0.25, 1.0, 8.0):
-        tracemalloc.start()
-        try:
+        with peak_bytes() as peak:
             init_config(g, lam_max, 0, 1)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= randomness.config_bytes(g.vertex_count, lam_max), (
+        assert peak[0] <= randomness.config_bytes(g.vertex_count, lam_max), (
             lam_max, peak)
 
 

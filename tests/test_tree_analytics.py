@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -304,47 +302,35 @@ def test_lower_bound_targets_are_sorted_leaves():
             call()
 
 
-def test_green_sums_byte_bound():
+def test_green_sums_byte_bound(peak_bytes):
     # a 4096^2 x 257 Green array at depth 12 (34.5 GB), refused before any
     # allocation; the threshold at the same size needs only return sums
     g = build_graph(parse_descriptor("tree:d=2,n=12"))
-    tracemalloc.start()
-    try:
-        with pytest.raises(BudgetExceededError, match="needs about 3.45e"):
-            green_sums(g, 256)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2 ** 22, peak
+    with peak_bytes() as peak, pytest.raises(BudgetExceededError,
+                                             match="needs about 3.45e"):
+        green_sums(g, 256)
+    assert peak[0] < 2 ** 22, peak
 
 
-def test_green_sums_work_bound():
+def test_green_sums_work_bound(peak_bytes):
     # one target is a few bytes a step, but 10^5 steps of a 131071-vector
     # are 1.3e10 operator entries: refused before any allocation
     g = build_graph(parse_descriptor("tree:d=2,n=16"))
-    tracemalloc.start()
-    try:
-        with pytest.raises(BudgetExceededError, match="1.31e.10 operator"):
-            green_sums(g, 100000, targets=[g.vertex_count - 1])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2 ** 22, peak
+    with peak_bytes() as peak, pytest.raises(BudgetExceededError,
+                                             match="1.31e.10 operator"):
+        green_sums(g, 100000, targets=[g.vertex_count - 1])
+    assert peak[0] < 2 ** 22, peak
 
 
-def test_green_sums_one_target_peak():
+def test_green_sums_one_target_peak(peak_bytes):
     # one target's Green row is the whole estimate: the running sum adds
     # one m-vector to it, not a second row of t_max + 1 floats
     g = build_graph(parse_descriptor("tree:d=2,n=4"))
     t_max = 10000
-    tracemalloc.start()
-    try:
+    with peak_bytes() as peak:
         green_sums(g, t_max, targets=[g.vertex_count - 1])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
     estimate = 8 * ((t_max + 1) + 6 * g.vertex_count)
-    assert peak < estimate + 2 ** 15, (peak, estimate)
+    assert peak[0] < estimate + 2 ** 15, (peak, estimate)
 
 
 def test_mixing_deviation_t0_formula():
