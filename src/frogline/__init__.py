@@ -13,7 +13,8 @@ from .randomness import (FrogInit, FrogStack, WalkStore, generate_steps,
                          init_config, stack_views, walk_keys)
 from .spectral_bd import (BirthDeathChain, Pmf, check_logconcave,
                           geometric_convolution_law, half_e2_t0,
-                          hitting_eigenvalues, hitting_pmf_dp, total_variation)
+                          hitting_eigenvalues, hitting_law, hitting_pmf_dp,
+                          total_variation)
 from .tree_analytics import (expected_hit, gambler_ruin, green_sums,
                              kappa_sequence, leaf_to_root_closed_form,
                              level_chain, mixing_crossing_time,
@@ -32,12 +33,12 @@ __all__ = [
     "build_graph", "check_logconcave", "cover_time", "estimate",
     "expected_hit", "gambler_ruin", "generate_steps",
     "geometric_convolution_law", "green_sums", "half_e2_t0",
-    "hitting_eigenvalues", "hitting_pmf_dp", "init_config", "kappa_sequence",
-    "leaf_to_root_closed_form", "level_chain", "mixing_crossing_time",
-    "mixing_deviation", "mixing_profile", "mu_table", "parse_descriptor",
-    "resolve_origin", "return_sum_envelope", "run_activation",
-    "run_killed_leaf_walk", "run_spec_trials", "select_spread_set",
-    "stack_views", "stationary_levels", "susceptibility", "sweep",
-    "threshold_time", "total_variation", "transition_powers",
+    "hitting_eigenvalues", "hitting_law", "hitting_pmf_dp", "init_config",
+    "kappa_sequence", "leaf_to_root_closed_form", "level_chain",
+    "mixing_crossing_time", "mixing_deviation", "mixing_profile", "mu_table",
+    "parse_descriptor", "resolve_origin", "return_sum_envelope",
+    "run_activation", "run_killed_leaf_walk", "run_spec_trials",
+    "select_spread_set", "stack_views", "stationary_levels", "susceptibility",
+    "sweep", "threshold_time", "total_variation", "transition_powers",
     "trial_seed", "validate", "walk_keys", "write_table",
 ]

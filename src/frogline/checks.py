@@ -21,7 +21,7 @@ import inspect
 from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
-from math import log, sqrt
+from math import erfc, exp, lgamma, log, sqrt
 
 import numpy as np
 
@@ -33,8 +33,9 @@ from .graph import (COMPLETE, CYCLE, TREE, GraphDescriptor, build_graph,
                     parse_descriptor)
 from .randomness import (counters, generate_steps, init_config, stack_views,
                          walk_keys)
-from .spectral_bd import check_logconcave, geometric_convolution_law, half_e2_t0, \
-    hitting_eigenvalues, hitting_pmf_dp, Pmf, total_variation
+from .spectral_bd import (Pmf, check_logconcave, geometric_convolution_law,
+                          half_e2_t0, hitting_eigenvalues, hitting_law,
+                          hitting_pmf_dp, total_variation)
 from .tree_analytics import (expected_hit, gambler_ruin, green_sums,
                              kappa_sequence, leaf_to_root_closed_form,
                              level_chain, mixing_crossing_time,
@@ -118,6 +119,43 @@ def activation_oracle(g, init, ell, tau):
                 dist[y] = cand
                 heapq.heappush(heap, (cand, int(y)))
     return dist
+
+
+def chi2_sf(x, k):
+    """Pr(X > x) for X chi-square on k >= 1 degrees of freedom, in closed
+    form: with h = x/2, Q_k = Q_(k-2) + h^(k/2-1) e^-h / Gamma(k/2), from
+    Q_0 = 0 and Q_1 = erfc(sqrt(h))."""
+    if x <= 0:
+        return 1.0
+    h = x / 2
+    q = erfc(sqrt(h)) if k % 2 else 0.0
+    for s in range(k % 2, k, 2):
+        q += exp(s / 2 * log(h) - h - lgamma(s / 2 + 1))
+    return q
+
+
+def chisquare(observed, expected=None):
+    """Pearson's chi-square p-value of the counts `observed` against
+    `expected` (default: their mean in every cell), on len(observed) - 1
+    degrees of freedom."""
+    observed = np.asarray(observed, dtype=float)
+    if expected is None:
+        expected = np.full(len(observed), observed.mean())
+    return chi2_sf(float(((observed - expected) ** 2 / expected).sum()),
+                   len(observed) - 1)
+
+
+def poisson_pmf_tail(lam, size):
+    """Pr(N = k) and Pr(N >= k) for k < size, N ~ Pois(lam), lam > 0.
+
+    Each tail is a sum of pmf terms, not 1 minus a sum, so a small tail
+    keeps its relative accuracy. Past 2 lam each term is at most half the
+    one before, so the sums stop 64 terms past both size and 2 lam and
+    leave out less than 2^-63 of each tail."""
+    top = size + int(2 * lam) + 64
+    pmf = np.array([exp(k * log(lam) - lam - lgamma(k + 1))
+                    for k in range(top)])
+    return pmf[:size], np.cumsum(pmf[::-1])[::-1][:size]
 
 
 # ------------------------------------------------------------ fast checks
@@ -245,9 +283,7 @@ def check_spectral_oracle():
 def check_logconcavity():
     bad = []
     for d, n in _CHAIN_GRID:
-        law = geometric_convolution_law(hitting_eigenvalues(level_chain(d, n)),
-                                        "odd" if n % 2 else "even")
-        ok, idx = check_logconcave(law)
+        ok, idx = check_logconcave(hitting_law(level_chain(d, n)))
         if not ok:
             bad.append("law violates at %r (d=%d n=%d)" % (idx, d, n))
     ok, idx = check_logconcave(Pmf(offset=0, masses=np.array([0.4, 0.1, 0.5])))
@@ -615,7 +651,6 @@ def check_leafwalk_trend(cells=LeafwalkCells(trials=200, seed=5)):
 def check_walkstep_uniform():
     """A chi-square test of the neighbors taken by 100k one-step walks
     from one vertex, for each degree; every p-value must exceed 0.001."""
-    from scipy.stats import chisquare
     cases = [(build_graph(GraphDescriptor(TREE, d=3, n=2)), 0),   # degree 3
              (build_graph(GraphDescriptor(TREE, d=3, n=2)), 1),   # degree 4
              (build_graph(GraphDescriptor(CYCLE, n=5)), 2),       # degree 2
@@ -628,7 +663,7 @@ def check_walkstep_uniform():
         keys = counters(walk_keys(909, 1, v), steps)
         draws = generate_steps(g, np.full(len(steps), v), keys, 0, 1)[:, 0]
         counts = [np.count_nonzero(draws == w) for w in g.neighbors(v)]
-        pvals.append(float(chisquare(counts).pvalue))
+        pvals.append(chisquare(counts))
     return _result("walkstep_chisquare", all(p > 0.001 for p in pvals),
                    "p-values %s" % ["%.4f" % p for p in pvals])
 
@@ -640,21 +675,20 @@ def check_poisson_moments():
     pmf by chi-square, with p > 0.001: counts 0, 1, ... binned alone while
     a bin and the tail past it each expect >= 5 vertices, the tail
     pooled."""
-    from scipy.stats import chisquare, poisson
     g = build_graph(GraphDescriptor(COMPLETE, n=10_000))
     totals = [init_config(g, 2.0, 0, s).particle_count() for s in range(100)]
     gap = abs(float(np.mean(totals)) - (1 + 2.0 * g.vertex_count))
     se3 = 3 * sqrt(2.0 * g.vertex_count / len(totals))
     g = build_graph(GraphDescriptor(TREE, d=2, n=17))
-    V, ks, pvals = g.vertex_count - 1, np.arange(64), []
+    V, pvals = g.vertex_count - 1, []
     for lam in (0.5, 1.0, 4.0):
         counts = init_config(g, lam, 0, 11).counts[1:]
         # pmf[k] = V Pr(N = k), tail[k] = V Pr(N >= k)
-        pmf, tail = V * poisson.pmf(ks, lam), V * poisson.sf(ks - 1, lam)
+        pmf, tail = (V * p for p in poisson_pmf_tail(lam, 64))
         k = int(np.argmax(np.minimum(pmf[:-1], tail[1:]) < 5))
         observed = np.bincount(np.minimum(counts, k), minlength=k + 1)
         expected = np.append(pmf[:k], tail[k])
-        pvals.append(float(chisquare(observed, expected).pvalue))
+        pvals.append(chisquare(observed, expected))
     return _result("poisson_moments",
                    gap <= se3 and all(p > 0.001 for p in pvals),
                    "mean gap %.2f vs 3se %.2f; pmf chi-square p-values %s"

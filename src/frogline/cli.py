@@ -143,10 +143,8 @@ def _cmd_analytic(args):
         raise ParameterError("--t wants times >= 0, got %r" % (args.t,))
     if q == "bd-law":
         chain = _parse_chain(args.chain)
-        pmf = spectral_bd.geometric_convolution_law(
-            spectral_bd.hitting_eigenvalues(chain),
-            "odd" if chain.n % 2 else "even")
-        experiments.write_law(pmf, args.out, args.format)
+        experiments.write_law(spectral_bd.hitting_law(chain), args.out,
+                              args.format)
         return 0
     if args.graph is None:
         raise ParameterError("--graph is required for this quantity")

@@ -156,6 +156,33 @@ def geometric_convolution_law(gammas, n_parity):
                truncated=float(max(0.0, 1.0 - conv.sum())))
 
 
+def hitting_law(chain):
+    """Pmf of T_0 from the top state of `chain`: geometric_convolution_law
+    of its hitting_eigenvalues, refused before the eigensolver when the
+    law's factors cannot fit the byte limit.
+
+    A Geometric(gamma) factor is at least log(1/_TAIL) (1/gamma - 1) long,
+    and the m factors' 1/gamma sum to the mean of the geometric sum,
+    (E_n[T_0] - (n mod 2))/2. So 32 log(1/_TAIL) ((E_n[T_0] - n mod 2)/2 - m)
+    bytes is a lower bound on geometric_convolution_law's own estimate: it
+    refuses no law that the estimate admits, and it stops the chains whose
+    smallest gamma, about d^-n, lies below the eigensolver's accuracy
+    before they raise there.
+    """
+    n, up, down = _validate_chain(chain)
+    # E_{j+1}[T_j] = (1 + up[j+1] E_{j+2}[T_{j+1}]) / down[j+1], from
+    # E_n[T_{n-1}] = 1; an overflow makes the mean inf, never nan
+    crossing = mean = 1.0
+    for j in range(n - 2, -1, -1):
+        crossing = (1.0 + up[j + 1] * crossing) / down[j + 1]
+        mean += crossing
+    m = n // 2
+    check_budget("a hitting-time law of %d geometric factors" % m,
+                 32 * log(1 / _TAIL) * ((mean - n % 2) / 2 - m))
+    return geometric_convolution_law(hitting_eigenvalues(chain),
+                                     "odd" if n % 2 else "even")
+
+
 def hitting_pmf_dp(chain, start, t_max):
     """Exact law of T_0 by forward DP with state 0 absorbing."""
     n, up, down = _validate_chain(chain)

@@ -17,7 +17,7 @@ import numpy as np
 from frogline import (Pmf, geometric_convolution_law, hitting_eigenvalues,
                       level_chain, stationary_levels, write_table)
 import frogline
-from frogline import cli, errors, experiments, tree_analytics
+from frogline import cli, errors, experiments, spectral_bd, tree_analytics
 from frogline.cli import main
 
 
@@ -320,6 +320,29 @@ def test_analytic_byte_bounds(capsys, peak_bytes):
     assert code == 0 and _rows(out)[0]["key"] == "4"
 
 
+# every chain with d in {2, 3, 4, 5, 8} and n <= 40 whose smallest gamma,
+# about d^-n, lies below the eigensolver's accuracy, so that
+# hitting_eigenvalues raises on it
+UNRESOLVED_CHAINS = ([(3, 36), (3, 38)] + [(4, n) for n in range(28, 41)]
+                     + [(5, n) for n in range(25, 41)])
+
+
+def test_bd_law_refuses_unresolved_chains_before_the_eigensolver(
+        capsys, monkeypatch):
+    def unreachable(chain):
+        raise AssertionError("eigensolver called")
+
+    monkeypatch.setattr(spectral_bd, "hitting_eigenvalues", unreachable)
+    assert len(UNRESOLVED_CHAINS) == 31
+    for d, n in UNRESOLVED_CHAINS:
+        code = main(["analytic", "--quantity", "bd-law",
+                     "--chain", "dary:d=%d,n=%d" % (d, n)])
+        err = capsys.readouterr().err
+        assert code == 3, (d, n, err)
+        assert err.startswith("budget exceeded:"), (d, n, err)
+        assert "internal error:" not in err, (d, n, err)
+
+
 def _expire(signum, frame):
     raise TimeoutError("still running")
 
@@ -455,6 +478,15 @@ def test_cli_import_and_bd_law_load_no_scipy():
             "import sys; from frogline.cli import main; %sprint([m for m in "
             "sys.modules if m == 'frogline.checks' or m.split('.')[0] == "
             "'scipy'])" % run) == "[]"
+
+
+def test_chi_square_checks_load_no_scipy():
+    # the two chi-square checks of validate's full suite use closed forms
+    assert _last_line_of(
+        "import sys; from frogline import checks; "
+        "checks.check_walkstep_uniform(); checks.check_poisson_moments(); "
+        "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])") \
+        == "[]"
 
 
 def test_simulate_and_sweep_load_no_numpy_random():

@@ -3,8 +3,9 @@ import pytest
 
 from frogline import (NumericalConsistencyError, ParameterError, Pmf,
                       check_logconcave, geometric_convolution_law, half_e2_t0,
-                      hitting_eigenvalues, hitting_pmf_dp, level_chain,
-                      total_variation)
+                      hitting_eigenvalues, hitting_law, hitting_pmf_dp,
+                      level_chain, spectral_bd, total_variation)
+from frogline.errors import CONFIG_BYTE_LIMIT
 from frogline.spectral_bd import BirthDeathChain
 
 from oracles import absorbing_t0_pmf
@@ -95,3 +96,37 @@ def test_total_variation_disjoint_support():
     b = Pmf(offset=5, masses=np.array([1.0]))
     assert total_variation(a, b) == pytest.approx(1.0)
     assert total_variation(a, a) == 0.0
+
+
+class _Bound(Exception):
+    pass
+
+
+def test_law_bound_refuses_what_the_estimate_refuses(monkeypatch):
+    # hitting_law refuses on a lower bound of the bytes that
+    # geometric_convolution_law estimates from the eigenvalues: below the
+    # estimate wherever the estimate admits the law, over the limit
+    # wherever it refuses it or the eigensolver raises
+    estimates = {}
+    for d in (2, 3, 4, 5, 8):
+        for n in range(2, 41):
+            try:
+                gammas = hitting_eigenvalues(level_chain(d, n))
+            except NumericalConsistencyError:
+                estimates[d, n] = None
+                continue
+            estimates[d, n] = 32 * sum(map(spectral_bd._geometric_length,
+                                           gammas))
+
+    def stop(what, nbytes):
+        raise _Bound(nbytes)
+
+    monkeypatch.setattr(spectral_bd, "check_budget", stop)
+    for (d, n), estimate in estimates.items():
+        with pytest.raises(_Bound) as bound:
+            hitting_law(level_chain(d, n))
+        bound = bound.value.args[0]
+        if estimate is not None and estimate <= CONFIG_BYTE_LIMIT:
+            assert bound <= estimate, (d, n, bound, estimate)
+        else:
+            assert bound > CONFIG_BYTE_LIMIT, (d, n, bound, estimate)
