@@ -36,13 +36,13 @@ from .randomness import (counters, generate_steps, init_config, stack_views,
 from .spectral_bd import (Pmf, check_logconcave, geometric_convolution_law,
                           half_e2_t0, hitting_eigenvalues, hitting_law,
                           hitting_pmf_dp, total_variation)
-from .tree_analytics import (expected_hit, gambler_ruin, green_sums,
+from .tree_analytics import (Orbits, expected_hit, gambler_ruin, green_sums,
                              kappa_sequence, leaf_to_root_closed_form,
                              level_chain, mixing_crossing_time,
                              mixing_deviation, mixing_profile, mu_table,
-                             powers, return_sum_envelope, select_spread_set,
-                             stationary_levels, threshold_time,
-                             transition_powers)
+                             pair_powers, return_sum_envelope,
+                             select_spread_set, stationary_levels,
+                             threshold_time, transition_powers)
 
 
 @dataclass
@@ -321,7 +321,7 @@ def check_kappa_threshold():
             bad.append("kappa varies across %s" % gg.label())
     # m_A consistency: on vertex-transitive graphs with A = V, m_A == kappa
     gg = build_graph(GraphDescriptor(COMPLETE, n=12))
-    m_A = green_sums(gg, 6)[1].diagonal().min(axis=1)
+    m_A = green_sums(gg, 6)[0]  # class 0: the pairs (a, a)
     if np.abs(m_A - kappa_sequence(gg, 6)).max() > 1e-12:
         bad.append("m_A != kappa on complete(12)")
     return _result("kappa_threshold", not bad, ";".join(bad) or "ok")
@@ -333,12 +333,10 @@ def check_mu_bounds(cases=(("complete:n=20", 1.5, 12),
     bad = []
     for text, lam, t_max in cases:
         g = build_graph(parse_descriptor(text))
-        A, mus = mu_table(g, lam, t_max)
-        ts = np.arange(t_max + 1)
-        for a, mu in zip(A, mus):
-            if np.any(mu > lam * ts + 1e-12):
-                bad.append("mu_a(t) > lambda t on %s at a=%d" % (g.label(), a))
-        if g.family == COMPLETE and abs(mus[0][1] - lam) > 1e-12:
+        mu = mu_table(g, lam, t_max)
+        if np.any(mu > lam * np.arange(t_max + 1) + 1e-12):
+            bad.append("mu_a(t) > lambda t on %s" % g.label())
+        if g.family == COMPLETE and abs(mu[1] - lam) > 1e-12:
             bad.append("mu_a(1) != lambda on %s" % g.label())
     return _result("mu_bounds", not bad, ";".join(bad) or "ok")
 
@@ -348,22 +346,20 @@ def check_spread_set(cases=(("complete:n=3", 1, 4), ("tree:d=2,n=4", 8, 2))):
     Green sums: |B| (1 + s t^2) >= |A|, and G_t(x, y) < 1/(s t) on B."""
     bad = []
     for text, t, s in cases:
-        A, green = green_sums(build_graph(parse_descriptor(text)), t)
-        A = list(A)
-        B = select_spread_set(A, t, s, green[:, :, t])
-        if not B or len(B) * (1 + s * t * t) < len(A):
+        g = build_graph(parse_descriptor(text))
+        orbits = Orbits(g)
+        green = green_sums(g, t)[:, t]
+        B = np.asarray(select_spread_set(orbits.targets(), t, s,
+                                         orbits.pair_matrix(green)))
+        if not len(B) or len(B) * (1 + s * t * t) < orbits.size:
             bad.append("%s size bound" % text)
-        idx = {a: i for i, a in enumerate(A)}
-        for x in B:
-            for y in B:
-                if x != y and green[idx[x], idx[y], t] >= 1.0 / (s * t):
-                    bad.append("%s pairwise bound fails at (%d,%d)"
-                               % (text, x, y))
-    # complete(3), t=1, s=4: every pairwise Green sum 1/2 >= 1/4, one survivor
-    A, green = green_sums(build_graph(GraphDescriptor(COMPLETE, n=3)), 1)
-    B = select_spread_set(list(A), 1, 4, green[:, :, 1])
-    if len(B) != 1:
-        bad.append("complete(3) expected a single survivor, got %r" % (B,))
+        close = green[orbits.pair_class(B[:, None], B[None, :])] >= 1 / (s * t)
+        if np.any(close & (B[:, None] != B[None, :])):
+            bad.append("%s pairwise bound fails" % text)
+        # K_n, where every pair is close (on K_3 at t=1, s=4: 1/2 >= 1/4),
+        # keeps one survivor
+        if g.family == COMPLETE and green[1] >= 1 / (s * t) and len(B) != 1:
+            bad.append("%s expected a single survivor, got %r" % (text, B))
     return _result("spread_set", not bad, ";".join(bad) or "ok")
 
 
@@ -417,26 +413,16 @@ def check_return_sums(leaves=(-1,)):
 def heat_kernel_extremes(d, n, k_max):
     """min/max of p^t(u,v)/deg(v) over the sandwich envelope, leaf pairs."""
     g = build_graph(GraphDescriptor(TREE, d=d, n=n))
-    leaves = g.leaves()
-    # representative pairs: one fixed leaf against leaves at every meet depth
-    u = int(leaves[0])
-    targets = {}
-    for v in leaves:
-        targets.setdefault(g.coheight(g.meet(u, int(v))), int(v))
-    lo_ratio, hi_ratio = np.inf, 0.0
-    y = np.zeros(g.vertex_count)
-    y[u] = 1.0
-    probs = list(powers(g, y, d ** k_max))
-    for meet_co, v in targets.items():
+    ratios = []
+    # one row per class of leaf pairs, the coheight of their meet
+    for meet_co, probs in enumerate(pair_powers(g, d ** k_max)):
         for k in range(max(1, meet_co), k_max + 1):
             for t in range(d ** (k - 1), d ** k + 1):
                 if t % 2 or t < 2 * meet_co:
                     continue  # p^t = 0 off parity or below graph distance
                 env = d ** (-k) + d ** (-(k - 1)) * np.exp(-t * d ** (-(k - 1)))
-                ratio = float(probs[t][v]) / env  # deg(v) = 1 for leaves
-                lo_ratio = min(lo_ratio, ratio)
-                hi_ratio = max(hi_ratio, ratio)
-    return lo_ratio, hi_ratio
+                ratios.append(float(probs[t]) / env)  # deg(v) = 1 for leaves
+    return min(ratios), max(ratios)
 
 
 def check_heat_kernel():

@@ -12,7 +12,7 @@ import traceback
 
 from . import experiments, spectral_bd, tree_analytics
 from .errors import (DEFAULT_STEP_CAP, BudgetExceededError, ParameterError,
-                     check_horizon)
+                     check_budget, check_horizon)
 from .graph import build_graph, parse_descriptor, parse_fields, require_tree
 from .tree_analytics import level_chain
 
@@ -174,9 +174,14 @@ def _cmd_analytic(args):
             g, args.lam, args.delta, max(ts)))]
     elif q == "mu":
         ts = args.t or [16]
-        targets, mu = tree_analytics.mu_table(g, args.lam, max(ts))
-        rows = [("mu", "a=%d,t=%d" % (a, t), repr(float(row[t])))
-                for a, row in zip(targets, mu) for t in ts]
+        orbits = tree_analytics.Orbits(g)
+        # a row costs about 516 bytes at the peak (tracemalloc, tree d=2
+        # n=14, four times), within a trial cell's budget
+        check_budget("a table of %d mu rows" % (orbits.size * len(ts)),
+                     experiments.TRIAL_CELL_BYTES * orbits.size * len(ts))
+        mu = tree_analytics.mu_table(g, args.lam, max(ts))
+        rows = [("mu", "a=%d,t=%d" % (a, t), repr(float(mu[t])))
+                for a in orbits.targets() for t in ts]
     elif q == "mixing":
         rows = [("mixing", t, repr(dev)) for t, dev in
                 tree_analytics.mixing_profile(g, args.t or range(0, 33, 2))]

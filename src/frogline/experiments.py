@@ -149,16 +149,17 @@ def validate_spec(spec):
 def run_trial(cell, outcome, wall_ms):
     """One cell of a trial: `cell`, a TrialResult with no outcome yet,
     filled in from `outcome`, its copy's Outcome of a batch clock or its
-    leaf walk's. Budget overruns come back as value=None, with the error's
-    message (and the fraction covered, when known) in budget_reason."""
+    leaf walk's. Budget overruns come back as value=None, with the steps
+    taken until then, and the error's message (and the fraction covered,
+    when known) in budget_reason."""
+    cell = replace(cell, steps=outcome.steps, wall_ms=wall_ms)
     exc = outcome.error
     if exc is None:
-        return replace(cell, value=outcome.value, steps=outcome.steps,
-                       wall_ms=wall_ms)
+        return replace(cell, value=outcome.value)
     reason = str(exc)
     if exc.fraction_covered is not None:
         reason += " (fraction covered %.4g)" % exc.fraction_covered
-    return replace(cell, budget_reason=reason, wall_ms=wall_ms)
+    return replace(cell, budget_reason=reason)
 
 
 def _ms_since(start):
@@ -193,7 +194,10 @@ def _batch_task(task):
                 outcome = Outcome(walk.tau_cov, walk.tau_cov)
                 cell = replace(cell, restarts=walk.restarts)
             except BudgetExceededError as exc:
-                outcome = Outcome(None, 0, exc)
+                # the step cap stops a walk at the cap, with a bracket; the
+                # byte guard refuses one before its first step
+                steps = spec.step_cap if exc.bracket else 0
+                outcome = Outcome(None, steps, exc)
             rows.append([run_trial(cell, outcome, _ms_since(start))])
         return rows
     configs, wall_ms = [], []

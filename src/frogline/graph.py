@@ -141,9 +141,6 @@ class TreeGraph(GraphHandle):
         self.check_vertex(v)
         return int(np.searchsorted(self.level_starts, v, side="right")) - 1
 
-    def coheight(self, v):
-        return self.n - self.level(v)
-
     def is_leaf(self, v):
         self.check_vertex(v)
         return v >= self.first_leaf

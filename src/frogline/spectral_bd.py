@@ -76,9 +76,24 @@ class Pmf:
                             self.masses))
 
 
+def _top_hitting_mean(n, up, down):
+    """E_n[T_0] as the sum of the crossing times E_{j+1}[T_j] = (1 + up[j+1]
+    E_{j+2}[T_{j+1}]) / down[j+1], from E_n[T_{n-1}] = 1; an overflow makes
+    the mean inf, never nan."""
+    crossing = mean = 1.0
+    for j in range(n - 2, -1, -1):
+        crossing = (1.0 + up[j + 1] * crossing) / down[j + 1]
+        mean += crossing
+    return mean
+
+
 def hitting_eigenvalues(chain):
     """Ascending eigenvalues gamma of I - K^2 restricted to the killed
-    chain's even class."""
+    chain's even class.
+
+    eigvalsh gives the small gammas only to absolute accuracy, so the law
+    they imply is checked against the exact mean: 2 sum(1/gamma) + (n mod
+    2) = E_n[T_0], to 1e-8 relative, or NumericalConsistencyError."""
     n, up, down = _validate_chain(chain)
     top = n if n % 2 == 0 else n - 1
     states = np.arange(2, top + 1, 2, dtype=np.int64)
@@ -107,6 +122,14 @@ def hitting_eigenvalues(chain):
     if np.any(gammas <= 0):
         raise NumericalConsistencyError(
             "nonpositive eigenvalue of I - K^2: %r" % (gammas,))
+    mean = _top_hitting_mean(n, up, down)
+    gap = abs(2 * np.sum(1 / gammas) + n % 2 - mean) / mean
+    # at most 1.9e-10 on every chain hitting_law admits (d in {2,3,4,5,8},
+    # n <= 40), 5.7e-8 on the d=2 n=30 level chain; nan, when the mean
+    # overflows, fails too
+    if not gap <= 1e-8:
+        raise NumericalConsistencyError(
+            "eigenvalues miss the mean hitting time by %.3g relative" % gap)
     return np.sort(gammas)
 
 
@@ -170,12 +193,7 @@ def hitting_law(chain):
     before they raise there.
     """
     n, up, down = _validate_chain(chain)
-    # E_{j+1}[T_j] = (1 + up[j+1] E_{j+2}[T_{j+1}]) / down[j+1], from
-    # E_n[T_{n-1}] = 1; an overflow makes the mean inf, never nan
-    crossing = mean = 1.0
-    for j in range(n - 2, -1, -1):
-        crossing = (1.0 + up[j + 1] * crossing) / down[j + 1]
-        mean += crossing
+    mean = _top_hitting_mean(n, up, down)
     m = n // 2
     check_budget("a hitting-time law of %d geometric factors" % m,
                  32 * log(1 / _TAIL) * ((mean - n % 2) / 2 - m))

@@ -10,12 +10,13 @@ The lower-bound toolkit (kappa_t, the threshold time, expected target
 visits mu_a, partial Green sums, spread sets) works on complete graphs,
 cycles, and tree leaf sets; everything is exact arithmetic on the implicit
 transition operator, no Monte Carlo. The operator is iterated in one loop,
-`powers`, which yields P^t y for t = 0, 1, ...; return sums, hitting
-tables, Green sums and the mixing profile are all read off it. Each
-entry point checks its bytes and its operator entries before it allocates.
-Every target set the toolkit allows (tree leaves; any vertices of a complete
-graph or cycle) lies in one orbit of the graph's automorphisms, so a
-quantity read from one target holds for all of them.
+`powers`, which yields P^t y for t = 0, 1, ...; return sums, mu, Green
+sums and the mixing profile are all read off it. Each entry point checks
+its bytes and its operator entries before it allocates. `Orbits` holds the
+symmetry the toolkit reads: every target set (tree leaves; every vertex of
+a complete graph or cycle) is one orbit of the graph's automorphisms, so
+mu is one row for all targets, and a Green sum of a target pair is one
+row per class of pairs, read off one walk from the first target.
 """
 
 from math import log
@@ -32,6 +33,10 @@ from .spectral_bd import BirthDeathChain, reversible_weights
 # length-V vectors, a mixing profile 3.0-4.1 V x V matrices
 TRANSITION_VECTORS = 6
 MIXING_MATRICES = 4
+# bytes a pair matrix takes per pair of targets, its classes and their
+# temporaries included (tracemalloc peaks: 24.0 on cycle n=1000, 16.0 on
+# K_1000, 9.1 on trees of depth 6-10)
+PAIR_MATRIX_BYTES = 24
 
 
 def level_chain(d, n):
@@ -123,22 +128,25 @@ def powers(g, y, t_max):
     yield y
 
 
-def _unit(g, v):
+def _walk(g, v, t_max, what, rows=1):
+    """powers of the unit vector at v, once t_max, v, and the bytes of
+    `rows` rows of t_max + 1 floats and the vectors of a transition, and
+    the operator entries of t_max steps, are checked."""
+    check_t_max(t_max)
+    check_budget("%s on %s" % (what, g.label()), 8 * (
+        rows * (t_max + 1) + TRANSITION_VECTORS * g.vertex_count),
+        t_max, g.vertex_count)
+    g.check_vertex(v)
     y = np.zeros(g.vertex_count)
     y[v] = 1.0
-    return y
+    return powers(g, y, t_max)
 
 
 def transition_powers(g, v, t_max):
     """Exact return probabilities p^i(v,v), i = 0..t_max."""
-    check_t_max(t_max)
-    # the returns and the vectors of a transition
-    check_budget("transition powers on %s" % g.label(),
-                 8 * (t_max + 1 + TRANSITION_VECTORS * g.vertex_count),
-                 t_max, g.vertex_count)
-    g.check_vertex(v)
+    walk = _walk(g, v, t_max, "transition powers")
     out = np.empty(t_max + 1)
-    for i, y in enumerate(powers(g, _unit(g, v), t_max)):
+    for i, y in enumerate(walk):
         out[i] = y[v]
     return out
 
@@ -148,18 +156,67 @@ def return_sum_envelope(d, n, t):
     return log(d * t, d) + t * float(d) ** -n
 
 
-def _kappa_representatives(g):
-    # orbit representatives: vertex-transitive families need one vertex,
-    # trees one per level
-    if g.family == TREE:
-        return [int(g.level_starts[l]) for l in range(g.n + 1)]
-    return [0]
+class Orbits:
+    """The orbits of g's automorphisms that the lower-bound toolkit reads.
+
+    The targets A = first .. first + size - 1 are one orbit: a tree's
+    leaves, every vertex of a complete graph or cycle. A pair of targets
+    falls in one of len(pair_reps) classes, which the automorphisms permute
+    among themselves: the coheight 0..n of the pair's meet on a tree, the
+    distance 0..V//2 on a cycle, a = b or not on K_n; class 0 is a = b.
+    (A[0], pair_reps[k]) is the representative pair of class k. The
+    vertices fall in the orbits of vertex_reps: one per level of a tree,
+    one for the vertex-transitive families.
+    """
+
+    def __init__(self, g):
+        self.g = g
+        if g.family == TREE:
+            self.first, self.size = g.first_leaf, g.d ** g.n
+            # the leaves A[0] and A[0] + d^k meet at coheight k + 1
+            self.pair_reps = [g.first_leaf] + [g.first_leaf + g.d ** k
+                                               for k in range(g.n)]
+            self.vertex_reps = [int(v) for v in g.level_starts[:-1]]
+        else:
+            self.first, self.size = 0, g.vertex_count
+            self.pair_reps = (list(range(g.vertex_count // 2 + 1))
+                              if g.family == CYCLE else [0, 1])
+            self.vertex_reps = [0]
+
+    def targets(self):
+        """A, ascending."""
+        return np.arange(self.first, self.first + self.size, dtype=np.int64)
+
+    def pair_class(self, a, b):
+        """The class of each target pair (a, b), elementwise."""
+        g = self.g
+        a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
+        if g.family == TREE:
+            # the meet's coheight: the number of heights h < n at which the
+            # ancestors of a and b differ
+            x, y = a - self.first, b - self.first
+            cls = np.zeros(np.broadcast(x, y).shape, dtype=np.int8)
+            for h in range(g.n):
+                cls += x // g.d ** h != y // g.d ** h
+            return cls
+        # the distance, around a cycle; 1 between any two vertices of K_n
+        dist = np.abs(a - b)
+        return np.minimum(dist, g.vertex_count - dist if g.family == CYCLE
+                          else 1)
+
+    def pair_matrix(self, values):
+        """The |A| x |A| matrix values[pair_class(a, b)] over the pairs of
+        targets in A's order, refused when its bytes do not fit."""
+        check_budget("a pair matrix of %d targets on %s" % (
+            self.size, self.g.label()), PAIR_MATRIX_BYTES * self.size ** 2)
+        A = self.targets()
+        return np.asarray(values)[self.pair_class(A[:, None], A[None, :])]
 
 
 def kappa_sequence(g, t_max):
     """kappa[t] = min_v sum_{i<=t} p^i(v,v), minimized over orbit reps."""
     check_t_max(t_max)
-    reps = _kappa_representatives(g)
+    reps = Orbits(g).vertex_reps
     # rows of t_max + 1 floats at the peak: the returns and their table,
     # then the table and its cumulative sums, and their minimum (tracemalloc:
     # 3.0 rows at one representative, 15.1 at seven; threshold_time's ratios
@@ -170,16 +227,6 @@ def kappa_sequence(g, t_max):
         len(reps) * t_max, g.vertex_count)
     returns = np.array([transition_powers(g, v, t_max) for v in reps])
     return np.cumsum(returns, axis=1).min(axis=0)
-
-
-def hitting_within(g, a, t_max):
-    """h[t, v] = Pr_v[T_a <= t] by time-stepped absorbing DP at a."""
-    check_t_max(t_max)
-    out = np.empty((t_max + 1, g.vertex_count))
-    for t, h in enumerate(powers(g, _unit(g, a), t_max)):
-        h[a] = 1.0  # absorbed at a, before the next step
-        out[t] = h
-    return out
 
 
 def threshold_time(g, lam, delta, t_max):
@@ -199,90 +246,67 @@ def threshold_time(g, lam, delta, t_max):
     return int(hits[0])
 
 
-def _targets(g, targets, what, cost):
-    """The target set A in ascending order, by default the d^n leaves of a
-    tree and every vertex of the other graphs. cost(|A|), the bytes and the
-    steps of a vector it takes, is checked first, so a refused default set
-    is never built."""
-    m = len(targets) if targets is not None else (
-        g.d ** g.n if g.family == TREE else g.vertex_count)
-    check_budget("%s on %s" % (what, g.label()), *cost(m), g.vertex_count)
-    if targets is None:
-        targets = g.leaves() if g.family == TREE else np.arange(g.vertex_count)
-    targets = np.asarray(sorted(int(a) for a in targets), dtype=np.int64)
-    if g.family == TREE and not all(g.is_leaf(int(a)) for a in targets):
-        raise ParameterError("tree targets must be leaves")
-    return targets
-
-
-def mu_table(g, lam, t_max, targets=None):
-    """The targets A and mu[ai, t] = lambda * sum_{v != a} Pr_v[T_a <= t]
-    for a = A[ai]: one row, the same for every target."""
+def mu_table(g, lam, t_max):
+    """mu[t] = lambda * sum_{v != a} Pr_v[T_a <= t], one row that holds for
+    every target a of Orbits(g), read off one absorbing walk at A[0]."""
     check_lambda("lambda", lam)
-    check_t_max(t_max)
-    # the rows, one hitting table, and the vectors of a transition
-    targets = _targets(g, targets, "the mu tables", lambda m: (8 * (
-        (t_max + 1) * (m + g.vertex_count)
-        + TRANSITION_VECTORS * g.vertex_count), t_max))
-    mu = np.empty((len(targets), t_max + 1))
-    if len(targets):
-        # the sum over v counts v = a once
-        mu[:] = lam * (hitting_within(g, int(targets[0]), t_max).sum(axis=1)
-                       - 1.0)
-    return targets, mu
+    a = Orbits(g).first
+    walk = _walk(g, a, t_max, "mu")
+    mass = np.empty(t_max + 1)
+    for t, h in enumerate(walk):
+        h[a] = 1.0  # absorbed at a, before the next step
+        mass[t] = h.sum()
+    # the sum over v counts v = a once
+    return lam * (mass - 1.0)
 
 
-def green_sums(g, t_max, targets=None):
-    """The targets A and green[ai, bi, s] = e_{A[ai], A[bi]}(s), the sum of
-    p^i(A[ai], A[bi]) over i <= s."""
-    check_t_max(t_max)
-    targets = _targets(g, targets, "the Green sums", lambda m: (8 * (
-        (t_max + 1) * m * m + TRANSITION_VECTORS * g.vertex_count),
-        m * t_max))
-    m = len(targets)
-    green = np.empty((m, m, t_max + 1))
-    for ai, a in enumerate(targets):
-        acc = np.zeros(m)
-        # the walk is reversible, pi(a) p^s(a, b) = pi(b) p^s(b, a), and the
-        # targets have equal degrees (tree leaves; complete graphs and
-        # cycles are regular), so p^s(a, b) = p^s(b, a) = (P^s e_a)(b)
-        for s, y in enumerate(powers(g, _unit(g, a), t_max)):
-            acc += y[targets]
-            green[ai, :, s] = acc
-    return targets, green
+def pair_powers(g, t_max):
+    """w[k, s] = p^s(a, b) for every target pair (a, b) of class k of
+    Orbits(g), read off one walk from A[0]."""
+    orbits = Orbits(g)
+    reps = orbits.pair_reps
+    walk = _walk(g, orbits.first, t_max, "pair transition powers", len(reps))
+    w = np.empty((len(reps), t_max + 1))
+    # the walk is reversible, pi(a) p^s(a, b) = pi(b) p^s(b, a), and the
+    # targets have equal degrees (tree leaves; complete graphs and cycles
+    # are regular), so p^s(a, b) = p^s(b, a) = (P^s e_a)(b)
+    for s, y in enumerate(walk):
+        w[:, s] = y[reps]
+    return w
+
+
+def green_sums(g, t_max):
+    """G[k, s] = e_{a,b}(s), the sum of p^i(a, b) over i <= s, for every
+    target pair (a, b) of class k of Orbits(g)."""
+    w = pair_powers(g, t_max)
+    return np.cumsum(w, axis=1, out=w)
 
 
 def select_spread_set(A, t, s, green):
     """Greedy deletion: keep a target, drop everything Green-close to it.
 
     green is the matrix e_{a,b}(t) for the pairs of A, aligned with A's
-    order (the slice green[:, :, t] of green_sums).
+    order: Orbits(g).pair_matrix of the column green_sums(g, t)[:, t].
     Guarantees |B| >= |A| / (1 + s t^2) and pairwise e_{a,b}(t) < 1/(st).
     """
     if not (t >= 1 and s > 0):
         raise ParameterError("spread sets need t >= 1 and s > 0, got t=%r, "
                              "s=%r" % (t, s))
-    A = list(A)
     green = np.asarray(green)
     if green.shape != (len(A), len(A)):
-        raise ParameterError("green matrix shape %r does not match |A|=%d" %
-                             (green.shape, len(A)))
+        raise ParameterError("green is %r, not |A| x |A|" % (green.shape,))
     cut = 1.0 / (s * t)
     alive = np.ones(len(A), dtype=bool)
     kept = []
     for i in range(len(A)):
-        if not alive[i]:
-            continue
-        kept.append(i)
-        close = (green[i] >= cut) & alive
-        close[i] = False
-        alive[close] = False
+        if alive[i]:
+            kept.append(i)
+            alive &= green[i] < cut
     B = [A[i] for i in kept]
     # the construction makes both bounds structural; verify anyway
     assert len(B) * (1 + s * t * t) >= len(A)
-    for x in range(len(kept)):
-        for y in range(x + 1, len(kept)):
-            assert green[kept[x], kept[y]] < cut
+    assert np.all(green[np.ix_(kept, kept)][np.triu_indices(len(kept), 1)]
+                  < cut)
     return B
 
 

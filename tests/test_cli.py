@@ -298,7 +298,7 @@ def test_budget_steps_caps_the_leaf_walk(capsys):
 
 def test_analytic_byte_bounds(capsys, peak_bytes):
     # refused before any allocation: V x V mixing matrices at depth 14
-    # (about 34 GB) and 2^30 mu rows plus a hitting table at depth 30
+    # (about 34 GB) and a table of 2^30 mu rows at depth 30
     for argv in (["--quantity", "mixing", "--graph", "tree:d=2,n=14"],
                  ["--quantity", "mu", "--graph", "tree:d=2,n=30"],
                  ["--quantity", "kappa", "--graph", "tree:d=2,n=40"],
@@ -352,7 +352,7 @@ def test_analytic_work_bounds(capsys, peak_bytes):
     # allocation: 1.0e14 and 6.7e12 mixing entries (the second would run
     # for about 43 h), 1.8e11 entries of return sums; on K_5, where a step
     # costs 2^10 entries whatever its length, 1.3e11 of return sums (6.5e8
-    # entries, about 15 min of steps) and 1.0e10 of a hitting table
+    # entries, about 15 min of steps) and 1.0e10 of an absorbing walk for mu
     for argv in (["--quantity", "mixing", "--graph", "tree:d=2,n=3",
                   "--t", "99999999999"],
                  ["--quantity", "mixing", "--graph", "tree:d=2,n=12",
@@ -405,7 +405,7 @@ def test_analytic_work_bound_admits_the_measured_calls(monkeypatch):
 
 
 def test_threshold_reads_only_return_sums(capsys):
-    # the threshold needs kappa alone: no Green array (34.5 GB at this size)
+    # the threshold needs kappa alone, no Green sums
     code, out = _run(capsys, "analytic", "--quantity", "threshold",
                      "--graph", "tree:d=2,n=12", "--t", "256")
     assert code == 0 and _rows(out)[0]["value"] == "8"

@@ -7,12 +7,11 @@ import pytest
 from frogline import (BudgetExceededError, ExperimentSpec, FamilyError,
                       ParameterError, activation_times, build_graph,
                       cover_time, green_sums, init_config, kappa_sequence,
-                      mixing_deviation, mixing_profile, mu_table,
+                      mixing_deviation, mixing_profile, mu_table, pair_powers,
                       parse_descriptor, resolve_origin, run_killed_leaf_walk,
                       select_spread_set, susceptibility, threshold_time,
                       transition_powers, walk_keys)
 from frogline.experiments import validate_spec
-from frogline.tree_analytics import hitting_within
 
 
 def _g(text):
@@ -57,7 +56,7 @@ CASES = [
     ("t_max", lambda: mixing_deviation(_g(TREE), -1), ParameterError),
     ("t_max", lambda: mixing_profile(_g(TREE), [2, -2]), ParameterError),
     ("t_max", lambda: transition_powers(_g(TREE), 0, -1), ParameterError),
-    ("t_max", lambda: hitting_within(_g(TREE), 7, -1), ParameterError),
+    ("t_max", lambda: pair_powers(_g(TREE), -1), ParameterError),
     ("t_max", lambda: kappa_sequence(_g(TREE), -1), ParameterError),
     ("t_max", lambda: mu_table(_g(TREE), 1.0, -1), ParameterError),
     ("t_max", lambda: green_sums(_g(TREE), -1), ParameterError),

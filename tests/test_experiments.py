@@ -76,8 +76,7 @@ def _per_cell_reference(spec, lam_max):
                                   spec.metric, trial)
                 init = init_config(g, lam, origin, seed, lam_max=lam_max)
                 (o,) = engine(init, step_cap=spec.step_cap)
-                steps = o.steps if o.error is None else 0
-                out.append((graph, lam, trial, seed, o.value, steps))
+                out.append((graph, lam, trial, seed, o.value, o.steps))
     return out
 
 
@@ -290,11 +289,13 @@ def test_leafwalk_rows_are_the_walks_at_their_trial_seeds():
         assert r.seed == seed
         assert (r.value, r.steps, r.restarts) == (walk.tau_cov, walk.tau_cov,
                                                   walk.restarts)
-    # the clocks' rows and a walk that the budget stopped carry none
-    stopped = run_spec_trials(replace(spec, step_cap=2))
+    # the clocks' rows and a walk that the budget stopped carry none; the
+    # stopped walk reports the steps it took, the cap
+    stopped = run_spec_trials(replace(spec, step_cap=3))
     clocks = run_spec_trials(_spec())
     assert all(r.restarts is None for r in stopped + clocks)
-    assert all(r.value is None and r.budget_reason for r in stopped)
+    assert all(r.value is None and r.budget_reason and r.steps == 3
+               for r in stopped)
 
 
 def test_sweep_rows_sorted_by_cell():

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from frogline import (NumericalConsistencyError, ParameterError, Pmf,
-                      check_logconcave, geometric_convolution_law, half_e2_t0,
+                      check_logconcave, expected_hit,
+                      geometric_convolution_law, half_e2_t0,
                       hitting_eigenvalues, hitting_law, hitting_pmf_dp,
                       level_chain, spectral_bd, total_variation)
 from frogline.errors import CONFIG_BYTE_LIMIT
@@ -130,3 +131,25 @@ def test_law_bound_refuses_what_the_estimate_refuses(monkeypatch):
             assert bound <= estimate, (d, n, bound, estimate)
         else:
             assert bound > CONFIG_BYTE_LIMIT, (d, n, bound, estimate)
+
+
+def test_eigenvalues_keep_the_mean_hitting_time():
+    # 2 sum(1/gamma) + (n mod 2) = E_n[T_0] on every chain whose law
+    # hitting_law admits, to 1e-8 relative (at most 1.9e-10 on all of them)
+    for d, n_max in ((2, 20), (3, 14), (4, 11), (5, 10), (8, 8)):
+        for n in range(1, n_max + 1):
+            ch = level_chain(d, n)
+            gammas = hitting_eigenvalues(ch)
+            mean = 2 * np.sum(1 / gammas) + n % 2
+            exact = expected_hit(ch, "leaf_to_root")
+            assert abs(mean - exact) <= 1e-8 * exact, (d, n)
+
+
+@pytest.mark.parametrize("d,n,gap", [(4, 26, "0.209"), (2, 30, "5.66e-08")])
+def test_eigenvalues_that_miss_the_mean_raise(d, n, gap):
+    # smallest gammas below the eigensolver's absolute accuracy: 21% and
+    # 5.7e-8 off the exact mean, no longer returned in silence
+    with pytest.raises(NumericalConsistencyError,
+                       match="miss the mean hitting time by %s relative"
+                       % gap):
+        hitting_eigenvalues(level_chain(d, n))

@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from frogline import (BudgetExceededError, FamilyError, ParameterError,
-                      build_graph, expected_hit, gambler_ruin, green_sums,
+from frogline import (BudgetExceededError, FamilyError, Orbits,
+                      ParameterError, build_graph, expected_hit, gambler_ruin,
+                      green_sums,
                       kappa_sequence, leaf_to_root_closed_form, level_chain,
                       mixing_crossing_time, mixing_deviation, mixing_profile,
                       mu_table, parse_descriptor, return_sum_envelope,
@@ -12,9 +13,9 @@ from frogline import (BudgetExceededError, FamilyError, ParameterError,
                       transition_powers)
 from frogline.checks import chain_matrix, ruin_probability_dp
 from frogline import tree_analytics as ta
-from frogline.tree_analytics import apply_transition, hitting_within, powers
+from frogline.tree_analytics import apply_transition, powers
 
-from oracles import dense_transition, stationary_solve
+from oracles import bfs_distances, dense_transition, stationary_solve
 
 
 def test_level_chain_rates():
@@ -91,22 +92,28 @@ def test_expected_hit_monte_carlo():
 def test_transition_powers_match_dense():
     # every quantity read off the operator loop, against dense matrix powers
     for text in ("tree:d=2,n=3", "cycle:n=6", "complete:n=5",
-                 "tree:d=2,n=4", "cycle:n=7", "complete:n=6"):
+                 "tree:d=2,n=4", "cycle:n=7", "complete:n=6", "tree:d=3,n=2"):
         g = build_graph(parse_descriptor(text))
+        orbits = Orbits(g)
+        A = orbits.targets()
         P = dense_transition(g)
         Pt = [np.linalg.matrix_power(P, t) for t in range(13)]
         for v in (0, g.vertex_count - 1):
             got = transition_powers(g, v, 12)
             assert np.allclose(got, [M[v, v] for M in Pt], atol=1e-12)
+            if v not in A:
+                continue
             # Pr_w[T_v <= t] is the mass at v after t steps with v absorbing
             Q = P.copy()
             Q[v] = 0.0
             Q[v, v] = 1.0
-            want = [np.linalg.matrix_power(Q, t)[:, v] for t in range(13)]
-            assert np.allclose(hitting_within(g, v, 12), want, atol=1e-12)
-        A, green = green_sums(g, 12)
+            want = [np.linalg.matrix_power(Q, t)[:, v].sum() - 1
+                    for t in range(13)]
+            assert np.abs(mu_table(g, 1.0, 12) - want).max() < 1e-12
+        # every target pair reads its class's row, for every s
         want = np.cumsum([M[np.ix_(A, A)] for M in Pt], axis=0)
-        assert np.allclose(green, np.moveaxis(want, 0, 2), atol=1e-12)
+        got = green_sums(g, 12)[orbits.pair_class(A[:, None], A[None, :])]
+        assert np.abs(got - np.moveaxis(want, 0, 2)).max() < 1e-12
         if g.family == "tree":
             ts = [0, 3, 8, 12]
             want = [(t, mixing_deviation(g, t, m=Pt[t])) for t in ts]
@@ -114,6 +121,30 @@ def test_transition_powers_match_dense():
             assert [t for t, _ in got] == ts
             assert np.allclose([dev for _, dev in got],
                                [dev for _, dev in want], atol=1e-12)
+
+
+@pytest.mark.parametrize("text", ["tree:d=2,n=3", "tree:d=3,n=3",
+                                  "cycle:n=6", "cycle:n=7", "complete:n=5"])
+def test_pair_classes(text):
+    # the meet's coheight on trees, the graph distance on cycles, a = b or
+    # not on K_n; (A[0], pair_reps[k]) is of class k
+    g = build_graph(parse_descriptor(text))
+    orbits = Orbits(g)
+    A = [int(a) for a in orbits.targets()]
+    assert A == ([int(v) for v in g.leaves()] if g.family == "tree"
+                 else list(range(g.vertex_count)))
+    for a in A:
+        dist = bfs_distances(g, a)
+        for b in A:
+            if g.family == "tree":
+                want = g.n - g.level(g.meet(a, b))
+            elif g.family == "cycle":
+                want = dist[b]
+            else:
+                want = int(a != b)
+            assert orbits.pair_class(a, b) == want, (a, b)
+    assert [orbits.pair_class(A[0], b) for b in orbits.pair_reps] == list(
+        range(len(orbits.pair_reps)))
 
 
 def test_powers_steps_the_array_it_yielded():
@@ -187,59 +218,75 @@ def test_negative_t_max_rejected(text):
 
 
 def test_mu_is_lambda_times_hitting_mass():
+    # every target's row: lambda times the mass absorbed at it, less its own
     g = build_graph(parse_descriptor("cycle:n=9"))
     lam = 1.5
-    A, mu = mu_table(g, lam, 10)
-    assert list(A) == list(range(9)) and mu.shape == (9, 11)
-    for a, row in zip(A, mu):
-        h = hitting_within(g, int(a), 10)
-        want = lam * (h.sum(axis=1) - 1)  # exclude the target itself
-        assert np.allclose(row, want, atol=1e-12)
-        assert np.all(row <= lam * np.arange(11) + 1e-12)
+    mu = mu_table(g, lam, 10)
+    assert mu.shape == (11,)
+    P = dense_transition(g)
+    for a in range(9):
+        Q = P.copy()
+        Q[a] = 0.0
+        Q[a, a] = 1.0
+        want = [lam * (np.linalg.matrix_power(Q, t)[:, a].sum() - 1)
+                for t in range(11)]
+        assert np.allclose(mu, want, atol=1e-12)
+    assert np.all(mu <= lam * np.arange(11) + 1e-12)
 
 
 def test_mu_complete_one_step():
     g = build_graph(parse_descriptor("complete:n=25"))
-    assert mu_table(g, 2.0, 4)[1][0, 1] == pytest.approx(2.0)
-
-
-def test_hitting_within_is_a_cdf():
-    g = build_graph(parse_descriptor("tree:d=2,n=3"))
-    h = hitting_within(g, 0, 12)
-    assert np.all(np.diff(h, axis=0) >= -1e-15)
-    assert np.allclose(h[:, 0], 1.0)
-    assert np.all((0 <= h) & (h <= 1 + 1e-15))
+    assert mu_table(g, 2.0, 4)[1] == pytest.approx(2.0)
 
 
 def test_green_matrix_and_spread_set_bounds():
     g = build_graph(parse_descriptor("tree:d=2,n=4"))
-    A, green = green_sums(g, 8)
-    A = list(A)
-    assert A == [int(v) for v in g.leaves()]
+    orbits = Orbits(g)
+    A = [int(a) for a in orbits.targets()]
+    green = orbits.pair_matrix(green_sums(g, 8)[:, 8])
+    P = dense_transition(g)
+    want = sum(np.linalg.matrix_power(P, i) for i in range(9))
+    assert np.abs(green - want[np.ix_(A, A)]).max() < 1e-12
     idx = {a: i for i, a in enumerate(A)}
     t, s = 8, 2
-    B = select_spread_set(A, t, s, green[:, :, t])
+    B = select_spread_set(A, t, s, green)
     assert set(B) <= set(A)
     assert len(B) * (1 + s * t * t) >= len(A)
     for x in B:
         for y in B:
             if x != y:
-                assert green[idx[x], idx[y], t] < 1.0 / (s * t)
+                assert green[idx[x], idx[y]] < 1.0 / (s * t)
 
 
 def test_spread_set_single_survivor():
     g = build_graph(parse_descriptor("complete:n=3"))
-    A, green = green_sums(g, 1)
-    assert select_spread_set(list(A), 1, 4, green[:, :, 1]) == [0]
+    green = Orbits(g).pair_matrix(green_sums(g, 1)[:, 1])
+    assert select_spread_set([0, 1, 2], 1, 4, green) == [0]
+
+
+def test_spread_set_on_4096_leaves(peak_bytes):
+    # the 4096 x 4096 pair matrix at t = 64, built from 13 Green rows
+    g = build_graph(parse_descriptor("tree:d=2,n=12"))
+    orbits = Orbits(g)
+    t, s = 64, 1
+    with peak_bytes() as peak:
+        green = orbits.pair_matrix(green_sums(g, t)[:, t])
+    assert peak[0] < ta.PAIR_MATRIX_BYTES * 4096 ** 2, peak
+    B = select_spread_set(list(orbits.targets()), t, s, green)
+    assert len(B) * (1 + s * t * t) >= 4096
+    rows = np.asarray(B) - orbits.first
+    sub = green[np.ix_(rows, rows)]
+    assert np.all(sub[~np.eye(len(B), dtype=bool)] < 1.0 / (s * t))
 
 
 def test_m_A_is_min_diagonal_green():
-    # m_A[s] = min over a of e_{a,a}(s): kappa when A = V on a
-    # vertex-transitive graph
+    # m_A[s] = min over a of e_{a,a}(s), the row of class 0: kappa when
+    # A = V on a vertex-transitive graph
     g = build_graph(parse_descriptor("cycle:n=6"))
-    A, green = green_sums(g, 6)
-    diag = green[np.arange(len(A)), np.arange(len(A)), :]
-    assert np.allclose(diag.min(axis=0), kappa_sequence(g, 6))
+    green = green_sums(g, 6)
+    diag = Orbits(g).pair_matrix(green[:, 6]).diagonal()
+    assert np.allclose(diag, green[0, 6], atol=0)
+    assert np.allclose(green[0], kappa_sequence(g, 6))
 
 
 # recorded from lower_bound_quantities, the one call that computed all of
@@ -276,60 +323,61 @@ def test_lower_bound_values_pinned(text, lam, t_max, thresholds, mus, mu_sum,
     g = build_graph(parse_descriptor(text))
     for (lam_t, delta), want in thresholds.items():
         assert threshold_time(g, lam_t, delta, 64) == want
-    A, mu = mu_table(g, lam, t_max)
-    assert list(A) == [int(a) for a in (
-        g.leaves() if text.startswith("tree") else range(g.vertex_count))]
-    row = {int(a): ai for ai, a in enumerate(A)}
+    # mu and the Green sums as they were recorded, one row per target and
+    # one per target pair, read off the rows of mu_table and green_sums
+    orbits = Orbits(g)
+    A = list(orbits.targets())
+    mu = mu_table(g, lam, t_max)
     for (a, t), want in mus.items():
-        assert mu[row[a], t] == pytest.approx(want, rel=1e-12)
-    assert sum(r.sum() for r in mu) == pytest.approx(mu_sum, rel=1e-12)
-    A_green, green = green_sums(g, t_max)
-    assert np.array_equal(A_green, A)
-    assert green.shape == (len(A), len(A), t_max + 1)
-    for key, want in greens.items():
-        assert green[key] == pytest.approx(want, rel=1e-12)
-    assert green.sum() == pytest.approx(green_sum, rel=1e-12)
-
-
-def test_lower_bound_targets_are_sorted_leaves():
-    g = build_graph(parse_descriptor("tree:d=2,n=3"))
-    A, green = green_sums(g, 4, targets=[14, 7, 9])
-    assert list(A) == [7, 9, 14] and green.shape == (3, 3, 5)
-    assert list(mu_table(g, 1.0, 4, targets=[14, 7])[0]) == [7, 14]
-    for call in (lambda: green_sums(g, 4, targets=[0, 7]),
-                 lambda: mu_table(g, 1.0, 4, targets=[3])):
-        with pytest.raises(ParameterError, match="leaves"):
-            call()
+        assert a in A and mu[t] == pytest.approx(want, rel=1e-12)
+    assert len(A) * mu.sum() == pytest.approx(mu_sum, rel=1e-12)
+    green = green_sums(g, t_max)
+    for (ai, bi, s), want in greens.items():
+        got = green[orbits.pair_class(A[ai], A[bi]), s]
+        assert got == pytest.approx(want, rel=1e-12)
+    pairs = np.bincount(orbits.pair_class(np.asarray(A)[:, None],
+                                          np.asarray(A)[None, :]).ravel())
+    assert pairs @ green.sum(axis=1) == pytest.approx(green_sum, rel=1e-12)
 
 
 def test_green_sums_byte_bound(peak_bytes):
-    # a 4096^2 x 257 Green array at depth 12 (34.5 GB), refused before any
-    # allocation; the threshold at the same size needs only return sums
-    g = build_graph(parse_descriptor("tree:d=2,n=12"))
+    # the transition vectors of a depth-26 tree (6.4 GB), refused before
+    # any allocation
+    g = build_graph(parse_descriptor("tree:d=2,n=26"))
     with peak_bytes() as peak, pytest.raises(BudgetExceededError,
-                                             match="needs about 3.45e"):
+                                             match="needs about 6.44e"):
         green_sums(g, 256)
     assert peak[0] < 2 ** 22, peak
 
 
+def test_green_sums_deep_tree_peak(peak_bytes):
+    # the 4096 leaves of depth 12 to t = 256: one walk and 13 rows, no
+    # per-pair array
+    g = build_graph(parse_descriptor("tree:d=2,n=12"))
+    with peak_bytes() as peak:
+        green = green_sums(g, 256)
+    assert green.shape == (13, 257)
+    assert peak[0] < 16 * 2 ** 20, peak
+
+
 def test_green_sums_work_bound(peak_bytes):
-    # one target is a few bytes a step, but 10^5 steps of a 131071-vector
-    # are 1.3e10 operator entries: refused before any allocation
+    # a few bytes a step, but 10^5 steps of a 131071-vector are 1.3e10
+    # operator entries: refused before any allocation
     g = build_graph(parse_descriptor("tree:d=2,n=16"))
     with peak_bytes() as peak, pytest.raises(BudgetExceededError,
                                              match="1.31e.10 operator"):
-        green_sums(g, 100000, targets=[g.vertex_count - 1])
+        green_sums(g, 100000)
     assert peak[0] < 2 ** 22, peak
 
 
-def test_green_sums_one_target_peak(peak_bytes):
-    # one target's Green row is the whole estimate: the running sum adds
-    # one m-vector to it, not a second row of t_max + 1 floats
+def test_green_sums_one_walk_peak(peak_bytes):
+    # the rows and the vectors of one walk are the whole estimate: the
+    # running sums are taken in place, not in a second copy of the rows
     g = build_graph(parse_descriptor("tree:d=2,n=4"))
     t_max = 10000
     with peak_bytes() as peak:
-        green_sums(g, t_max, targets=[g.vertex_count - 1])
-    estimate = 8 * ((t_max + 1) + 6 * g.vertex_count)
+        green_sums(g, t_max)
+    estimate = 8 * (5 * (t_max + 1) + 6 * g.vertex_count)
     assert peak[0] < estimate + 2 ** 15, (peak, estimate)
 
 
