@@ -182,18 +182,6 @@ def check_graph_invariants():
                 bad.append("%s neighbors(%d)" % (g.label(), v))
             if any(v not in g.neighbors(u) for u in nbrs):
                 bad.append("%s symmetry at %d" % (g.label(), v))
-    # meet vs brute-force ancestor intersection
-    for d in (2, 3):
-        for n in (2, 3, 4):
-            g = build_graph(GraphDescriptor(TREE, d=d, n=n))
-            ancestors = [{0}]  # a vertex and every vertex above it
-            for v in range(1, g.vertex_count):
-                ancestors.append({v} | ancestors[(v - 1) // d])
-            for x in range(g.vertex_count):
-                for y in range(g.vertex_count):
-                    expect = max(ancestors[x] & ancestors[y], key=g.level)
-                    if g.meet(x, y) != expect:
-                        bad.append("meet(%d,%d) on %s" % (x, y, g.label()))
     # level boundaries partition the index range
     g = build_graph(GraphDescriptor(TREE, d=3, n=4))
     levels = [g.level(v) for v in range(g.vertex_count)]
@@ -349,8 +337,7 @@ def check_spread_set(cases=(("complete:n=3", 1, 4), ("tree:d=2,n=4", 8, 2))):
         g = build_graph(parse_descriptor(text))
         orbits = Orbits(g)
         green = green_sums(g, t)[:, t]
-        B = np.asarray(select_spread_set(orbits.targets(), t, s,
-                                         orbits.pair_matrix(green)))
+        B = np.asarray(select_spread_set(orbits, t, s, green))
         if not len(B) or len(B) * (1 + s * t * t) < orbits.size:
             bad.append("%s size bound" % text)
         close = green[orbits.pair_class(B[:, None], B[None, :])] >= 1 / (s * t)

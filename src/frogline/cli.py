@@ -1,18 +1,20 @@
 """frogline command line: simulate | sweep | analytic | validate.
 
-Exit codes: 0 success, 1 check failure, 2 parameter error, 3 budget
-exceeded, 4 internal error (a fault in frogline: the traceback and a line
-starting `internal error:` go to stderr). CSV is the canonical output
-format; --format json mirrors it.
+Exit codes: 0 success (also when the reader closes stdout early, as
+`| head` does: the rest of the output is dropped quietly), 1 check failure,
+2 parameter error, 3 budget exceeded, 4 internal error (a fault in
+frogline: the traceback and a line starting `internal error:` go to
+stderr). CSV is the canonical output format; --format json mirrors it.
 """
 
 import argparse
+import os
 import sys
 import traceback
 
 from . import experiments, spectral_bd, tree_analytics
 from .errors import (DEFAULT_STEP_CAP, BudgetExceededError, ParameterError,
-                     check_budget, check_horizon)
+                     check_horizon)
 from .graph import build_graph, parse_descriptor, parse_fields, require_tree
 from .tree_analytics import level_chain
 
@@ -173,15 +175,10 @@ def _cmd_analytic(args):
         rows = [("threshold", "t", tree_analytics.threshold_time(
             g, args.lam, args.delta, max(ts)))]
     elif q == "mu":
+        # one row per time: every target lies in one orbit
         ts = args.t or [16]
-        orbits = tree_analytics.Orbits(g)
-        # a row costs about 516 bytes at the peak (tracemalloc, tree d=2
-        # n=14, four times), within a trial cell's budget
-        check_budget("a table of %d mu rows" % (orbits.size * len(ts)),
-                     experiments.TRIAL_CELL_BYTES * orbits.size * len(ts))
         mu = tree_analytics.mu_table(g, args.lam, max(ts))
-        rows = [("mu", "a=%d,t=%d" % (a, t), repr(float(mu[t])))
-                for a in orbits.targets() for t in ts]
+        rows = [("mu", "t=%d" % t, repr(float(mu[t]))) for t in ts]
     elif q == "mixing":
         rows = [("mixing", t, repr(dev)) for t, dev in
                 tree_analytics.mixing_profile(g, args.t or range(0, 33, 2))]
@@ -209,6 +206,11 @@ def main(argv=None):
         if getattr(args, "jobs", 1) < 1:
             raise ParameterError("jobs must be >= 1, got %r" % (args.jobs,))
         return handlers[args.command](args)
+    except BrokenPipeError:
+        # the reader is gone; stdout goes to devnull, so that the flush at
+        # exit does not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except BudgetExceededError as exc:
         print("budget exceeded: %s" % exc, file=sys.stderr)
         return 3

@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import (DEFAULT_STEP_CAP, BudgetExceededError, ParameterError,
                      check_budget, check_lambda, check_seed, check_step_cap)
-from .frog_sim import Outcome, cover_time, susceptibility
+from .frog_sim import Outcome, cover_time, run_bytes, susceptibility
 from .graph import build_graph, parse_descriptor, require_tree, resolve_origin
 from .leaf_walk import run_killed_leaf_walk
 from .randomness import init_config, stack_views
@@ -172,8 +172,9 @@ def _batch_task(task):
     once, each trial samples its configuration at the largest lambda once,
     and each lambda cell runs one clock on the stack of the trials' views.
     A trial's wall_ms counts its sampling (in its first cell) and an even
-    share of each clock it took part in. A configuration that the byte
-    guard refuses fails every cell of the batch, with the reason."""
+    share of each clock it took part in. A batch whose run the byte guard
+    refuses (frog_sim.run_bytes, checked before any sampling) fails every
+    cell, with the reason."""
     spec, graph, trials = task
     g = build_graph(parse_descriptor(graph))
     if spec.metric == "leafwalk":
@@ -200,17 +201,18 @@ def _batch_task(task):
                 outcome = Outcome(None, steps, exc)
             rows.append([run_trial(cell, outcome, _ms_since(start))])
         return rows
+    lam_max = max(spec.lambdas)
+    try:
+        check_budget("a batch of %d trials on %s at lambda_max %r"
+                     % (len(cells), g.label(), lam_max),
+                     run_bytes(g, lam_max, len(cells)))
+    except BudgetExceededError as exc:
+        return [[replace(c, lam=lam, budget_reason=str(exc))
+                 for lam in spec.lambdas] for c in cells]
     configs, wall_ms = [], []
     for cell in cells:
         start = time.perf_counter()
-        try:
-            configs.append(init_config(g, max(spec.lambdas), origin,
-                                       cell.seed))
-        except BudgetExceededError as exc:
-            # the byte guard reads only V and lambda_max: it refuses the
-            # first trial of a batch exactly when it refuses them all
-            return [[replace(c, lam=lam, budget_reason=str(exc))
-                     for lam in spec.lambdas] for c in cells]
+        configs.append(init_config(g, lam_max, origin, cell.seed))
         wall_ms.append(_ms_since(start))
     engine = cover_time if spec.metric == "cover" else susceptibility
     rows = [[] for _ in cells]

@@ -31,7 +31,8 @@ import numpy as np
 from .errors import (DEFAULT_STEP_CAP, BudgetExceededError, ParameterError,
                      check_step_cap)
 from .graph import TREE
-from .randomness import GAMMA, StepScratch, counters, generate_steps
+from .randomness import (GAMMA, StepScratch, config_bytes, counters,
+                         generate_steps)
 
 # activation-time sentinel for "never woken"
 NEVER = np.iinfo(np.int64).max
@@ -278,6 +279,46 @@ def cover_time(stack, step_cap=DEFAULT_STEP_CAP):
     return activation_times(stack, step_cap=step_cap)[1]
 
 
+def _prefix_dtype(g):
+    """The dtype of a prefix block on g: half the bytes of int32 wherever
+    every vertex id fits."""
+    return np.dtype(np.int16 if g.vertex_count <= 2 ** 15 else g.index_dtype)
+
+
+def run_bytes(g, lam_max, copies):
+    """Estimated peak bytes of a clock run on the stack of `copies`
+    configurations of g at lam_max, the configurations included, with
+    particles counted at their expected number, as config_bytes counts
+    them. Beside the configurations it counts the stack's copy of their
+    particle table, the clock's per-particle slots and per-vertex wake
+    state, and, on trees, the prefix block. Tracemalloc peaks of
+    run_spec_trials read at most 0.74 of it on trees of depth 6-16 at
+    lambda 1/16 to 4, K_20000, K_300000, cycles, and stacks of 258-4000
+    copies of small graphs."""
+    V = g.vertex_count
+    n = copies * (lam_max * V + 1)
+    idx = np.dtype(g.index_dtype).itemsize
+    # the stack's home, key and copy base; the slots' copy base, column,
+    # position and counter word; the step kernel's hashed and shifted
+    # words, draws, parents, masks and output
+    per_particle = 2 * idx + 8 + 2 * idx + 16 + 16 + 3 * idx + 2
+    # the stack's counts and first particles, the clock's wake ticks,
+    # sleeping mask and stamps, and the per-copy step counts at the end
+    per_vertex = 16 + 13 + 24
+    # the Python objects of a copy: its configuration's arrays, its Outcome
+    # and its trial rows (2.6 KB a copy measured at lambda 0)
+    per_copy = 4096
+    # a block holds at most PREFIX_CELLS cells and one row of n <=
+    # PREFIX_CELLS particles (with more, it is the homes alone), twice
+    # while a full block is copied into its double
+    prefix = 0
+    if g.family == TREE:
+        prefix = 2 * (PREFIX_CELLS + min(n, PREFIX_CELLS)) \
+            * _prefix_dtype(g).itemsize
+    return (copies * (config_bytes(V, lam_max) + V * per_vertex + per_copy)
+            + n * per_particle + prefix)
+
+
 class _Prefix:
     """Positions 0..h of every particle of a stack, walked in lockstep into
     one step-major block: row j holds every particle's position after step
@@ -302,8 +343,7 @@ class _Prefix:
         # prefix there measured slower
         self.hmax = min(PREFIX_CELLS // n, step_cap) if g.family == TREE else 0
         self.rows = max(PREFIX_ROWS, SCAN_BLOCK_CELLS // n)
-        # half the bytes of int32 wherever every vertex id fits
-        self.dtype = np.int16 if g.vertex_count <= 2 ** 15 else g.index_dtype
+        self.dtype = _prefix_dtype(g)
         self.block = stack.home[None]
         self.h = 0
 

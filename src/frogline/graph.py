@@ -161,22 +161,6 @@ class TreeGraph(GraphHandle):
         out = [] if v == 0 else [(v - 1) // self.d]
         return out + self.children(v)
 
-    def meet(self, x, y):
-        """Deepest common ancestor under heap order; meet(x, x) = x."""
-        self.check_vertex(x)
-        self.check_vertex(y)
-        lx, ly = self.level(x), self.level(y)
-        while lx > ly:
-            x = (x - 1) // self.d
-            lx -= 1
-        while ly > lx:
-            y = (y - 1) // self.d
-            ly -= 1
-        while x != y:
-            x = (x - 1) // self.d
-            y = (y - 1) // self.d
-        return x
-
     def levels_array(self, vs):
         vs = np.asarray(vs, dtype=np.int64)
         return np.searchsorted(self.level_starts, vs, side="right").astype(np.int64) - 1

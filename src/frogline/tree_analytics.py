@@ -15,8 +15,9 @@ sums and the mixing profile are all read off it. Each entry point checks
 its bytes and its operator entries before it allocates. `Orbits` holds the
 symmetry the toolkit reads: every target set (tree leaves; every vertex of
 a complete graph or cycle) is one orbit of the graph's automorphisms, so
-mu is one row for all targets, and a Green sum of a target pair is one
-row per class of pairs, read off one walk from the first target.
+mu is one row for all targets, a Green sum of a target pair is one row
+per class of pairs, read off one walk from the first target, and a spread
+set reads the classes of one target's pairs at a time.
 """
 
 from math import log
@@ -33,10 +34,6 @@ from .spectral_bd import BirthDeathChain, reversible_weights
 # length-V vectors, a mixing profile 3.0-4.1 V x V matrices
 TRANSITION_VECTORS = 6
 MIXING_MATRICES = 4
-# bytes a pair matrix takes per pair of targets, its classes and their
-# temporaries included (tracemalloc peaks: 24.0 on cycle n=1000, 16.0 on
-# K_1000, 9.1 on trees of depth 6-10)
-PAIR_MATRIX_BYTES = 24
 
 
 def level_chain(d, n):
@@ -204,14 +201,6 @@ class Orbits:
         return np.minimum(dist, g.vertex_count - dist if g.family == CYCLE
                           else 1)
 
-    def pair_matrix(self, values):
-        """The |A| x |A| matrix values[pair_class(a, b)] over the pairs of
-        targets in A's order, refused when its bytes do not fit."""
-        check_budget("a pair matrix of %d targets on %s" % (
-            self.size, self.g.label()), PAIR_MATRIX_BYTES * self.size ** 2)
-        A = self.targets()
-        return np.asarray(values)[self.pair_class(A[:, None], A[None, :])]
-
 
 def kappa_sequence(g, t_max):
     """kappa[t] = min_v sum_{i<=t} p^i(v,v), minimized over orbit reps."""
@@ -282,32 +271,35 @@ def green_sums(g, t_max):
     return np.cumsum(w, axis=1, out=w)
 
 
-def select_spread_set(A, t, s, green):
-    """Greedy deletion: keep a target, drop everything Green-close to it.
+def select_spread_set(orbits, t, s, green):
+    """Greedy deletion over the targets A of `orbits`, in order: keep a
+    target, drop every later target Green-close to it.
 
-    green is the matrix e_{a,b}(t) for the pairs of A, aligned with A's
-    order: Orbits(g).pair_matrix of the column green_sums(g, t)[:, t].
+    green[k] is e_{a,b}(t) for the target pairs of class k: the column
+    green_sums(g, t)[:, t]. Row i of the greedy is green at the classes of
+    (A[i], A), so it takes O(|A|) memory.
     Guarantees |B| >= |A| / (1 + s t^2) and pairwise e_{a,b}(t) < 1/(st).
     """
     if not (t >= 1 and s > 0):
         raise ParameterError("spread sets need t >= 1 and s > 0, got t=%r, "
                              "s=%r" % (t, s))
     green = np.asarray(green)
-    if green.shape != (len(A), len(A)):
-        raise ParameterError("green is %r, not |A| x |A|" % (green.shape,))
-    cut = 1.0 / (s * t)
+    if green.shape != (len(orbits.pair_reps),):
+        raise ParameterError("green is %r, not one value per pair class (%d)"
+                             % (green.shape, len(orbits.pair_reps)))
+    close = green >= 1.0 / (s * t)
+    A = orbits.targets()
     alive = np.ones(len(A), dtype=bool)
-    kept = []
     for i in range(len(A)):
         if alive[i]:
-            kept.append(i)
-            alive &= green[i] < cut
-    B = [A[i] for i in kept]
-    # the construction makes both bounds structural; verify anyway
+            alive[i + 1:] &= ~close[orbits.pair_class(A[i], A[i + 1:])]
+    B = A[alive]
+    # the construction makes both bounds structural; verify anyway, a row
+    # of B at a time
     assert len(B) * (1 + s * t * t) >= len(A)
-    assert np.all(green[np.ix_(kept, kept)][np.triu_indices(len(kept), 1)]
-                  < cut)
-    return B
+    assert not any(close[orbits.pair_class(b, B[j + 1:])].any()
+                   for j, b in enumerate(B))
+    return B.tolist()
 
 
 def _mixing_powers(g, t_max):

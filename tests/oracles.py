@@ -1,11 +1,13 @@
 """Independent reference implementations the tests check the package against.
 
 Everything here takes a deliberately different route from the library code:
-BFS instead of arithmetic on indices, matrix powers instead of incremental
-DPs, a bisection over coverage flags instead of the wake clock, and float
-uniforms times per-vertex degrees instead of the step rules' scaled 53-bit
-draws, and a tree excursion per leaf-walk step instead of the exact leaf
-chain. The activation-time oracle (Dijkstra over the first-visit table) lives in
+BFS instead of arithmetic on indices, a climb to the meet instead of pair
+classes, matrix powers instead of incremental DPs, a greedy over the whole
+|A| x |A| matrix of Green sums instead of one row of classes at a time, a
+bisection over coverage flags instead of the wake clock, float uniforms
+times per-vertex degrees instead of the step rules' scaled 53-bit draws,
+and a tree excursion per leaf-walk step instead of the exact leaf chain.
+The activation-time oracle (Dijkstra over the first-visit table) lives in
 `frogline.checks`, since `frogline validate` runs it too.
 """
 
@@ -29,6 +31,24 @@ def bfs_distances(g, src):
                     nxt.append(u)
         frontier = nxt
     return dist
+
+
+def meet(g, x, y):
+    """Deepest common ancestor of tree vertices x and y under heap order,
+    by climbing the deeper one; meet(g, x, x) = x."""
+    g.check_vertex(x)
+    g.check_vertex(y)
+    lx, ly = g.level(x), g.level(y)
+    while lx > ly:
+        x = (x - 1) // g.d
+        lx -= 1
+    while ly > lx:
+        y = (y - 1) // g.d
+        ly -= 1
+    while x != y:
+        x = (x - 1) // g.d
+        y = (y - 1) // g.d
+    return x
 
 
 def step_uniforms(keys, offsets, nsteps):
@@ -75,6 +95,26 @@ def dense_transition(g):
         for u in nbrs:
             P[v, u] += 1.0 / len(nbrs)
     return P
+
+
+def green_matrix(g, A, t):
+    """e_{a,b}(t) = sum of p^i(a, b) over i <= t for the pairs of A, as an
+    |A| x |A| matrix, from dense matrix powers."""
+    P = dense_transition(g)
+    return sum(np.linalg.matrix_power(P, i) for i in range(t + 1))[
+        np.ix_(A, A)]
+
+
+def matrix_spread_set(A, t, s, green):
+    """The greedy spread set over the |A| x |A| matrix `green` of e_{a,b}(t)
+    in A's order: keep a target, drop everything Green-close to it."""
+    alive = np.ones(len(A), dtype=bool)
+    kept = []
+    for i in range(len(A)):
+        if alive[i]:
+            kept.append(i)
+            alive &= green[i] < 1.0 / (s * t)
+    return [A[i] for i in kept]
 
 
 def _uniforms(rng):

@@ -248,11 +248,12 @@ def test_budget_exceeded_exit_3(capsys, peak_bytes):
                        "--lambda", "0.5", "--mode", mode,
                        "--budget-steps", "2")
         assert code == 3, mode
-    # the configuration alone would need 2^41 Poisson draws
+    # the configuration alone would need 2^41 Poisson draws (2.64e14
+    # bytes), its run as much again
     code = main(["simulate", "--graph", "tree:d=2,n=40"])
     err = capsys.readouterr().err
     assert code == 3
-    assert "needs about 2.64e+14 bytes" in err, err
+    assert "needs about 5.96e+14 bytes" in err, err
     # a clock overrun names the cap and the fraction it covered
     code = main(["simulate", "--graph", "tree:d=2,n=6", "--budget-steps", "3"])
     err = capsys.readouterr().err
@@ -298,7 +299,7 @@ def test_budget_steps_caps_the_leaf_walk(capsys):
 
 def test_analytic_byte_bounds(capsys, peak_bytes):
     # refused before any allocation: V x V mixing matrices at depth 14
-    # (about 34 GB) and a table of 2^30 mu rows at depth 30
+    # (about 34 GB) and the transition vectors of mu at depth 30
     for argv in (["--quantity", "mixing", "--graph", "tree:d=2,n=14"],
                  ["--quantity", "mu", "--graph", "tree:d=2,n=30"],
                  ["--quantity", "kappa", "--graph", "tree:d=2,n=40"],
@@ -419,9 +420,35 @@ def test_mu_does_not_need_the_threshold(capsys):
     assert main(["analytic", "--quantity", "threshold", "--graph",
                  "tree:d=2,n=6", "--lambda", "0.5", "--t", "8"]) == 3
     rows = _rows(out)
-    assert len(rows) == 2 * 64
-    assert rows[1] == {"quantity": "mu", "key": "a=63,t=8",
+    assert [r["key"] for r in rows] == ["t=3", "t=8"]
+    assert rows[1] == {"quantity": "mu", "key": "t=8",
                        "value": "1.0846288675506783"}
+
+
+def test_mu_one_row_per_time(capsys):
+    # every leaf lies in one orbit: 4 rows, not one for each of 2^20 leaves
+    t0 = time.perf_counter()
+    code, out = _run(capsys, "analytic", "--quantity", "mu", "--graph",
+                     "tree:d=2,n=20", "--t", "1,2,3,4")
+    took = time.perf_counter() - t0
+    assert code == 0
+    assert [(r["key"], r["value"]) for r in _rows(out)] == [
+        ("t=1", "0.33333333333333326"), ("t=2", "0.7777777777777777"),
+        ("t=3", "1.0"), ("t=4", "1.3209876543209877")]
+    assert took < 10, took
+
+
+def test_closed_stdout_exits_quietly():
+    # `| head -1`: the reader closes the pipe after one line
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "frogline.cli", "analytic", "--quantity",
+         "bd-law", "--chain", "dary:d=2,n=12"], env=_fresh_env(),
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.readline() == b"t,mass\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == 0 and err == b"", err
 
 
 def test_internal_error_exit_4(capsys, monkeypatch):
@@ -453,12 +480,16 @@ def test_validate_fast_exit_0(capsys):
     assert {"pi_stationary", "activation_oracle", "spectral_oracle"} <= names
 
 
-def _last_line_of(code):
-    """The last line that `code` prints in a fresh interpreter."""
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+def _fresh_env():
+    """The environment of a fresh interpreter that imports this frogline."""
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
         [os.path.dirname(os.path.dirname(frogline.__file__))]
         + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
-    done = subprocess.run([sys.executable, "-c", code], env=env,
+
+
+def _last_line_of(code):
+    """The last line that `code` prints in a fresh interpreter."""
+    done = subprocess.run([sys.executable, "-c", code], env=_fresh_env(),
                           capture_output=True, text=True, check=True)
     return done.stdout.strip().splitlines()[-1]
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from frogline import (BudgetExceededError, ExperimentSpec, FamilyError,
-                      ParameterError, activation_times, build_graph,
+                      Orbits, ParameterError, activation_times, build_graph,
                       cover_time, green_sums, init_config, kappa_sequence,
                       mixing_deviation, mixing_profile, mu_table, pair_powers,
                       parse_descriptor, resolve_origin, run_killed_leaf_walk,
@@ -61,10 +61,10 @@ CASES = [
     ("t_max", lambda: mu_table(_g(TREE), 1.0, -1), ParameterError),
     ("t_max", lambda: green_sums(_g(TREE), -1), ParameterError),
     # t = 0 or s = 0 used to divide by zero
-    ("spread", lambda: select_spread_set([7, 8], 0, 1.0, np.zeros((2, 2))),
-     ParameterError),
-    ("spread", lambda: select_spread_set([7, 8], 1, 0.0, np.zeros((2, 2))),
-     ParameterError),
+    ("spread", lambda: select_spread_set(Orbits(_g(TREE)), 0, 1.0,
+                                         np.zeros(4)), ParameterError),
+    ("spread", lambda: select_spread_set(Orbits(_g(TREE)), 1, 0.0,
+                                         np.zeros(4)), ParameterError),
     ("tree only", lambda: mixing_deviation(_g(CYCLE), 0), FamilyError),
     ("tree only", lambda: mixing_profile(_g(CYCLE), [2]), FamilyError),
     ("tree only", lambda: resolve_origin(_g(CYCLE), "leaf"), FamilyError),

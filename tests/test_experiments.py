@@ -14,6 +14,10 @@ from frogline.experiments import (SIMULATE_COLUMNS, SWEEP_COLUMNS,
                                   run_spec_trials, sweep_csv_rows,
                                   trial_csv_rows, validate_spec, write_table)
 
+from frogline.errors import CONFIG_BYTE_LIMIT
+from frogline.frog_sim import run_bytes
+from frogline.randomness import config_bytes
+
 from oracles import nearest_rank
 
 
@@ -190,6 +194,44 @@ def test_refused_configuration_fails_every_cell():
     assert all(r.value is None and "needs about" in r.budget_reason
                for r in big)
     assert all(r.value is not None for r in results if r not in big)
+
+
+@pytest.mark.parametrize("text,lam,metric,trials", [
+    ("tree:d=2,n=14", 1 / 16, "susceptibility", 1),
+    ("tree:d=2,n=12", 1 / 16, "susceptibility", 3),
+    ("tree:d=2,n=13", 4.0, "susceptibility", 1),
+    ("tree:d=2,n=12", 1.0, "cover", 3),
+    ("complete:n=20000", 1.0, "susceptibility", 1),
+    ("cycle:n=50", 0.0, "cover", 300)])
+def test_run_peak_within_run_bytes(text, lam, metric, trials, peak_bytes):
+    # the configurations' own estimate reads about 8x below these peaks at
+    # lambda 1/16 (the prefix block), 1.3x at lambda 4 and 2.2x on the 300
+    # configurations of a cycle at lambda 0
+    spec = _spec(graphs=[text], lambdas=[lam], metric=metric, trials=trials)
+    (batch,) = experiments._batches(spec, text)
+    g = build_graph(parse_descriptor(text))
+    with peak_bytes() as peak:
+        results = run_spec_trials(spec)
+    assert all(r.value is not None for r in results)
+    assert peak[0] <= run_bytes(g, lam, len(batch)), peak
+
+
+def test_run_refused_before_sampling(monkeypatch):
+    # tree n=24 at lambda 1: its configuration fits the byte limit, the run
+    # on it does not
+    g = build_graph(parse_descriptor("tree:d=2,n=24"))
+    assert (config_bytes(g.vertex_count, 1.0) <= CONFIG_BYTE_LIMIT
+            < run_bytes(g, 1.0, 1))
+
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("a refused run sampled a configuration")
+
+    monkeypatch.setattr(experiments, "init_config", no_sampling)
+    results = run_spec_trials(_spec(graphs=[g.label()], trials=2))
+    assert [r.trial for r in results] == [0, 1]
+    assert all(r.value is None and r.budget_reason.startswith(
+        "a batch of 1 trials on tree:d=2,n=24 at lambda_max 1.0 needs about")
+        for r in results)
 
 
 def test_lambda_grid_checked_before_sampling():

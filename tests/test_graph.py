@@ -6,7 +6,7 @@ from frogline import (GraphDescriptor, ParameterError, build_graph,
                       parse_descriptor, resolve_origin)
 from frogline.graph import COMPLETE, CYCLE, TREE
 
-from oracles import bfs_distances
+from oracles import bfs_distances, meet
 
 
 def test_parse_descriptor_families():
@@ -60,10 +60,21 @@ def test_meet_is_deepest_common_ancestor():
     g = build_graph(GraphDescriptor(TREE, d=2, n=4))
     leaves = g.leaves()
     a, b = int(leaves[0]), int(leaves[1])
-    assert g.meet(a, b) == g.parent(a)
-    assert g.meet(a, a) == a
-    assert g.meet(a, 0) == 0
-    assert g.meet(int(leaves[0]), int(leaves[-1])) == 0
+    assert meet(g, a, b) == g.parent(a)
+    assert meet(g, a, a) == a
+    assert meet(g, a, 0) == 0
+    assert meet(g, int(leaves[0]), int(leaves[-1])) == 0
+    # against the intersection of the two ancestor sets, on every pair
+    for d in (2, 3):
+        for n in (2, 3, 4):
+            g = build_graph(GraphDescriptor(TREE, d=d, n=n))
+            ancestors = [{0}]  # a vertex and every vertex above it
+            for v in range(1, g.vertex_count):
+                ancestors.append({v} | ancestors[(v - 1) // d])
+            for x in range(g.vertex_count):
+                for y in range(g.vertex_count):
+                    want = max(ancestors[x] & ancestors[y], key=g.level)
+                    assert meet(g, x, y) == want, (g.label(), x, y)
 
 
 @given(st.integers(2, 4), st.integers(1, 4), st.data())
@@ -72,8 +83,8 @@ def test_meet_properties(d, n, data):
     g = build_graph(GraphDescriptor(TREE, d=d, n=n))
     x = data.draw(st.integers(0, g.vertex_count - 1))
     y = data.draw(st.integers(0, g.vertex_count - 1))
-    m = g.meet(x, y)
-    assert g.meet(y, x) == m
+    m = meet(g, x, y)
+    assert meet(g, y, x) == m
     # the meet lies on both root paths
     for v in (x, y):
         while v != m and v != 0:

@@ -15,7 +15,8 @@ from frogline.checks import chain_matrix, ruin_probability_dp
 from frogline import tree_analytics as ta
 from frogline.tree_analytics import apply_transition, powers
 
-from oracles import bfs_distances, dense_transition, stationary_solve
+from oracles import (bfs_distances, dense_transition, green_matrix,
+                     matrix_spread_set, meet, stationary_solve)
 
 
 def test_level_chain_rates():
@@ -137,7 +138,7 @@ def test_pair_classes(text):
         dist = bfs_distances(g, a)
         for b in A:
             if g.family == "tree":
-                want = g.n - g.level(g.meet(a, b))
+                want = g.n - g.level(meet(g, a, b))
             elif g.family == "cycle":
                 want = dist[b]
             else:
@@ -242,14 +243,13 @@ def test_mu_complete_one_step():
 def test_green_matrix_and_spread_set_bounds():
     g = build_graph(parse_descriptor("tree:d=2,n=4"))
     orbits = Orbits(g)
-    A = [int(a) for a in orbits.targets()]
-    green = orbits.pair_matrix(green_sums(g, 8)[:, 8])
-    P = dense_transition(g)
-    want = sum(np.linalg.matrix_power(P, i) for i in range(9))
-    assert np.abs(green - want[np.ix_(A, A)]).max() < 1e-12
-    idx = {a: i for i, a in enumerate(A)}
+    A = orbits.targets()
     t, s = 8, 2
-    B = select_spread_set(A, t, s, green)
+    column = green_sums(g, t)[:, t]
+    green = column[orbits.pair_class(A[:, None], A[None, :])]
+    assert np.abs(green - green_matrix(g, A, t)).max() < 1e-12
+    idx = {a: i for i, a in enumerate(A)}
+    B = select_spread_set(orbits, t, s, column)
     assert set(B) <= set(A)
     assert len(B) * (1 + s * t * t) >= len(A)
     for x in B:
@@ -258,34 +258,71 @@ def test_green_matrix_and_spread_set_bounds():
                 assert green[idx[x], idx[y]] < 1.0 / (s * t)
 
 
+@pytest.mark.parametrize("text,t,s", [
+    ("tree:d=2,n=4", 8, 2), ("tree:d=2,n=5", 12, 3), ("tree:d=2,n=6", 2, 1),
+    ("tree:d=3,n=3", 4, 1), ("cycle:n=12", 6, 2), ("cycle:n=30", 3, 0.5),
+    ("complete:n=3", 1, 4), ("complete:n=8", 2, 0.3)])
+def test_spread_set_equals_matrix_greedy(text, t, s):
+    # the greedy over one row of pair classes at a time keeps the targets
+    # that the greedy over the whole matrix of dense Green sums keeps
+    g = build_graph(parse_descriptor(text))
+    orbits = Orbits(g)
+    A = [int(a) for a in orbits.targets()]
+    want = matrix_spread_set(A, t, s, green_matrix(g, A, t))
+    assert select_spread_set(orbits, t, s, green_sums(g, t)[:, t]) == want
+
+
 def test_spread_set_single_survivor():
     g = build_graph(parse_descriptor("complete:n=3"))
-    green = Orbits(g).pair_matrix(green_sums(g, 1)[:, 1])
-    assert select_spread_set([0, 1, 2], 1, 4, green) == [0]
+    assert select_spread_set(Orbits(g), 1, 4, green_sums(g, 1)[:, 1]) == [0]
+
+
+def test_spread_set_wants_one_value_per_class():
+    # the old |A| x |A| matrix is refused, not read as rows of classes
+    orbits = Orbits(build_graph(parse_descriptor("tree:d=2,n=3")))
+    for green in (np.zeros((8, 8)), np.zeros(3)):
+        with pytest.raises(ParameterError, match="one value per pair class"):
+            select_spread_set(orbits, 1, 1.0, green)
+
+
+def _spread_set_within_bounds(text, t, s, peak_bytes):
+    """The spread set of the targets of `text`, with both bounds checked
+    against the classes of its pairs, and the peak bytes of taking it."""
+    g = build_graph(parse_descriptor(text))
+    orbits = Orbits(g)
+    column = green_sums(g, t)[:, t]
+    with peak_bytes() as peak:
+        B = np.asarray(select_spread_set(orbits, t, s, column))
+    assert len(B) * (1 + s * t * t) >= orbits.size
+    for j, b in enumerate(B):
+        assert np.all(column[orbits.pair_class(b, B[j + 1:])] < 1 / (s * t))
+    return B, peak[0]
 
 
 def test_spread_set_on_4096_leaves(peak_bytes):
-    # the 4096 x 4096 pair matrix at t = 64, built from 13 Green rows
-    g = build_graph(parse_descriptor("tree:d=2,n=12"))
-    orbits = Orbits(g)
-    t, s = 64, 1
-    with peak_bytes() as peak:
-        green = orbits.pair_matrix(green_sums(g, t)[:, t])
-    assert peak[0] < ta.PAIR_MATRIX_BYTES * 4096 ** 2, peak
-    B = select_spread_set(list(orbits.targets()), t, s, green)
-    assert len(B) * (1 + s * t * t) >= 4096
-    rows = np.asarray(B) - orbits.first
-    sub = green[np.ix_(rows, rows)]
-    assert np.all(sub[~np.eye(len(B), dtype=bool)] < 1.0 / (s * t))
+    # t = 64 on tree n=12: a row of classes at a time, no |A| x |A| array
+    B, peak = _spread_set_within_bounds("tree:d=2,n=12", 64, 1, peak_bytes)
+    assert len(B) == 128
+    assert peak < 64 * 4096, peak
+
+
+def test_spread_set_on_16384_leaves(peak_bytes):
+    # the pair matrix of tree n=14 would take 6.4e9 bytes
+    B, peak = _spread_set_within_bounds("tree:d=2,n=14", 64, 1, peak_bytes)
+    assert len(B) == 512
+    assert peak < 64 * 16384, peak
 
 
 def test_m_A_is_min_diagonal_green():
     # m_A[s] = min over a of e_{a,a}(s), the row of class 0: kappa when
     # A = V on a vertex-transitive graph
     g = build_graph(parse_descriptor("cycle:n=6"))
+    orbits = Orbits(g)
     green = green_sums(g, 6)
-    diag = Orbits(g).pair_matrix(green[:, 6]).diagonal()
-    assert np.allclose(diag, green[0, 6], atol=0)
+    A = orbits.targets()
+    assert np.all(orbits.pair_class(A, A) == 0)
+    assert np.allclose(green_matrix(g, A, 6).diagonal(), green[0, 6],
+                       atol=1e-12)
     assert np.allclose(green[0], kappa_sequence(g, 6))
 
 
