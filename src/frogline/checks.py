@@ -33,16 +33,17 @@ from .graph import (COMPLETE, CYCLE, TREE, GraphDescriptor, build_graph,
                     parse_descriptor)
 from .randomness import (counters, generate_steps, init_config, stack_views,
                          walk_keys)
-from .spectral_bd import (Pmf, check_logconcave, geometric_convolution_law,
-                          half_e2_t0, hitting_eigenvalues, hitting_law,
-                          hitting_pmf_dp, total_variation)
-from .tree_analytics import (Orbits, expected_hit, gambler_ruin, green_sums,
-                             kappa_sequence, leaf_to_root_closed_form,
-                             level_chain, mixing_crossing_time,
-                             mixing_deviation, mixing_profile, mu_table,
-                             pair_powers, return_sum_envelope,
-                             select_spread_set, stationary_levels,
-                             threshold_time, transition_powers)
+from .spectral_bd import (Pmf, check_logconcave, crossing_times,
+                          geometric_convolution_law, half_e2_t0,
+                          hitting_eigenvalues, hitting_law, hitting_pmf_dp,
+                          total_variation)
+from .tree_analytics import (Orbits, gambler_ruin, green_sums, kappa_sequence,
+                             leaf_to_root_closed_form, level_chain,
+                             mixing_crossing_time, mixing_deviation,
+                             mixing_profile, mu_table, pair_powers,
+                             return_sum_envelope, select_spread_set,
+                             stationary_levels, threshold_time,
+                             transition_powers)
 
 
 @dataclass
@@ -68,7 +69,7 @@ def ruin_probability_dp(d, n, i):
     return float(np.linalg.solve(np.eye(n - 1) - Q[1:n, 1:n], Q[1:n, 0])[i - 1])
 
 
-def expected_hit_solve(chain):
+def hitting_mean_solve(chain):
     """E_n[T_0] by first-step analysis linear solve."""
     Q = chain_matrix(chain)
     return float(np.linalg.solve(np.eye(chain.n) - Q[1:, 1:],
@@ -221,26 +222,26 @@ def check_gambler_ruin(ns=range(2, 9)):
 
 
 def check_hitting_expectations():
+    """crossing_times and their sum E_n[T_0] against the exact closed forms
+    (2d^(n-j) - d - 1)/(d-1) and leaf_to_root_closed_form, to 1e-12
+    relative, and the sum against a linear solve."""
     bad = []
-    if abs(expected_hit(level_chain(2, 2), "leaf_to_root") - 6.0) > 1e-12:
-        bad.append("E_2[T_0] != 6 at d=2,n=2")
-    if abs(expected_hit(level_chain(2, 2), "crossing", 0) - 5.0) > 1e-12:
-        bad.append("crossing(0) != 5 at d=2,n=2")
-    if abs(expected_hit(level_chain(2, 4), "leaf_to_root") - 48.0) > 1e-10:
-        bad.append("E_4[T_0] != 48 at d=2,n=4")
-    worst_gap = 0.0
+    worst = 0.0
     for d in (2, 3, 4):
         for n in range(1, 9):
             chain = level_chain(d, n)
-            exact = expected_hit(chain, "leaf_to_root")
-            solve = expected_hit_solve(chain)
-            if abs(exact - solve) > 1e-8 * max(1.0, solve):
+            c = crossing_times(chain)
+            total = sum(c.tolist())
+            closed = (2.0 * d ** (n - np.arange(n)) - d - 1) / (d - 1)
+            worst = max(worst, float(np.abs(c / closed - 1).max()),
+                        abs(total / leaf_to_root_closed_form(d, n) - 1))
+            solve = hitting_mean_solve(chain)
+            if abs(total - solve) > 1e-8 * max(1.0, solve):
                 bad.append("crossing sum vs solve d=%d n=%d" % (d, n))
-            worst_gap = max(worst_gap, abs(exact - leaf_to_root_closed_form(d, n)))
-    if worst_gap > 3.0:
-        bad.append("closed-form gap %.3f > 3" % worst_gap)
+    if worst > 1e-12:
+        bad.append("closed-form gap %.3g > 1e-12 relative" % worst)
     return _result("hitting_expectations", not bad,
-                   ";".join(bad) or "closed-form gap <= %.3f" % worst_gap)
+                   ";".join(bad) or "closed-form gap <= %.3g relative" % worst)
 
 
 def check_spectral_oracle():
@@ -261,7 +262,7 @@ def check_spectral_oracle():
         mean_expected = 2.0 * float((1.0 / gammas).sum()) + (n % 2)
         if abs(law.mean() - mean_expected) > 1e-6:
             bad.append("law mean d=%d n=%d" % (d, n))
-        crossing_sum = expected_hit(chain, "leaf_to_root")
+        crossing_sum = sum(crossing_times(chain).tolist())
         if abs(mean_expected - crossing_sum) > 1e-6 * crossing_sum:
             bad.append("mean vs crossing d=%d n=%d" % (d, n))
     return _result("spectral_oracle", not bad,

@@ -14,7 +14,7 @@ import traceback
 
 from . import experiments, spectral_bd, tree_analytics
 from .errors import (DEFAULT_STEP_CAP, BudgetExceededError, ParameterError,
-                     check_horizon)
+                     check_horizon, check_jobs)
 from .graph import build_graph, parse_descriptor, parse_fields, require_tree
 from .tree_analytics import level_chain
 
@@ -161,11 +161,9 @@ def _cmd_analytic(args):
         rows = [("q", i, repr(tree_analytics.gambler_ruin(g.d, g.n, i)))
                 for i in range(g.n)]
     elif q == "hit":
-        chain = level_chain(g.d, g.n)
-        rows = [("crossing", j, repr(tree_analytics.expected_hit(
-            chain, "crossing", j))) for j in range(g.n)]
-        rows.append(("hit", "leaf_to_root", repr(tree_analytics.expected_hit(
-            chain, "leaf_to_root"))))
+        c = spectral_bd.crossing_times(level_chain(g.d, g.n)).tolist()
+        rows = [("crossing", j, repr(x)) for j, x in enumerate(c)]
+        rows.append(("hit", "leaf_to_root", repr(sum(c))))
     elif q == "kappa":
         ts = args.t or [16]
         kappa = tree_analytics.kappa_sequence(g, max(ts))
@@ -203,8 +201,7 @@ def main(argv=None):
     handlers = {"simulate": _cmd_simulate, "sweep": _cmd_sweep,
                 "analytic": _cmd_analytic, "validate": _cmd_validate}
     try:
-        if getattr(args, "jobs", 1) < 1:
-            raise ParameterError("jobs must be >= 1, got %r" % (args.jobs,))
+        check_jobs(getattr(args, "jobs", 1))
         return handlers[args.command](args)
     except BrokenPipeError:
         # the reader is gone; stdout goes to devnull, so that the flush at

@@ -67,6 +67,11 @@ def check_budget(what, nbytes, steps=0, step_entries=0):
 DEFAULT_STEP_CAP = 10 ** 9
 
 
+def check_jobs(jobs):
+    if jobs < 1:
+        raise ParameterError("jobs must be >= 1, got %r" % (jobs,))
+
+
 def check_step_cap(step_cap):
     """Refuse a cap on the clock (or the steps of a leaf walk) below 1."""
     if step_cap <= 0:

@@ -23,7 +23,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import (DEFAULT_STEP_CAP, BudgetExceededError, ParameterError,
-                     check_budget, check_lambda, check_seed, check_step_cap)
+                     check_budget, check_jobs, check_lambda, check_seed,
+                     check_step_cap)
 from .frog_sim import Outcome, cover_time, run_bytes, susceptibility
 from .graph import build_graph, parse_descriptor, require_tree, resolve_origin
 from .leaf_walk import run_killed_leaf_walk
@@ -115,8 +116,7 @@ def trial_seed(seed_base, graph, origin, metric, trial):
 def validate_spec(spec):
     if spec.trials < 1:
         raise ParameterError("trials must be >= 1")
-    if spec.jobs < 1:
-        raise ParameterError("jobs must be >= 1, got %r" % (spec.jobs,))
+    check_jobs(spec.jobs)
     if not spec.graphs or (not spec.lambdas and spec.metric != "leafwalk"):
         raise ParameterError("grids must be non-empty")
     if spec.metric not in METRICS:

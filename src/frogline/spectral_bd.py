@@ -34,15 +34,6 @@ class BirthDeathChain:
     down: np.ndarray
 
 
-def reversible_weights(chain):
-    """Unnormalized reversible measure: w_0 = 1, w_{i+1} = w_i up_i / down_{i+1}."""
-    n = chain.n
-    w = np.ones(n + 1)
-    for i in range(n):
-        w[i + 1] = w[i] * chain.up[i] / chain.down[i + 1]
-    return w
-
-
 def _validate_chain(chain):
     n = chain.n
     up = np.asarray(chain.up, dtype=float)
@@ -76,15 +67,20 @@ class Pmf:
                             self.masses))
 
 
-def _top_hitting_mean(n, up, down):
-    """E_n[T_0] as the sum of the crossing times E_{j+1}[T_j] = (1 + up[j+1]
-    E_{j+2}[T_{j+1}]) / down[j+1], from E_n[T_{n-1}] = 1; an overflow makes
-    the mean inf, never nan."""
-    crossing = mean = 1.0
-    for j in range(n - 2, -1, -1):
-        crossing = (1.0 + up[j + 1] * crossing) / down[j + 1]
-        mean += crossing
-    return mean
+def crossing_times(chain):
+    """c[j] = E_{j+1}[T_j], the mean time to cross the edge (j+1, j)
+    downward, j = 0..n-1, by first-step analysis from the top: c[n-1] = 1,
+    c[j] = (1 + up[j+1] c[j+1]) / down[j+1]. E_n[T_0] is their sum.
+
+    A crossing time past the float range is inf, never nan, and raises no
+    warning; sum c.tolist(), whose Python floats overflow to inf quietly too.
+    """
+    n, up, down = _validate_chain(chain)
+    c = np.ones(n)
+    with np.errstate(over="ignore"):
+        for j in range(n - 2, -1, -1):
+            c[j] = (1.0 + up[j + 1] * c[j + 1]) / down[j + 1]
+    return c
 
 
 def hitting_eigenvalues(chain):
@@ -122,8 +118,8 @@ def hitting_eigenvalues(chain):
     if np.any(gammas <= 0):
         raise NumericalConsistencyError(
             "nonpositive eigenvalue of I - K^2: %r" % (gammas,))
-    mean = _top_hitting_mean(n, up, down)
-    gap = abs(2 * np.sum(1 / gammas) + n % 2 - mean) / mean
+    mean = sum(crossing_times(chain).tolist())
+    gap = abs(2 * float(np.sum(1 / gammas)) + n % 2 - mean) / mean
     # at most 1.9e-10 on every chain hitting_law admits (d in {2,3,4,5,8},
     # n <= 40), 5.7e-8 on the d=2 n=30 level chain; nan, when the mean
     # overflows, fails too
@@ -149,15 +145,12 @@ def geometric_convolution_law(gammas, n_parity):
     """Pmf of T_0 from the top state, as the geometric convolution of the
     hitting_eigenvalues `gammas` says.
 
-    n_parity: 'even' or 'odd' (or the integer n itself); odd chains spend
-    one deterministic step n -> n-1 before the convolution starts.
+    n_parity: 'even' or 'odd', the parity of n; odd chains spend one
+    deterministic step n -> n-1 before the convolution starts.
     """
-    if isinstance(n_parity, str):
-        if n_parity not in ("even", "odd"):
-            raise ParameterError("n_parity must be 'even' or 'odd'")
-        odd = n_parity == "odd"
-    else:
-        odd = int(n_parity) % 2 == 1
+    if n_parity not in ("even", "odd"):
+        raise ParameterError("n_parity must be 'even' or 'odd'")
+    odd = n_parity == "odd"
     lengths = [_geometric_length(gamma) for gamma in gammas]
     # tracemalloc peaks measured 24-25.3 B per unit of summed factor length
     # (d=2 n=8..16, d=3 n=7 and 10): the longest factor dominates
@@ -192,8 +185,8 @@ def hitting_law(chain):
     smallest gamma, about d^-n, lies below the eigensolver's accuracy
     before they raise there.
     """
-    n, up, down = _validate_chain(chain)
-    mean = _top_hitting_mean(n, up, down)
+    n = chain.n
+    mean = sum(crossing_times(chain).tolist())
     m = n // 2
     check_budget("a hitting-time law of %d geometric factors" % m,
                  32 * log(1 / _TAIL) * ((mean - n % 2) / 2 - m))
@@ -266,13 +259,8 @@ def check_logconcave(pmf, rel_slack=1e-12):
 
 
 def half_e2_t0(chain):
-    """(pi(2) + pi(4) + ...)/(pi(2) P^2(2,0)) with pi the edge-weight measure.
-
-    Equals E_2[T_0]/2; the smallest eigenvalue obeys 1/gamma_1 >= this.
-    """
-    n, _, down = _validate_chain(chain)
-    if n < 2:
+    """E_2[T_0]/2 = (c[0] + c[1])/2 in crossing_times c; the smallest
+    eigenvalue obeys 1/gamma_1 >= this."""
+    if chain.n < 2:
         raise ParameterError("needs n >= 2")
-    w = reversible_weights(chain)
-    evens = np.arange(2, n + 1, 2)
-    return float(w[evens].sum() / (w[2] * down[2] * down[1]))
+    return sum(crossing_times(chain)[:2].tolist()) / 2

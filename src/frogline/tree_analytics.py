@@ -3,8 +3,9 @@
 Level chain: the depth process |X_s| of SRW on the d-ary tree of depth n is
 a birth-death chain on {0..n} with Q(0,1) = 1 = Q(n,n-1), and interior
 rates Q(i,i-1) = 1/(d+1), Q(i,i+1) = d/(d+1). Stationary law, gambler's
-ruin, and edge-crossing expectations all have closed forms, each backed
-here by an independent linear-algebra or DP oracle in the test suite.
+ruin, and the leaf-to-root mean all have closed forms, each backed by an
+independent linear-algebra or DP oracle in the test suite; the crossing
+times behind that mean are spectral_bd.crossing_times.
 
 The lower-bound toolkit (kappa_t, the threshold time, expected target
 visits mu_a, partial Green sums, spread sets) works on complete graphs,
@@ -27,7 +28,7 @@ import numpy as np
 from .errors import (ANALYTIC_ENTRY_LIMIT, BudgetExceededError,
                      ParameterError, check_budget, check_lambda, check_t_max)
 from .graph import COMPLETE, CYCLE, TREE, require_tree
-from .spectral_bd import BirthDeathChain, reversible_weights
+from .spectral_bd import BirthDeathChain
 
 # float64 arrays live at the peak of each computation, rounded up from
 # tracemalloc peaks on trees of depth 6-12: a transition power holds about 5
@@ -50,8 +51,11 @@ def level_chain(d, n):
 
 
 def stationary_levels(chain):
-    """Stationary distribution of the level chain (detailed-balance weights)."""
-    w = reversible_weights(chain)
+    """Stationary distribution of the level chain: the detailed-balance
+    weights w_0 = 1, w_{i+1} = w_i up_i / down_{i+1}, normalized."""
+    w = np.ones(chain.n + 1)
+    for i in range(chain.n):
+        w[i + 1] = w[i] * chain.up[i] / chain.down[i + 1]
     return w / w.sum()
 
 
@@ -64,32 +68,9 @@ def gambler_ruin(d, n, i):
     return (di - dn) / (1.0 - dn)
 
 
-def expected_hit(chain, mode, j=None):
-    """Exact hitting expectations on a birth-death chain.
-
-    mode "crossing": E_{j+1}[T_j], the expected time to cross edge (j+1, j)
-    downward, equal to pi{j+1..n} / (pi(j) Q(j,j+1)).
-    mode "leaf_to_root": E_n[T_0], the sum of all crossing times.
-    """
-    pi = stationary_levels(chain)
-    n = chain.n
-
-    def crossing(jj):
-        if not 0 <= jj <= n - 1:
-            raise ParameterError("crossing index must be in [0, n-1], got %r" % (jj,))
-        return pi[jj + 1:].sum() / (pi[jj] * chain.up[jj])
-
-    if mode == "crossing":
-        if j is None:
-            raise ParameterError("mode 'crossing' needs j")
-        return float(crossing(j))
-    if mode == "leaf_to_root":
-        return float(sum(crossing(jj) for jj in range(n)))
-    raise ParameterError("unknown expected_hit mode %r" % (mode,))
-
-
 def leaf_to_root_closed_form(d, n):
-    """Headline closed form 2d(d^n - 1)/(d-1)^2 - n(d+1)/(d-1), up to O(1)."""
+    """E_n[T_0] on the level chain, 2d(d^n - 1)/(d-1)^2 - n(d+1)/(d-1):
+    exact, the sum over j of the crossing times (2d^(n-j) - d - 1)/(d-1)."""
     return 2 * d * (d ** n - 1) / (d - 1) ** 2 - n * (d + 1) / (d - 1)
 
 
@@ -98,7 +79,13 @@ def _neighbor_sum(g, y):
     if g.family == COMPLETE:
         return y.sum(axis=0, keepdims=y.ndim > 1) - y
     if g.family == CYCLE:
-        return np.roll(y, 1, axis=0) + np.roll(y, -1, axis=0)
+        # y[v-1] + y[v+1] around the cycle, in place of two rolled copies
+        s = np.empty_like(y)
+        s[1:] = y[:-1]
+        s[0] = y[-1]
+        s[:-1] += y[1:]
+        s[-1] += y[0]
+        return s
     V = g.vertex_count
     parents = (np.arange(1, V, dtype=np.int64) - 1) // g.d
     s = np.zeros_like(y)

@@ -9,7 +9,7 @@ import time
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import numpy as np
@@ -344,6 +344,24 @@ def test_bd_law_refuses_unresolved_chains_before_the_eigensolver(
         assert "internal error:" not in err, (d, n, err)
 
 
+@pytest.mark.parametrize("chain", ["dary:d=2,n=2000", "dary:d=10,n=400",
+                                   "dary:d=2,n=1100"])
+def test_bd_law_refuses_overflowing_chains_quietly(capsys, chain):
+    # E_n[T_0] overflows to inf: one refusal line, no numpy warning, both in
+    # process (where the suite turns RuntimeWarning into an error) and in a
+    # fresh interpreter with the default warning filters
+    argv = ["analytic", "--quantity", "bd-law", "--chain", chain]
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 3 and len(err.splitlines()) == 1, err
+    assert err.startswith("budget exceeded:"), err
+    done = subprocess.run([sys.executable, "-m", "frogline.cli"] + argv,
+                          env=_fresh_env(), capture_output=True, text=True)
+    assert done.returncode == 3 and done.stdout == "", done
+    assert len(done.stderr.splitlines()) == 1, done.stderr
+    assert done.stderr.startswith("budget exceeded:"), done.stderr
+
+
 def _expire(signum, frame):
     raise TimeoutError("still running")
 
@@ -628,7 +646,9 @@ _ANALYTIC = _argv(
     _opt("--chain", st.one_of(
         st.builds("dary:d={},n={}".format, st.integers(1, 3),
                   st.integers(0, 4)),
-        st.sampled_from(["dary:d=x,n=3", "dary:d=2", "tree:d=2,n=2", ""]))),
+        st.sampled_from(["dary:d=x,n=3", "dary:d=2", "tree:d=2,n=2", "",
+                         "dary:d=2,n=2000", "dary:d=10,n=400",
+                         "dary:d=2,n=1100"]))),
     _opt("--t", st.lists(st.integers(-300, 300).map(str), max_size=3).map(
         ",".join)),
     _opt("--lambda", _LAMBDAS),
@@ -637,6 +657,9 @@ _ANALYTIC = _argv(
 
 
 @given(st.one_of(_SIMULATE, _SWEEP, _ANALYTIC))
+@example(["analytic", "--quantity=bd-law", "--chain=dary:d=2,n=2000"])
+@example(["analytic", "--quantity=bd-law", "--chain=dary:d=10,n=400"])
+@example(["analytic", "--quantity=bd-law", "--chain=dary:d=2,n=1100"])
 @settings(max_examples=200, deadline=None)
 def test_cli_fuzz_exit_codes(argv):
     """Any small argument vector ends in exit 0, 2 or 3, never a traceback."""

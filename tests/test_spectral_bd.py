@@ -1,11 +1,17 @@
+import warnings
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from frogline import (NumericalConsistencyError, ParameterError, Pmf,
-                      check_logconcave, expected_hit,
+                      check_logconcave, crossing_times,
                       geometric_convolution_law, half_e2_t0,
                       hitting_eigenvalues, hitting_law, hitting_pmf_dp,
-                      level_chain, spectral_bd, total_variation)
+                      leaf_to_root_closed_form, level_chain, spectral_bd,
+                      total_variation)
 from frogline.errors import CONFIG_BYTE_LIMIT
 from frogline.spectral_bd import BirthDeathChain
 
@@ -77,6 +83,52 @@ def test_half_e2_t0_frozen():
     assert half_e2_t0(level_chain(2, 4)) == pytest.approx(21.0)
 
 
+@given(st.lists(st.floats(0.05, 0.95), min_size=1, max_size=14))
+@settings(max_examples=60, deadline=None)
+def test_half_e2_t0_is_the_even_weight_ratio(rates):
+    # E_2[T_0]/2 = (pi(2) + pi(4) + ...)/(pi(2) P^2(2,0)) with pi the
+    # reversible measure, on any birth-death chain
+    n = len(rates) + 1
+    up = np.array([1.0] + rates + [0.0])
+    down = np.array([0.0] + [1 - p for p in rates] + [1.0])
+    w = np.cumprod(np.r_[1.0, up[:-1] / down[1:]])
+    ratio = w[2::2].sum() / (w[2] * down[2] * down[1])
+    assert half_e2_t0(BirthDeathChain(n=n, up=up, down=down)) == \
+        pytest.approx(ratio, rel=1e-12)
+
+
+def test_crossing_times_match_exact_fractions():
+    # in exact arithmetic the recursion is the closed form (2d^(n-j) - d -
+    # 1)/(d-1), and its sum is leaf_to_root_closed_form's; the floats stay
+    # within 4e-15 relative (2.6e-15 at most), the float closed form within
+    # 2^-52
+    for d in range(2, 9):
+        up, down = Fraction(d, d + 1), Fraction(1, d + 1)
+        for n in range(1, 31):
+            exact = [Fraction(1)]
+            for _ in range(n - 1):
+                exact.insert(0, (1 + up * exact[0]) / down)
+            assert exact == [Fraction(2 * d ** (n - j) - d - 1, d - 1)
+                             for j in range(n)]
+            total = sum(exact)
+            assert total == (Fraction(2 * d * (d ** n - 1), (d - 1) ** 2)
+                             - Fraction(n * (d + 1), d - 1))
+            c = crossing_times(level_chain(d, n)).tolist()
+            for x, y in zip(c + [sum(c)], exact + [total]):
+                assert abs(Fraction(x) / y - 1) <= 4e-15, (d, n)
+            closed = Fraction(leaf_to_root_closed_form(d, n))
+            assert abs(closed / total - 1) <= Fraction(1, 2 ** 52), (d, n)
+
+
+def test_crossing_times_overflow_to_inf_quietly():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        c = crossing_times(level_chain(2, 2000))
+        assert sum(c.tolist()) == np.inf and c.sum() == np.inf
+        assert not np.isnan(c).any() and c[-1] == 1.0
+        assert half_e2_t0(level_chain(2, 2000)) == np.inf
+
+
 def test_logconcave_laws_and_counterexample():
     # the laws and the bimodal counterexample are checks.check_logconcavity's;
     # unimodal but not log-concave: caught by the ratio test
@@ -141,7 +193,7 @@ def test_eigenvalues_keep_the_mean_hitting_time():
             ch = level_chain(d, n)
             gammas = hitting_eigenvalues(ch)
             mean = 2 * np.sum(1 / gammas) + n % 2
-            exact = expected_hit(ch, "leaf_to_root")
+            exact = sum(crossing_times(ch).tolist())
             assert abs(mean - exact) <= 1e-8 * exact, (d, n)
 
 

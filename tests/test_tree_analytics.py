@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from frogline import (BudgetExceededError, FamilyError, Orbits,
-                      ParameterError, build_graph, expected_hit, gambler_ruin,
-                      green_sums,
+                      ParameterError, build_graph, crossing_times,
+                      gambler_ruin, green_sums,
                       kappa_sequence, leaf_to_root_closed_form, level_chain,
                       mixing_crossing_time, mixing_deviation, mixing_profile,
                       mu_table, parse_descriptor, return_sum_envelope,
@@ -56,28 +56,27 @@ def test_gambler_ruin_frozen_and_dp():
 
 
 def test_expected_hit_frozen_values():
-    assert expected_hit(level_chain(2, 2), "leaf_to_root") == pytest.approx(6.0)
-    assert expected_hit(level_chain(2, 4), "leaf_to_root") == pytest.approx(48.0)
+    assert sum(crossing_times(level_chain(2, 2))) == pytest.approx(6.0)
+    assert sum(crossing_times(level_chain(2, 4))) == pytest.approx(48.0)
     # crossing from 0 at (2,2): pi-weighted tail 5, plus the forced last step
-    assert expected_hit(level_chain(2, 2), "crossing", 0) == pytest.approx(5.0)
-    assert expected_hit(level_chain(2, 2), "crossing", 1) == pytest.approx(1.0)
+    assert crossing_times(level_chain(2, 2)).tolist() == pytest.approx(
+        [5.0, 1.0])
 
 
 def test_closed_form_additive_gap():
+    # the closed form is exact, so the gap is rounding alone
     for d in (2, 3, 4):
         for n in range(1, 9):
-            gap = abs(expected_hit(level_chain(d, n), "leaf_to_root") -
-                      leaf_to_root_closed_form(d, n))
-            assert gap <= 3.0
-            if d == 2:
-                assert gap < 1e-9  # exact at d=2
+            exact = sum(crossing_times(level_chain(d, n)))
+            gap = abs(exact - leaf_to_root_closed_form(d, n))
+            assert gap <= 1e-12 * exact
 
 
 def test_expected_hit_monte_carlo():
     rng = np.random.default_rng(4242)
     for d, n in [(2, 3), (3, 5)]:
         ch = level_chain(d, n)
-        exact = expected_hit(ch, "leaf_to_root")
+        exact = sum(crossing_times(ch))
         hits = np.empty(10_000)
         up = ch.up
         for k in range(hits.size):
@@ -465,6 +464,16 @@ def test_mixing_refuses_a_cycle_before_its_budget():
         mixing_crossing_time(g)
 
 
+def test_cycle_neighbor_sum_is_the_rolled_sum():
+    # y[v-1] + y[v+1] in that order, so bit for bit the sum of the two rolls
+    rng = np.random.default_rng(7)
+    for n in (3, 4, 7, 50):
+        g = build_graph(parse_descriptor("cycle:n=%d" % n))
+        for y in (rng.standard_normal(n), rng.standard_normal((n, 3))):
+            rolled = np.roll(y, 1, axis=0) + np.roll(y, -1, axis=0)
+            assert ta._neighbor_sum(g, y).tobytes() == rolled.tobytes()
+
+
 def test_return_sum_envelope_values():
     assert return_sum_envelope(2, 6, 2) == pytest.approx(2 + 2 / 64)
     assert return_sum_envelope(2, 6, 64) == pytest.approx(8.0, abs=1e-6)
@@ -473,7 +482,8 @@ def test_return_sum_envelope_values():
 @given(st.integers(2, 4), st.integers(1, 6), st.integers(0, 5))
 @settings(max_examples=40, deadline=None)
 def test_crossing_matches_backward_recursion(d, n, j):
-    # E_{j+1}[T_j] from first-step analysis, solved from the top down
+    # E_{j+1}[T_j] from first-step analysis, solved from the top down, and
+    # from the stationary law: pi{j+1..n} / (pi(j) Q(j,j+1))
     if j >= n:
         return
     ch = level_chain(d, n)
@@ -481,4 +491,7 @@ def test_crossing_matches_backward_recursion(d, n, j):
     h[n] = 1.0
     for k in range(n - 1, 0, -1):
         h[k] = (1 + ch.up[k] * h[k + 1]) / (1 - ch.up[k])
-    assert expected_hit(ch, "crossing", j) == pytest.approx(h[j + 1])
+    pi = stationary_levels(ch)
+    c = crossing_times(ch)[j]
+    assert c == pytest.approx(h[j + 1])
+    assert c == pytest.approx(pi[j + 1:].sum() / (pi[j] * ch.up[j]))
